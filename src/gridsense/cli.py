@@ -25,7 +25,6 @@ Exit codes: 0 success; 2 config error (also argparse's own usage errors);
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
 import json
 import math
 import os
@@ -52,6 +51,7 @@ from .optimize import (
     ADAM_BETA1,
     ADAM_BETA2,
     ADAM_EPS,
+    BOUNDS,
     PARAM_ORDER,
     TrainConfig,
     TrainableParams,
@@ -60,7 +60,7 @@ from .optimize import (
     pareto_sweep,
     train,
 )
-from .pipeline import SensorSpec, sensor_state
+from .pipeline import sensor_state
 from .report import RunReport, dumps_json, format_float, write_csv
 from .wigner import wigner_grid, wigner_negativity
 
@@ -176,17 +176,15 @@ def validate_config(cfg: dict) -> dict:
     ell_max = cfg["lattice"]["ell_max"]
     _require(isinstance(ell_max, int) and ell_max >= 1,
              f"lattice.ell_max must be an integer >= 1, got {ell_max!r}")
-    r = _number(cfg, "lattice", "r")
-    _require(0.5 <= r <= 2.0, f"lattice.r must be in [0.5, 2], got {r}")
     if cfg["lattice"]["theta_deg"] is not None:
         _number(cfg, "lattice", "theta_deg")
-
-    eps = _number(cfg, "state", "epsilon")
-    _require(0.005 < eps < 0.5,
-             f"state.epsilon must be in (0.005, 0.5), got {eps}")
-    bt = _number(cfg, "state", "bloch_theta")
-    _require(0.0 <= bt <= math.pi,
-             f"state.bloch_theta must be in [0, pi] radians, got {bt}")
+    # Trainable coordinates start inside the box projection keeps them in.
+    for section, name in (("lattice", "r"), ("state", "epsilon"),
+                          ("state", "bloch_theta")):
+        value = _number(cfg, section, name)
+        lo, hi = BOUNDS[name]
+        _require(lo <= value <= hi, f"{section}.{name} must be in "
+                 f"[{lo:.12g}, {hi:.12g}], got {value}")
     _number(cfg, "state", "bloch_phi")
 
     tr = cfg["train"]
@@ -277,7 +275,6 @@ def cmd_single(args) -> int:
     else:
         cfg = resolve_config(args)
 
-    noise = build_noise(cfg)
     tcfg = build_train_config(cfg)
     final, trace = train(tcfg, build_params(cfg))
     write_csv(_out_path(args, "trace.csv"), "trace",
@@ -285,7 +282,7 @@ def cmd_single(args) -> int:
                for s in trace])
 
     _, qfi, p_err = combined_loss(final, tcfg)
-    p_mc, p_mc_err = mc_perr(final.theta, final.r, noise, cfg["n_mc"],
+    p_mc, p_mc_err = mc_perr(final.theta, final.r, tcfg.noise, cfg["n_mc"],
                              tcfg.seed)
     metrics = {
         "qfi": qfi,
@@ -295,13 +292,10 @@ def cmd_single(args) -> int:
         "eta_meas": measurement_efficiency(p_err),
         "capacity": capacity(qfi, p_err),
     }
-    lat = twisted_lattice(final.theta, final.r)
     report = RunReport(
         config=cfg,
-        lattice={"theta_deg": math.degrees(final.theta), "r": final.r,
-                 "u1": [float(x) for x in lat.u1],
-                 "u2": [float(x) for x in lat.u2]},
-        noise={"eta": noise.eta, "gamma": noise.gamma},
+        lattice=twisted_lattice(final.theta, final.r).as_dict(),
+        noise={"eta": tcfg.noise.eta, "gamma": tcfg.noise.gamma},
         metrics=metrics, trace_file="trace.csv", seed=tcfg.seed,
         adam={"beta1": ADAM_BETA1, "beta2": ADAM_BETA2, "eps": ADAM_EPS})
     with open(_out_path(args, "report.json"), "w", encoding="utf-8",
@@ -370,9 +364,7 @@ def cmd_phase_diagram(args) -> int:
     etas = np.linspace(eta_lo, eta_hi, args.n)
     gammas = np.linspace(g_lo, g_hi, args.n)
     cells = [(float(e), float(g)) for e in etas for g in gammas]  # row-major
-    with concurrent.futures.ThreadPoolExecutor(
-            max_workers=min(32, os.cpu_count() or 1)) as pool:
-        rows = list(pool.map(lambda c: _phase_cell(c[0], c[1], r), cells))
+    rows = [_phase_cell(e, g, r) for e, g in cells]
     path = _out_path(args, "phase_diagram.csv")
     write_csv(path, "phase_diagram", rows)
     n_roots = sum(1 for row in rows if row[2] is not None)
@@ -447,14 +439,11 @@ def cmd_tolerance(args) -> int:
 
 def cmd_wigner(args) -> int:
     cfg = resolve_config(args)
-    noise = build_noise(cfg)
-    params = build_params(cfg)
-    spec = SensorSpec(theta=params.theta, r=params.r, epsilon=params.epsilon,
-                      bloch_theta=params.bloch_theta,
-                      bloch_phi=params.bloch_phi, cutoff=cfg["cutoff"])
-    rho = sensor_state(spec, noise)
     _require(args.n_points >= 32, f"--n-points must be >= 32, got "
              f"{args.n_points}")
+    noise = build_noise(cfg)
+    spec = build_params(cfg).sensor_spec(cfg["cutoff"])
+    rho = sensor_state(spec, noise)
     grid = wigner_grid(rho, q_range=tuple(args.q_range),
                        p_range=tuple(args.p_range), n_points=args.n_points)
     rows = []

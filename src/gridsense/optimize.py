@@ -9,7 +9,7 @@ Loss (per configuration, deterministic):
 with F_Q from the full number-basis pipeline (codeword → squeeze → rotate →
 loss → dephasing → mixed-state QFI, generator n̂) and P_err from the analytic
 model — the Monte-Carlo decoder stays a validation oracle and never enters
-the loss. Gradients are central finite differences (≤ 7 coordinates; 14
+the loss. Gradients are central finite differences (≤ 5 coordinates; 10
 pipeline evaluations per step are cheap at D=30 and keep the whole thing
 dependency-free).
 """
@@ -17,6 +17,7 @@ dependency-free).
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -42,10 +43,10 @@ __all__ = [
     "pareto_filter",
 ]
 
-PARAM_ORDER = ("bloch_theta", "bloch_phi", "ell", "r", "epsilon", "psi")
+PARAM_ORDER = ("bloch_theta", "bloch_phi", "ell", "r", "epsilon")
 
-# Box constraints enforced by projection after every step. Entries absent
-# here (the angles) are unconstrained.
+# Box constraints enforced by projection after every step; the CLI rejects
+# start values outside them. Entries absent here (the angles) are free.
 BOUNDS = {
     "r": (0.5, 2.0),
     "epsilon": (0.005 + 1e-12, 0.5 - 1e-12),
@@ -65,12 +66,17 @@ class TrainableParams:
     ell_max: int = 4
     r: float = 1.092
     epsilon: float = 0.063
-    psi: float = 0.0  # homodyne LO angle; never enters the loss
 
     @property
     def theta(self) -> float:
         """Lattice rotation θ_ℓ = ℓπ/ℓ_max implied by the charge."""
         return self.ell * math.pi / self.ell_max
+
+    def sensor_spec(self, cutoff: int) -> SensorSpec:
+        """The pipeline input these parameters describe at Fock cutoff D."""
+        return SensorSpec(theta=self.theta, r=self.r, epsilon=self.epsilon,
+                          bloch_theta=self.bloch_theta,
+                          bloch_phi=self.bloch_phi, cutoff=cutoff)
 
     def vector(self) -> np.ndarray:
         return np.array([getattr(self, k) for k in PARAM_ORDER])
@@ -139,10 +145,7 @@ class TrainDiverged(NumericError):
 def combined_loss(params: TrainableParams,
                   cfg: TrainConfig) -> tuple[float, float, float]:
     """Evaluate (loss, qfi, p_err) at the given parameters."""
-    spec = SensorSpec(theta=params.theta, r=params.r, epsilon=params.epsilon,
-                      bloch_theta=params.bloch_theta,
-                      bloch_phi=params.bloch_phi, cutoff=cfg.cutoff)
-    qfi = pipeline_qfi(spec, cfg.noise)
+    qfi = pipeline_qfi(params.sensor_spec(cfg.cutoff), cfg.noise)
     p_err = perr_analytic(params.theta, params.r, cfg.noise).p_total
     hinge = max(p_err - cfg.p_th, 0.0)
     return -qfi + cfg.penalty * hinge, qfi, p_err
@@ -224,26 +227,31 @@ def pareto_sweep(lambdas, cfg: TrainConfig, init: TrainableParams):
 
     Each row is a dict with keys (lam, qfi, p_err, error). The documented
     monotone trend (p_err non-increasing in λ) is checked and warned about,
-    not asserted — trace noise can locally violate it.
+    not asserted — trace noise can locally violate it. So is a sweep with `ell`
+    and `r` frozen: P_err depends only on (θ, r), so λ cannot move any row.
     """
-    if len(list(lambdas)) == 0:
+    lams = sorted(float(lam) for lam in lambdas)
+    if not lams:
         raise ValueError("pareto_sweep needs at least one lambda")
+    if {"ell", "r"} <= cfg.freeze:
+        warnings.warn(
+            "lambda cannot move this sweep: 'ell' and 'r' are both frozen, "
+            "so p_err is fixed and every row is the same training run",
+            stacklevel=2)
     rows = []
-    for lam in sorted(lambdas):
-        run_cfg = replace(cfg, penalty=float(lam))
+    for lam in lams:
+        run_cfg = replace(cfg, penalty=lam)
         try:
             _, trace = train(run_cfg, init)
             last = trace[-1]
-            rows.append({"lam": float(lam), "qfi": last.qfi,
+            rows.append({"lam": lam, "qfi": last.qfi,
                          "p_err": last.p_err, "error": ""})
         except TrainDiverged as exc:
-            rows.append({"lam": float(lam), "qfi": math.nan,
+            rows.append({"lam": lam, "qfi": math.nan,
                          "p_err": math.nan, "error": str(exc)})
     finite = [row for row in rows if math.isfinite(row["p_err"])]
     for lo, hi in zip(finite, finite[1:]):
         if hi["p_err"] > 2.0 * max(lo["p_err"], 1e-300):
-            import warnings
-
             warnings.warn(
                 f"p_err not monotone in lambda beyond trace noise: "
                 f"{lo['lam']} -> {hi['lam']}", stacklevel=2)

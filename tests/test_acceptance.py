@@ -75,7 +75,7 @@ def _theta_star_deg(eta, gamma, r=R_LOW):
 
 def _benchmark_init(r):
     return TrainableParams(bloch_theta=math.pi / 2, bloch_phi=math.pi / 2,
-                           ell=0.0, r=r, epsilon=EPS, psi=0.0)
+                           ell=0.0, r=r, epsilon=EPS)
 
 
 @pytest.fixture(scope="module")
@@ -97,9 +97,9 @@ def free_geometry_run():
     # is pushed to the constrained error-rate optimum.
     cfg = TrainConfig(noise=LOW_NOISE, steps=500, penalty=1e6, p_th=0.0,
                       freeze=frozenset({"bloch_theta", "bloch_phi",
-                                        "epsilon", "psi"}))
+                                        "epsilon"}))
     init = TrainableParams(bloch_theta=math.pi / 2, bloch_phi=math.pi / 2,
-                           ell=1.111, r=1.0, epsilon=EPS, psi=0.0)
+                           ell=1.111, r=1.0, epsilon=EPS)
     return train(cfg, init)
 
 

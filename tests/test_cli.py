@@ -83,6 +83,20 @@ class TestValidateConfig:
         self.check_rejects(lambda c: c.update(cutoff=9), "cutoff")
         self.check_rejects(lambda c: c.update(n_mc=5), "n_mc")
 
+    def test_range_endpoints(self):
+        # epsilon's range is open, r's and bloch_theta's are closed
+        for eps in (0.005, 0.5):
+            self.check_rejects(lambda c: c["state"].update(epsilon=eps),
+                               "state.epsilon")
+        for r in (0.5, 2.0):
+            cfg = copy.deepcopy(DEFAULT_CONFIG)
+            cfg["lattice"]["r"] = r
+            validate_config(cfg)
+        for bt in (0.0, math.pi):
+            cfg = copy.deepcopy(DEFAULT_CONFIG)
+            cfg["state"]["bloch_theta"] = bt
+            validate_config(cfg)
+
     def test_bool_is_not_a_number(self):
         self.check_rejects(lambda c: c["noise"].update(eta=True),
                            "must be a number")
@@ -135,6 +149,11 @@ class TestExitCodes:
         code = main(["single", "-o", str(tmp_path), *FAST])
         assert code == 3
         assert "numeric failure" in capsys.readouterr().err
+
+    def test_freezing_psi_is_a_config_error(self, tmp_path, capsys):
+        code = main(["single", "--freeze", "psi", "-o", str(tmp_path), *FAST])
+        assert code == 2
+        assert "'psi'" in capsys.readouterr().err
 
     def test_version_flag(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -285,5 +304,11 @@ class TestWigner:
         assert len(lines) == 1 + 41 * 41
 
     def test_too_coarse_rejected(self, tmp_path):
+        code = main(["wigner", "--n-points", "8", "-o", str(tmp_path)])
+        assert code == 2
+
+    def test_grid_size_checked_before_state_is_built(self, tmp_path,
+                                                     monkeypatch):
+        monkeypatch.setattr(cli, "sensor_state", None)
         code = main(["wigner", "--n-points", "8", "-o", str(tmp_path)])
         assert code == 2

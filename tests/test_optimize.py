@@ -1,6 +1,7 @@
 """Constrained Adam trainer, schedules, and the sweep/Pareto helpers."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -28,6 +29,8 @@ def short_cfg(**over):
     base.update(over)
     return TrainConfig(**base)
 
+
+R_FREE = frozenset({"ell", "epsilon"})
 
 OAM_INIT = TrainableParams(bloch_theta=math.pi / 2, bloch_phi=math.pi / 2,
                            ell=1.5)
@@ -119,11 +122,11 @@ class TestLossAndGradient:
         for name in ("ell", "r", "epsilon"):
             assert g[PARAM_ORDER.index(name)] == 0.0
 
-    def test_psi_never_enters_loss(self):
-        # the LO angle is carried for reporting; its gradient must vanish
-        cfg = short_cfg(freeze=frozenset())
-        g = gradient(OAM_INIT, cfg)
-        assert g[PARAM_ORDER.index("psi")] == 0.0
+    def test_psi_is_not_a_coordinate(self):
+        # the homodyne LO angle never entered the loss, so it is not trained
+        assert "psi" not in PARAM_ORDER
+        with pytest.raises(ValueError, match="psi"):
+            TrainConfig(noise=LOW_NOISE, freeze={"psi"})
 
 
 class TestTrain:
@@ -213,6 +216,27 @@ class TestSweeps:
     def test_pareto_sweep_rejects_empty(self):
         with pytest.raises(ValueError):
             pareto_sweep([], short_cfg(), OAM_INIT)
+
+    def test_pareto_sweep_accepts_generator(self):
+        lambdas = (lam for lam in (100.0, 1.0))
+        rows = pareto_sweep(lambdas, short_cfg(steps=2, freeze=R_FREE),
+                            OAM_INIT)
+        assert [r["lam"] for r in rows] == [1.0, 100.0]
+
+    def test_pareto_sweep_warns_when_lambda_is_inert(self):
+        # default freeze holds ell and r, so P_err and every row are fixed
+        with pytest.warns(UserWarning, match="lambda cannot move"):
+            rows = pareto_sweep([1.0, 100.0], short_cfg(steps=2), OAM_INIT)
+        assert len(rows) == 2
+        assert rows[0]["p_err"] == rows[1]["p_err"]
+
+    def test_pareto_sweep_quiet_when_r_is_free(self):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            pareto_sweep([1.0, 100.0], short_cfg(steps=2, freeze=R_FREE),
+                         OAM_INIT)
+        assert not [w for w in caught
+                    if "lambda cannot move" in str(w.message)]
 
     def test_fractional_sweep_columns_and_symmetry(self):
         rows = fractional_sweep([0.0, 1.0, 3.0], short_cfg(steps=2),
