@@ -73,7 +73,6 @@ from .model import (
 )
 from .wigner import (
     WignerGrid,
-    displacement,
     wigner_grid,
     wigner_negativity,
     wigner_point,

@@ -59,39 +59,72 @@ def _log_factorials(D: int) -> np.ndarray:
     return gammaln(n + 1.0)
 
 
-def loss_kraus(eta: float, D: int) -> list[np.ndarray]:
-    """Kraus operators of the photon-loss channel with transmissivity η.
+def _loss_amplitudes(eta: float, D: int) -> np.ndarray:
+    """A[k, m] = √(C(m+k, k) (1-η)^k η^m) for m + k < D, zero elsewhere.
 
-    K_k[n-k, n] = sqrt(C(n,k) (1-η)^k η^{n-k}), k = 0..D-1. Computed in log
-    space so large-n binomials stay finite. Σ K†K = I exactly within the
-    truncated space.
+    Row k holds the one nonzero diagonal of the k-photon Kraus operator,
+    K_k[m, m+k] = A[k, m]. Computed in log space so large-n binomials stay
+    finite. Callers handle η = 1 (the identity channel) themselves.
     """
     if not 0.0 < eta <= 1.0:
         raise ValueError(f"eta must lie in (0, 1], got {eta}")
-    if eta == 1.0:
-        return [np.eye(D, dtype=complex)]
     lgamma = _log_factorials(D)
     log_eta = math.log(eta)
     log_one_minus = math.log1p(-eta)
+    A = np.zeros((D, D))
+    for k in range(D):
+        m = np.arange(D - k)
+        log_w = (lgamma[m + k] - lgamma[k] - lgamma[m]
+                 + k * log_one_minus + m * log_eta)
+        A[k, :D - k] = np.exp(0.5 * log_w)
+    return A
+
+
+def loss_kraus(eta: float, D: int) -> list[np.ndarray]:
+    """Kraus operators of the photon-loss channel with transmissivity η.
+
+    K_k[n-k, n] = sqrt(C(n,k) (1-η)^k η^{n-k}), k = 0..D-1. Σ K†K = I exactly
+    within the truncated space. Kept as the dense reference for `apply_loss`.
+    """
+    if eta == 1.0:
+        return [np.eye(D, dtype=complex)]
+    A = _loss_amplitudes(eta, D)
     ops = []
     for k in range(D):
-        n = np.arange(k, D)
-        log_w = (lgamma[n] - lgamma[k] - lgamma[n - k]
-                 + k * log_one_minus + (n - k) * log_eta)
+        m = np.arange(D - k)
         K = np.zeros((D, D), dtype=complex)
-        K[n - k, n] = np.exp(0.5 * log_w)
+        K[m, m + k] = A[k, :D - k]
         ops.append(K)
     return ops
 
 
+@lru_cache(maxsize=16)
+def _loss_weights(eta: float, D: int) -> tuple[np.ndarray, ...]:
+    """Read-only W_k = a_k a_kᵀ, a_k the nonzero part of row k of A."""
+    A = _loss_amplitudes(eta, D)
+    weights = []
+    for k in range(D):
+        W = np.outer(A[k, :D - k], A[k, :D - k])
+        W.setflags(write=False)
+        weights.append(W)
+    return tuple(weights)
+
+
 def apply_loss(rho: np.ndarray, eta: float) -> np.ndarray:
-    """Loss channel Σ_k K_k ρ K_k†; trace-preserving within the cutoff."""
+    """Loss channel Σ_k K_k ρ K_k†; trace-preserving within the cutoff.
+
+    K_k has one nonzero diagonal, so (K_k ρ K_k†)[a, b] is
+    W_k[a, b]·ρ[a+k, b+k]: each term is an elementwise product on a shifted
+    block, with no dense Kraus matrix and no matrix product. Linear in ρ, so
+    it also maps non-Hermitian operators such as |i⟩⟨j|.
+    """
     rho = np.asarray(rho, dtype=complex)
     if eta == 1.0:
         return rho.copy()
+    D = rho.shape[0]
     out = np.zeros_like(rho)
-    for K in loss_kraus(eta, rho.shape[0]):
-        out += K @ rho @ K.conj().T
+    for k, W in enumerate(_loss_weights(eta, D)):
+        out[:D - k, :D - k] += W * rho[k:, k:]
     return out
 
 

@@ -3,8 +3,7 @@ joint sensitivity–fault-tolerance capacity figure.
 
 The phase parameter φ enters through U(φ) = e^{-iφ n̂}; since the generator
 commutes with both noise channels the state derivative at the channel output
-is exactly ∂_φ ρ = -i[n̂, ρ], which is what `cfi_homodyne` uses (with a
-finite-difference cross-check available for the paranoid).
+is exactly ∂_φ ρ = -i[n̂, ρ], which is what `cfi_homodyne` uses.
 """
 
 from __future__ import annotations
@@ -76,19 +75,6 @@ def cfi_homodyne(rho: np.ndarray, psi_angle: float, *,
     if var < var_floor:
         raise ValueError(f"homodyne variance {var:.3e} below floor {var_floor:.1e}")
     return signal * signal / var
-
-
-def cfi_fd_check(rho_of_phi, psi_angle: float, *, step: float = 1e-4) -> float:
-    """Finite-difference version of the CFI numerator derivative.
-
-    `rho_of_phi` maps φ to the output density matrix. Used in tests to verify
-    the commutator derivative is exact for the phase-covariant pipeline.
-    """
-    rho_plus = rho_of_phi(step)
-    rho_minus = rho_of_phi(-step)
-    drho = (rho_plus - rho_minus) / (2.0 * step)
-    x = quadrature_op(rho_plus.shape[0], psi_angle)
-    return abs(complex(expectation(drho, x)))
 
 
 def measurement_efficiency(p_err: float) -> float:

@@ -32,6 +32,7 @@ from .fock import NumericError, annihilation, matrix_exp
 
 __all__ = [
     "prepare_codeword",
+    "bloch_amplitudes",
     "logical_state",
     "squeeze",
     "rotate",
@@ -89,23 +90,37 @@ def prepare_codeword(mu: int, epsilon: float, D: int) -> np.ndarray:
     return ket / np.linalg.norm(ket)
 
 
+def bloch_amplitudes(bloch_theta: float,
+                     bloch_phi: float) -> tuple[float, complex]:
+    """(c0, c1) = (cos(θ_B/2), e^{iφ_B} sin(θ_B/2)) for θ_B ∈ [0, π].
+
+    The poles θ_B ∈ {0, π} give exactly (1, 0) and (0, 1): the azimuth is a
+    global phase there, and cos(π/2) is ~6e-17 in floats, so this has to
+    key on the input.
+    """
+    if not 0.0 <= bloch_theta <= math.pi:
+        raise ValueError(f"bloch_theta must lie in [0, pi], got {bloch_theta}")
+    if bloch_theta == 0.0:
+        return 1.0, 0j
+    if bloch_theta == math.pi:
+        return 0.0, 1 + 0j
+    return (math.cos(bloch_theta / 2.0),
+            math.sin(bloch_theta / 2.0) * np.exp(1j * bloch_phi))
+
+
 def logical_state(bloch_theta: float, bloch_phi: float, epsilon: float,
                   D: int) -> np.ndarray:
     """cos(θ_B/2)|0_ε⟩ + e^{iφ_B} sin(θ_B/2)|1_ε⟩, renormalized.
 
     Finite-ε codewords are not exactly orthogonal, so the superposition is
-    renormalized rather than assumed unit-norm.  The poles θ_B ∈ {0, π}
-    return the codewords exactly (the azimuth is a global phase there);
-    cos(π/2) is ~6e-17 in floats, so this has to key on the input.
+    renormalized rather than assumed unit-norm. The poles θ_B ∈ {0, π}
+    return the codewords exactly (see `bloch_amplitudes`).
     """
-    if not 0.0 <= bloch_theta <= math.pi:
-        raise ValueError(f"bloch_theta must lie in [0, pi], got {bloch_theta}")
-    if bloch_theta == 0.0:
+    c0, c1 = bloch_amplitudes(bloch_theta, bloch_phi)
+    if c1 == 0.0:
         return prepare_codeword(0, epsilon, D)
-    if bloch_theta == math.pi:
+    if c0 == 0.0:
         return prepare_codeword(1, epsilon, D)
-    c0 = math.cos(bloch_theta / 2.0)
-    c1 = math.sin(bloch_theta / 2.0) * np.exp(1j * bloch_phi)
     ket = c0 * prepare_codeword(0, epsilon, D) + c1 * prepare_codeword(1, epsilon, D)
     return ket / np.linalg.norm(ket)
 
@@ -113,6 +128,10 @@ def logical_state(bloch_theta: float, bloch_phi: float, epsilon: float,
 def squeeze(psi: np.ndarray, log_r: float, *,
             max_leakage: float = 1e-3) -> tuple[np.ndarray, float]:
     """Apply S(log_r) = expm(log_r·(a†² − a²)/2); returns (ket, leakage).
+
+    `psi` is one ket, or a (D, k) array of kets as columns that all share
+    the one exponential; each column is renormalized and `leakage` is the
+    largest over the columns.
 
     The truncated generator is still anti-Hermitian, so the exponential is
     unitary on the truncated space and leakage = 1 − ‖raw‖² sits at roundoff
@@ -127,17 +146,17 @@ def squeeze(psi: np.ndarray, log_r: float, *,
     psi = np.asarray(psi, dtype=complex)
     if log_r == 0.0:
         return psi.copy(), 0.0
-    D = psi.size
+    D = psi.shape[0]
     a = annihilation(D)
     H = (a.conj().T @ a.conj().T - a @ a) / 2.0
     raw = matrix_exp(log_r * H) @ psi
-    norm_sq = float(np.vdot(raw, raw).real)
-    leakage = 1.0 - norm_sq
+    norm_sq = np.sum(raw.real**2 + raw.imag**2, axis=0)
+    leakage = float(np.max(1.0 - norm_sq))
     if leakage > max_leakage:
         raise TruncationError(
             f"squeeze leakage {leakage:.3e} exceeds {max_leakage:.1e} "
             f"(log_r={log_r}, D={D})")
-    return raw / math.sqrt(norm_sq), leakage
+    return raw / np.sqrt(norm_sq), leakage
 
 
 def rotate(psi: np.ndarray, theta: float) -> np.ndarray:

@@ -20,10 +20,6 @@ the Riemann sum recovers Tr ρ up to the state's mass outside the window.
 The Laguerre values are built by the three-term recurrence in the degree,
 pre-scaled by e^{−|β|²/2} so no intermediate grows like e^{+|β|²/2}; every
 summand is then bounded by the unitarity bound |⟨m|D|n⟩| ≤ 1.
-
-`displacement` keeps the literal truncated operator expm(αa† − α*a); the
-test suite uses it to cross-check the closed form where truncation is
-harmless (small |α|).
 """
 
 from __future__ import annotations
@@ -33,10 +29,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fock import annihilation, matrix_exp
-
 __all__ = ["WignerGrid", "wigner_grid", "wigner_negativity",
-           "wigner_point", "displacement"]
+           "wigner_point"]
 
 
 @dataclass(frozen=True, eq=False)
@@ -55,12 +49,6 @@ class WignerGrid:
 
     def integral(self) -> float:
         return float(self.values.sum() * self.dq * self.dp)
-
-
-def displacement(alpha: complex, D: int) -> np.ndarray:
-    """Fock-truncated displacement D(α) = expm(α a† − α* a)."""
-    a = annihilation(D)
-    return matrix_exp(alpha * a.conj().T - np.conj(alpha) * a)
 
 
 def _parity_kernel(rho: np.ndarray, q: np.ndarray, p: np.ndarray) -> np.ndarray:

@@ -19,9 +19,21 @@ from gridsense import (
     quadrature_op,
     rotate_density,
 )
-from gridsense.metrology import cfi_fd_check
 
 from conftest import D
+
+
+def cfi_fd_check(rho_of_phi, psi_angle: float, *, step: float = 1e-4) -> float:
+    """Finite-difference version of the CFI numerator derivative.
+
+    `rho_of_phi` maps φ to the output density matrix; the result checks that
+    the commutator derivative is exact for the phase-covariant pipeline.
+    """
+    rho_plus = rho_of_phi(step)
+    rho_minus = rho_of_phi(-step)
+    drho = (rho_plus - rho_minus) / (2.0 * step)
+    x = quadrature_op(rho_plus.shape[0], psi_angle)
+    return abs(complex(expectation(drho, x)))
 
 
 def coherent_ket(alpha: complex, dim: int = D) -> np.ndarray:

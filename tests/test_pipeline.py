@@ -1,0 +1,154 @@
+"""The cached noisy basis against the direct ket-then-channel route."""
+
+import math
+from dataclasses import replace
+
+import numpy as np
+import pytest
+
+from gridsense import (
+    NoiseParams,
+    SensorSpec,
+    TrainConfig,
+    TrainableParams,
+    apply_dephasing,
+    apply_loss,
+    ket_density,
+    loss_kraus,
+    pipeline_qfi,
+    sensor_ket,
+    sensor_state,
+    train,
+)
+from gridsense import pipeline, states
+from gridsense.pipeline import noisy_basis
+
+from conftest import LOW_NOISE
+
+
+def direct_state(spec, noise):
+    """Reference: codeword → squeeze → rotate as a ket, then the channels."""
+    psi, _ = sensor_ket(spec)
+    return apply_dephasing(apply_loss(ket_density(psi), noise.eta), noise.gamma)
+
+
+def _random_cases(seed, count):
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        spec = SensorSpec(theta=rng.uniform(-math.pi, math.pi),
+                          r=rng.uniform(0.5, 2.0),
+                          epsilon=rng.uniform(0.05, 0.3),
+                          bloch_theta=rng.uniform(0.0, math.pi),
+                          bloch_phi=rng.uniform(-math.pi, math.pi))
+        noise = NoiseParams(eta=rng.uniform(0.6, 1.0),
+                            gamma=rng.uniform(0.0, 0.3))
+        yield spec, noise
+
+
+EDGE_SPEC = SensorSpec(theta=0.7, r=1.092, bloch_theta=1.1, bloch_phi=0.4)
+EDGE_CASES = [
+    (SensorSpec(theta=0.7, r=1.092, bloch_theta=0.0, bloch_phi=0.4), LOW_NOISE),
+    (SensorSpec(theta=0.7, r=1.092, bloch_theta=math.pi, bloch_phi=0.4),
+     LOW_NOISE),
+    (SensorSpec(theta=0.7, r=1.0, bloch_theta=1.1, bloch_phi=0.4), LOW_NOISE),
+    (EDGE_SPEC, NoiseParams(eta=1.0, gamma=0.05)),
+    (EDGE_SPEC, NoiseParams(eta=0.9, gamma=0.0)),
+    (EDGE_SPEC, NoiseParams(eta=1.0, gamma=0.0)),
+    (SensorSpec(theta=0.7, r=1.3, epsilon=0.15, bloch_theta=1.1,
+                bloch_phi=0.4, cutoff=20), LOW_NOISE),
+    (SensorSpec(theta=0.7, r=0.8, bloch_theta=2.0, bloch_phi=-1.0,
+                cutoff=40), LOW_NOISE),
+]
+
+
+@pytest.mark.parametrize("spec,noise",
+                         [*_random_cases(11, 8), *EDGE_CASES])
+def test_cached_state_matches_direct_route(spec, noise):
+    cached = sensor_state(spec, noise)
+    assert np.max(np.abs(cached - direct_state(spec, noise))) <= 1e-13
+
+
+@pytest.mark.parametrize("bloch_theta,index", [(0.0, 0), (math.pi, 2)])
+def test_poles_return_the_basis_matrix_exactly(bloch_theta, index):
+    spec = SensorSpec(theta=0.0, r=1.092, bloch_theta=bloch_theta,
+                      bloch_phi=0.4)
+    basis = noisy_basis(spec.epsilon, spec.r, LOW_NOISE.eta, LOW_NOISE.gamma,
+                        spec.cutoff)
+    assert np.array_equal(sensor_state(spec, LOW_NOISE), basis[index])
+
+
+def test_qfi_is_exactly_theta_independent():
+    base = SensorSpec(theta=0.0, r=1.092, bloch_theta=1.2, bloch_phi=0.3)
+    ref = pipeline_qfi(base, LOW_NOISE)
+    for theta in (0.3, math.pi / 4, 1.178, math.pi, -2.0):
+        spec = SensorSpec(theta=theta, r=1.092, bloch_theta=1.2, bloch_phi=0.3)
+        assert pipeline_qfi(spec, LOW_NOISE) == ref
+
+
+@pytest.mark.parametrize("bloch_theta", [0.0, 1.2])
+def test_mutating_a_returned_state_leaves_the_cache_intact(bloch_theta):
+    spec = SensorSpec(theta=0.0, r=1.092, bloch_theta=bloch_theta)
+    first = sensor_state(spec, LOW_NOISE)
+    expected = first.copy()
+    qfi = pipeline_qfi(spec, LOW_NOISE)
+    first[:] = 0.0
+    assert np.array_equal(sensor_state(spec, LOW_NOISE), expected)
+    assert pipeline_qfi(spec, LOW_NOISE) == qfi
+
+
+def test_basis_matrices_are_read_only():
+    for M in noisy_basis(0.063, 1.092, 0.9, 0.05, 30):
+        with pytest.raises(ValueError):
+            M[0, 0] = 1.0
+
+
+@pytest.mark.parametrize("spec_change,noise_change", [
+    ({}, {"eta": 0.8}),
+    ({}, {"gamma": 0.1}),
+    ({"epsilon": 0.08}, {}),
+    ({"r": 1.2}, {}),
+])
+def test_changing_one_input_changes_the_state(spec_change, noise_change):
+    spec = SensorSpec(theta=0.7, r=1.092, bloch_theta=1.1, bloch_phi=0.4)
+    before = sensor_state(spec, LOW_NOISE)
+    spec2 = replace(spec, **spec_change)
+    noise2 = replace(LOW_NOISE, **noise_change)
+    after = sensor_state(spec2, noise2)
+    assert np.max(np.abs(after - before)) > 1e-4
+    assert np.max(np.abs(after - direct_state(spec2, noise2))) <= 1e-13
+
+
+@pytest.mark.parametrize("eta,dim", [(0.9, 30), (0.6, 20), (0.999, 40)])
+def test_apply_loss_matches_kraus_sum(eta, dim):
+    rng = np.random.default_rng(5)
+    X = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    X /= np.linalg.norm(X)
+    rho = X @ X.conj().T
+    rho /= np.trace(rho)
+    kraus = sum(K @ rho @ K.conj().T for K in loss_kraus(eta, dim))
+    assert np.max(np.abs(apply_loss(rho, eta) - kraus)) <= 1e-14
+    # linear, so a non-Hermitian input maps term by term as well
+    kraus_x = sum(K @ X @ K.conj().T for K in loss_kraus(eta, dim))
+    assert np.max(np.abs(apply_loss(X, eta) - kraus_x)) <= 1e-14
+
+
+def test_training_builds_the_basis_once(monkeypatch):
+    calls = {"squeeze": 0, "matrix_exp": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(pipeline, "squeeze",
+                        counted("squeeze", pipeline.squeeze))
+    monkeypatch.setattr(states, "matrix_exp",
+                        counted("matrix_exp", states.matrix_exp))
+    noisy_basis.cache_clear()
+    cfg = TrainConfig(noise=LOW_NOISE, steps=5)
+    train(cfg, TrainableParams(bloch_theta=1.5708, bloch_phi=1.5708))
+    info = noisy_basis.cache_info()
+    assert info.misses == 1
+    assert info.hits == 5 * 5 - 1  # 1 + 2 x 2 free coordinates per step
+    assert calls == {"squeeze": 1, "matrix_exp": 1}

@@ -6,15 +6,22 @@ import numpy as np
 import pytest
 
 from gridsense import (
+    annihilation,
     ket_density,
+    matrix_exp,
     rotate_density,
     wigner_grid,
     wigner_negativity,
     wigner_point,
 )
-from gridsense.wigner import displacement
 
 from conftest import D
+
+
+def displacement(alpha: complex, dim: int) -> np.ndarray:
+    """Fock-truncated displacement D(α) = expm(α a† − α* a)."""
+    a = annihilation(dim)
+    return matrix_exp(alpha * a.conj().T - np.conj(alpha) * a)
 
 
 class TestPointValues:
