@@ -541,7 +541,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.set_defaults(func=cmd_phase_diagram)
 
-    p = subs.add_parser("fractional", help="train over a grid of OAM charges")
+    p = subs.add_parser("fractional", help="train once, then the error rate "
+                                           "of each OAM charge at the set r")
     p.add_argument("--ells", help="comma-separated charges "
                                   "(default 0,0.5,...,3.5)")
     _add_common(p)

@@ -23,36 +23,35 @@ __all__ = [
 DEFAULT_EIG_TOL = 1e-12
 
 
-def qfi_pure(psi: np.ndarray, G: np.ndarray) -> float:
-    """Pure-state quantum Fisher information 4·Var_ψ(G)."""
+def qfi_pure(psi: np.ndarray) -> float:
+    """Pure-state quantum Fisher information 4·Var_ψ(n̂)."""
     psi = np.asarray(psi, dtype=complex)
     nrm = np.linalg.norm(psi)
     if abs(nrm - 1.0) > 1e-10:
         raise ValueError(f"qfi_pure needs a normalized ket, got norm {nrm!r}")
-    Gpsi = G @ psi
-    mean = np.vdot(psi, Gpsi).real
-    second = np.vdot(Gpsi, Gpsi).real
+    npsi = np.arange(psi.shape[0]) * psi
+    mean = np.vdot(psi, npsi).real
+    second = np.vdot(npsi, npsi).real
     return 4.0 * (second - mean * mean)
 
 
-def qfi_mixed(rho: np.ndarray, G: np.ndarray, *,
-              eig_tol: float = DEFAULT_EIG_TOL) -> float:
-    """Mixed-state QFI via the spectral decomposition of ρ:
+def qfi_mixed(rho: np.ndarray, *, eig_tol: float = DEFAULT_EIG_TOL) -> float:
+    """Mixed-state QFI for the generator n̂, via the eigenbasis of ρ:
 
-        F_Q = 2 Σ_{jk} (λ_j - λ_k)²/(λ_j + λ_k) · |⟨j|G|k⟩|²,
+        F_Q = 2 Σ_{jk} (λ_j - λ_k)²/(λ_j + λ_k) · |⟨j|n̂|k⟩|²,
 
     summing only pairs with λ_j + λ_k > eig_tol. Reduces to `qfi_pure` on
     rank-1 inputs.
     """
     w, V = hermitian_eig(rho)
     w = np.clip(w, 0.0, None)
-    G_eig = V.conj().T @ (np.asarray(G, dtype=complex) @ V)
+    n_eig = V.conj().T @ (np.arange(V.shape[0])[:, None] * V)
     lam_sum = w[:, None] + w[None, :]
     lam_diff = w[:, None] - w[None, :]
     mask = lam_sum > eig_tol
     weights = np.zeros_like(lam_sum)
     weights[mask] = lam_diff[mask] ** 2 / lam_sum[mask]
-    return float(2.0 * np.sum(weights * np.abs(G_eig) ** 2))
+    return float(2.0 * np.sum(weights * np.abs(n_eig) ** 2))
 
 
 def cfi_homodyne(rho: np.ndarray, psi_angle: float, *,

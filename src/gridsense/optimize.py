@@ -24,6 +24,7 @@ import numpy as np
 
 from .channels import NoiseParams
 from .fock import NumericError
+from .metrology import capacity
 from .model import perr_analytic
 from .pipeline import SensorSpec, pipeline_qfi
 
@@ -56,6 +57,7 @@ BOUNDS = {
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
+GRAD_STEP = 1e-4
 
 
 @dataclass(frozen=True)
@@ -109,7 +111,6 @@ class TrainConfig:
     p_th: float = 1e-3
     cutoff: int = 30
     seed: int = 0
-    grad_step: float = 1e-4
     freeze: frozenset = frozenset({"ell", "r", "epsilon"})
 
     def __post_init__(self):
@@ -154,7 +155,7 @@ def combined_loss(params: TrainableParams,
 def gradient(params: TrainableParams, cfg: TrainConfig) -> np.ndarray:
     """Central-difference gradient over PARAM_ORDER; frozen coordinates get 0.
 
-    The per-coordinate step is grad_step scaled by the coordinate magnitude
+    The per-coordinate step is GRAD_STEP scaled by the coordinate magnitude
     (floored at 1 so angles near zero keep a sane step).
     """
     x = params.vector()
@@ -162,7 +163,7 @@ def gradient(params: TrainableParams, cfg: TrainConfig) -> np.ndarray:
     for i, name in enumerate(PARAM_ORDER):
         if name in cfg.freeze:
             continue
-        h = cfg.grad_step * max(1.0, abs(x[i]))
+        h = GRAD_STEP * max(1.0, abs(x[i]))
         for sign in (+1.0, -1.0):
             xs = x.copy()
             xs[i] += sign * h
@@ -275,35 +276,35 @@ def pareto_filter(rows):
 
 
 def fractional_sweep(ells, cfg: TrainConfig, init: TrainableParams):
-    """Train once per ℓ (ℓ frozen) and tabulate the geometry figures.
+    """Train once (ℓ and r frozen), then fill each charge in closed form, as
+    F_Q does not depend on θ and P_err depends only on (θ, r).
 
-    Returns rows (ell, theta_deg, p_err, improvement, capacity) where the
-    improvement is against the ℓ=0 entry of the same sweep (or the analytic
-    θ=0 value at the same r when ℓ=0 is not part of the grid).
+    Rows: ell, theta_deg, qfi, p_err = P_err(θ_ℓ, r), improvement =
+    P_err(0, r) / p_err, capacity, error. A free r is held, with a warning;
+    a diverged training gives all-NaN rows that carry its message.
     """
-    from .metrology import capacity as _capacity
-
-    run_cfg = replace(cfg, freeze=frozenset(cfg.freeze | {"ell"}))
+    ells = [float(ell) for ell in ells]
+    if not ells:
+        raise ValueError("fractional_sweep needs at least one charge")
+    if "r" not in cfg.freeze:
+        warnings.warn("fractional_sweep holds r at its configured value: "
+                      "one training serves every charge", stacklevel=2)
+    run_cfg = replace(cfg, freeze=frozenset(cfg.freeze | {"ell", "r"}))
+    try:
+        final, trace = train(run_cfg, replace(init, ell=ells[0]))
+    except TrainDiverged as exc:
+        nan = dict.fromkeys(("theta_deg", "qfi", "p_err", "improvement",
+                             "capacity"), math.nan)
+        return [{"ell": ell, **nan, "error": str(exc)} for ell in ells]
+    qfi = trace[-1].qfi
+    baseline = perr_analytic(0.0, final.r, cfg.noise).p_total
     rows = []
     for ell in ells:
-        run_init = replace(init, ell=float(ell))
-        try:
-            final, trace = train(run_cfg, run_init)
-            last = trace[-1]
-            rows.append({"ell": float(ell),
-                         "theta_deg": math.degrees(final.theta),
-                         "p_err": last.p_err, "qfi": last.qfi, "error": ""})
-        except TrainDiverged as exc:
-            rows.append({"ell": float(ell), "theta_deg": math.nan,
-                         "p_err": math.nan, "qfi": math.nan,
-                         "error": str(exc)})
-    baseline = next((row["p_err"] for row in rows if row["ell"] == 0.0),
-                    perr_analytic(0.0, init.r, cfg.noise).p_total)
-    for row in rows:
-        if math.isfinite(row["p_err"]) and row["p_err"] > 0:
-            row["improvement"] = baseline / row["p_err"]
-            row["capacity"] = _capacity(row["qfi"], row["p_err"])
-        else:
-            row["improvement"] = math.nan
-            row["capacity"] = math.nan
+        theta = replace(final, ell=ell).theta
+        p_err = perr_analytic(theta, final.r, cfg.noise).p_total
+        ok = p_err > 0  # also False for NaN
+        rows.append({"ell": ell, "theta_deg": math.degrees(theta), "qfi": qfi,
+                     "p_err": p_err, "error": "",
+                     "improvement": baseline / p_err if ok else math.nan,
+                     "capacity": capacity(qfi, p_err) if ok else math.nan})
     return rows

@@ -29,7 +29,6 @@ from functools import lru_cache
 import numpy as np
 
 from .channels import NoiseParams, apply_dephasing, apply_loss
-from .fock import number_op
 from .metrology import qfi_mixed
 from .states import (bloch_amplitudes, logical_state, prepare_codeword,
                      rotate, rotate_density, squeeze)
@@ -103,4 +102,4 @@ def pipeline_qfi(spec: SensorSpec, noise: NoiseParams) -> float:
 
     Evaluated at θ = 0: R(θ) commutes with n̂, so F_Q is the same at any θ.
     """
-    return qfi_mixed(_unrotated_state(spec, noise), number_op(spec.cutoff))
+    return qfi_mixed(_unrotated_state(spec, noise))

@@ -253,8 +253,10 @@ class TestSweepCommands:
         assert "argmin" in capsys.readouterr().out
 
     def test_pareto(self, tmp_path):
-        code = main(["pareto", "--lambdas", "1,100", "-o", str(tmp_path),
-                     *FAST])
+        # the default freeze set holds ell and r, so lambda is inert
+        with pytest.warns(UserWarning, match="lambda cannot move"):
+            code = main(["pareto", "--lambdas", "1,100", "-o", str(tmp_path),
+                         *FAST])
         assert code == 0
         lines = (tmp_path / "pareto.csv").read_text().splitlines()
         assert lines[0] == "lambda,qfi,p_err"

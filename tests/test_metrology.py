@@ -45,48 +45,46 @@ def coherent_ket(alpha: complex, dim: int = D) -> np.ndarray:
 
 class TestQfiPure:
     def test_vacuum_zero(self, vacuum):
-        assert qfi_pure(vacuum, number_op(D)) == 0.0
+        assert qfi_pure(vacuum) == 0.0
 
     def test_fock_state_zero(self):
         ket = np.zeros(D, dtype=complex)
         ket[3] = 1.0
-        assert abs(qfi_pure(ket, number_op(D))) < 1e-12
+        assert abs(qfi_pure(ket)) < 1e-12
 
     def test_coherent_state_scores_four(self):
         # 4 Var(n) = 4|alpha|^2 for a coherent state
-        assert abs(qfi_pure(coherent_ket(1.0), number_op(D)) - 4.0) < 1e-10
+        assert abs(qfi_pure(coherent_ket(1.0)) - 4.0) < 1e-10
 
     def test_unnormalized_rejected(self):
         with pytest.raises(ValueError):
-            qfi_pure(np.ones(D, dtype=complex), number_op(D))
+            qfi_pure(np.ones(D, dtype=complex))
 
 
 class TestQfiMixed:
     def test_reduces_to_pure_on_rank_one(self, codeword0):
-        N = number_op(D)
-        pure = qfi_pure(codeword0, N)
-        mixed = qfi_mixed(ket_density(codeword0), N)
+        pure = qfi_pure(codeword0)
+        mixed = qfi_mixed(ket_density(codeword0))
         assert abs(pure - mixed) < 1e-8 * max(pure, 1.0)
 
     def test_diagonal_state_zero(self):
         # [n, rho] = 0 when rho is diagonal in the number basis
         p = np.exp(-np.arange(D) / 3.0)
         rho = np.diag(p / p.sum()).astype(complex)
-        assert abs(qfi_mixed(rho, number_op(D))) < 1e-12
+        assert abs(qfi_mixed(rho)) < 1e-12
 
     def test_noisy_benchmark_value(self, noisy_square):
         # frozen regression value for the untrained benchmark state after
         # loss 0.9 and dephasing 0.05
-        assert abs(qfi_mixed(noisy_square, number_op(D)) - 8.525519) < 1e-4
+        assert abs(qfi_mixed(noisy_square) - 8.525519) < 1e-4
 
     def test_rotation_invariant(self, noisy_square):
         # the generator commutes with rotations, so QFI cannot depend on the
         # orientation angle
-        N = number_op(D)
-        base = qfi_mixed(noisy_square, N)
+        base = qfi_mixed(noisy_square)
         for theta_deg in (45.0, 67.5, 90.0):
             rotated = rotate_density(noisy_square, math.radians(theta_deg))
-            assert abs(qfi_mixed(rotated, N) - base) < 1e-8
+            assert abs(qfi_mixed(rotated) - base) < 1e-8
 
 
 class TestCfiHomodyne:
@@ -102,7 +100,7 @@ class TestCfiHomodyne:
         rho = ket_density(ket)
         best = max(cfi_homodyne(rho, psi)
                    for psi in np.linspace(0, math.pi, 181))
-        assert abs(best - qfi_pure(ket, number_op(D))) < 1e-8
+        assert abs(best - qfi_pure(ket)) < 1e-8
 
     def test_centered_state_scores_zero(self, noisy_square):
         # the mean-quadrature signal of an origin-centered state vanishes at
@@ -116,7 +114,7 @@ class TestCfiHomodyne:
             ket = rng.normal(size=8) + 1j * rng.normal(size=8)
             ket /= np.linalg.norm(ket)
             rho = ket_density(ket)
-            q = qfi_mixed(rho, number_op(8))
+            q = qfi_mixed(rho)
             for psi in np.linspace(0, math.pi, 19):
                 assert cfi_homodyne(rho, psi) <= q + 1e-8
 

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import gridsense.optimize as optimize
 from gridsense import (
     BOUNDS,
     PARAM_ORDER,
@@ -18,6 +19,7 @@ from gridsense import (
     lr_schedule,
     pareto_filter,
     pareto_sweep,
+    perr_analytic,
     train,
 )
 
@@ -208,7 +210,8 @@ class TestParetoFilter:
 
 class TestSweeps:
     def test_pareto_sweep_rows(self):
-        rows = pareto_sweep([1.0, 100.0], short_cfg(steps=2), OAM_INIT)
+        with pytest.warns(UserWarning, match="lambda cannot move"):
+            rows = pareto_sweep([1.0, 100.0], short_cfg(steps=2), OAM_INIT)
         assert [r["lam"] for r in rows] == [1.0, 100.0]
         assert all(r["error"] == "" for r in rows)
         assert all(math.isfinite(r["qfi"]) for r in rows)
@@ -250,3 +253,63 @@ class TestSweeps:
         # give mirror lattices with identical analytic error
         assert abs(rows[1]["p_err"] - rows[2]["p_err"]) < 1e-12
         assert all(math.isfinite(r["capacity"]) for r in rows)
+
+    def test_fractional_sweep_trains_once(self, monkeypatch):
+        calls = []
+        real_train = optimize.train
+
+        def counting_train(cfg, init):
+            calls.append(init.ell)
+            return real_train(cfg, init)
+
+        monkeypatch.setattr(optimize, "train", counting_train)
+        rows = fractional_sweep([1.0, 0.0, 2.5], short_cfg(steps=2),
+                                OAM_INIT)
+        assert calls == [1.0]  # one training, at the first charge
+        assert len(rows) == 3
+
+    def test_fractional_sweep_rows_are_closed_form(self):
+        cfg = short_cfg(steps=2)
+        ells = [0.5, 1.5, 3.0]
+        rows = fractional_sweep(ells, cfg, OAM_INIT)
+        baseline = perr_analytic(0.0, OAM_INIT.r, cfg.noise).p_total
+        for ell, row in zip(ells, rows):
+            theta = ell * math.pi / OAM_INIT.ell_max
+            p_err = perr_analytic(theta, OAM_INIT.r, cfg.noise).p_total
+            assert row["ell"] == ell
+            assert row["theta_deg"] == math.degrees(theta)
+            assert row["p_err"] == p_err
+            assert row["improvement"] == baseline / p_err
+            assert row["error"] == ""
+        # F_Q does not depend on theta: one training gives every row's qfi
+        assert len({row["qfi"] for row in rows}) == 1
+
+    def test_fractional_sweep_holds_free_r(self):
+        cfg = short_cfg(steps=2, freeze=R_FREE)
+        with pytest.warns(UserWarning, match="holds r at its configured"):
+            rows = fractional_sweep([0.0, 2.0], cfg, OAM_INIT)
+        p_err = perr_analytic(math.pi / 2, OAM_INIT.r, cfg.noise).p_total
+        assert rows[1]["p_err"] == p_err
+
+    def test_fractional_sweep_quiet_at_default_freeze(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            fractional_sweep([0.0, 2.0], short_cfg(steps=2), OAM_INIT)
+
+    def test_fractional_sweep_divergence_fills_every_row(self, monkeypatch):
+        def diverging_train(cfg, init):
+            raise optimize.TrainDiverged("loss became non-finite at step 0",
+                                         [])
+
+        monkeypatch.setattr(optimize, "train", diverging_train)
+        rows = fractional_sweep([0.0, 1.0, 2.0], short_cfg(), OAM_INIT)
+        assert [r["ell"] for r in rows] == [0.0, 1.0, 2.0]
+        for row in rows:
+            assert row["error"] == "loss became non-finite at step 0"
+            for key in ("theta_deg", "qfi", "p_err", "improvement",
+                        "capacity"):
+                assert math.isnan(row[key])
+
+    def test_fractional_sweep_rejects_empty(self):
+        with pytest.raises(ValueError, match="at least one charge"):
+            fractional_sweep([], short_cfg(), OAM_INIT)
