@@ -69,6 +69,7 @@ from .model import (
     theta_fit,
     theta_sensitivity,
     theta_star,
+    theta_star_grid,
     tolerance_curve,
 )
 from .wigner import (

@@ -39,15 +39,20 @@ __all__ = [
 
 @dataclass(frozen=True)
 class NoiseParams:
-    """Transmissivity η ∈ (0, 1] and dephasing rate γ ≥ 0."""
+    """Transmissivity η ∈ (0, 1] and dephasing rate γ ≥ 0.
+
+    Either field may also be an array of cells (the two broadcast together);
+    the closed-form model functions then return arrays of the same shape.
+    """
 
     eta: float
     gamma: float
 
     def __post_init__(self):
-        if not 0.0 < self.eta <= 1.0:
+        eta, gamma = np.asarray(self.eta), np.asarray(self.gamma)
+        if not np.all((0.0 < eta) & (eta <= 1.0)):
             raise ValueError(f"eta must lie in (0, 1], got {self.eta}")
-        if self.gamma < 0.0:
+        if not np.all(gamma >= 0.0):
             raise ValueError(f"gamma must be >= 0, got {self.gamma}")
 
 
@@ -166,17 +171,17 @@ def apply_momentum_diffusion(rho: np.ndarray, gamma: float) -> np.ndarray:
     return V @ rho_q @ V.conj().T
 
 
-def effective_sigmas(noise: NoiseParams, theta: float) -> tuple[float, float]:
+def effective_sigmas(noise: NoiseParams, theta):
     """Per-quadrature displacement spreads of the rotated-frame error model.
 
     σ_q²(θ) = (1-η)/(2η) + γ sin²θ,  σ_p²(θ) = (1-η)/(2η) + γ cos²θ.
 
     The loss term is isotropic; the dephasing term is the p-axis diffusion
     seen from a frame rotated by θ. Their sum σ_q² + σ_p² = (1-η)/η + γ is
-    θ-independent.
+    θ-independent. θ and the noise fields broadcast together.
     """
     base = (1.0 - noise.eta) / (2.0 * noise.eta)
-    s, c = math.sin(theta), math.cos(theta)
-    sigma_q = math.sqrt(base + noise.gamma * s * s)
-    sigma_p = math.sqrt(base + noise.gamma * c * c)
+    s, c = np.sin(theta), np.cos(theta)
+    sigma_q = np.sqrt(base + noise.gamma * s * s)
+    sigma_p = np.sqrt(base + noise.gamma * c * c)
     return sigma_q, sigma_p

@@ -45,6 +45,7 @@ from .model import (
     theta_fit,
     theta_sensitivity,
     theta_star,
+    theta_star_grid,
     tolerance_curve,
 )
 from .optimize import (
@@ -337,19 +338,6 @@ def cmd_theta_star(args) -> int:
     return 0
 
 
-def _phase_cell(eta: float, gamma: float, r: float):
-    noise = NoiseParams(eta=eta, gamma=gamma)
-    p_square = perr_analytic(0.0, r, noise).p_total
-    try:
-        res = theta_star(r, noise)
-    except NoRootError:
-        return (eta, gamma, None, None, p_square, None)
-    improvement = (p_square / res.p_err_at_star if res.p_err_at_star > 0
-                   else math.inf)
-    return (eta, gamma, math.degrees(res.theta_star), res.p_err_at_star,
-            p_square, improvement)
-
-
 def cmd_phase_diagram(args) -> int:
     cfg = resolve_config(args)
     r = cfg["lattice"]["r"]
@@ -361,10 +349,19 @@ def cmd_phase_diagram(args) -> int:
              f"--gamma-range must satisfy 0 <= lo <= hi <= 0.5, got "
              f"{g_lo} {g_hi}")
     _require(args.n >= 1, f"--n must be >= 1, got {args.n}")
-    etas = np.linspace(eta_lo, eta_hi, args.n)
-    gammas = np.linspace(g_lo, g_hi, args.n)
-    cells = [(float(e), float(g)) for e in etas for g in gammas]  # row-major
-    rows = [_phase_cell(e, g, r) for e, g in cells]
+    eta, gamma = np.meshgrid(np.linspace(eta_lo, eta_hi, args.n),
+                             np.linspace(g_lo, g_hi, args.n), indexing="ij")
+    eta, gamma = eta.ravel(), gamma.ravel()  # row-major: gamma runs fastest
+    theta, p_star = theta_star_grid(r, eta, gamma)
+    p_square = perr_analytic(0.0, r, NoiseParams(eta, gamma)).p_total
+    rows = []
+    for e, g, t, p, p0 in zip(eta.tolist(), gamma.tolist(), theta.tolist(),
+                              p_star.tolist(), p_square.tolist()):
+        if math.isnan(t):
+            rows.append((e, g, None, None, p0, None))
+        else:
+            rows.append((e, g, math.degrees(t), p, p0,
+                         p0 / p if p > 0 else math.inf))
     path = _out_path(args, "phase_diagram.csv")
     write_csv(path, "phase_diagram", rows)
     n_roots = sum(1 for row in rows if row[2] is not None)

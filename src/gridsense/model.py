@@ -23,6 +23,7 @@ which trades q-spread growth against p-spread shrinkage as θ increases.
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,6 +40,7 @@ __all__ = [
     "perr_analytic",
     "balance",
     "theta_star",
+    "theta_star_grid",
     "theta_sensitivity",
     "theta_fit",
     "joint_optimum",
@@ -67,110 +69,197 @@ class ThetaStarResult:
     residual: float
 
 
-def gaussian_tail(x: float) -> float:
+def gaussian_tail(x):
     """Standard normal upper tail Q(x) = erfc(x/√2)/2."""
     return 0.5 * erfc(x / math.sqrt(2.0))
 
 
-def _phi(x: float) -> float:
+def _phi(x):
     """Standard normal density."""
-    return math.exp(-0.5 * x * x) / math.sqrt(2.0 * math.pi)
+    return np.exp(-0.5 * x * x) / math.sqrt(2.0 * math.pi)
 
 
-def perr_analytic(theta: float, r: float, noise: NoiseParams) -> PerrBreakdown:
+def _margins(theta, r: float, noise: NoiseParams):
+    """Rotated-frame spreads and decoding margins (σ_q, σ_p, u_q, u_p).
+
+    The one formula behind both `perr_analytic` and `balance`; θ and the
+    noise fields broadcast together.
+    """
+    sigma_q, sigma_p = effective_sigmas(noise, theta)
+    u_q = A_LATTICE * r / (2.0 * sigma_q)
+    u_p = (A_LATTICE / r) / (2.0 * sigma_p)
+    return sigma_q, sigma_p, u_q, u_p
+
+
+def perr_analytic(theta, r: float, noise: NoiseParams) -> PerrBreakdown:
     """Per-quadrature and combined logical error probabilities at (θ, r).
 
     The coupling_bound field is the worst-case correction from correlated
     q–p errors, 2·P_q·P_p·|sin 2θ| — zero on the lattice axes, maximal at 45°.
+    Array θ or noise fields give array fields. A zero spread (η = 1, γ = 0)
+    has an infinite margin and so zero error.
     """
     if r <= 0:
         raise ValueError(f"aspect ratio must be positive, got {r}")
-    sigma_q, sigma_p = effective_sigmas(noise, theta)
-    if sigma_q == 0.0 or sigma_p == 0.0:
-        return PerrBreakdown(0.0, 0.0, 0.0, 0.0)
-    u_q = A_LATTICE * r / (2.0 * sigma_q)
-    u_p = (A_LATTICE / r) / (2.0 * sigma_p)
+    with np.errstate(divide="ignore"):
+        _, _, u_q, u_p = _margins(theta, r, noise)
     p_q = 2.0 * gaussian_tail(u_q)
     p_p = 2.0 * gaussian_tail(u_p)
     p_total = p_q + p_p - p_q * p_p
-    coupling = 2.0 * p_q * p_p * abs(math.sin(2.0 * theta))
+    coupling = 2.0 * p_q * p_p * np.abs(np.sin(2.0 * theta))
     return PerrBreakdown(p_q, p_p, p_total, coupling)
 
 
-def balance(theta: float, r: float, noise: NoiseParams) -> float:
+def balance(theta, r: float, noise: NoiseParams):
     """Balance function B(θ) = r²·φ(u_q)/σ_q³ − φ(u_p)/σ_p³.
 
     B < 0 means the p quadrature dominates the error budget (rotate further);
     B > 0 means q dominates. B is strictly increasing on (0, π/2) whenever
     u_q, u_p > √3 throughout, which holds in the whole fault-tolerant regime.
+    θ and the noise fields broadcast together. B is NaN where a spread is
+    zero (η = 1 with γ = 0, or η = 1 on an axis).
     """
-    sigma_q, sigma_p = effective_sigmas(noise, theta)
-    u_q = A_LATTICE * r / (2.0 * sigma_q)
-    u_p = (A_LATTICE / r) / (2.0 * sigma_p)
-    return r**2 * _phi(u_q) / sigma_q**3 - _phi(u_p) / sigma_p**3
+    sigma_q, sigma_p, u_q, u_p = _margins(theta, r, noise)
+    # np.power, not **: on numpy scalars ** takes another pow than the
+    # array loop, and a one-cell B would then differ from a grid's by an ulp.
+    return (r**2 * _phi(u_q) / np.power(sigma_q, 3)
+            - _phi(u_p) / np.power(sigma_p, 3))
 
 
 N_SCAN = 64
+ROOT_TOL = 1e-10
 
 
-def theta_star(r: float, noise: NoiseParams, *,
-               tol: float = 1e-10) -> ThetaStarResult:
+def _scan_grid() -> np.ndarray:
+    """The N_SCAN interior scan angles on (0, π/2)."""
+    return np.linspace(0.0, math.pi / 2.0, N_SCAN + 2)[1:-1]
+
+
+def _solve_cells(r: float, eta: np.ndarray, gamma: np.ndarray):
+    """Scan + bisection of B on (0, π/2) for 1-D arrays of noise cells.
+
+    Returns (root, p_err, k, n_changes) per cell: the chosen root, P_err
+    there, the index of its scan bracket (grid[k], grid[k+1]) and the number
+    of sign changes the scan found. A cell without a sign change gets NaN
+    root and P_err, k = -1 and n_changes = 0.
+    """
+    noise = NoiseParams(eta, gamma)
+    grid = _scan_grid()
+    with np.errstate(divide="ignore", invalid="ignore"):
+        # Scan one angle at a time over every cell, which keeps memory at a
+        # few cell vectors; a bracket is (cell, k) with a sign change of B
+        # over (grid[k], grid[k+1]) or B(grid[k]) == 0.
+        change = np.empty((eta.size, N_SCAN - 1), dtype=bool)
+        prev = balance(grid[0], r, noise)
+        for k in range(N_SCAN - 1):
+            nxt = balance(grid[k + 1], r, noise)
+            change[:, k] = (prev == 0.0) | ((prev < 0.0) != (nxt < 0.0))
+            prev = nxt
+        cell, k = np.nonzero(change)  # ordered by cell, then k
+
+        # Bisect every bracket in lock step until its width is at most
+        # ROOT_TOL; f_mid == 0 collapses the bracket onto mid. lo only moves
+        # to a point where B has the sign it had at lo, so that sign is
+        # fixed per bracket.
+        bracket_noise = NoiseParams(eta[cell], gamma[cell])
+        lo, hi = grid[k], grid[k + 1]
+        lo_negative = balance(lo, r, bracket_noise) < 0.0
+        live = hi - lo > ROOT_TOL
+        while live.any():
+            mid = 0.5 * (lo + hi)
+            f_mid = balance(mid, r, bracket_noise)
+            zero = live & (f_mid == 0.0)
+            up = live & ~zero & ((f_mid < 0.0) == lo_negative)
+            lo = np.where(zero | up, mid, lo)
+            hi = np.where(live & ~up, mid, hi)
+            live &= hi - lo > ROOT_TOL
+    roots = 0.5 * (lo + hi)
+    p_roots = perr_analytic(roots, r, bracket_noise).p_total
+
+    # Per cell, keep the first bracket unless a later one has strictly lower
+    # P_err, as a sequential scan with `<` would.
+    n_changes = np.bincount(cell, minlength=eta.size)
+    rank = np.arange(cell.size) - (np.cumsum(n_changes) - n_changes)[cell]
+    root = np.full(eta.size, np.nan)
+    p_err = np.full(eta.size, np.nan)
+    best_k = np.full(eta.size, -1)
+    for j in range(int(n_changes.max(initial=0))):
+        at = np.flatnonzero(rank == j)
+        if j:
+            at = at[p_roots[at] < p_err[cell[at]]]
+        root[cell[at]] = roots[at]
+        p_err[cell[at]] = p_roots[at]
+        best_k[cell[at]] = k[at]
+    return root, p_err, best_k, n_changes
+
+
+def theta_star_grid(r: float, eta, gamma) -> tuple[np.ndarray, np.ndarray]:
+    """θ* and P_err(θ*) for every (η, γ) cell at once.
+
+    `eta` and `gamma` broadcast to the cell shape; the result has that
+    shape. The scan and bisection are those of `theta_star`, run on all
+    cells together, so each cell gets the root `theta_star` would return.
+    Cells with no root get NaN. One warning counts the cells whose balance
+    function has several sign changes.
+    """
+    eta, gamma = np.broadcast_arrays(np.asarray(eta, dtype=float),
+                                     np.asarray(gamma, dtype=float))
+    root, p_err, _, n_changes = _solve_cells(r, eta.ravel(), gamma.ravel())
+    n_multi = int(np.count_nonzero(n_changes > 1))
+    if n_multi:
+        warnings.warn(f"balance equation has several sign changes in "
+                      f"{n_multi} of {n_changes.size} cells; taking the "
+                      "lowest-error root in each", stacklevel=2)
+    return root.reshape(eta.shape), p_err.reshape(eta.shape)
+
+
+def theta_star(r: float, noise: NoiseParams) -> ThetaStarResult:
     """Root of the balance equation on (0, π/2) by scan + bisection.
 
-    A 64-point scan locates sign changes; bisection then tightens the bracket
-    until both |B| < tol and the bracket width < tol rad. If several sign
-    changes exist (possible only outside the u > √3 regime) the one with the
-    smallest P_err is taken and a warning is emitted.
+    A 64-point scan locates sign changes; bisection then halves each bracket
+    until its width is at most ROOT_TOL rad (|B| is not checked; it is
+    reported as the residual). If several sign changes exist (possible only
+    outside the u > √3 regime) the one with the smallest P_err is taken and
+    a warning is emitted.
     """
-    grid = np.linspace(0.0, math.pi / 2.0, N_SCAN + 2)[1:-1]
-    values = [balance(t, r, noise) for t in grid]
-    brackets = [(grid[i], grid[i + 1])
-                for i in range(len(grid) - 1)
-                if values[i] == 0.0 or (values[i] < 0.0) != (values[i + 1] < 0.0)]
-    if not brackets:
+    root, p_err, k, n_changes = _solve_cells(
+        r, np.array([noise.eta], dtype=float),
+        np.array([noise.gamma], dtype=float))
+    if not n_changes[0]:
         raise NoRootError(
             f"no sign change of B on (0, pi/2) at r={r}, eta={noise.eta}, "
             f"gamma={noise.gamma}")
-    if len(brackets) > 1:
-        import warnings
-
-        warnings.warn(f"balance equation has {len(brackets)} sign changes; "
+    if n_changes[0] > 1:
+        warnings.warn(f"balance equation has {n_changes[0]} sign changes; "
                       "taking the lowest-error root", stacklevel=2)
-
-    best = None
-    for lo, hi in brackets:
-        root_lo, root_hi = lo, hi
-        f_lo = balance(root_lo, r, noise)
-        while root_hi - root_lo > tol:
-            mid = 0.5 * (root_lo + root_hi)
-            f_mid = balance(mid, r, noise)
-            if f_mid == 0.0:
-                root_lo = root_hi = mid
-                break
-            if (f_mid < 0.0) == (f_lo < 0.0):
-                root_lo, f_lo = mid, f_mid
-            else:
-                root_hi = mid
-        root = 0.5 * (root_lo + root_hi)
-        p_err = perr_analytic(root, r, noise).p_total
-        candidate = ThetaStarResult(theta_star=root, p_err_at_star=p_err,
-                                    bracket=(lo, hi),
-                                    residual=abs(balance(root, r, noise)))
-        if best is None or candidate.p_err_at_star < best.p_err_at_star:
-            best = candidate
-    return best
+    grid = _scan_grid()
+    theta = float(root[0])
+    return ThetaStarResult(
+        theta_star=theta, p_err_at_star=float(p_err[0]),
+        bracket=(float(grid[k[0]]), float(grid[k[0] + 1])),
+        residual=float(abs(balance(theta, r, noise))))
 
 
 def theta_sensitivity(r: float, noise: NoiseParams, *,
                       step: float = 1e-4) -> tuple[float, float]:
-    """(∂θ*/∂η, ∂θ*/∂γ) in degrees per unit, by central differences."""
-    def solve(eta, gamma):
-        return theta_star(r, NoiseParams(eta, gamma)).theta_star
+    """(∂θ*/∂η, ∂θ*/∂γ) in degrees per unit, by central differences.
 
-    d_eta = (solve(noise.eta + step, noise.gamma)
-             - solve(noise.eta - step, noise.gamma)) / (2.0 * step)
-    d_gamma = (solve(noise.eta, noise.gamma + step)
-               - solve(noise.eta, noise.gamma - step)) / (2.0 * step)
+    Where a step would leave the noise domain the difference is one-sided:
+    backward in η when η + step > 1, forward in γ when γ − step < 0.
+    """
+    def derivative(solve, x, below_ok, above_ok):
+        if not above_ok:
+            return (solve(x) - solve(x - step)) / step
+        if not below_ok:
+            return (solve(x + step) - solve(x)) / step
+        return (solve(x + step) - solve(x - step)) / (2.0 * step)
+
+    d_eta = derivative(
+        lambda e: theta_star(r, NoiseParams(e, noise.gamma)).theta_star,
+        noise.eta, noise.eta - step > 0.0, noise.eta + step <= 1.0)
+    d_gamma = derivative(
+        lambda g: theta_star(r, NoiseParams(noise.eta, g)).theta_star,
+        noise.gamma, noise.gamma - step >= 0.0, True)
     return math.degrees(d_eta), math.degrees(d_gamma)
 
 

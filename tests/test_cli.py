@@ -216,6 +216,25 @@ class TestThetaStar:
         lo, hi = payload["bracket_deg"]
         assert lo < payload["theta_star_deg"] < hi
 
+    @pytest.mark.parametrize("eta", ["1", "0.99995"])
+    def test_lossless_edge(self, tmp_path, eta):
+        # a central step in eta would build eta > 1; the difference there
+        # is one-sided instead
+        code = main(["theta_star", "--eta", eta, "--gamma", "0.05",
+                     "-o", str(tmp_path)])
+        assert code == 0
+        payload = json.loads((tmp_path / "theta_star.json").read_text())
+        assert math.isfinite(payload["dtheta_deta_deg"])
+        assert math.isfinite(payload["dtheta_dgamma_deg"])
+
+    def test_noiseless_has_no_root(self, tmp_path):
+        # zero spread: B is undefined everywhere, so there is no optimum
+        code = main(["theta_star", "--eta", "1", "--gamma", "0",
+                     "-o", str(tmp_path)])
+        assert code == 4
+        payload = json.loads((tmp_path / "theta_star.json").read_text())
+        assert payload["status"] == "no_root"
+
 
 class TestPhaseDiagram:
     def test_small_grid(self, tmp_path, capsys):
@@ -232,6 +251,17 @@ class TestPhaseDiagram:
         assert no_root, "expected at least one no-root cell on this grid"
         out = capsys.readouterr().out
         assert "9 cells" in out
+
+    def test_flat_balance_warns_once_per_run(self, tmp_path):
+        # r = 1 and gamma = 0: B == 0 at every angle in every cell
+        with pytest.warns(UserWarning, match="4 of 4 cells") as rec:
+            code = main(["phase_diagram", "--r", "1", "--gamma-range", "0",
+                         "0", "--n", "2", "-o", str(tmp_path)])
+        assert code == 0
+        assert len(rec) == 1
+        lines = (tmp_path / "phase_diagram.csv").read_text().splitlines()
+        assert len(lines) == 5  # header + 2x2 cells
+        assert all(",,," not in line for line in lines[1:])
 
     def test_bad_range_rejected(self, tmp_path):
         code = main(["phase_diagram", "--eta-range", "0.9", "0.8",

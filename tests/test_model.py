@@ -1,6 +1,7 @@
 """Analytic error model: tail probabilities, the balance root, MC decoder."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -16,9 +17,10 @@ from gridsense import (
     theta_fit,
     theta_sensitivity,
     theta_star,
+    theta_star_grid,
     tolerance_curve,
 )
-from gridsense.model import NoRootError
+from gridsense.model import N_SCAN, NoRootError, ThetaStarResult
 
 from conftest import HIGH_NOISE, LOW_NOISE, R_HIGH, R_LOW
 
@@ -138,11 +140,240 @@ class TestThetaStar:
         assert all(a < b for a, b in zip(t_etas, t_etas[1:]))
 
 
+    def test_result_fields_are_plain_floats(self):
+        res = theta_star(R_LOW, LOW_NOISE)
+        assert type(res.theta_star) is float
+        assert type(res.p_err_at_star) is float
+        assert type(res.residual) is float
+        assert all(type(b) is float for b in res.bracket)
+
+
+def theta_star_reference(r, noise, *, tol=1e-10):
+    """The per-cell scalar scan + bisection that `theta_star_grid` replaced,
+    kept verbatim as the oracle for the array solver."""
+    grid = np.linspace(0.0, math.pi / 2.0, N_SCAN + 2)[1:-1]
+    values = [balance(t, r, noise) for t in grid]
+    brackets = [(grid[i], grid[i + 1])
+                for i in range(len(grid) - 1)
+                if values[i] == 0.0 or (values[i] < 0.0) != (values[i + 1] < 0.0)]
+    if not brackets:
+        raise NoRootError(
+            f"no sign change of B on (0, pi/2) at r={r}, eta={noise.eta}, "
+            f"gamma={noise.gamma}")
+    if len(brackets) > 1:
+        import warnings
+
+        warnings.warn(f"balance equation has {len(brackets)} sign changes; "
+                      "taking the lowest-error root", stacklevel=2)
+
+    best = None
+    for lo, hi in brackets:
+        root_lo, root_hi = lo, hi
+        f_lo = balance(root_lo, r, noise)
+        while root_hi - root_lo > tol:
+            mid = 0.5 * (root_lo + root_hi)
+            f_mid = balance(mid, r, noise)
+            if f_mid == 0.0:
+                root_lo = root_hi = mid
+                break
+            if (f_mid < 0.0) == (f_lo < 0.0):
+                root_lo, f_lo = mid, f_mid
+            else:
+                root_hi = mid
+        root = 0.5 * (root_lo + root_hi)
+        p_err = perr_analytic(root, r, noise).p_total
+        candidate = ThetaStarResult(theta_star=root, p_err_at_star=p_err,
+                                    bracket=(lo, hi),
+                                    residual=abs(balance(root, r, noise)))
+        if best is None or candidate.p_err_at_star < best.p_err_at_star:
+            best = candidate
+    return best
+
+
+def counting_user_warnings(fn, *args):
+    """fn(*args) and the number of UserWarnings it emitted."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        out = fn(*args)
+    return out, sum(issubclass(w.category, UserWarning) for w in caught)
+
+
+def grid_reference(r, eta, gamma):
+    """Per-cell reference roots and P_err (NaN without a root), and how many
+    cells warned about several sign changes."""
+    theta = np.full(eta.shape, np.nan)
+    p_err = np.full(eta.shape, np.nan)
+    n_warned = 0
+    for idx in np.ndindex(eta.shape):
+        try:
+            res, n = counting_user_warnings(
+                theta_star_reference, r,
+                NoiseParams(float(eta[idx]), float(gamma[idx])))
+        except NoRootError:
+            continue
+        theta[idx], p_err[idx] = res.theta_star, res.p_err_at_star
+        n_warned += n
+    return theta, p_err, n_warned
+
+
+class TestThetaStarGrid:
+    @pytest.mark.parametrize("r", [0.8, R_LOW, 1.5])
+    def test_matches_reference_on_seeded_grid(self, r):
+        rng = np.random.default_rng(41)
+        eta = rng.uniform(0.75, 0.99, (41, 41))
+        gamma = rng.uniform(0.01, 0.25, (41, 41))
+        (theta, p_err), n_warnings = counting_user_warnings(
+            theta_star_grid, r, eta, gamma)
+        ref_theta, ref_p, n_warned = grid_reference(r, eta, gamma)
+        np.testing.assert_array_equal(theta, ref_theta)
+        np.testing.assert_array_equal(p_err, ref_p)
+        assert n_warnings == min(n_warned, 1)
+        # the window holds cells with and without a root
+        assert np.isnan(theta).any() and np.isfinite(theta).any()
+
+    def test_flat_balance_takes_first_bracket_and_warns_once(self):
+        # gamma = 0 and r = 1 make sigma_q = sigma_p at every angle, so
+        # B == 0 exactly: every one of the 63 brackets holds a "root", all
+        # with the same P_err, and the first one must win.
+        eta = np.array([0.9, 0.9, 0.8, 0.9])
+        gamma = np.array([0.0, 0.05, 0.0, 0.01])
+        with pytest.warns(UserWarning, match="2 of 4 cells") as rec:
+            theta, p_err = theta_star_grid(1.0, eta, gamma)
+        assert len(rec) == 1
+        ref_theta, ref_p, n_warned = grid_reference(1.0, eta, gamma)
+        assert n_warned == 2
+        np.testing.assert_array_equal(theta, ref_theta)
+        np.testing.assert_array_equal(p_err, ref_p)
+        grid = np.linspace(0.0, math.pi / 2.0, N_SCAN + 2)[1:-1]
+        assert grid[0] < theta[0] < grid[1]
+        with pytest.warns(UserWarning, match="63 sign changes"):
+            res = theta_star(1.0, NoiseParams(0.9, 0.0))
+        assert res.theta_star == theta[0]
+        assert res.bracket == (grid[0], grid[1])
+        assert res.residual == 0.0
+
+    def test_rows_without_roots(self):
+        eta = np.linspace(0.75, 0.95, 7)[:, None] * np.ones((1, 3))
+        gamma = np.array([[0.0, 0.002, 0.005]]) * np.ones((7, 1))
+        theta, p_err = theta_star_grid(R_LOW, eta, gamma)
+        assert theta.shape == (7, 3) and np.isnan(theta).all()
+        assert np.isnan(p_err).all()
+        ref_theta, _, _ = grid_reference(R_LOW, eta, gamma)
+        assert np.isnan(ref_theta).all()
+
+    def test_single_cell(self):
+        ref = theta_star_reference(R_LOW, LOW_NOISE)
+        theta, p_err = theta_star_grid(R_LOW, 0.9, 0.05)
+        assert theta.shape == p_err.shape == ()
+        assert theta == ref.theta_star and p_err == ref.p_err_at_star
+        theta, p_err = theta_star_grid(R_LOW, [0.9], [0.05])
+        assert theta.shape == (1,) and theta[0] == ref.theta_star
+
+    def test_cells_broadcast(self):
+        eta = np.array([[0.8], [0.9]])
+        gamma = np.array([0.05, 0.1, 0.2])
+        theta, _ = theta_star_grid(R_LOW, eta, gamma)
+        assert theta.shape == (2, 3)
+        assert theta[1, 0] == theta_star(R_LOW, LOW_NOISE).theta_star
+
+    def test_invalid_cell_rejected(self):
+        with pytest.raises(ValueError, match="eta"):
+            theta_star_grid(R_LOW, [0.9, 1.2], 0.05)
+        with pytest.raises(ValueError, match="gamma"):
+            theta_star_grid(R_LOW, 0.9, [0.05, -0.1])
+
+
+@settings(max_examples=60, deadline=None)
+@given(eta=st.floats(0.5, 1.0), gamma=st.floats(0.0, 0.5),
+       r=st.floats(0.5, 2.0))
+def test_solvers_match_reference(eta, gamma, r):
+    noise = NoiseParams(eta, gamma)
+    try:
+        ref, ref_warnings = counting_user_warnings(theta_star_reference, r,
+                                                   noise)
+    except NoRootError:
+        ref = None
+    (theta, p_err), grid_warnings = counting_user_warnings(
+        theta_star_grid, r, eta, gamma)
+    if ref is None:
+        assert np.isnan(theta) and np.isnan(p_err) and grid_warnings == 0
+        with pytest.raises(NoRootError):
+            theta_star(r, noise)
+        return
+    assert theta == ref.theta_star and p_err == ref.p_err_at_star
+    assert grid_warnings == ref_warnings
+    res, star_warnings = counting_user_warnings(theta_star, r, noise)
+    assert star_warnings == ref_warnings
+    assert res.theta_star == ref.theta_star
+    assert res.p_err_at_star == ref.p_err_at_star
+    assert res.bracket == ref.bracket
+    assert abs(res.residual - ref.residual) <= 1e-15
+
+
+class TestVectorisedModel:
+    """Array arguments give, element by element, the scalar results."""
+
+    def test_balance_elementwise(self):
+        rng = np.random.default_rng(7)
+        theta = rng.uniform(0.0, math.pi / 2, 200)
+        eta = rng.uniform(0.75, 1.0, 200)
+        gamma = rng.uniform(0.0, 0.5, 200)
+        b = balance(theta, 1.2, NoiseParams(eta, gamma))
+        assert b.shape == (200,)
+        assert all(b[i] == balance(float(theta[i]), 1.2,
+                                   NoiseParams(float(eta[i]),
+                                               float(gamma[i])))
+                   for i in range(200))
+
+    def test_perr_elementwise(self):
+        theta = np.linspace(0.0, math.pi / 2, 9)
+        b = perr_analytic(theta, R_LOW, LOW_NOISE)
+        for i, t in enumerate(theta):
+            one = perr_analytic(float(t), R_LOW, LOW_NOISE)
+            assert b.p_total[i] == one.p_total
+            assert b.coupling_bound[i] == one.coupling_bound
+
+    def test_zero_spread_cell(self):
+        # eta = 1, gamma = 0: no noise, zero error, and B has no root
+        p = perr_analytic(np.array([0.0, 0.3]), 1.0, NoiseParams(1.0, 0.0))
+        assert (p.p_total == 0.0).all()
+        theta, p_err = theta_star_grid(1.0, [1.0, 0.9], [0.0, 0.05])
+        assert np.isnan(theta[0]) and np.isnan(p_err[0])
+        assert np.isfinite(theta[1])
+
+
 class TestSensitivityAndFit:
     def test_sensitivities_at_benchmark(self):
         d_eta, d_gamma = theta_sensitivity(R_LOW, LOW_NOISE)
         assert abs(d_eta - (-197.705)) < 0.1
         assert abs(d_gamma - (-300.176)) < 0.1
+
+    @pytest.mark.parametrize("eta", [1.0, 1.0 - 5e-5])
+    def test_backward_in_eta_at_the_lossless_edge(self, eta):
+        # a central step would ask for eta > 1, which NoiseParams rejects
+        step = 1e-4
+        d_eta, d_gamma = theta_sensitivity(R_LOW, NoiseParams(eta, 0.05),
+                                           step=step)
+        backward = (theta_star(R_LOW, NoiseParams(eta, 0.05)).theta_star
+                    - theta_star(R_LOW,
+                                 NoiseParams(eta - step, 0.05)).theta_star)
+        assert d_eta == math.degrees(backward / step)
+        assert math.isfinite(d_gamma)
+
+    def test_one_sided_at_both_edges(self):
+        # a step of 0.01 from (0.999, 0.005) would leave the domain in both
+        # coordinates: backward in eta, forward in gamma
+        step = 0.01
+
+        def solve(eta, gamma):
+            return theta_star(R_LOW, NoiseParams(eta, gamma)).theta_star
+
+        d_eta, d_gamma = theta_sensitivity(R_LOW, NoiseParams(0.999, 0.005),
+                                           step=step)
+        assert d_eta == math.degrees(
+            (solve(0.999, 0.005) - solve(0.999 - step, 0.005)) / step)
+        assert d_gamma == math.degrees(
+            (solve(0.999, 0.005 + step) - solve(0.999, 0.005)) / step)
 
     def test_fit_formula_value(self):
         assert abs(theta_fit(LOW_NOISE) - 68.42) < 1e-10
