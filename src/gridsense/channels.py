@@ -58,10 +58,10 @@ class NoiseParams:
 
 @lru_cache(maxsize=32)
 def _log_factorials(D: int) -> np.ndarray:
-    from scipy.special import gammaln
-
-    n = np.arange(D, dtype=float)
-    return gammaln(n + 1.0)
+    """Read-only ln(n!) for n = 0..D-1."""
+    out = np.array([math.lgamma(n + 1.0) for n in range(D)])
+    out.setflags(write=False)
+    return out
 
 
 def _loss_amplitudes(eta: float, D: int) -> np.ndarray:

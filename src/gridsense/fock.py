@@ -15,7 +15,6 @@ that the rest of the package relies on.
 from __future__ import annotations
 
 import numpy as np
-import scipy.linalg
 
 __all__ = [
     "annihilation",
@@ -89,8 +88,12 @@ def matrix_exp(M: np.ndarray) -> np.ndarray:
 
     Raises NumericError on non-finite input; the relative-accuracy contract
     (<1e-10 for ‖M‖ ≤ 10) is covered by the test suite against term-by-term
-    Taylor summation.
+    Taylor summation. The package itself does not call it (`states.squeeze`
+    diagonalizes its generator instead), so scipy.linalg is imported here,
+    on first use, and never by the CLI.
     """
+    import scipy.linalg
+
     M = np.asarray(M, dtype=complex)
     if not np.all(np.isfinite(M)):
         raise NumericError("matrix_exp: input has non-finite entries")

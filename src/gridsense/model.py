@@ -27,7 +27,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import erfc
 
 from .channels import NoiseParams, effective_sigmas
 from .lattice import A_LATTICE
@@ -70,8 +69,14 @@ class ThetaStarResult:
 
 
 def gaussian_tail(x):
-    """Standard normal upper tail Q(x) = erfc(x/√2)/2."""
-    return 0.5 * erfc(x / math.sqrt(2.0))
+    """Standard normal upper tail Q(x) = erfc(x/√2)/2.
+
+    `math.erfc` on each element, so a scalar and an array holding it give
+    the same bits. A scalar gives a numpy float, an array an array.
+    """
+    z = np.divide(x, math.sqrt(2.0))
+    tail = np.fromiter(map(math.erfc, z.flat), dtype=float, count=z.size)
+    return 0.5 * tail.reshape(z.shape)
 
 
 def _phi(x):
@@ -245,14 +250,26 @@ def theta_sensitivity(r: float, noise: NoiseParams, *,
     """(∂θ*/∂η, ∂θ*/∂γ) in degrees per unit, by central differences.
 
     Where a step would leave the noise domain the difference is one-sided:
-    backward in η when η + step > 1, forward in γ when γ − step < 0.
+    backward in η when η + step > 1, forward in γ when γ − step < 0. Next
+    to the edge of the root region it is one-sided as well, toward the
+    neighbour that has a root; with no such neighbour the derivative is NaN.
     """
+    def root_or_none(solve, x):
+        try:
+            return solve(x)
+        except NoRootError:
+            return None
+
     def derivative(solve, x, below_ok, above_ok):
-        if not above_ok:
-            return (solve(x) - solve(x - step)) / step
-        if not below_ok:
-            return (solve(x + step) - solve(x)) / step
-        return (solve(x + step) - solve(x - step)) / (2.0 * step)
+        above = root_or_none(solve, x + step) if above_ok else None
+        below = root_or_none(solve, x - step) if below_ok else None
+        if above is None and below is None:
+            return math.nan
+        if above is None:
+            return (solve(x) - below) / step
+        if below is None:
+            return (above - solve(x)) / step
+        return (above - below) / (2.0 * step)
 
     d_eta = derivative(
         lambda e: theta_star(r, NoiseParams(e, noise.gamma)).theta_star,

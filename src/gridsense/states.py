@@ -20,15 +20,24 @@ seeded with ψ_0 = π^{-1/4} e^{-q²/2}. Both combs are symmetric under
 q → −q, so the odd-n amplitudes vanish identically and the amplitudes are
 real. The comb is truncated at S = ceil(6/√(2πε)) peaks per side, which puts
 the omitted weight below 1e-14 for any ε in the supported range.
+
+Squeeze
+-------
+S(s) = exp(s·(a†² − a²)/2) = exp(−isK) with K = i·(a†² − a²)/2 Hermitian, so
+with K = V·diag(w)·V† the gate is S(s)ψ = V·e^{−isw}·V†ψ. The eigenvector
+route is well conditioned for a normal generator (Moler & Van Loan, SIAM Rev.
+45, 2003), and the decomposition depends on D only, so it is taken once per
+cutoff and every squeeze after that costs two matrix-vector products.
 """
 
 from __future__ import annotations
 
 import math
+from functools import lru_cache
 
 import numpy as np
 
-from .fock import NumericError, annihilation, matrix_exp
+from .fock import NumericError, annihilation
 
 __all__ = [
     "prepare_codeword",
@@ -67,11 +76,13 @@ def comb_positions(mu: int, epsilon: float) -> np.ndarray:
     return (s + 0.5 * mu) * _SPACING
 
 
+@lru_cache(maxsize=32)
 def prepare_codeword(mu: int, epsilon: float, D: int) -> np.ndarray:
     """Normalized finite-energy codeword |μ_ε⟩ at cutoff D.
 
     mu must be 0 or 1; epsilon in (0, 1); D >= 10. The returned amplitudes
-    are real (stored complex) with all odd-n entries exactly zero.
+    are real (stored complex) with all odd-n entries exactly zero. Cached
+    per (μ, ε, D) and returned read-only; copy before writing to it.
     """
     if mu not in (0, 1):
         raise ValueError(f"mu must be 0 or 1, got {mu}")
@@ -87,7 +98,9 @@ def prepare_codeword(mu: int, epsilon: float, D: int) -> np.ndarray:
     # zero them exactly so downstream parity checks are clean.
     amplitudes[1::2] = 0.0
     ket = amplitudes.astype(complex)
-    return ket / np.linalg.norm(ket)
+    ket /= np.linalg.norm(ket)
+    ket.setflags(write=False)
+    return ket
 
 
 def bloch_amplitudes(bloch_theta: float,
@@ -125,21 +138,33 @@ def logical_state(bloch_theta: float, bloch_phi: float, epsilon: float,
     return ket / np.linalg.norm(ket)
 
 
+@lru_cache(maxsize=8)
+def _squeeze_spectrum(D: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only (w, V) with i·(a†² − a²)/2 = V·diag(w)·V† at cutoff D."""
+    a = annihilation(D)
+    K = 0.5j * (a.conj().T @ a.conj().T - a @ a)
+    w, V = np.linalg.eigh(K)
+    w.setflags(write=False)
+    V.setflags(write=False)
+    return w, V
+
+
 def squeeze(psi: np.ndarray, log_r: float, *,
             max_leakage: float = 1e-3) -> tuple[np.ndarray, float]:
-    """Apply S(log_r) = expm(log_r·(a†² − a²)/2); returns (ket, leakage).
+    """Apply S(log_r) = exp(log_r·(a†² − a²)/2); returns (ket, leakage).
 
     `psi` is one ket, or a (D, k) array of kets as columns that all share
-    the one exponential; each column is renormalized and `leakage` is the
-    largest over the columns.
+    the one gate; each column is renormalized and `leakage` is the largest
+    over the columns. The gate is V·e^{−i·log_r·w}·V† from the cached
+    spectrum of the Hermitian generator (see the module docstring).
 
-    The truncated generator is still anti-Hermitian, so the exponential is
-    unitary on the truncated space and leakage = 1 − ‖raw‖² sits at roundoff
+    The truncated generator is still anti-Hermitian, so the gate is unitary
+    on the truncated space and leakage = 1 − ‖raw‖² sits at roundoff
     (~1e-16) for any input. It is kept as a numerics tripwire: a value above
-    `max_leakage` means the matrix exponential itself broke down, and the
-    call aborts (TruncationError) rather than return garbage. Whether the
-    cutoff is big enough for the *physics* is a state-preparation question,
-    not something this gate can detect.
+    `max_leakage` means the exponential itself broke down, and the call
+    aborts (TruncationError) rather than return garbage. Whether the cutoff
+    is big enough for the *physics* is a state-preparation question, not
+    something this gate can detect.
     """
     if abs(log_r) > 1.0:
         raise ValueError(f"|log_r| must be <= 1 (desk-scale guard), got {log_r}")
@@ -147,9 +172,8 @@ def squeeze(psi: np.ndarray, log_r: float, *,
     if log_r == 0.0:
         return psi.copy(), 0.0
     D = psi.shape[0]
-    a = annihilation(D)
-    H = (a.conj().T @ a.conj().T - a @ a) / 2.0
-    raw = matrix_exp(log_r * H) @ psi
+    w, V = _squeeze_spectrum(D)
+    raw = (V * np.exp(-1j * log_r * w)) @ (V.conj().T @ psi)
     norm_sq = np.sum(raw.real**2 + raw.imag**2, axis=0)
     leakage = float(np.max(1.0 - norm_sq))
     if leakage > max_leakage:

@@ -33,6 +33,19 @@ class TestNoiseParams:
         NoiseParams(1.0, 0.0)
 
 
+def test_log_factorials_match_gammaln():
+    from scipy.special import gammaln
+
+    from gridsense.channels import _log_factorials
+
+    for dim in (2, 30, 171, 400):
+        ref = gammaln(np.arange(dim) + 1.0)
+        np.testing.assert_allclose(_log_factorials(dim), ref, rtol=1e-14,
+                                   atol=0.0)
+    with pytest.raises(ValueError):
+        _log_factorials(30)[5] = 0.0
+
+
 class TestLossChannel:
     def test_kraus_completeness(self):
         ops = loss_kraus(0.9, D)

@@ -227,6 +227,16 @@ class TestThetaStar:
         assert math.isfinite(payload["dtheta_deta_deg"])
         assert math.isfinite(payload["dtheta_dgamma_deg"])
 
+    def test_neighbour_without_a_root(self, tmp_path):
+        # gamma - 1e-4 has no root here; the gamma difference is one-sided
+        code = main(["theta_star", "--gamma", "0.02631906943556492",
+                     "-o", str(tmp_path)])
+        assert code == 0
+        payload = json.loads((tmp_path / "theta_star.json").read_text())
+        assert payload["status"] == "ok"
+        assert math.isfinite(payload["dtheta_deta_deg"])
+        assert math.isfinite(payload["dtheta_dgamma_deg"])
+
     def test_noiseless_has_no_root(self, tmp_path):
         # zero spread: B is undefined everywhere, so there is no optimum
         code = main(["theta_star", "--eta", "1", "--gamma", "0",

@@ -43,6 +43,23 @@ class TestGaussianTail:
         qs = [gaussian_tail(x) for x in xs]
         assert all(a > b for a, b in zip(qs, qs[1:]))
 
+    def test_matches_scipy_erfc(self):
+        from scipy.special import erfc
+
+        xs = np.linspace(0.0, 37.0, 20001)
+        ref = 0.5 * erfc(xs / math.sqrt(2.0))
+        assert np.max(np.abs(gaussian_tail(xs) - ref) / ref) <= 1e-13
+        deep = np.array([39.0, 40.0, 60.0, np.inf])
+        assert np.all(0.5 * erfc(deep / math.sqrt(2.0)) == 0.0)
+        assert np.all(gaussian_tail(deep) == 0.0)
+
+    def test_scalar_and_array_calls_agree_bitwise(self):
+        xs = np.concatenate([np.linspace(-8.0, 37.0, 4001), [np.inf]])
+        tails = gaussian_tail(xs.reshape(-1, 1)).ravel()
+        assert all(gaussian_tail(float(x)) == t for x, t in zip(xs, tails))
+        assert all(gaussian_tail(x) == t for x, t in zip(xs, tails))
+        assert isinstance(gaussian_tail(1.0), np.float64)
+
 
 class TestPerrAnalytic:
     # regression pins frozen from this implementation at the two benchmark
@@ -374,6 +391,31 @@ class TestSensitivityAndFit:
             (solve(0.999, 0.005) - solve(0.999 - step, 0.005)) / step)
         assert d_gamma == math.degrees(
             (solve(0.999, 0.005 + step) - solve(0.999, 0.005)) / step)
+
+    def test_one_sided_toward_the_neighbour_with_a_root(self):
+        # gamma0 sits just inside the root region: gamma0 - step has no
+        # root, so the gamma difference is forward; eta stays central
+        step, eta, gamma0 = 1e-4, 0.9, 0.02631906943556492
+
+        def solve(eta, gamma):
+            return theta_star(R_LOW, NoiseParams(eta, gamma)).theta_star
+
+        with pytest.raises(NoRootError):
+            solve(eta, gamma0 - step)
+        d_eta, d_gamma = theta_sensitivity(R_LOW, NoiseParams(eta, gamma0),
+                                           step=step)
+        assert d_gamma == math.degrees(
+            (solve(eta, gamma0 + step) - solve(eta, gamma0)) / step)
+        assert d_eta == math.degrees(
+            (solve(eta + step, gamma0) - solve(eta - step, gamma0))
+            / (2.0 * step))
+
+    def test_no_neighbour_with_a_root_gives_nan(self):
+        # eta + 0.2 leaves the domain and eta - 0.2 = 0.65 has no root
+        d_eta, d_gamma = theta_sensitivity(R_LOW, NoiseParams(0.85, 0.05),
+                                           step=0.2)
+        assert math.isnan(d_eta)
+        assert math.isfinite(d_gamma)
 
     def test_fit_formula_value(self):
         assert abs(theta_fit(LOW_NOISE) - 68.42) < 1e-10

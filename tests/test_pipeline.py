@@ -133,7 +133,7 @@ def test_apply_loss_matches_kraus_sum(eta, dim):
 
 
 def test_training_builds_the_basis_once(monkeypatch):
-    calls = {"squeeze": 0, "matrix_exp": 0}
+    calls = {"squeeze": 0}
 
     def counted(name, fn):
         def wrapper(*args, **kwargs):
@@ -143,12 +143,40 @@ def test_training_builds_the_basis_once(monkeypatch):
 
     monkeypatch.setattr(pipeline, "squeeze",
                         counted("squeeze", pipeline.squeeze))
-    monkeypatch.setattr(states, "matrix_exp",
-                        counted("matrix_exp", states.matrix_exp))
     noisy_basis.cache_clear()
+    states._squeeze_spectrum.cache_clear()
     cfg = TrainConfig(noise=LOW_NOISE, steps=5)
     train(cfg, TrainableParams(bloch_theta=1.5708, bloch_phi=1.5708))
     info = noisy_basis.cache_info()
     assert info.misses == 1
     assert info.hits == 5 * 5 - 1  # 1 + 2 x 2 free coordinates per step
-    assert calls == {"squeeze": 1, "matrix_exp": 1}
+    assert calls == {"squeeze": 1}
+    assert states._squeeze_spectrum.cache_info().misses == 1
+
+
+def test_basis_from_cached_codewords_matches_an_uncached_build(monkeypatch):
+    args = (0.063, 1.3, 0.85, 0.07, 30)
+    for mu in (0, 1):
+        states.prepare_codeword(mu, 0.063, 30)
+    hits = states.prepare_codeword.cache_info().hits
+    noisy_basis.cache_clear()
+    cached = noisy_basis(*args)
+    assert states.prepare_codeword.cache_info().hits == hits + 2
+    monkeypatch.setattr(pipeline, "prepare_codeword",
+                        states.prepare_codeword.__wrapped__)
+    noisy_basis.cache_clear()
+    uncached = noisy_basis(*args)
+    noisy_basis.cache_clear()
+    for M, ref in zip(cached, uncached):
+        assert np.array_equal(M, ref)
+
+
+def test_mutating_a_codeword_copy_leaves_the_cache_intact():
+    ket = states.prepare_codeword(0, 0.063, 30)
+    expected = states.prepare_codeword.__wrapped__(0, 0.063, 30)
+    with pytest.raises(ValueError):
+        ket[0] = 1.0
+    # Callers that need to write get a copy, e.g. an identity squeeze.
+    copy, _ = states.squeeze(states.logical_state(0.0, 0.0, 0.063, 30), 0.0)
+    copy[:] = 0.0
+    assert np.array_equal(states.prepare_codeword(0, 0.063, 30), expected)

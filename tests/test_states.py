@@ -4,10 +4,12 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings, strategies as st
 
 from gridsense import (
     TruncationError,
+    annihilation,
     expectation,
     ket_density,
     logical_state,
@@ -17,7 +19,7 @@ from gridsense import (
     rotate_density,
     squeeze,
 )
-from gridsense.states import comb_positions
+from gridsense.states import _squeeze_spectrum, comb_positions
 
 from conftest import D, EPS
 
@@ -159,6 +161,41 @@ class TestSqueeze:
         # the abort path works
         with pytest.raises(TruncationError):
             squeeze(codeword0, 0.5, max_leakage=-1.0)
+
+
+def _expm_squeeze(psi, log_r):
+    """Reference: the dense exponential of the squeeze generator, then the
+    same per-column renormalization as `squeeze`."""
+    a = annihilation(psi.shape[0])
+    H = (a.conj().T @ a.conj().T - a @ a) / 2.0
+    raw = scipy.linalg.expm(log_r * H) @ psi
+    return raw / np.linalg.norm(raw, axis=0)
+
+
+class TestSpectralSqueeze:
+    LOG_RS = (-1.0, -0.6, -0.05, 0.0883, 0.35, 1.0)
+
+    @pytest.mark.parametrize("dim", [20, 30, 40])
+    def test_matches_expm_on_kets_and_stacks(self, dim):
+        rng = np.random.default_rng(dim)
+        stack = rng.normal(size=(dim, 3)) + 1j * rng.normal(size=(dim, 3))
+        stack /= np.linalg.norm(stack, axis=0)
+        stack[:, 0] = prepare_codeword(0, EPS, dim)
+        for log_r in self.LOG_RS:
+            out, _ = squeeze(stack, log_r)
+            assert np.max(np.abs(out - _expm_squeeze(stack, log_r))) <= 1e-13
+            for j in range(stack.shape[1]):
+                ket, _ = squeeze(stack[:, j], log_r)
+                ref = _expm_squeeze(stack[:, j], log_r)
+                assert np.max(np.abs(ket - ref)) <= 1e-13
+
+    def test_spectrum_is_cached_and_read_only(self):
+        w, V = _squeeze_spectrum(D)
+        assert _squeeze_spectrum(D)[1] is V
+        with pytest.raises(ValueError):
+            w[0] = 0.0
+        with pytest.raises(ValueError):
+            V[0, 0] = 0.0
 
 
 class TestRotate:
