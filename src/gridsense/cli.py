@@ -438,15 +438,20 @@ def cmd_wigner(args) -> int:
     cfg = resolve_config(args)
     _require(args.n_points >= 32, f"--n-points must be >= 32, got "
              f"{args.n_points}")
+    for flag, (lo, hi) in (("--q-range", args.q_range),
+                           ("--p-range", args.p_range)):
+        _require(math.isfinite(lo) and math.isfinite(hi) and lo < hi,
+                 f"{flag} must be finite with LO < HI, got {lo} {hi}")
     noise = build_noise(cfg)
     spec = build_params(cfg).sensor_spec(cfg["cutoff"])
     rho = sensor_state(spec, noise)
     grid = wigner_grid(rho, q_range=tuple(args.q_range),
                        p_range=tuple(args.p_range), n_points=args.n_points)
-    rows = []
-    for j, q in enumerate(grid.q_axis):
-        for i, p in enumerate(grid.p_axis):
-            rows.append((float(q), float(p), float(grid.values[i, j])))
+    n = args.n_points
+    # q-major, p fastest: row i is (q[i // n], p[i % n], W[i % n, i // n])
+    rows = list(zip(np.repeat(grid.q_axis, n).tolist(),
+                    np.tile(grid.p_axis, n).tolist(),
+                    grid.values.T.ravel().tolist()))
     csv_path = _out_path(args, "wigner.csv")
     write_csv(csv_path, "wigner", rows)
     meta = {

@@ -88,27 +88,32 @@ def dumps_json(obj, indent: int = 0) -> str:
     return _json_scalar(obj)
 
 
-def _cell(value) -> str:
-    if value is None:
-        return ""  # e.g. a phase-diagram cell with no root
-    if isinstance(value, float):
-        return format_float(value)
-    return str(value)
-
-
 def write_csv(path, schema_name: str, rows) -> None:
     """Write rows (sequences ordered like the schema columns) under the
-    registered header."""
+    registered header.
+
+    Cells are numbers or None (an empty cell, e.g. a phase-diagram cell with
+    no root). A row without None is formatted by one '%' call; the nan/inf
+    tokens are then mapped to format_float's NaN/Infinity over the whole
+    body at once, which is safe because a finite '%.17g' never contains them.
+    """
     _, columns = SCHEMAS[schema_name]
-    lines = [",".join(columns)]
+    width = len(columns)
+    fmt = ",".join(["%.17g"] * width) + "\n"
+    lines = []
     for row in rows:
-        if len(row) != len(columns):
+        if len(row) != width:
             raise ValueError(
-                f"{schema_name} row has {len(row)} cells, expected "
-                f"{len(columns)}")
-        lines.append(",".join(_cell(v) for v in row))
+                f"{schema_name} row has {len(row)} cells, expected {width}")
+        if None in row:
+            lines.append(",".join("" if v is None else "%.17g" % v
+                                  for v in row) + "\n")
+        else:
+            lines.append(fmt % tuple(row))
+    body = "".join(lines).replace("nan", "NaN").replace("inf", "Infinity")
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write(",".join(columns) + "\n")
+        fh.write(body)
 
 
 def versions() -> dict:

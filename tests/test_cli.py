@@ -354,3 +354,33 @@ class TestWigner:
         monkeypatch.setattr(cli, "sensor_state", None)
         code = main(["wigner", "--n-points", "8", "-o", str(tmp_path)])
         assert code == 2
+
+    @pytest.mark.parametrize("window", [
+        ["--q-range", "6", "-6"], ["--q-range", "1", "1"],
+        ["--p-range", "-6", "-7"], ["--p-range", "-6", "inf"],
+        ["--q-range", "nan", "6"]])
+    def test_inverted_empty_or_nonfinite_window_rejected(self, tmp_path,
+                                                         monkeypatch, window):
+        # checked before the state is built; no file is written
+        monkeypatch.setattr(cli, "sensor_state", None)
+        code = main(["wigner", *window, "--n-points", "32",
+                     "-o", str(tmp_path)])
+        assert code == 2
+        assert list(tmp_path.iterdir()) == []
+
+    def test_csv_rows_are_q_major_with_p_fastest(self, tmp_path):
+        n = 33
+        code = main(["wigner", "--q-range", "-5", "3.5", "--p-range", "-2",
+                     "6", "--n-points", str(n), "-o", str(tmp_path)])
+        assert code == 0
+        cfg = load_config(None)
+        rho = cli.sensor_state(
+            build_params(cfg).sensor_spec(cfg["cutoff"]), cli.build_noise(cfg))
+        grid = cli.wigner_grid(rho, q_range=(-5.0, 3.5), p_range=(-2.0, 6.0),
+                               n_points=n)
+        lines = (tmp_path / "wigner.csv").read_text().splitlines()
+        assert len(lines) == 1 + n * n
+        for i, line in enumerate(lines[1:]):
+            row = tuple(float(cell) for cell in line.split(","))
+            assert row == (grid.q_axis[i // n], grid.p_axis[i % n],
+                           grid.values[i % n, i // n])

@@ -3,6 +3,7 @@
 import json
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -14,6 +15,59 @@ from gridsense.report import (
     versions,
     write_csv,
 )
+
+
+# The cell-by-cell writer this module used before the one-'%'-per-row
+# writer, kept verbatim as the byte reference.
+def _cell(value) -> str:
+    if value is None:
+        return ""  # e.g. a phase-diagram cell with no root
+    if isinstance(value, float):
+        return format_float(value)
+    return str(value)
+
+
+def write_csv_reference(path, schema_name: str, rows) -> None:
+    """Write rows (sequences ordered like the schema columns) under the
+    registered header."""
+    _, columns = SCHEMAS[schema_name]
+    lines = [",".join(columns)]
+    for row in rows:
+        if len(row) != len(columns):
+            raise ValueError(
+                f"{schema_name} row has {len(row)} cells, expected "
+                f"{len(columns)}")
+        lines.append(",".join(_cell(v) for v in row))
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write("\n".join(lines) + "\n")
+
+
+EDGE_VALUES = [None, math.nan, -math.nan, math.inf, -math.inf, -0.0, 0.0,
+               5e-324, -5e-324, 1.7976931348623157e308,
+               -1.7976931348623157e308, 0.1 + 0.2, 1.0, 7, 0, -3, 80,
+               np.float64(0.3), np.float64(math.nan), np.float64(-math.inf),
+               np.float64(-0.0), np.float64(2.2250738585072014e-308)]
+
+
+def edge_rows(width: int, seed: int) -> list:
+    """Rows that put every edge value in every column, with and without a
+    None in the same row, plus seeded random doubles."""
+    rng = np.random.default_rng(seed)
+    rows = []
+    numbers = [v for v in EDGE_VALUES if v is not None]
+    for i, value in enumerate(EDGE_VALUES):
+        for col in range(width):
+            row = [numbers[(i + j) % len(numbers)] for j in range(width)]
+            row[col] = value
+            rows.append(tuple(row))
+            if value is not None:
+                row[(col + 1) % width] = None
+                rows.append(tuple(row))
+    for _ in range(50):
+        row = rng.normal(size=width) * 10.0 ** rng.integers(-300, 300, width)
+        rows.append(tuple(row.tolist()))
+    rows.append(tuple([None] * width))
+    return rows
 
 
 class TestFormatFloat:
@@ -71,6 +125,31 @@ class TestWriteCsv:
     def test_row_width_validated(self, tmp_path):
         with pytest.raises(ValueError):
             write_csv(tmp_path / "x.csv", "trace", [(1, 2.0)])
+
+    @pytest.mark.parametrize("schema", sorted(SCHEMAS))
+    def test_bytes_match_reference_writer(self, tmp_path, schema):
+        rows = edge_rows(len(SCHEMAS[schema][1]), seed=len(schema))
+        write_csv(tmp_path / "new.csv", schema, rows)
+        write_csv_reference(tmp_path / "ref.csv", schema, rows)
+        assert (tmp_path / "new.csv").read_bytes() == \
+            (tmp_path / "ref.csv").read_bytes()
+
+    @pytest.mark.parametrize("schema", sorted(SCHEMAS))
+    def test_no_rows_writes_the_header_alone(self, tmp_path, schema):
+        write_csv(tmp_path / "new.csv", schema, [])
+        write_csv_reference(tmp_path / "ref.csv", schema, [])
+        assert (tmp_path / "new.csv").read_bytes() == \
+            (tmp_path / "ref.csv").read_bytes()
+
+    def test_header_not_touched_by_special_value_mapping(self, tmp_path,
+                                                         monkeypatch):
+        columns = ("nan", "inf", "infidelity", "nanos")
+        monkeypatch.setitem(SCHEMAS, "specials", (1, columns))
+        write_csv(tmp_path / "s.csv", "specials",
+                  [(math.nan, math.inf, -math.inf, 1.5)])
+        lines = (tmp_path / "s.csv").read_text().splitlines()
+        assert lines == ["nan,inf,infidelity,nanos",
+                         "NaN,Infinity,-Infinity,1.5"]
 
     def test_schema_registry_is_versioned(self):
         for name, (version, columns) in SCHEMAS.items():

@@ -14,6 +14,7 @@ from gridsense import (
     wigner_negativity,
     wigner_point,
 )
+from gridsense import wigner
 
 from conftest import D
 
@@ -22,6 +23,51 @@ def displacement(alpha: complex, dim: int) -> np.ndarray:
     """Fock-truncated displacement D(α) = expm(α a† − α* a)."""
     a = annihilation(dim)
     return matrix_exp(alpha * a.conj().T - np.conj(alpha) * a)
+
+
+# The term-by-term kernel this module used before the blocked one, kept
+# verbatim as the reference the blocked kernel must reproduce.
+def parity_kernel_reference(rho: np.ndarray, q: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """(1/π)·Tr[ρ D(2α) Π] for an array of phase-space points.
+
+    q and p must have the same shape; returns W of that shape.
+    """
+    D = rho.shape[0]
+    beta = math.sqrt(2.0) * (q + 1j * p)  # β = 2α
+    x = beta.real**2 + beta.imag**2
+    damp = np.exp(-0.5 * x)
+
+    # g[n, k] = sqrt(n! / (n+k)!) via log-gamma, filled per diagonal below.
+    lgamma = np.cumsum(np.concatenate(([0.0], np.log(np.arange(1, D) + 0.0))))
+
+    acc = np.zeros(x.shape)
+    beta_k = np.ones_like(beta)  # β^k, updated per diagonal
+    for k in range(D):
+        if k > 0:
+            beta_k = beta_k * beta
+        # Scaled Laguerre recurrence: Lt_n = e^{−x/2} L_n^{(k)}(x).
+        l_prev = np.zeros(x.shape)
+        l_cur = damp.copy()  # n = 0
+        sign = 1.0
+        for n in range(D - k):
+            if k == 0:
+                term = rho[n, n].real * l_cur
+            else:
+                c = rho[n, n + k]
+                term = 2.0 * (c.real * beta_k.real - c.imag * beta_k.imag) * l_cur
+            g = math.exp(0.5 * (lgamma[n] - lgamma[n + k]))
+            acc += sign * g * term
+            sign = -sign
+            l_next = ((2 * n + 1 + k - x) * l_cur - (n + k) * l_prev) / (n + 1)
+            l_prev, l_cur = l_cur, l_next
+    return acc / math.pi
+
+
+def random_mixed_state(dim: int, seed: int) -> np.ndarray:
+    rng = np.random.default_rng(seed)
+    a = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    rho = a @ a.conj().T
+    return rho / np.trace(rho).real
 
 
 class TestPointValues:
@@ -136,3 +182,57 @@ class TestRotationCovariance:
             lhs = wigner_point(rotated, q, p)
             rhs = wigner_point(rho, ct * q - st_ * p, st_ * q + ct * p)
             assert abs(lhs - rhs) < 1e-12
+
+
+class TestBlockedKernel:
+    @pytest.mark.parametrize("dim", [8, 30, 40])
+    def test_matches_reference_on_asymmetric_grid(self, dim):
+        # 67² points: one full block and a partial one
+        rho = random_mixed_state(dim, seed=dim)
+        grid = wigner_grid(rho, q_range=(-7.0, 5.0), p_range=(-2.5, 6.5),
+                           n_points=67)
+        Q, P = np.meshgrid(grid.q_axis, grid.p_axis)
+        ref = parity_kernel_reference(rho, Q, P)
+        assert grid.values.shape == ref.shape == (67, 67)
+        assert np.abs(grid.values - ref).max() < 1e-14
+
+    @pytest.mark.parametrize("dim", [8, 30, 40])
+    @pytest.mark.parametrize("offset", [-1, 0, 1])
+    def test_matches_reference_across_block_edges(self, dim, offset):
+        # 1-D point counts just below, at and just above one block
+        size = wigner._BLOCK + offset
+        rng = np.random.default_rng(1000 * dim + offset + 1)
+        q = rng.uniform(-6.0, 6.0, size)
+        p = rng.uniform(-6.0, 6.0, size)
+        rho = random_mixed_state(dim, seed=7 * dim)
+        out = wigner._parity_kernel(rho, q, p)
+        assert out.shape == (size,)
+        assert np.abs(out - parity_kernel_reference(rho, q, p)).max() < 1e-14
+
+    def test_zero_d_input_keeps_its_shape(self):
+        rho = random_mixed_state(D, seed=2)
+        q, p = np.asarray(0.7), np.asarray(-1.3)
+        out = wigner._parity_kernel(rho, q, p)
+        assert out.shape == ()
+        assert abs(float(out) - float(parity_kernel_reference(rho, q, p))) \
+            < 1e-14
+
+    def test_two_d_input_keeps_its_shape(self):
+        rho = random_mixed_state(D, seed=4)
+        rng = np.random.default_rng(4)
+        q = rng.uniform(-5.0, 5.0, (3, 7))
+        p = rng.uniform(-5.0, 5.0, (3, 7))
+        out = wigner._parity_kernel(rho, q, p)
+        assert out.shape == (3, 7)
+        assert np.abs(out - parity_kernel_reference(rho, q, p)).max() < 1e-14
+
+
+class TestWindowValidation:
+    @pytest.mark.parametrize("bad", [(6.0, -6.0), (1.0, 1.0),
+                                     (-math.inf, 6.0), (-6.0, math.inf),
+                                     (math.nan, 6.0), (-6.0, math.nan)])
+    @pytest.mark.parametrize("axis", ["q_range", "p_range"])
+    def test_inverted_empty_or_nonfinite_range_rejected(self, vacuum, axis,
+                                                        bad):
+        with pytest.raises(ValueError, match=axis):
+            wigner_grid(ket_density(vacuum), n_points=32, **{axis: bad})
