@@ -349,22 +349,23 @@ def cmd_phase_diagram(args) -> int:
              f"--gamma-range must satisfy 0 <= lo <= hi <= 0.5, got "
              f"{g_lo} {g_hi}")
     _require(args.n >= 1, f"--n must be >= 1, got {args.n}")
-    eta, gamma = np.meshgrid(np.linspace(eta_lo, eta_hi, args.n),
-                             np.linspace(g_lo, g_hi, args.n), indexing="ij")
+    eta_axis = np.linspace(eta_lo, eta_hi, args.n)
+    gamma_axis = np.linspace(g_lo, g_hi, args.n)
+    eta, gamma = np.meshgrid(eta_axis, gamma_axis, indexing="ij")
     eta, gamma = eta.ravel(), gamma.ravel()  # row-major: gamma runs fastest
     theta, p_star = theta_star_grid(r, eta, gamma)
     p_square = perr_analytic(0.0, r, NoiseParams(eta, gamma)).p_total
     rows = []
-    for e, g, t, p, p0 in zip(eta.tolist(), gamma.tolist(), theta.tolist(),
-                              p_star.tolist(), p_square.tolist()):
+    for t, p, p0 in zip(theta.tolist(), p_star.tolist(), p_square.tolist()):
         if math.isnan(t):
-            rows.append((e, g, None, None, p0, None))
+            rows.append((None, None, p0, None))
         else:
-            rows.append((e, g, math.degrees(t), p, p0,
+            rows.append((math.degrees(t), p, p0,
                          p0 / p if p > 0 else math.inf))
     path = _out_path(args, "phase_diagram.csv")
-    write_csv(path, "phase_diagram", rows)
-    n_roots = sum(1 for row in rows if row[2] is not None)
+    write_csv(path, "phase_diagram", rows,
+              axes=(eta_axis.tolist(), gamma_axis.tolist()))
+    n_roots = sum(1 for row in rows if row[0] is not None)
     print(f"{len(rows)} cells ({n_roots} with a root) -> {path}")
     return 0
 
@@ -447,13 +448,11 @@ def cmd_wigner(args) -> int:
     rho = sensor_state(spec, noise)
     grid = wigner_grid(rho, q_range=tuple(args.q_range),
                        p_range=tuple(args.p_range), n_points=args.n_points)
-    n = args.n_points
-    # q-major, p fastest: row i is (q[i // n], p[i % n], W[i % n, i // n])
-    rows = list(zip(np.repeat(grid.q_axis, n).tolist(),
-                    np.tile(grid.p_axis, n).tolist(),
-                    grid.values.T.ravel().tolist()))
+    # q-major, p fastest: with n points per axis, row i is
+    # (q[i // n], p[i % n], W[i % n, i // n])
     csv_path = _out_path(args, "wigner.csv")
-    write_csv(csv_path, "wigner", rows)
+    write_csv(csv_path, "wigner", grid.values.T.reshape(-1, 1).tolist(),
+              axes=(grid.q_axis.tolist(), grid.p_axis.tolist()))
     meta = {
         "q_range": [float(args.q_range[0]), float(args.q_range[1])],
         "p_range": [float(args.p_range[0]), float(args.p_range[1])],

@@ -124,11 +124,17 @@ def balance(theta, r: float, noise: NoiseParams):
     θ and the noise fields broadcast together. B is NaN where a spread is
     zero (η = 1 with γ = 0, or η = 1 on an axis).
     """
+    b_q, b_p = _balance_terms(theta, r, noise)
+    return b_q - b_p
+
+
+def _balance_terms(theta, r: float, noise: NoiseParams):
+    """The two terms of B: (r²·φ(u_q)/σ_q³, φ(u_p)/σ_p³)."""
     sigma_q, sigma_p, u_q, u_p = _margins(theta, r, noise)
     # np.power, not **: on numpy scalars ** takes another pow than the
     # array loop, and a one-cell B would then differ from a grid's by an ulp.
-    return (r**2 * _phi(u_q) / np.power(sigma_q, 3)
-            - _phi(u_p) / np.power(sigma_p, 3))
+    return (r**2 * _phi(u_q) / np.power(sigma_q, 3),
+            _phi(u_p) / np.power(sigma_p, 3))
 
 
 N_SCAN = 64
@@ -146,7 +152,11 @@ def _solve_cells(r: float, eta: np.ndarray, gamma: np.ndarray):
     Returns (root, p_err, k, n_changes) per cell: the chosen root, P_err
     there, the index of its scan bracket (grid[k], grid[k+1]) and the number
     of sign changes the scan found. A cell without a sign change gets NaN
-    root and P_err, k = -1 and n_changes = 0.
+    root and P_err, k = -1 and n_changes = 0. So does a cell where both
+    terms of B are exactly 0 at every scan angle (both φ underflow, e.g.
+    η = 1 with γ ≲ 0.002): that B ≡ 0 locates no root. A B ≡ 0 whose terms
+    cancel (r = 1, γ = 0) means P_err is flat in θ, and its first bracket
+    is kept.
     """
     noise = NoiseParams(eta, gamma)
     grid = _scan_grid()
@@ -156,10 +166,19 @@ def _solve_cells(r: float, eta: np.ndarray, gamma: np.ndarray):
         # over (grid[k], grid[k+1]) or B(grid[k]) == 0.
         change = np.empty((eta.size, N_SCAN - 1), dtype=bool)
         prev = balance(grid[0], r, noise)
+        flat = prev == 0.0
         for k in range(N_SCAN - 1):
             nxt = balance(grid[k + 1], r, noise)
             change[:, k] = (prev == 0.0) | ((prev < 0.0) != (nxt < 0.0))
+            flat &= nxt == 0.0
             prev = nxt
+        # Where B == 0 at every angle its terms are equal; if they are 0 as
+        # well, B ≡ 0 only by underflow and the cell gets no bracket.
+        if flat.any():
+            at = np.flatnonzero(flat)
+            b_q, _ = _balance_terms(grid[:, None], r,
+                                    NoiseParams(eta[at], gamma[at]))
+            change[at[np.all(b_q == 0.0, axis=0)]] = False
         cell, k = np.nonzero(change)  # ordered by cell, then k
 
         # Bisect every bracket in lock step until its width is at most
@@ -225,7 +244,8 @@ def theta_star(r: float, noise: NoiseParams) -> ThetaStarResult:
     until its width is at most ROOT_TOL rad (|B| is not checked; it is
     reported as the residual). If several sign changes exist (possible only
     outside the u > √3 regime) the one with the smallest P_err is taken and
-    a warning is emitted.
+    a warning is emitted. NoRootError if there is no sign change, or if both
+    terms of B underflow to 0 at every scan angle.
     """
     root, p_err, k, n_changes = _solve_cells(
         r, np.array([noise.eta], dtype=float),

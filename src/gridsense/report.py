@@ -12,6 +12,7 @@ strings.
 
 from __future__ import annotations
 
+import itertools
 import math
 import sys
 from dataclasses import dataclass, field
@@ -88,7 +89,7 @@ def dumps_json(obj, indent: int = 0) -> str:
     return _json_scalar(obj)
 
 
-def write_csv(path, schema_name: str, rows) -> None:
+def write_csv(path, schema_name: str, rows, axes=None) -> None:
     """Write rows (sequences ordered like the schema columns) under the
     registered header.
 
@@ -96,20 +97,36 @@ def write_csv(path, schema_name: str, rows) -> None:
     no root). A row without None is formatted by one '%' call; the nan/inf
     tokens are then mapped to format_float's NaN/Infinity over the whole
     body at once, which is safe because a finite '%.17g' never contains them.
+
+    A grid passes axes=(outer, inner), the values of the first two columns.
+    rows then holds only the remaining cells, one row per grid point in
+    outer-major order, so row i starts with outer[i // len(inner)] and
+    inner[i % len(inner)]. Each axis value is formatted once, and the file is
+    the same as with the axis values written into every row.
     """
     _, columns = SCHEMAS[schema_name]
     width = len(columns)
+    if axes is None:
+        prefixes = itertools.repeat("")
+    else:
+        outer, inner = (["%.17g," % v for v in axis] for axis in axes)
+        if len(rows) != len(outer) * len(inner):
+            raise ValueError(
+                f"{schema_name} has {len(rows)} rows for a "
+                f"{len(outer)} x {len(inner)} grid")
+        prefixes = (o + i for o in outer for i in inner)
+        width -= 2
     fmt = ",".join(["%.17g"] * width) + "\n"
     lines = []
-    for row in rows:
+    for prefix, row in zip(prefixes, rows):
         if len(row) != width:
             raise ValueError(
                 f"{schema_name} row has {len(row)} cells, expected {width}")
         if None in row:
-            lines.append(",".join("" if v is None else "%.17g" % v
-                                  for v in row) + "\n")
+            lines.append(prefix + ",".join("" if v is None else "%.17g" % v
+                                           for v in row) + "\n")
         else:
-            lines.append(fmt % tuple(row))
+            lines.append(prefix + fmt % tuple(row))
     body = "".join(lines).replace("nan", "NaN").replace("inf", "Infinity")
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(",".join(columns) + "\n")

@@ -5,37 +5,64 @@ W(q, p) = (1/π)·Tr[ρ D(α) Π D†(α)],  α = (q + ip)/√2,  Π = diag((−
 
 normalized so that ∫ W dq dp = 1 and the vacuum peaks at +1/π.
 
+Point kernel
+------------
 Because Π D†(α) Π = D(α), the trace collapses to Tr[ρ D(2α) Π], and the
 untruncated displacement has closed-form Fock matrix elements
 
     ⟨m|D(β)|n⟩ = √(n!/m!) β^{m−n} e^{−|β|²/2} L_n^{(m−n)}(|β|²),   m ≥ n,
 
 with L the associated Laguerre polynomials. Evaluating the trace through
-these (rather than through expm of the D-truncated generator) makes the
-grid the Wigner function of ρ itself: a truncated displacement matrix stops
-being unitary once |α|² approaches the cutoff, which corrupts every value
-in the outer part of a [−6, 6]² window at D = 30. With the exact elements
-the Riemann sum recovers Tr ρ up to the state's mass outside the window.
+these (rather than through expm of the D-truncated generator) makes W the
+Wigner function of ρ itself: a truncated displacement matrix stops being
+unitary once |α|² approaches the cutoff, which corrupts every value in the
+outer part of a [−6, 6]² window at D = 30.
 
 The Laguerre values are built by the three-term recurrence in the degree,
 pre-scaled by e^{−|β|²/2} so no intermediate grows like e^{+|β|²/2}; every
-summand is then bounded by the unitarity bound |⟨m|D|n⟩| ≤ 1.
-
-The kernel walks the points in fixed blocks of _BLOCK, so the working set
-of one block stays in cache. Per block it forms x = |β|², e^{−x/2} and the
-rows x/(n+1) once. Per diagonal k it fills a (D−k, block) table of the
-scaled Laguerre values in place and contracts it in one matrix product with
-the real (2, D−k) coefficient matrix [Re c; −Im c], where
+summand is then bounded by the unitarity bound |⟨m|D|n⟩| ≤ 1. The kernel
+walks the points in blocks of _BLOCK so one block's (D, _BLOCK) Laguerre
+table stays in cache, and per diagonal k contracts that table in one matrix
+product with the real (2, D−k) matrix [Re c; −Im c], where
 c_n = ρ[n, n+k]·(−1)ⁿ·√(n!/(n+k)!) (doubled for k > 0, which also counts the
-conjugate diagonal), and adds Re(β^k·Σ_n c_n Lt_n) to the block, with
-Lt_n = e^{−x/2} L_n^{(k)}(x). This is the same sum as term by term; only
-the order of summation differs.
+conjugate diagonal).
+
+Separable grid
+--------------
+Let D be the support of ρ: one past the last Fock level with a nonzero row
+or column. Every matrix element ⟨m|D(2α)Π|n⟩ is e^{−(q²+p²)} times a
+polynomial of total degree m + n ≤ 2D − 2 in (q, p), so e^{q²+p²}·W has
+degree ≤ 2D − 2 in q and, separately, in p. With φ_j the orthonormal
+Hermite functions and N = 2D − 1, the functions φ_j(√2·q), j < N, span
+exactly e^{−q²} times the polynomials of degree < N, hence
+
+    W(q, p) = Σ_{a,b} C[a, b]·φ_a(√2·p)·φ_b(√2·q),   i.e.  W = Φ_p·C·Φ_qᵀ
+
+on a grid, with Φ[i, j] = φ_j(√2·axis[i]). The N×N matrix C is the
+projection of W onto that basis. In u = √2·q, v = √2·p each integrand
+W·φ_a(v)·φ_b(u) is e^{−u²} (and e^{−v²}) times a polynomial of degree
+≤ 4D − 4 per variable, and N-point Gauss–Hermite quadrature (nodes x,
+weights w) integrates e^{−x²}·poly exactly up to degree 2N − 1 = 4D − 3.
+So, exactly in exact arithmetic,
+
+    C = (Vᵀ·S)·W_nodes·(S·V),   V[i, j] = φ_j(x_i),   S = diag(w·e^{x²}),
+
+where W_nodes[i, j] = W(x_j/√2, x_i/√2) comes from the point kernel at the
+N² node pairs. A grid of any size then costs one N²-point kernel call and
+two small matrix products instead of a kernel call per grid point.
+
+ρ is trimmed to its support first. That changes nothing mathematically,
+but a padded ρ would raise N, and the roundoff of the larger C would then
+reach the e^{−q²−p²} tails of the grid: the vacuum in a D = 30 space would
+show a negativity of ~1e-19 instead of exactly 0. Trimmed, the vacuum is
+the single positive product e^{−q²}·e^{−p²}/π.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -136,9 +163,48 @@ def wigner_point(rho: np.ndarray, q: float, p: float) -> float:
     return float(out)
 
 
+def _hermite_functions(x: np.ndarray, n: int) -> np.ndarray:
+    """(len(x), n) table of the orthonormal Hermite functions φ_j(x), j < n.
+
+    Forward recurrence φ_{j+1} = √(2/(j+1))·x·φ_j − √(j/(j+1))·φ_{j−1} from
+    φ_0 = π^{−1/4}·e^{−x²/2}.
+    """
+    out = np.empty((x.size, n))
+    out[:, 0] = math.pi ** -0.25 * np.exp(-0.5 * x * x)
+    if n > 1:
+        out[:, 1] = math.sqrt(2.0) * x * out[:, 0]
+    for j in range(1, n - 1):
+        out[:, j + 1] = (math.sqrt(2.0 / (j + 1)) * x * out[:, j]
+                         - math.sqrt(j / (j + 1)) * out[:, j - 1])
+    return out
+
+
+@lru_cache(maxsize=8)
+def _quadrature(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only (x, S·V) for the n-point Gauss–Hermite rule: the nodes x
+    and the projection matrix S·V[i, j] = w_i·e^{x_i²}·φ_j(x_i)."""
+    from numpy.polynomial.hermite import hermgauss
+
+    x, w = hermgauss(n)
+    sv = (w * np.exp(x * x))[:, None] * _hermite_functions(x, n)
+    x.setflags(write=False)
+    sv.setflags(write=False)
+    return x, sv
+
+
+def _support(rho: np.ndarray) -> int:
+    """One past the last Fock level with a nonzero row or column (≥ 1)."""
+    used = np.flatnonzero(np.any(rho != 0, axis=0) | np.any(rho != 0, axis=1))
+    return int(used[-1]) + 1 if used.size else 1
+
+
 def wigner_grid(rho: np.ndarray, q_range=(-6.0, 6.0), p_range=(-6.0, 6.0),
                 n_points: int = 201) -> WignerGrid:
-    """Evaluate W(q, p) on a regular n_points × n_points grid."""
+    """Evaluate W(q, p) on a regular n_points × n_points grid.
+
+    Separable and exact (see the module docstring): the point kernel runs
+    on the (2D − 1)² Gauss–Hermite node pairs of ρ's support D only.
+    """
     if n_points < 32:
         raise ValueError(f"n_points must be >= 32, got {n_points}")
     for name, (lo, hi) in (("q_range", q_range), ("p_range", p_range)):
@@ -146,10 +212,18 @@ def wigner_grid(rho: np.ndarray, q_range=(-6.0, 6.0), p_range=(-6.0, 6.0),
             raise ValueError(f"{name} must be finite with lo < hi, "
                              f"got ({lo}, {hi})")
     rho = np.asarray(rho, dtype=complex)
+    d = _support(rho)
+    rho = rho[:d, :d]
+    n = 2 * d - 1
+    x, sv = _quadrature(n)
+    node = x / math.sqrt(2.0)
+    w_nodes = _parity_kernel(rho, *np.meshgrid(node, node))  # rows index p
+    coef = sv.T @ w_nodes @ sv
     q_axis = np.linspace(q_range[0], q_range[1], n_points)
     p_axis = np.linspace(p_range[0], p_range[1], n_points)
-    Q, P = np.meshgrid(q_axis, p_axis)
-    W = _parity_kernel(rho, Q, P)
+    phi_q = _hermite_functions(math.sqrt(2.0) * q_axis, n)
+    phi_p = _hermite_functions(math.sqrt(2.0) * p_axis, n)
+    W = phi_p @ coef @ phi_q.T
     return WignerGrid(q_axis=q_axis, p_axis=p_axis, values=W)
 
 

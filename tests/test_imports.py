@@ -1,9 +1,10 @@
 """The CLI runs on numpy alone: scipy.special and scipy.linalg stay unloaded.
 
 Importing either costs a fresh interpreter several tenths of a second (and
-scipy.linalg loads a second OpenBLAS), which every command would pay. Each
-check runs in a new interpreter, so modules loaded by other tests do not
-count.
+scipy.linalg loads a second OpenBLAS), which every command would pay. The
+Wigner grid's Gauss–Hermite rule comes from numpy.polynomial, which only
+`wigner` needs, so importing the CLI must not load that either. Each check
+runs in a new interpreter, so modules loaded by other tests do not count.
 """
 
 import json
@@ -24,6 +25,8 @@ def heavy():
 
 import gridsense.cli as cli
 after_import = heavy()
+polynomial = sorted(m for m in sys.modules
+                    if m.split(".")[:2] == ["numpy", "polynomial"])
 out = sys.argv[1]
 commands = [
     ["single", "--steps", "1", "--n-mc", "10000"],
@@ -32,8 +35,8 @@ commands = [
     ["wigner", "--n-points", "32"],
 ]
 codes = [cli.main([*cmd, "-o", f"{out}/{i}"]) for i, cmd in enumerate(commands)]
-print(json.dumps({"after_import": after_import, "codes": codes,
-                  "after_commands": heavy()}))
+print(json.dumps({"after_import": after_import, "polynomial": polynomial,
+                  "codes": codes, "after_commands": heavy()}))
 """
 
 
@@ -46,5 +49,6 @@ def test_cli_never_loads_scipy_special_or_linalg(tmp_path):
                          check=True)
     result = json.loads(out.stdout.strip().splitlines()[-1])
     assert result["after_import"] == []
+    assert result["polynomial"] == []
     assert result["codes"] == [0, 0, 0, 0]
     assert result["after_commands"] == []

@@ -20,6 +20,7 @@ from gridsense import (
     theta_star_grid,
     tolerance_curve,
 )
+from gridsense import model
 from gridsense.model import N_SCAN, NoRootError, ThetaStarResult
 
 from conftest import HIGH_NOISE, LOW_NOISE, R_HIGH, R_LOW
@@ -143,6 +144,17 @@ class TestThetaStar:
         with pytest.raises(NoRootError):
             theta_star(R_LOW, NoiseParams(0.8, 0.05))
 
+    def test_underflowed_balance_has_no_root(self):
+        # lossless with faint dephasing: both phi terms of B underflow, so
+        # B == 0 at every scan angle without locating anything. This used
+        # to return the first bracket (2.08 deg, P_err 0) with a warning.
+        noise = NoiseParams(1.0, 1e-4)
+        assert terms_vanish_on_scan(R_LOW, noise)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NoRootError):
+                theta_star(R_LOW, noise)
+
     def test_root_ordering_across_noise_grid(self):
         # at fixed loss the root descends as dephasing grows (the isotropic
         # picture reasserts itself); at fixed dephasing it climbs as loss
@@ -205,6 +217,14 @@ def theta_star_reference(r, noise, *, tol=1e-10):
         if best is None or candidate.p_err_at_star < best.p_err_at_star:
             best = candidate
     return best
+
+
+def terms_vanish_on_scan(r, noise) -> bool:
+    """Both terms of B are exactly 0 at every scan angle."""
+    grid = np.linspace(0.0, math.pi / 2.0, N_SCAN + 2)[1:-1]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        b_q, b_p = model._balance_terms(grid, r, noise)
+    return bool(np.all(b_q == 0.0) and np.all(b_p == 0.0))
 
 
 def counting_user_warnings(fn, *args):
@@ -278,6 +298,17 @@ class TestThetaStarGrid:
         ref_theta, _, _ = grid_reference(R_LOW, eta, gamma)
         assert np.isnan(ref_theta).all()
 
+    def test_underflowed_balance_cell_is_nan(self):
+        eta = np.array([1.0, 0.9, 1.0])
+        gamma = np.array([1e-4, 0.05, 0.01])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            theta, p_err = theta_star_grid(R_LOW, eta, gamma)
+        assert np.isnan(theta[0]) and np.isnan(p_err[0])
+        # the cells next to it keep their roots
+        assert theta[1] == theta_star(R_LOW, LOW_NOISE).theta_star
+        assert theta[2] == theta_star(R_LOW, NoiseParams(1.0, 0.01)).theta_star
+
     def test_single_cell(self):
         ref = theta_star_reference(R_LOW, LOW_NOISE)
         theta, p_err = theta_star_grid(R_LOW, 0.9, 0.05)
@@ -309,6 +340,10 @@ def test_solvers_match_reference(eta, gamma, r):
         ref, ref_warnings = counting_user_warnings(theta_star_reference, r,
                                                    noise)
     except NoRootError:
+        ref = None
+    if terms_vanish_on_scan(r, noise):
+        # the reference takes the first bracket of an underflowed B == 0;
+        # the solvers find no root there
         ref = None
     (theta, p_err), grid_warnings = counting_user_warnings(
         theta_star_grid, r, eta, gamma)

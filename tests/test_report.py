@@ -151,6 +151,41 @@ class TestWriteCsv:
         assert lines == ["nan,inf,infidelity,nanos",
                          "NaN,Infinity,-Infinity,1.5"]
 
+    @pytest.mark.parametrize("schema", ["wigner", "phase_diagram"])
+    def test_axes_match_the_row_form(self, tmp_path, schema):
+        # axis values carry the edge cases too, so the NaN/Infinity mapping
+        # is checked on the formatted-once axis strings
+        inner = [0.01, -math.inf, 5e-324, 0.0, -0.0]
+        cells = [row[2:] for row in edge_rows(len(SCHEMAS[schema][1]),
+                                              seed=7)]
+        edges = [-0.0, 0.75, math.nan, 0.1 + 0.2, math.inf, -6.0]
+        outer = [edges[k % len(edges)] for k in range(len(cells) // 5)]
+        cells = cells[:len(outer) * len(inner)]
+        write_csv(tmp_path / "axes.csv", schema, cells, axes=(outer, inner))
+        full = [(o, i, *c) for (o, i), c in
+                zip(((o, i) for o in outer for i in inner), cells)]
+        write_csv(tmp_path / "rows.csv", schema, full)
+        write_csv_reference(tmp_path / "ref.csv", schema, full)
+        data = (tmp_path / "axes.csv").read_bytes()
+        assert data == (tmp_path / "rows.csv").read_bytes()
+        assert data == (tmp_path / "ref.csv").read_bytes()
+        # one data row per entry of rows
+        assert data.count(b"\n") == len(cells) + 1
+
+    def test_axes_cell_width_validated(self, tmp_path):
+        # with axes a row holds the cells after the two axis columns
+        with pytest.raises(ValueError, match="1 cells, expected 4"):
+            write_csv(tmp_path / "x.csv", "phase_diagram",
+                      [(1.0, 2.0, 3.0, 4.0), (1.0,)], axes=([0.5], [1, 2]))
+        with pytest.raises(ValueError, match="3 cells, expected 1"):
+            write_csv(tmp_path / "x.csv", "wigner", [(0.0, 0.0, 1.0)],
+                      axes=([0.0], [0.0]))
+
+    def test_axes_row_count_validated(self, tmp_path):
+        with pytest.raises(ValueError, match="2 x 3 grid"):
+            write_csv(tmp_path / "x.csv", "wigner", [(1.0,)] * 5,
+                      axes=([0.0, 1.0], [0.0, 1.0, 2.0]))
+
     def test_schema_registry_is_versioned(self):
         for name, (version, columns) in SCHEMAS.items():
             assert isinstance(version, int) and version >= 1

@@ -236,3 +236,38 @@ class TestWindowValidation:
                                                         bad):
         with pytest.raises(ValueError, match=axis):
             wigner_grid(ket_density(vacuum), n_points=32, **{axis: bad})
+
+
+class TestSeparableGrid:
+    @pytest.mark.parametrize("dim", [8, 30, 40])
+    def test_matches_reference_on_wide_window(self, dim):
+        # ±12 reaches past every Gauss–Hermite node x/√2 of D = 40
+        rho = random_mixed_state(dim, seed=100 + dim)
+        grid = wigner_grid(rho, q_range=(-12.0, 12.0), p_range=(-12.0, 12.0),
+                           n_points=97)
+        Q, P = np.meshgrid(grid.q_axis, grid.p_axis)
+        assert np.abs(grid.values
+                      - parity_kernel_reference(rho, Q, P)).max() < 1e-14
+
+    def test_padding_with_empty_levels_changes_nothing(self):
+        rho = random_mixed_state(8, seed=5)
+        padded = np.zeros((30, 30), dtype=complex)
+        padded[:8, :8] = rho
+        window = dict(q_range=(-7.0, 5.0), p_range=(-2.5, 6.5), n_points=67)
+        np.testing.assert_array_equal(wigner_grid(padded, **window).values,
+                                      wigner_grid(rho, **window).values)
+
+    @pytest.mark.parametrize("support", [1, 2, 8])
+    def test_kernel_sees_only_the_node_pairs(self, monkeypatch, support):
+        rho = np.zeros((D, D), dtype=complex)
+        rho[:support, :support] = random_mixed_state(support, seed=support)
+        sizes = []
+        kernel = wigner._parity_kernel
+
+        def spy(rho, q, p):
+            sizes.append(np.size(q))
+            return kernel(rho, q, p)
+
+        monkeypatch.setattr(wigner, "_parity_kernel", spy)
+        wigner_grid(rho, n_points=301)
+        assert sum(sizes) <= (2 * support - 1) ** 2
