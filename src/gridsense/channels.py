@@ -25,7 +25,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .fock import position_op
+from .fock import position_op, serial_blas
 
 __all__ = [
     "NoiseParams",
@@ -121,27 +121,29 @@ def apply_loss(rho: np.ndarray, eta: float) -> np.ndarray:
     K_k has one nonzero diagonal, so (K_k ρ K_k†)[a, b] is
     W_k[a, b]·ρ[a+k, b+k]: each term is an elementwise product on a shifted
     block, with no dense Kraus matrix and no matrix product. Linear in ρ, so
-    it also maps non-Hermitian operators such as |i⟩⟨j|.
+    it also maps non-Hermitian operators such as |i⟩⟨j|. A (..., D, D) stack
+    is mapped matrix by matrix in the one loop over k.
     """
     rho = np.asarray(rho, dtype=complex)
     if eta == 1.0:
         return rho.copy()
-    D = rho.shape[0]
+    D = rho.shape[-1]
     out = np.zeros_like(rho)
     for k, W in enumerate(_loss_weights(eta, D)):
-        out[:D - k, :D - k] += W * rho[k:, k:]
+        out[..., :D - k, :D - k] += W * rho[..., k:, k:]
     return out
 
 
 def apply_dephasing(rho: np.ndarray, gamma: float) -> np.ndarray:
-    """Number-basis dephasing ρ_mn → ρ_mn·e^{-γ(m-n)²/2}.
+    """Number-basis dephasing ρ_mn → ρ_mn·e^{-γ(m-n)²/2}, matrix by matrix
+    on a (..., D, D) stack.
 
     Diagonal (and hence trace) is untouched for any γ.
     """
     if gamma < 0.0:
         raise ValueError(f"gamma must be >= 0, got {gamma}")
     rho = np.asarray(rho, dtype=complex)
-    n = np.arange(rho.shape[0])
+    n = np.arange(rho.shape[-1])
     dn = n[:, None] - n[None, :]
     return rho * np.exp(-0.5 * gamma * dn.astype(float) ** 2)
 
@@ -149,7 +151,8 @@ def apply_dephasing(rho: np.ndarray, gamma: float) -> np.ndarray:
 @lru_cache(maxsize=32)
 def _position_eigenbasis(D: int):
     q = position_op(D)
-    w, V = np.linalg.eigh((q + q.conj().T) / 2.0)
+    with serial_blas():
+        w, V = np.linalg.eigh((q + q.conj().T) / 2.0)
     return w, V
 
 

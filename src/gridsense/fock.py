@@ -14,6 +14,12 @@ that the rest of the package relies on.
 
 from __future__ import annotations
 
+import contextlib
+import ctypes
+import functools
+import os
+import sys
+
 import numpy as np
 
 __all__ = [
@@ -100,18 +106,69 @@ def matrix_exp(M: np.ndarray) -> np.ndarray:
     return scipy.linalg.expm(M)
 
 
-def hermitian_eig(M: np.ndarray, *, tol: float = 1e-10):
-    """Eigendecomposition of a Hermitian matrix.
+@functools.cache
+def _openblas_thread_setters() -> tuple:
+    """`openblas_set_num_threads_local` of every mapped library whose file
+    name contains "openblas", found through /proc/self/maps on the first
+    call; empty on other platforms or where no mapped library exports it."""
+    if not sys.platform.startswith("linux"):
+        return ()
+    try:
+        with open("/proc/self/maps", encoding="utf-8") as fh:
+            paths = {fields[5].strip() for fields in
+                     (line.split(maxsplit=5) for line in fh)
+                     if len(fields) == 6}
+    except OSError:
+        return ()
+    setters = []
+    for path in sorted(paths):
+        if "openblas" not in os.path.basename(path).lower():
+            continue
+        try:
+            setter = ctypes.CDLL(path).openblas_set_num_threads_local
+        except (OSError, AttributeError):
+            continue
+        setter.argtypes = [ctypes.c_int]
+        setter.restype = ctypes.c_int
+        setters.append(setter)
+    return tuple(setters)
 
-    Returns (eigenvalues ascending, eigenvectors as columns). The input must
-    be Hermitian within `tol` (max-abs entrywise); it is symmetrized before
-    the solve so the output is exactly consistent with a Hermitian operator.
+
+@contextlib.contextmanager
+def serial_blas():
+    """Run the block with one OpenBLAS thread, restoring the old count after.
+
+    A 30×30 solve is far too small to share: a second OpenBLAS thread wins no
+    wall time on it and then busy-waits, which doubles the CPU time of a
+    training run. Does nothing where no OpenBLAS exports
+    `openblas_set_num_threads_local`. In a pthreads OpenBLAS that call sets
+    the process-wide count, so the guard assumes one solving thread.
+    """
+    setters = _openblas_thread_setters()
+    previous = [setter(1) for setter in setters]
+    try:
+        yield
+    finally:
+        for setter, count in zip(setters, previous):
+            setter(count)
+
+
+def hermitian_eig(M: np.ndarray, *, tol: float = 1e-10):
+    """Eigendecomposition of a Hermitian matrix or a (..., D, D) stack of them.
+
+    Returns (eigenvalues ascending, eigenvectors as columns), stacked like the
+    input. Every matrix must be Hermitian within `tol` (max-abs entrywise); it
+    is symmetrized before the solve so the output is exactly consistent with
+    a Hermitian operator. A stack is solved in one `eigh` call, on one BLAS
+    thread (`serial_blas`).
     """
     M = np.asarray(M)
-    herm_defect = np.max(np.abs(M - M.conj().T))
+    M_h = np.swapaxes(M, -1, -2).conj()
+    herm_defect = np.max(np.abs(M - M_h))
     if herm_defect > tol:
         raise ValueError(f"matrix is not Hermitian (defect {herm_defect:.3e} > {tol:.1e})")
-    w, V = np.linalg.eigh((M + M.conj().T) / 2.0)
+    with serial_blas():
+        w, V = np.linalg.eigh((M + M_h) / 2.0)
     return w, V
 
 

@@ -35,23 +35,29 @@ def qfi_pure(psi: np.ndarray) -> float:
     return 4.0 * (second - mean * mean)
 
 
-def qfi_mixed(rho: np.ndarray, *, eig_tol: float = DEFAULT_EIG_TOL) -> float:
+def qfi_mixed(rho: np.ndarray, *,
+              eig_tol: float = DEFAULT_EIG_TOL) -> float | np.ndarray:
     """Mixed-state QFI for the generator n̂, via the eigenbasis of ρ:
 
         F_Q = 2 Σ_{jk} (λ_j - λ_k)²/(λ_j + λ_k) · |⟨j|n̂|k⟩|²,
 
     summing only pairs with λ_j + λ_k > eig_tol. Reduces to `qfi_pure` on
-    rank-1 inputs.
+    rank-1 inputs. A (..., D, D) stack of states is solved in one
+    `hermitian_eig` call and gives an array of F_Q; one D x D state gives a
+    float.
     """
     w, V = hermitian_eig(rho)
     w = np.clip(w, 0.0, None)
-    n_eig = V.conj().T @ (np.arange(V.shape[0])[:, None] * V)
-    lam_sum = w[:, None] + w[None, :]
-    lam_diff = w[:, None] - w[None, :]
-    mask = lam_sum > eig_tol
-    weights = np.zeros_like(lam_sum)
-    weights[mask] = lam_diff[mask] ** 2 / lam_sum[mask]
-    return float(2.0 * np.sum(weights * np.abs(n_eig) ** 2))
+    n = np.arange(V.shape[-1])
+    n_eig = np.swapaxes(V, -1, -2).conj() @ (n[:, None] * V)
+    lam_sum = w[..., :, None] + w[..., None, :]
+    lam_diff = w[..., :, None] - w[..., None, :]
+    weights = np.divide(lam_diff ** 2, lam_sum, out=np.zeros_like(lam_sum),
+                        where=lam_sum > eig_tol)
+    terms = weights * np.abs(n_eig) ** 2
+    # One contiguous D² sum per state: the summation order of a single state.
+    qfi = 2.0 * np.sum(terms.reshape(*terms.shape[:-2], -1), axis=-1)
+    return float(qfi) if qfi.ndim == 0 else qfi
 
 
 def cfi_homodyne(rho: np.ndarray, psi_angle: float, *,

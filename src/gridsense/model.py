@@ -341,6 +341,7 @@ def joint_optimum(noise: NoiseParams, *,
 
 
 MC_CHUNK = 1 << 22
+_MC_BLOCK = 1 << 16
 
 
 def mc_perr(theta: float, r: float, noise: NoiseParams, n_samples: int,
@@ -352,7 +353,9 @@ def mc_perr(theta: float, r: float, noise: NoiseParams, n_samples: int,
     integer multiple of its stabilizer spacing (d_q = ar, d_p = a/r), and
     counts a logical error when either nearest index is odd. Returns
     (estimate, binomial standard error). Deterministic for a fixed seed
-    (counter-based Philox stream), chunked so memory stays flat.
+    (counter-based Philox stream). Each chunk of MC_CHUNK samples draws all
+    its δ_q, then all its δ_p, in blocks of _MC_BLOCK and ORs their parities
+    into one bool array, so memory stays flat; a zero spread draws nothing.
     """
     if n_samples < 10_000:
         raise ValueError(f"n_samples must be >= 1e4, got {n_samples}")
@@ -364,11 +367,14 @@ def mc_perr(theta: float, r: float, noise: NoiseParams, n_samples: int,
     remaining = n_samples
     while remaining > 0:
         m = min(MC_CHUNK, remaining)
-        dq = rng.normal(0.0, sigma_q, size=m) if sigma_q > 0 else np.zeros(m)
-        dp = rng.normal(0.0, sigma_p, size=m) if sigma_p > 0 else np.zeros(m)
-        k_q = np.rint(dq / d_q).astype(np.int64)
-        k_p = np.rint(dp / d_p).astype(np.int64)
-        flips = ((k_q & 1) | (k_p & 1)).astype(bool)
+        flips = np.zeros(m, dtype=bool)
+        for sigma, spacing in ((sigma_q, d_q), (sigma_p, d_p)):
+            if not sigma > 0:
+                continue
+            for start in range(0, m, _MC_BLOCK):
+                block = flips[start:start + _MC_BLOCK]
+                delta = rng.normal(0.0, sigma, size=block.size)
+                block |= (np.rint(delta / spacing).astype(np.int64) & 1) != 0
         errors += int(np.count_nonzero(flips))
         remaining -= m
     p_hat = errors / n_samples

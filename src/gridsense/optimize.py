@@ -9,9 +9,10 @@ Loss (per configuration, deterministic):
 with F_Q from the full number-basis pipeline (codeword → squeeze → rotate →
 loss → dephasing → mixed-state QFI, generator n̂) and P_err from the analytic
 model — the Monte-Carlo decoder stays a validation oracle and never enters
-the loss. Gradients are central finite differences (≤ 5 coordinates; 10
-pipeline evaluations per step are cheap at D=30 and keep the whole thing
-dependency-free).
+the loss. Gradients are central finite differences over the free
+coordinates. A step evaluates the centre and its 2k probes (k ≤ 5 free
+coordinates) together: the 1 + 2k states go through one stacked
+eigendecomposition, and P_err is evaluated once per distinct (θ, r).
 """
 
 from __future__ import annotations
@@ -26,7 +27,8 @@ from .channels import NoiseParams
 from .fock import NumericError
 from .metrology import capacity
 from .model import perr_analytic
-from .pipeline import SensorSpec, pipeline_qfi
+from .pipeline import SensorSpec, _qfis
+from .pipeline import pipeline_qfi  # noqa: F401  (bench tests wrap this copy)
 
 __all__ = [
     "TrainableParams",
@@ -143,13 +145,64 @@ class TrainDiverged(NumericError):
         self.trace = trace
 
 
+def _evaluate(points, cfg: TrainConfig) -> list[tuple[float, float, float]]:
+    """(loss, qfi, p_err) at each point: one stacked F_Q solve, and one
+    `perr_analytic` per distinct (θ, r)."""
+    if not points:
+        return []
+    qfis = _qfis([point.sensor_spec(cfg.cutoff) for point in points],
+                 cfg.noise).tolist()
+    p_errs = {}
+    out = []
+    for point, qfi in zip(points, qfis):
+        key = (point.theta, point.r)
+        if key not in p_errs:
+            p_errs[key] = perr_analytic(point.theta, point.r,
+                                        cfg.noise).p_total
+        p_err = p_errs[key]
+        hinge = max(p_err - cfg.p_th, 0.0)
+        out.append((-qfi + cfg.penalty * hinge, qfi, p_err))
+    return out
+
+
+def _probes(params: TrainableParams, cfg: TrainConfig) -> list[tuple]:
+    """The central-difference probes over PARAM_ORDER, frozen coordinates
+    skipped, + before −: (index, sign, step h, shifted coordinate, projected
+    point). See `gradient` for the step.
+    """
+    x = params.vector()
+    probes = []
+    for i, name in enumerate(PARAM_ORDER):
+        if name in cfg.freeze:
+            continue
+        h = GRAD_STEP * max(1.0, abs(x[i]))
+        for sign in (+1.0, -1.0):
+            xs = x.copy()
+            xs[i] += sign * h
+            probes.append((i, sign, h, xs[i],
+                           params.with_vector(xs).projected()))
+    return probes
+
+
+def _gradient(probes: list[tuple], losses: list[float]) -> np.ndarray:
+    """Central differences from the probe losses; NumericError names the
+    first probe whose loss is not finite."""
+    g = np.zeros(len(PARAM_ORDER))
+    for (i, sign, h, shifted, _), loss in zip(probes, losses):
+        if not math.isfinite(loss):
+            raise NumericError(
+                f"non-finite loss while differentiating '{PARAM_ORDER[i]}' "
+                f"at {shifted!r}")
+        g[i] += sign * loss
+        if sign < 0.0:
+            g[i] /= 2.0 * h
+    return g
+
+
 def combined_loss(params: TrainableParams,
                   cfg: TrainConfig) -> tuple[float, float, float]:
     """Evaluate (loss, qfi, p_err) at the given parameters."""
-    qfi = pipeline_qfi(params.sensor_spec(cfg.cutoff), cfg.noise)
-    p_err = perr_analytic(params.theta, params.r, cfg.noise).p_total
-    hinge = max(p_err - cfg.p_th, 0.0)
-    return -qfi + cfg.penalty * hinge, qfi, p_err
+    return _evaluate([params], cfg)[0]
 
 
 def gradient(params: TrainableParams, cfg: TrainConfig) -> np.ndarray:
@@ -158,23 +211,9 @@ def gradient(params: TrainableParams, cfg: TrainConfig) -> np.ndarray:
     The per-coordinate step is GRAD_STEP scaled by the coordinate magnitude
     (floored at 1 so angles near zero keep a sane step).
     """
-    x = params.vector()
-    g = np.zeros_like(x)
-    for i, name in enumerate(PARAM_ORDER):
-        if name in cfg.freeze:
-            continue
-        h = GRAD_STEP * max(1.0, abs(x[i]))
-        for sign in (+1.0, -1.0):
-            xs = x.copy()
-            xs[i] += sign * h
-            loss, _, _ = combined_loss(params.with_vector(xs).projected(), cfg)
-            if not math.isfinite(loss):
-                raise NumericError(
-                    f"non-finite loss while differentiating '{name}' at "
-                    f"{xs[i]!r}")
-            g[i] += sign * loss
-        g[i] /= 2.0 * h
-    return g
+    probes = _probes(params, cfg)
+    at_probes = _evaluate([point for *_, point in probes], cfg)
+    return _gradient(probes, [at[0] for at in at_probes])
 
 
 def lr_schedule(cfg: TrainConfig, t: int) -> float:
@@ -198,10 +237,12 @@ def train(cfg: TrainConfig,
     trace: list[TraceStep] = []
     for t in range(cfg.steps):
         try:
-            loss, qfi, p_err = combined_loss(params, cfg)
+            probes = _probes(params, cfg)
+            (loss, qfi, p_err), *at_probes = _evaluate(
+                [params] + [point for *_, point in probes], cfg)
             if not math.isfinite(loss):
                 raise NumericError(f"loss became non-finite at step {t}")
-            g = gradient(params, cfg)
+            g = _gradient(probes, [at[0] for at in at_probes])
         except NumericError as exc:
             raise TrainDiverged(str(exc), trace) from exc
 

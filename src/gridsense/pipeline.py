@@ -13,7 +13,10 @@ Both channels are linear, so for a Bloch state c0|0_ε⟩ + c1|1_ε⟩
 `noisy_basis` builds (M00, M01, M11) once per (ε, r, η, γ, D) and caches
 them; every other input only recombines them. The Bloch poles θ_B ∈ {0, π}
 return M00 / M11 exactly, following `logical_state`. Because R(θ) commutes
-with n̂, F_Q does not depend on θ and `pipeline_qfi` never rotates.
+with n̂, F_Q does not depend on θ and `pipeline_qfi` never rotates. A
+sequence of specs (a training step's centre and its gradient probes) is
+recombined as one stack and solved in one eigendecomposition; `sensor_state`
+and `pipeline_qfi` are its one-spec views.
 
 `sensor_ket` is the direct route (codeword → squeeze → rotate) that the
 tests compose with `apply_loss` and `apply_dephasing` as the reference for
@@ -54,7 +57,8 @@ def noisy_basis(epsilon: float, r: float, eta: float, gamma: float,
                 cutoff: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Read-only (M00, M01, M11) with M_ij = dephasing(loss(S|i_ε⟩⟨j_ε|S†)).
 
-    Both codewords share one squeeze exponential. Cached: during training
+    Both codewords share one squeeze exponential, and the three outer
+    products go through each channel as one stack. Cached: during training
     with ε and r frozen this runs once, and each pipeline run costs a few
     elementwise operations and one eigendecomposition.
     """
@@ -62,11 +66,11 @@ def noisy_basis(epsilon: float, r: float, eta: float, gamma: float,
                           prepare_codeword(1, epsilon, cutoff)], axis=1)
     squeezed, _ = squeeze(codewords, math.log(r))
     k0, k1 = squeezed.T
-    basis = tuple(apply_dephasing(apply_loss(np.outer(a, b.conj()), eta), gamma)
-                  for a, b in ((k0, k0), (k0, k1), (k1, k1)))
-    for M in basis:
-        M.setflags(write=False)
-    return basis
+    outer = np.stack([np.outer(a, b.conj())
+                      for a, b in ((k0, k0), (k0, k1), (k1, k1))])
+    basis = apply_dephasing(apply_loss(outer, eta), gamma)
+    basis.setflags(write=False)
+    return tuple(basis)
 
 
 def sensor_ket(spec: SensorSpec) -> tuple[np.ndarray, float]:
@@ -78,28 +82,43 @@ def sensor_ket(spec: SensorSpec) -> tuple[np.ndarray, float]:
     return psi, leakage
 
 
-def _unrotated_state(spec: SensorSpec, noise: NoiseParams) -> np.ndarray:
-    """The noisy state at θ = 0; may be a read-only cached basis matrix."""
-    c0, c1 = bloch_amplitudes(spec.bloch_theta, spec.bloch_phi)
-    M00, M01, M11 = noisy_basis(spec.epsilon, spec.r, noise.eta, noise.gamma,
-                                spec.cutoff)
-    if c1 == 0.0:
-        return M00
-    if c0 == 0.0:
-        return M11
-    cross = (c0 * np.conj(c1)) * M01
-    rho = c0 * c0 * M00 + abs(c1) ** 2 * M11 + cross + cross.conj().T
-    return rho / np.trace(rho).real
+def _unrotated_states(specs, noise: NoiseParams) -> np.ndarray:
+    """The noisy states at θ = 0 of a sequence of specs, as a fresh
+    (len(specs), D, D) stack: the bilinear form broadcast over the specs,
+    with each spec's coefficients computed as for a single state."""
+    amplitudes = [bloch_amplitudes(spec.bloch_theta, spec.bloch_phi)
+                  for spec in specs]
+    bases = [noisy_basis(spec.epsilon, spec.r, noise.eta, noise.gamma,
+                         spec.cutoff) for spec in specs]
+    M00, M01, M11 = (np.stack(matrices) for matrices in zip(*bases))
+    c00 = np.array([c0 * c0 for c0, _ in amplitudes])[:, None, None]
+    c11 = np.array([abs(c1) ** 2 for _, c1 in amplitudes])[:, None, None]
+    c01 = np.array([c0 * np.conj(c1) for c0, c1 in amplitudes])[:, None, None]
+    cross = c01 * M01
+    rho = c00 * M00 + c11 * M11 + cross + np.swapaxes(cross, -1, -2).conj()
+    rho /= np.trace(rho, axis1=-2, axis2=-1).real[:, None, None]
+    for i, (c0, c1) in enumerate(amplitudes):
+        if c1 == 0.0:
+            rho[i] = M00[i]
+        elif c0 == 0.0:
+            rho[i] = M11[i]
+    return rho
+
+
+def _qfis(specs, noise: NoiseParams) -> np.ndarray:
+    """F_Q of each spec's noisy state: one stacked eigendecomposition.
+
+    Evaluated at θ = 0: R(θ) commutes with n̂, so F_Q is the same at any θ.
+    """
+    return qfi_mixed(_unrotated_states(specs, noise))
 
 
 def sensor_state(spec: SensorSpec, noise: NoiseParams) -> np.ndarray:
     """Noisy sensor state R(θ)·ρ₀·R(θ)†; a fresh array the caller may modify."""
-    return rotate_density(_unrotated_state(spec, noise), spec.theta)
+    return rotate_density(_unrotated_states([spec], noise)[0], spec.theta)
 
 
 def pipeline_qfi(spec: SensorSpec, noise: NoiseParams) -> float:
-    """Mixed-state QFI of the noisy sensor state with generator n̂.
-
-    Evaluated at θ = 0: R(θ) commutes with n̂, so F_Q is the same at any θ.
-    """
-    return qfi_mixed(_unrotated_state(spec, noise))
+    """Mixed-state QFI of the noisy sensor state with generator n̂; the
+    one-spec view of the stacked solve that training runs."""
+    return float(_qfis([spec], noise)[0])

@@ -37,7 +37,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .fock import NumericError, annihilation
+from .fock import NumericError, annihilation, serial_blas
 
 __all__ = [
     "prepare_codeword",
@@ -143,7 +143,8 @@ def _squeeze_spectrum(D: int) -> tuple[np.ndarray, np.ndarray]:
     """Read-only (w, V) with i·(a†² − a²)/2 = V·diag(w)·V† at cutoff D."""
     a = annihilation(D)
     K = 0.5j * (a.conj().T @ a.conj().T - a @ a)
-    w, V = np.linalg.eigh(K)
+    with serial_blas():
+        w, V = np.linalg.eigh(K)
     w.setflags(write=False)
     V.setflags(write=False)
     return w, V

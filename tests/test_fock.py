@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from gridsense import channels, fock, states
 from gridsense import (
     InvalidDimensionError,
     NumericError,
@@ -116,3 +117,107 @@ def test_expectation_shape_mismatch():
 @given(st.integers(min_value=2, max_value=40))
 def test_loss_free_expm_of_zero(D):
     assert np.allclose(matrix_exp(np.zeros((D, D))), np.eye(D))
+
+
+def _hermitian_stack(seed, count, dim):
+    rng = np.random.default_rng(seed)
+    M = (rng.normal(size=(count, dim, dim))
+         + 1j * rng.normal(size=(count, dim, dim)))
+    return (M + np.swapaxes(M, -1, -2).conj()) / 2
+
+
+def test_hermitian_eig_stack_matches_each_matrix_exactly():
+    H = _hermitian_stack(12, 7, 30)
+    w, V = hermitian_eig(H)
+    assert w.shape == (7, 30) and V.shape == (7, 30, 30)
+    for i, M in enumerate(H):
+        w_i, V_i = hermitian_eig(M)
+        assert np.array_equal(w[i], w_i) and np.array_equal(V[i], V_i)
+
+
+def test_hermitian_eig_rejects_one_bad_matrix_in_a_stack():
+    H = _hermitian_stack(13, 4, 6)
+    H[2, 0, 1] += 1e-6
+    with pytest.raises(ValueError,
+                       match=r"matrix is not Hermitian \(defect 1\.000e-06"):
+        hermitian_eig(H)
+    with pytest.raises(ValueError, match="matrix is not Hermitian"):
+        hermitian_eig(H[2])
+
+
+class TestSerialBlas:
+    """`serial_blas` pins the mapped OpenBLAS libraries to one thread."""
+
+    @staticmethod
+    def threads(setter):
+        # openblas_set_num_threads_local returns the count it replaces
+        count = setter(1)
+        setter(count)
+        return count
+
+    @pytest.fixture
+    def setter(self):
+        setters = fock._openblas_thread_setters()
+        if not setters:
+            pytest.skip("no mapped OpenBLAS exports "
+                        "openblas_set_num_threads_local")
+        before = setters[0](2)
+        yield setters[0]
+        setters[0](before)
+
+    def test_one_thread_inside_and_restored_after(self, setter):
+        with fock.serial_blas():
+            assert self.threads(setter) == 1
+            with fock.serial_blas():
+                assert self.threads(setter) == 1
+            assert self.threads(setter) == 1
+        assert self.threads(setter) == 2
+
+    def test_restored_after_a_raise(self, setter):
+        with pytest.raises(KeyError):
+            with fock.serial_blas():
+                assert self.threads(setter) == 1
+                raise KeyError("boom")
+        assert self.threads(setter) == 2
+
+    def test_solves_run_on_one_thread(self, setter, monkeypatch):
+        seen = []
+        real_eigh = np.linalg.eigh
+
+        def spy(M):
+            seen.append(self.threads(setter))
+            return real_eigh(M)
+
+        monkeypatch.setattr(np.linalg, "eigh", spy)
+        hermitian_eig(_hermitian_stack(14, 3, 5))
+        assert seen == [1]
+        assert self.threads(setter) == 2
+
+    def test_cached_spectra_solve_on_one_thread(self, setter, monkeypatch):
+        # the squeeze generator and the position operator are solved
+        # directly (not through hermitian_eig) but under the same guard
+        seen = []
+        real_eigh = np.linalg.eigh
+
+        def spy(M):
+            seen.append(self.threads(setter))
+            return real_eigh(M)
+
+        monkeypatch.setattr(np.linalg, "eigh", spy)
+        for solve in (states._squeeze_spectrum, channels._position_eigenbasis):
+            solve.cache_clear()
+            try:
+                solve(9)
+            finally:
+                solve.cache_clear()
+        assert seen == [1, 1]
+        assert self.threads(setter) == 2
+
+    def test_no_library_found_is_a_no_op(self, monkeypatch):
+        real = fock._openblas_thread_setters()
+        monkeypatch.setattr(fock, "_openblas_thread_setters", lambda: ())
+        counts = [self.threads(s) for s in real]
+        with fock.serial_blas():
+            assert [self.threads(s) for s in real] == counts
+            w, _ = hermitian_eig(np.diag([2.0, 1.0]).astype(complex))
+        assert np.array_equal(w, [1.0, 2.0])

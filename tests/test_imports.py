@@ -3,8 +3,10 @@
 Importing either costs a fresh interpreter several tenths of a second (and
 scipy.linalg loads a second OpenBLAS), which every command would pay. The
 Wigner grid's Gauss–Hermite rule comes from numpy.polynomial, which only
-`wigner` needs, so importing the CLI must not load that either. Each check
-runs in a new interpreter, so modules loaded by other tests do not count.
+`wigner` needs, so importing the CLI must not load that either. Nor may it
+look up the OpenBLAS thread setters of `fock.serial_blas`: that reads the
+process's memory map and is left to the first solve. Each check runs in a
+new interpreter, so modules loaded by other tests do not count.
 """
 
 import json
@@ -24,7 +26,9 @@ def heavy():
                                           ["scipy", "linalg"]))
 
 import gridsense.cli as cli
+from gridsense import fock
 after_import = heavy()
+lookups = [fock._openblas_thread_setters.cache_info().currsize]
 polynomial = sorted(m for m in sys.modules
                     if m.split(".")[:2] == ["numpy", "polynomial"])
 out = sys.argv[1]
@@ -35,8 +39,10 @@ commands = [
     ["wigner", "--n-points", "32"],
 ]
 codes = [cli.main([*cmd, "-o", f"{out}/{i}"]) for i, cmd in enumerate(commands)]
+lookups.append(fock._openblas_thread_setters.cache_info().currsize)
 print(json.dumps({"after_import": after_import, "polynomial": polynomial,
-                  "codes": codes, "after_commands": heavy()}))
+                  "codes": codes, "after_commands": heavy(),
+                  "lookups": lookups}))
 """
 
 
@@ -52,3 +58,4 @@ def test_cli_never_loads_scipy_special_or_linalg(tmp_path):
     assert result["polynomial"] == []
     assert result["codes"] == [0, 0, 0, 0]
     assert result["after_commands"] == []
+    assert result["lookups"] == [0, 1]

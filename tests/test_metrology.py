@@ -11,6 +11,7 @@ from gridsense import (
     capacity,
     cfi_homodyne,
     expectation,
+    hermitian_eig,
     ket_density,
     measurement_efficiency,
     number_op,
@@ -85,6 +86,60 @@ class TestQfiMixed:
         for theta_deg in (45.0, 67.5, 90.0):
             rotated = rotate_density(noisy_square, math.radians(theta_deg))
             assert abs(qfi_mixed(rotated) - base) < 1e-8
+
+
+def qfi_mixed_reference(rho, eig_tol=1e-12):
+    """The one-state QFI as written before stacks were accepted."""
+    w, V = hermitian_eig(rho)
+    w = np.clip(w, 0.0, None)
+    n_eig = V.conj().T @ (np.arange(V.shape[0])[:, None] * V)
+    lam_sum = w[:, None] + w[None, :]
+    lam_diff = w[:, None] - w[None, :]
+    mask = lam_sum > eig_tol
+    weights = np.zeros_like(lam_sum)
+    weights[mask] = lam_diff[mask] ** 2 / lam_sum[mask]
+    return float(2.0 * np.sum(weights * np.abs(n_eig) ** 2))
+
+
+def _random_states(seed, count, rank, dim=D):
+    rng = np.random.default_rng(seed)
+    X = (rng.normal(size=(count, dim, rank))
+         + 1j * rng.normal(size=(count, dim, rank)))
+    rho = X @ np.swapaxes(X, -1, -2).conj()
+    return rho / np.trace(rho, axis1=-2, axis2=-1)[:, None, None]
+
+
+class TestQfiMixedStack:
+    @pytest.mark.parametrize("rank", [1, 3, D])
+    def test_stack_matches_the_one_state_reference_exactly(self, rank,
+                                                           noisy_square):
+        stack = np.concatenate([_random_states(rank, 6, rank),
+                                noisy_square[None]])
+        qfis = qfi_mixed(stack)
+        assert qfis.shape == (7,)
+        assert qfis.tolist() == [qfi_mixed_reference(rho) for rho in stack]
+
+    def test_one_state_gives_a_float(self, noisy_square):
+        qfi = qfi_mixed(noisy_square)
+        assert type(qfi) is float
+        assert qfi == qfi_mixed_reference(noisy_square)
+
+    def test_eig_tol_masks_per_state(self):
+        # spectra spanning 1 .. 1e-10, so the two masks drop different pairs
+        rng = np.random.default_rng(5)
+        p = 10.0 ** (-np.arange(D) / 3.0)
+        p /= p.sum()
+        stack = []
+        for _ in range(3):
+            Q, _ = np.linalg.qr(rng.normal(size=(D, D))
+                                + 1j * rng.normal(size=(D, D)))
+            stack.append((Q * p) @ Q.conj().T)
+        stack = np.stack(stack)
+        strict, loose = (qfi_mixed(stack, eig_tol=tol) for tol in (1e-12, 1e-3))
+        assert np.all(strict != loose)
+        for tol, got in ((1e-12, strict), (1e-3, loose)):
+            assert got.tolist() == [qfi_mixed_reference(rho, tol)
+                                    for rho in stack]
 
 
 class TestCfiHomodyne:

@@ -514,6 +514,57 @@ class TestMonteCarlo:
         assert s > 0.0
 
 
+def mc_perr_reference(theta, r, noise, n_samples, seed, chunk):
+    """The decoder as it was before blocks: whole-chunk draws and parities."""
+    sigma_q, sigma_p = model.effective_sigmas(noise, theta)
+    d_q = model.A_LATTICE * r
+    d_p = model.A_LATTICE / r
+    rng = np.random.Generator(np.random.Philox(seed))
+    errors = 0
+    remaining = n_samples
+    while remaining > 0:
+        m = min(chunk, remaining)
+        dq = rng.normal(0.0, sigma_q, size=m) if sigma_q > 0 else np.zeros(m)
+        dp = rng.normal(0.0, sigma_p, size=m) if sigma_p > 0 else np.zeros(m)
+        k_q = np.rint(dq / d_q).astype(np.int64)
+        k_p = np.rint(dp / d_p).astype(np.int64)
+        flips = ((k_q & 1) | (k_p & 1)).astype(bool)
+        errors += int(np.count_nonzero(flips))
+        remaining -= m
+    p_hat = errors / n_samples
+    stderr = math.sqrt(max(p_hat * (1.0 - p_hat), 0.0) / n_samples)
+    return p_hat, stderr
+
+
+class TestMonteCarloBlocks:
+    """Blocked draws reproduce the whole-chunk decoder bit for bit."""
+
+    BLOCK = model._MC_BLOCK
+    CHUNK = 2 * model._MC_BLOCK + 12_345  # a short chunk, so tests stay small
+
+    @pytest.mark.parametrize("n_samples", [
+        10_000, BLOCK - 1, BLOCK, BLOCK + 1, CHUNK - 1, CHUNK, CHUNK + 1,
+        2 * CHUNK + BLOCK + 7])
+    @pytest.mark.parametrize("theta,r,noise", [
+        (0.0, R_HIGH, NoiseParams(0.6, 0.2)),
+        (1.1, 1.3, HIGH_NOISE),
+        (0.0, 1.0, NoiseParams(1.0, 0.3)),  # σ_q = 0: only p is drawn
+        (math.pi / 2, 1.0, NoiseParams(1.0, 0.3)),  # σ_p = 0
+        (0.4, 1.0, NoiseParams(1.0, 0.0)),  # nothing is drawn
+    ])
+    def test_matches_the_whole_chunk_decoder(self, n_samples, theta, r,
+                                             noise, monkeypatch):
+        monkeypatch.setattr(model, "MC_CHUNK", self.CHUNK)
+        got = mc_perr(theta, r, noise, n_samples, seed=17)
+        assert got == mc_perr_reference(theta, r, noise, n_samples, 17,
+                                        self.CHUNK)
+
+    def test_default_chunk_matches(self):
+        n = 3 * self.BLOCK + 5
+        assert mc_perr(0.3, R_LOW, HIGH_NOISE, n, seed=4) == \
+            mc_perr_reference(0.3, R_LOW, HIGH_NOISE, n, 4, model.MC_CHUNK)
+
+
 class TestToleranceCurve:
     def test_reference_row_values(self):
         res = theta_star(R_LOW, LOW_NOISE)

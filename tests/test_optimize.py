@@ -1,7 +1,10 @@
 """Constrained Adam trainer, schedules, and the sweep/Pareto helpers."""
 
+import itertools
 import math
+import sys
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -20,8 +23,10 @@ from gridsense import (
     pareto_filter,
     pareto_sweep,
     perr_analytic,
+    pipeline_qfi,
     train,
 )
+from gridsense.fock import NumericError
 
 from conftest import LOW_NOISE
 
@@ -313,3 +318,163 @@ class TestSweeps:
     def test_fractional_sweep_rejects_empty(self):
         with pytest.raises(ValueError, match="at least one charge"):
             fractional_sweep([], short_cfg(), OAM_INIT)
+
+
+# ------------------------------------------------- per-point reference trainer
+# The trainer as it was before a step's states were stacked: one pipeline_qfi
+# and one perr_analytic per point, probes evaluated one at a time.
+
+def reference_combined_loss(params, cfg):
+    qfi = pipeline_qfi(params.sensor_spec(cfg.cutoff), cfg.noise)
+    p_err = optimize.perr_analytic(params.theta, params.r, cfg.noise).p_total
+    hinge = max(p_err - cfg.p_th, 0.0)
+    return -qfi + cfg.penalty * hinge, qfi, p_err
+
+
+def reference_gradient(params, cfg):
+    x = params.vector()
+    g = np.zeros_like(x)
+    for i, name in enumerate(PARAM_ORDER):
+        if name in cfg.freeze:
+            continue
+        h = optimize.GRAD_STEP * max(1.0, abs(x[i]))
+        for sign in (+1.0, -1.0):
+            xs = x.copy()
+            xs[i] += sign * h
+            loss, _, _ = reference_combined_loss(
+                params.with_vector(xs).projected(), cfg)
+            if not math.isfinite(loss):
+                raise NumericError(
+                    f"non-finite loss while differentiating '{name}' at "
+                    f"{xs[i]!r}")
+            g[i] += sign * loss
+        g[i] /= 2.0 * h
+    return g
+
+
+def reference_train(cfg, init):
+    params = init.projected()
+    m = np.zeros(len(PARAM_ORDER))
+    v = np.zeros(len(PARAM_ORDER))
+    trace = []
+    for t in range(cfg.steps):
+        try:
+            loss, qfi, p_err = reference_combined_loss(params, cfg)
+            if not math.isfinite(loss):
+                raise NumericError(f"loss became non-finite at step {t}")
+            g = reference_gradient(params, cfg)
+        except NumericError as exc:
+            raise optimize.TrainDiverged(str(exc), trace) from exc
+        norm = float(np.linalg.norm(g))
+        if norm > cfg.clip_norm:
+            g = g * (cfg.clip_norm / norm)
+            norm = cfg.clip_norm
+        lr = lr_schedule(cfg, t)
+        m = optimize.ADAM_BETA1 * m + (1.0 - optimize.ADAM_BETA1) * g
+        v = optimize.ADAM_BETA2 * v + (1.0 - optimize.ADAM_BETA2) * g * g
+        m_hat = m / (1.0 - optimize.ADAM_BETA1 ** (t + 1))
+        v_hat = v / (1.0 - optimize.ADAM_BETA2 ** (t + 1))
+        x = params.vector() - lr * m_hat / (np.sqrt(v_hat) + optimize.ADAM_EPS)
+        params = params.with_vector(x).projected()
+        trace.append(optimize.TraceStep(step=t, loss=loss, qfi=qfi,
+                                        p_err=p_err, grad_norm=norm, lr=lr,
+                                        params=params))
+    return params, trace
+
+
+FREEZE_SETS = [frozenset(c) for k in range(len(PARAM_ORDER) + 1)
+               for c in itertools.combinations(PARAM_ORDER, k)]
+# Every bounded coordinate on its bound: the probes that leave the box clip
+# back onto it, so the − probe of bloch_theta is the centre itself.
+ON_BOUND = TrainableParams(bloch_theta=0.0, bloch_phi=0.3, ell=1.0,
+                           r=BOUNDS["r"][1], epsilon=BOUNDS["epsilon"][0])
+
+
+class TestStackedStep:
+    """`train` evaluates a step's centre and probes as one stack; it must
+    reproduce the per-point reference bit for bit."""
+
+    @pytest.mark.parametrize("init", [OAM_INIT, ON_BOUND],
+                             ids=["interior", "on_bound"])
+    @pytest.mark.parametrize("freeze", FREEZE_SETS,
+                             ids=lambda f: ",".join(sorted(f)) or "none")
+    def test_matches_the_per_point_reference(self, freeze, init):
+        cfg = short_cfg(steps=3, freeze=freeze, p_th=1e-5)
+        final, trace = train(cfg, init)
+        ref_final, ref_trace = reference_train(cfg, init)
+        assert final == ref_final
+        assert trace == ref_trace
+        assert combined_loss(final, cfg) == reference_combined_loss(final, cfg)
+        assert np.array_equal(gradient(final, cfg),
+                              reference_gradient(final, cfg))
+
+    def test_perr_analytic_once_per_distinct_theta_and_r(self, monkeypatch):
+        seen = []
+        real = optimize.perr_analytic
+
+        def spy(theta, r, noise):
+            seen.append((theta, r))
+            return real(theta, r, noise)
+
+        monkeypatch.setattr(optimize, "perr_analytic", spy)
+        train(short_cfg(steps=2, freeze=frozenset({"epsilon"})), OAM_INIT)
+        # centre, ell ± h, r ± h: the Bloch probes reuse the centre's value
+        assert len(seen) == 2 * 5
+        assert len(set(seen[:5])) == 5
+
+    @staticmethod
+    def diverge_both(cfg, init):
+        with pytest.raises(optimize.TrainDiverged) as ref:
+            reference_train(cfg, init)
+        with pytest.raises(optimize.TrainDiverged) as got:
+            train(cfg, init)
+        assert str(got.value) == str(ref.value)
+        assert got.value.trace == ref.value.trace
+        assert type(got.value.__cause__) is type(ref.value.__cause__)
+        return str(got.value), got.value.trace
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("init", [
+        replace(OAM_INIT, bloch_phi=math.inf),  # NaN state, NaN F_Q
+        replace(OAM_INIT, ell=sys.float_info.max),  # θ = inf, NaN P_err
+    ], ids=["nan_state", "infinite_theta"])
+    def test_non_finite_centre(self, init):
+        message, trace = self.diverge_both(short_cfg(freeze=R_FREE), init)
+        assert message == "loss became non-finite at step 0"
+        assert trace == []
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_non_finite_probe(self):
+        # θ = ℓπ/4 is finite at the centre and overflows at ℓ + h only
+        init = replace(OAM_INIT, ell=sys.float_info.max / math.pi * (1 - 1e-5))
+        cfg = short_cfg(freeze=frozenset({"r", "epsilon"}))
+        message, trace = self.diverge_both(cfg, init)
+        assert message.startswith(
+            "non-finite loss while differentiating 'ell' at ")
+        assert trace == []
+
+    @pytest.mark.parametrize("which,sign", [
+        ("centre", 0.0), ("ell+", +1.0), ("ell-", -1.0)])
+    def test_non_finite_at_a_later_step(self, which, sign, monkeypatch):
+        # an active hinge makes the loss, and so ℓ, move with θ
+        cfg = short_cfg(steps=4, freeze=frozenset({"epsilon"}), p_th=1e-6)
+        _, clean = reference_train(cfg, OAM_INIT)
+        centre = clean[1].params  # the centre of step 2
+        x = centre.vector()
+        i = PARAM_ORDER.index("ell")
+        x[i] += sign * optimize.GRAD_STEP * max(1.0, abs(x[i]))
+        target = centre.with_vector(x).projected().theta
+        real = optimize.perr_analytic
+
+        def nan_at_target(theta, r, noise):
+            out = real(theta, r, noise)
+            return replace(out, p_total=math.nan) if theta == target else out
+
+        monkeypatch.setattr(optimize, "perr_analytic", nan_at_target)
+        message, trace = self.diverge_both(cfg, OAM_INIT)
+        assert trace == clean[:2]
+        if which == "centre":
+            assert message == "loss became non-finite at step 2"
+        else:
+            assert message == ("non-finite loss while differentiating 'ell' "
+                               f"at {x[i]!r}")

@@ -180,3 +180,54 @@ def test_mutating_a_codeword_copy_leaves_the_cache_intact():
     copy, _ = states.squeeze(states.logical_state(0.0, 0.0, 0.063, 30), 0.0)
     copy[:] = 0.0
     assert np.array_equal(states.prepare_codeword(0, 0.063, 30), expected)
+
+
+def basis_reference(epsilon, r, eta, gamma, cutoff):
+    """The noisy basis with each outer product through the channels alone."""
+    codewords = np.stack([states.prepare_codeword(0, epsilon, cutoff),
+                          states.prepare_codeword(1, epsilon, cutoff)], axis=1)
+    squeezed, _ = states.squeeze(codewords, math.log(r))
+    k0, k1 = squeezed.T
+    return tuple(apply_dephasing(apply_loss(np.outer(a, b.conj()), eta), gamma)
+                 for a, b in ((k0, k0), (k0, k1), (k1, k1)))
+
+
+@pytest.mark.parametrize("args", [
+    (0.063, 1.092, 0.9, 0.05, 30),
+    (0.15, 0.6, 0.7, 0.2, 20),
+    (0.063, 1.5, 1.0, 0.05, 30),
+    (0.063, 1.092, 0.9, 0.0, 30),
+    (0.1, 1.0, 1.0, 0.0, 40),
+])
+def test_stacked_basis_is_bit_identical_to_one_matrix_at_a_time(args):
+    noisy_basis.cache_clear()
+    basis = noisy_basis(*args)
+    noisy_basis.cache_clear()
+    for M, ref in zip(basis, basis_reference(*args), strict=True):
+        assert M.tobytes() == ref.tobytes()
+
+
+@pytest.mark.parametrize("eta,gamma", [(0.8, 0.1), (1.0, 0.3), (0.95, 0.0)])
+def test_channels_map_a_stack_matrix_by_matrix(eta, gamma):
+    rng = np.random.default_rng(8)
+    X = rng.normal(size=(4, 12, 12)) + 1j * rng.normal(size=(4, 12, 12))
+    lost, dephased = apply_loss(X, eta), apply_dephasing(X, gamma)
+    for i, M in enumerate(X):
+        assert np.array_equal(lost[i], apply_loss(M, eta))
+        assert np.array_equal(dephased[i], apply_dephasing(M, gamma))
+
+
+def test_stacked_states_match_the_one_spec_views_exactly():
+    # a training step mixes specs with one shared basis and specs whose r
+    # or ε moved, and may include a pole
+    base = SensorSpec(theta=0.0, r=1.092, bloch_theta=1.1, bloch_phi=0.4)
+    specs = [base, replace(base, bloch_theta=0.0), replace(base, r=1.2),
+             replace(base, epsilon=0.08), replace(base, bloch_theta=math.pi),
+             replace(base, bloch_phi=-2.5), replace(base, theta=0.9)]
+    rho = pipeline._unrotated_states(specs, LOW_NOISE)
+    qfis = pipeline._qfis(specs, LOW_NOISE)
+    for i, spec in enumerate(specs):
+        assert np.array_equal(rho[i], sensor_state(replace(spec, theta=0.0),
+                                                   LOW_NOISE))
+        assert qfis[i] == pipeline_qfi(spec, LOW_NOISE)
+    assert rho.flags.writeable
