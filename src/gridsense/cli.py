@@ -1,22 +1,10 @@
 """Command-line driver: one JSON config, seven subcommands, file outputs.
 
-Configuration is a single JSON document (all keys optional, defaults below):
-
-    {"noise":   {"eta": 0.9, "gamma": 0.05},
-     "lattice": {"ell": 0.0, "ell_max": 4, "r": 1.092, "theta_deg": null},
-     "state":   {"epsilon": 0.063,
-                 "bloch_theta": 1.5707963267948966, "bloch_phi": 1.5707963267948966},
-     "train":   {"steps": 500, "lr_init": 5e-3, "lr_final": 1e-5,
-                 "clip_norm": 1.0, "lambda": 100.0, "p_th": 1e-3,
-                 "seed": 0, "freeze": ["ell", "r", "epsilon"]},
-     "cutoff": 30,
-     "n_mc": 1000000}
-
-Flags override file values and are named after the leaf keys (--eta, --lambda,
---ell-max, ...). Angles are degrees at the CLI boundary and radians inside,
-except the Bloch angles which are radians everywhere (they are not lattice
-angles). lattice.theta_deg, when set, overrides ell via ell =
-theta_deg/180 * ell_max.
+All config keys are optional; `DEFAULT_CONFIG` holds the defaults, and each
+leaf has an overriding flag named after it (--eta, --lambda, --ell-max, ...).
+Angles are degrees at the CLI boundary and radians inside, except the Bloch
+angles which are radians everywhere (they are not lattice angles).
+lattice.theta_deg, when set, overrides ell via ell = theta_deg/180 * ell_max.
 
 Exit codes: 0 success; 2 config error (also argparse's own usage errors);
 3 numeric failure; 4 the requested optimum/root does not exist.
@@ -29,7 +17,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -39,6 +27,7 @@ from .fock import NumericError
 from .lattice import twisted_lattice
 from .metrology import capacity, measurement_efficiency
 from .model import (
+    MC_MIN_SAMPLES,
     NoRootError,
     mc_perr,
     perr_analytic,
@@ -54,6 +43,7 @@ from .optimize import (
     ADAM_EPS,
     BOUNDS,
     PARAM_ORDER,
+    TRAIN_LIMITS,
     TrainConfig,
     TrainableParams,
     combined_loss,
@@ -62,7 +52,8 @@ from .optimize import (
     train,
 )
 from .pipeline import sensor_state
-from .report import RunReport, dumps_json, format_float, write_csv
+from .report import RunReport, dumps_json, write_csv
+from .states import MIN_CUTOFF
 from .wigner import wigner_grid, wigner_negativity
 
 __all__ = ["main", "ConfigError", "DEFAULT_CONFIG", "load_config"]
@@ -72,20 +63,67 @@ class ConfigError(ValueError):
     pass
 
 
-DEFAULT_CONFIG = {
-    "noise": {"eta": 0.9, "gamma": 0.05},
-    "lattice": {"ell": 0.0, "ell_max": 4, "r": 1.092, "theta_deg": None},
+def _require(cond: bool, message: str) -> None:
+    if not cond:
+        raise ConfigError(message)
+
+
+class _Leaf(NamedTuple):
+    path: str
+    default: object
+    domain: tuple | None
+    help: str
+
+
+# The train.* domains: the trainer's own lower limits, with no upper bound.
+_FLOOR = {name: (bound, None, strict)
+          for name, (bound, strict) in TRAIN_LIMITS.items()}
+
+# One row per config leaf, the source of DEFAULT_CONFIG, the --<leaf> flags
+# and their checks. A leaf has its default's type (None: a number or null).
+# A domain is None (any finite number), (lo, hi, strict) with hi None for no
+# upper bound and lo excluded when strict, or the names a list may hold.
+_LEAVES = (
+    _Leaf("noise.eta", 0.9, (0, 1, True), "transmissivity"),
+    _Leaf("noise.gamma", 0.05, (0, 0.5, False), "dephasing rate"),
+    _Leaf("lattice.ell", 0.0, None, "OAM charge (fractional ok)"),
+    _Leaf("lattice.ell_max", 4, (1, None, False), "maximal OAM charge"),
+    # Trainable coordinates start inside the box projection keeps them in.
+    _Leaf("lattice.r", 1.092, (*BOUNDS["r"], False), "lattice aspect ratio"),
+    _Leaf("lattice.theta_deg", None, None, "rotation (deg), overrides --ell"),
+    _Leaf("state.epsilon", 0.063, (*BOUNDS["epsilon"], False),
+          "finite-energy parameter"),
     # Bloch init pi/2, pi/2: an equatorial start keeps the trainer away from
     # the bloch_theta in {0, pi} boundary, where the gradient points out of
     # the feasible box and projected Adam stalls on the corner.
-    "state": {"epsilon": 0.063, "bloch_theta": math.pi / 2,
-              "bloch_phi": math.pi / 2},
-    "train": {"steps": 500, "lr_init": 5e-3, "lr_final": 1e-5,
-              "clip_norm": 1.0, "lambda": 100.0, "p_th": 1e-3,
-              "seed": 0, "freeze": ["ell", "r", "epsilon"]},
-    "cutoff": 30,
-    "n_mc": 1_000_000,
-}
+    _Leaf("state.bloch_theta", math.pi / 2, (*BOUNDS["bloch_theta"], False),
+          "Bloch polar angle (radians)"),
+    _Leaf("state.bloch_phi", math.pi / 2, None, "Bloch azimuth (radians)"),
+    _Leaf("train.steps", 500, _FLOOR["steps"], "optimizer steps"),
+    _Leaf("train.lr_init", 5e-3, _FLOOR["lr_init"], "initial learning rate"),
+    _Leaf("train.lr_final", 1e-5, _FLOOR["lr_final"], "final learning rate"),
+    _Leaf("train.clip_norm", 1.0, _FLOOR["clip_norm"], "gradient-norm clip"),
+    _Leaf("train.lambda", 100.0, _FLOOR["penalty"], "error-rate penalty"),
+    _Leaf("train.p_th", 1e-3, _FLOOR["p_th"], "target logical error rate"),
+    _Leaf("train.seed", 0, _FLOOR["seed"], "Monte-Carlo seed"),
+    _Leaf("train.freeze", ["ell", "r", "epsilon"], PARAM_ORDER,
+          "comma-separated parameter names to hold fixed"),
+    _Leaf("cutoff", 30, (MIN_CUTOFF, None, False), "Fock-space dimension"),
+    _Leaf("n_mc", 1_000_000, (MC_MIN_SAMPLES, None, False),
+          "Monte-Carlo sample count"),
+)
+_LEAF = {leaf.path: leaf for leaf in _LEAVES}
+
+
+def _assign(cfg: dict, values: dict) -> dict:
+    """`cfg` with the value at each path ("key" or "section.key") set."""
+    for path, value in values.items():
+        section, _, key = path.rpartition(".")
+        (cfg.setdefault(section, {}) if section else cfg)[key] = value
+    return cfg
+
+
+DEFAULT_CONFIG = _assign({}, {leaf.path: leaf.default for leaf in _LEAVES})
 
 
 def _merge(base: dict, override: dict, path: str = "") -> dict:
@@ -103,117 +141,79 @@ def _merge(base: dict, override: dict, path: str = "") -> dict:
     return out
 
 
-def load_config(path: str | None) -> dict:
-    """Defaults overlaid with the JSON file at `path` (if any)."""
-    cfg = json.loads(json.dumps(DEFAULT_CONFIG))  # deep copy
-    if path is None:
-        return cfg
+def _overlay(loaded, what: str) -> dict:
+    """A deep copy of the defaults with the parsed JSON `loaded` merged over
+    it; `what` names `loaded` in the error when it is not an object."""
+    _require(isinstance(loaded, dict), f"{what} must be an object, got "
+             f"{type(loaded).__name__}")
+    return _merge(json.loads(json.dumps(DEFAULT_CONFIG)), loaded)
+
+
+def _read_json(path: str, what: str):
     try:
         with open(path, encoding="utf-8") as fh:
-            loaded = json.load(fh)
+            return json.load(fh)
     except OSError as exc:
-        raise ConfigError(f"cannot read config {path}: {exc}") from exc
+        raise ConfigError(f"cannot read {what} {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(
-            f"config parse error in {path} at line {exc.lineno}, "
+            f"{what} parse error in {path} at line {exc.lineno}, "
             f"column {exc.colno}: {exc.msg}") from exc
-    if not isinstance(loaded, dict):
-        raise ConfigError(f"config root must be an object, got "
-                          f"{type(loaded).__name__}")
-    return _merge(cfg, loaded)
 
 
-_FLAG_PATHS = {
-    "eta": ("noise", "eta"), "gamma": ("noise", "gamma"),
-    "ell": ("lattice", "ell"), "ell_max": ("lattice", "ell_max"),
-    "r": ("lattice", "r"), "theta_deg": ("lattice", "theta_deg"),
-    "epsilon": ("state", "epsilon"),
-    "bloch_theta": ("state", "bloch_theta"),
-    "bloch_phi": ("state", "bloch_phi"),
-    "steps": ("train", "steps"), "lr_init": ("train", "lr_init"),
-    "lr_final": ("train", "lr_final"), "clip_norm": ("train", "clip_norm"),
-    "lam": ("train", "lambda"), "p_th": ("train", "p_th"),
-    "seed": ("train", "seed"), "freeze": ("train", "freeze"),
-    "cutoff": ("cutoff",), "n_mc": ("n_mc",),
-}
+def load_config(path: str | None) -> dict:
+    """Defaults overlaid with the JSON file at `path` (if any)."""
+    return _overlay({} if path is None else _read_json(path, "config"),
+                    "config root")
 
 
-def _apply_flags(cfg: dict, args: argparse.Namespace) -> dict:
-    for dest, keys in _FLAG_PATHS.items():
-        value = getattr(args, dest, None)
-        if value is None:
-            continue
-        node = cfg
-        for key in keys[:-1]:
-            node = node[key]
-        node[keys[-1]] = value
-    return cfg
+def _domain_text(domain) -> str:
+    if domain is None:
+        return ""
+    if isinstance(domain[0], str):
+        return "from " + ",".join(domain)
+    lo, hi, strict = domain
+    if hi is None:
+        return f"{'>' if strict else '>='} {lo:.12g}"
+    return f"in {'(' if strict else '['}{lo:.12g}, {hi:.12g}]"
 
 
-def _require(cond: bool, message: str) -> None:
-    if not cond:
-        raise ConfigError(message)
-
-
-def _number(cfg: dict, *keys) -> float:
-    node = cfg
-    for key in keys:
-        node = node[key]
-    path = ".".join(keys)
-    _require(isinstance(node, (int, float)) and not isinstance(node, bool),
-             f"{path} must be a number, got {node!r}")
-    _require(math.isfinite(node), f"{path} must be finite, got {node!r}")
-    return float(node)
+def _check(leaf: _Leaf, value, where: str) -> None:
+    """ConfigError unless `value` is in `leaf`'s domain; `where` names it."""
+    if isinstance(leaf.default, list):
+        _require(isinstance(value, list)
+                 and all(name in leaf.domain for name in value),
+                 f"{where} must be a list of names "
+                 f"{_domain_text(leaf.domain)}, got {value!r}")
+        return
+    if value is None and leaf.default is None:
+        return
+    integer = isinstance(leaf.default, int)
+    _require(isinstance(value, int) if integer else
+             isinstance(value, (int, float)) and not isinstance(value, bool),
+             f"{where} must be {'an integer' if integer else 'a number'}, "
+             f"got {value!r}")
+    # not math.isfinite: it raises on an int too large for a float
+    _require(integer or abs(value) <= sys.float_info.max,
+             f"{where} must be finite, got {value!r}")
+    if leaf.domain is not None:
+        lo, hi, strict = leaf.domain
+        _require((value > lo if strict else value >= lo)
+                 and (hi is None or value <= hi),
+                 f"{where} must be {_domain_text(leaf.domain)}, got {value!r}")
 
 
 def validate_config(cfg: dict) -> dict:
-    eta = _number(cfg, "noise", "eta")
-    _require(0.0 < eta <= 1.0, f"noise.eta must be in (0, 1], got {eta}")
-    gamma = _number(cfg, "noise", "gamma")
-    _require(0.0 <= gamma <= 0.5,
-             f"noise.gamma must be in [0, 0.5], got {gamma}")
-
-    _number(cfg, "lattice", "ell")
-    ell_max = cfg["lattice"]["ell_max"]
-    _require(isinstance(ell_max, int) and ell_max >= 1,
-             f"lattice.ell_max must be an integer >= 1, got {ell_max!r}")
-    if cfg["lattice"]["theta_deg"] is not None:
-        _number(cfg, "lattice", "theta_deg")
-    # Trainable coordinates start inside the box projection keeps them in.
-    for section, name in (("lattice", "r"), ("state", "epsilon"),
-                          ("state", "bloch_theta")):
-        value = _number(cfg, section, name)
-        lo, hi = BOUNDS[name]
-        _require(lo <= value <= hi, f"{section}.{name} must be in "
-                 f"[{lo:.12g}, {hi:.12g}], got {value}")
-    _number(cfg, "state", "bloch_phi")
-
-    tr = cfg["train"]
-    _require(isinstance(tr["steps"], int) and tr["steps"] >= 1,
-             f"train.steps must be an integer >= 1, got {tr['steps']!r}")
-    _require(_number(cfg, "train", "lr_init") > 0, "train.lr_init must be > 0")
-    _require(_number(cfg, "train", "lr_final") >= 0,
-             "train.lr_final must be >= 0")
-    _require(_number(cfg, "train", "clip_norm") > 0,
-             "train.clip_norm must be > 0")
-    _require(_number(cfg, "train", "lambda") >= 0, "train.lambda must be >= 0")
-    _require(_number(cfg, "train", "p_th") >= 0, "train.p_th must be >= 0")
-    _require(isinstance(tr["seed"], int) and tr["seed"] >= 0,
-             f"train.seed must be a nonnegative integer, got {tr['seed']!r}")
-    _require(isinstance(tr["freeze"], list), "train.freeze must be a list")
-    for name in tr["freeze"]:
-        _require(name in PARAM_ORDER,
-                 f"train.freeze entry {name!r} is not one of {PARAM_ORDER}")
-
-    _require(isinstance(cfg["cutoff"], int) and cfg["cutoff"] >= 10,
-             f"cutoff must be an integer >= 10, got {cfg['cutoff']!r}")
-    _require(isinstance(cfg["n_mc"], int) and cfg["n_mc"] >= 10_000,
-             f"n_mc must be an integer >= 10000, got {cfg['n_mc']!r}")
+    for leaf in _LEAVES:
+        section, _, key = leaf.path.rpartition(".")
+        _check(leaf, (cfg[section] if section else cfg)[key], leaf.path)
     return cfg
 
 
 def resolve_config(args: argparse.Namespace) -> dict:
-    return validate_config(_apply_flags(load_config(args.config), args))
+    flags = {leaf.path: getattr(args, leaf.path, None) for leaf in _LEAVES}
+    return validate_config(_assign(load_config(args.config), {
+        path: value for path, value in flags.items() if value is not None}))
 
 
 def build_noise(cfg: dict) -> NoiseParams:
@@ -259,20 +259,22 @@ def _parse_float_list(text: str, flag: str) -> list[float]:
                           f"got {text!r}") from exc
 
 
+def _finite(row: dict, *keys) -> tuple:
+    """The values of `row` at `keys`, None (an empty cell) if not finite."""
+    return tuple(row[key] if math.isfinite(row[key]) else None
+                 for key in keys)
+
+
 # ---------------------------------------------------------------- commands
 
 
 def cmd_single(args) -> int:
     if args.replay:
-        try:
-            with open(args.replay, encoding="utf-8") as fh:
-                prior = json.load(fh)
-        except (OSError, json.JSONDecodeError) as exc:
-            raise ConfigError(f"cannot replay {args.replay}: {exc}") from exc
-        if "config" not in prior:
-            raise ConfigError(f"{args.replay} has no config echo to replay")
-        cfg = validate_config(_merge(json.loads(json.dumps(DEFAULT_CONFIG)),
-                                     prior["config"]))
+        prior = _read_json(args.replay, "report")
+        _require(isinstance(prior, dict) and "config" in prior,
+                 f"{args.replay} has no config echo to replay")
+        cfg = validate_config(_overlay(prior["config"],
+                                       f"config echo in {args.replay}"))
     else:
         cfg = resolve_config(args)
 
@@ -299,9 +301,7 @@ def cmd_single(args) -> int:
         noise={"eta": tcfg.noise.eta, "gamma": tcfg.noise.gamma},
         metrics=metrics, trace_file="trace.csv", seed=tcfg.seed,
         adam={"beta1": ADAM_BETA1, "beta2": ADAM_BETA2, "eps": ADAM_EPS})
-    with open(_out_path(args, "report.json"), "w", encoding="utf-8",
-              newline="\n") as fh:
-        fh.write(report.dumps())
+    _write_json(_out_path(args, "report.json"), report.as_dict())
     print(f"qfi={qfi:.6g} p_err={p_err:.6g} p_err_mc={p_mc:.6g} "
           f"capacity={metrics['capacity']:.6g} theta_deg="
           f"{math.degrees(final.theta):.6g} -> "
@@ -342,12 +342,11 @@ def cmd_phase_diagram(args) -> int:
     cfg = resolve_config(args)
     r = cfg["lattice"]["r"]
     (eta_lo, eta_hi), (g_lo, g_hi) = args.eta_range, args.gamma_range
-    _require(0.0 < eta_lo <= eta_hi < 1.0,
-             f"--eta-range must satisfy 0 < lo <= hi < 1, got "
-             f"{eta_lo} {eta_hi}")
-    _require(0.0 <= g_lo <= g_hi <= 0.5,
-             f"--gamma-range must satisfy 0 <= lo <= hi <= 0.5, got "
-             f"{g_lo} {g_hi}")
+    for flag, path, lo, hi in (("--eta-range", "noise.eta", eta_lo, eta_hi),
+                               ("--gamma-range", "noise.gamma", g_lo, g_hi)):
+        _check(_LEAF[path], lo, flag)
+        _check(_LEAF[path], hi, flag)
+        _require(lo <= hi, f"{flag} must have LO <= HI, got {lo} {hi}")
     _require(args.n >= 1, f"--n must be >= 1, got {args.n}")
     eta_axis = np.linspace(eta_lo, eta_hi, args.n)
     gamma_axis = np.linspace(g_lo, g_hi, args.n)
@@ -378,13 +377,8 @@ def cmd_fractional(args) -> int:
     rows = fractional_sweep(ells, build_train_config(cfg), build_params(cfg))
     path = _out_path(args, "fractional.csv")
     write_csv(path, "fractional", [
-        (row["ell"],
-         row["theta_deg"] if math.isfinite(row["theta_deg"]) else None,
-         row["qfi"] if math.isfinite(row["qfi"]) else None,
-         row["p_err"] if math.isfinite(row["p_err"]) else None,
-         row["improvement"] if math.isfinite(row["improvement"]) else None,
-         row["capacity"] if math.isfinite(row["capacity"]) else None)
-        for row in rows])
+        (row["ell"], *_finite(row, "theta_deg", "qfi", "p_err", "improvement",
+                              "capacity")) for row in rows])
     ok = [row for row in rows if math.isfinite(row["p_err"])]
     if ok:
         best = min(ok, key=lambda row: row["p_err"])
@@ -401,14 +395,11 @@ def cmd_pareto(args) -> int:
     lambdas = (_parse_float_list(args.lambdas, "--lambdas") if args.lambdas
                else [0.0, 1.0, 10.0, 100.0, 1000.0])
     for lam in lambdas:
-        _require(lam >= 0, f"--lambdas entries must be >= 0, got {lam}")
+        _check(_LEAF["train.lambda"], lam, "--lambdas entry")
     rows = pareto_sweep(lambdas, build_train_config(cfg), build_params(cfg))
     path = _out_path(args, "pareto.csv")
-    write_csv(path, "pareto", [
-        (row["lam"],
-         row["qfi"] if math.isfinite(row["qfi"]) else None,
-         row["p_err"] if math.isfinite(row["p_err"]) else None)
-        for row in rows])
+    write_csv(path, "pareto", [(row["lam"], *_finite(row, "qfi", "p_err"))
+                               for row in rows])
     print(f"{len(rows)} lambdas -> {path}")
     return 0
 
@@ -475,41 +466,30 @@ def cmd_wigner(args) -> int:
 # ------------------------------------------------------------ entry point
 
 
-def _add_common(sub: argparse.ArgumentParser) -> None:
+def _names(text: str) -> list[str]:
+    return [token for token in text.split(",") if token.strip()]
+
+
+def _subcommand(subs, name: str, func, help: str) -> argparse.ArgumentParser:
+    """A subparser running `func`, with --config, -o and a flag per leaf."""
+    sub = subs.add_parser(name, help=help)
+    sub.set_defaults(func=func)
     sub.add_argument("--config", metavar="PATH",
                      help="JSON config file (defaults used when omitted)")
     sub.add_argument("-o", "--out", default=".", metavar="DIR",
                      help="output directory (default: current directory)")
     num = sub.add_argument_group("config overrides")
-    num.add_argument("--eta", type=float, help="transmissivity in (0, 1]")
-    num.add_argument("--gamma", type=float, help="dephasing rate in [0, 0.5]")
-    num.add_argument("--ell", type=float, help="OAM charge (fractional ok)")
-    num.add_argument("--ell-max", type=int, dest="ell_max",
-                     help="maximal OAM charge (integer >= 1)")
-    num.add_argument("--r", type=float, help="lattice aspect ratio in [0.5, 2]")
-    num.add_argument("--theta-deg", type=float, dest="theta_deg",
-                     help="lattice rotation in degrees (overrides --ell)")
-    num.add_argument("--epsilon", type=float,
-                     help="finite-energy parameter in (0.005, 0.5)")
-    num.add_argument("--bloch-theta", type=float, dest="bloch_theta",
-                     help="logical Bloch polar angle, radians")
-    num.add_argument("--bloch-phi", type=float, dest="bloch_phi",
-                     help="logical Bloch azimuth, radians")
-    num.add_argument("--steps", type=int, help="optimizer steps")
-    num.add_argument("--lr-init", type=float, dest="lr_init")
-    num.add_argument("--lr-final", type=float, dest="lr_final")
-    num.add_argument("--clip-norm", type=float, dest="clip_norm")
-    num.add_argument("--lambda", type=float, dest="lam",
-                     help="error-rate penalty weight")
-    num.add_argument("--p-th", type=float, dest="p_th",
-                     help="target logical error rate")
-    num.add_argument("--seed", type=int)
-    num.add_argument("--freeze", type=lambda s: [t for t in s.split(",")
-                                                 if t.strip()],
-                     help="comma-separated parameter names to hold fixed")
-    num.add_argument("--cutoff", type=int, help="Fock-space dimension")
-    num.add_argument("--n-mc", type=int, dest="n_mc",
-                     help="Monte-Carlo sample count")
+    for leaf in _LEAVES:
+        key = leaf.path.rpartition(".")[2]
+        kind = float if leaf.default is None else type(leaf.default)
+        text = " ".join(filter(None, (leaf.help, _domain_text(leaf.domain))))
+        if leaf.default is not None:
+            text += " (default %s)" % (",".join(leaf.default) if kind is list
+                                       else leaf.default)
+        num.add_argument("--" + key.replace("_", "-"), dest=leaf.path,
+                         type=_names if kind is list else kind,
+                         metavar=key.upper(), help=text)
+    return sub
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -521,56 +501,45 @@ def build_parser() -> argparse.ArgumentParser:
                         version=f"gridsense {__version__}")
     subs = parser.add_subparsers(dest="command", required=True)
 
-    p = subs.add_parser("single", help="train one configuration and report")
+    p = _subcommand(subs, "single", cmd_single,
+                    "train one configuration and report")
     p.add_argument("--replay", metavar="REPORT_JSON",
                    help="re-run from a report's config echo")
-    _add_common(p)
-    p.set_defaults(func=cmd_single)
 
-    p = subs.add_parser("theta_star",
-                        help="analytic optimal rotation at one noise point")
-    _add_common(p)
-    p.set_defaults(func=cmd_theta_star)
+    _subcommand(subs, "theta_star", cmd_theta_star,
+                "analytic optimal rotation at one noise point")
 
-    p = subs.add_parser("phase_diagram",
-                        help="theta_star over an (eta, gamma) grid")
+    p = _subcommand(subs, "phase_diagram", cmd_phase_diagram,
+                    "theta_star over an (eta, gamma) grid")
     p.add_argument("--eta-range", type=float, nargs=2, default=[0.75, 0.99],
                    metavar=("LO", "HI"))
     p.add_argument("--gamma-range", type=float, nargs=2, default=[0.01, 0.25],
                    metavar=("LO", "HI"))
     p.add_argument("--n", type=int, default=21, help="grid points per axis")
-    _add_common(p)
-    p.set_defaults(func=cmd_phase_diagram)
 
-    p = subs.add_parser("fractional", help="train once, then the error rate "
-                                           "of each OAM charge at the set r")
+    p = _subcommand(subs, "fractional", cmd_fractional, "train once, then "
+                    "the error rate of each OAM charge at the set r")
     p.add_argument("--ells", help="comma-separated charges "
                                   "(default 0,0.5,...,3.5)")
-    _add_common(p)
-    p.set_defaults(func=cmd_fractional)
 
-    p = subs.add_parser("pareto", help="train over a grid of penalty weights")
+    p = _subcommand(subs, "pareto", cmd_pareto,
+                    "train over a grid of penalty weights")
     p.add_argument("--lambdas", help="comma-separated penalties "
                                      "(default 0,1,10,100,1000)")
-    _add_common(p)
-    p.set_defaults(func=cmd_pareto)
 
-    p = subs.add_parser("tolerance",
-                        help="error rate under rotation-angle offsets")
+    p = _subcommand(subs, "tolerance", cmd_tolerance,
+                    "error rate under rotation-angle offsets")
     p.add_argument("--deltas-deg", dest="deltas_deg",
                    help="comma-separated offsets in degrees "
                         "(default 0,1,3,7,10,20)")
-    _add_common(p)
-    p.set_defaults(func=cmd_tolerance)
 
-    p = subs.add_parser("wigner", help="phase-space grid of the sensor state")
+    p = _subcommand(subs, "wigner", cmd_wigner,
+                    "phase-space grid of the sensor state")
     p.add_argument("--q-range", type=float, nargs=2, default=[-6.0, 6.0],
                    metavar=("LO", "HI"))
     p.add_argument("--p-range", type=float, nargs=2, default=[-6.0, 6.0],
                    metavar=("LO", "HI"))
     p.add_argument("--n-points", type=int, default=201, dest="n_points")
-    _add_common(p)
-    p.set_defaults(func=cmd_wigner)
     return parser
 
 

@@ -341,6 +341,7 @@ def joint_optimum(noise: NoiseParams, *,
 
 
 MC_CHUNK = 1 << 22
+MC_MIN_SAMPLES = 10_000
 _MC_BLOCK = 1 << 16
 
 
@@ -357,8 +358,9 @@ def mc_perr(theta: float, r: float, noise: NoiseParams, n_samples: int,
     its δ_q, then all its δ_p, in blocks of _MC_BLOCK and ORs their parities
     into one bool array, so memory stays flat; a zero spread draws nothing.
     """
-    if n_samples < 10_000:
-        raise ValueError(f"n_samples must be >= 1e4, got {n_samples}")
+    if n_samples < MC_MIN_SAMPLES:
+        raise ValueError(f"n_samples must be >= {MC_MIN_SAMPLES}, "
+                         f"got {n_samples}")
     sigma_q, sigma_p = effective_sigmas(noise, theta)
     d_q = A_LATTICE * r
     d_p = A_LATTICE / r

@@ -56,6 +56,19 @@ BOUNDS = {
     "bloch_theta": (0.0, math.pi),
 }
 
+# Lower limits of the training knobs, as (bound, strict): TrainConfig rejects
+# a value below the bound, or at it when strict, and the CLI's train.* keys
+# are checked against the same rows.
+TRAIN_LIMITS = {
+    "steps": (1, False),
+    "lr_init": (0, True),
+    "lr_final": (0, False),
+    "clip_norm": (0, True),
+    "penalty": (0, False),
+    "p_th": (0, False),
+    "seed": (0, False),
+}
+
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
@@ -116,10 +129,11 @@ class TrainConfig:
     freeze: frozenset = frozenset({"ell", "r", "epsilon"})
 
     def __post_init__(self):
-        if self.steps < 1:
-            raise ValueError(f"steps must be >= 1, got {self.steps}")
-        if self.lr_init <= 0:
-            raise ValueError(f"lr_init must be > 0, got {self.lr_init}")
+        for name, (bound, strict) in TRAIN_LIMITS.items():
+            value = getattr(self, name)
+            if not (value > bound if strict else value >= bound):
+                raise ValueError(f"{name} must be {'>' if strict else '>='} "
+                                 f"{bound}, got {value}")
         unknown = set(self.freeze) - set(PARAM_ORDER)
         if unknown:
             raise ValueError(f"unknown freeze entries: {sorted(unknown)}")

@@ -51,13 +51,19 @@ __all__ = [
 
 _SPACING = math.sqrt(2.0 * math.pi)
 
+# Smallest Fock cutoff `prepare_codeword` accepts.
+MIN_CUTOFF = 10
+
 
 class TruncationError(NumericError):
     """The squeeze exponential lost norm, i.e. the numerics broke down."""
 
 
 def _hermite_functions(points: np.ndarray, n_max: int) -> np.ndarray:
-    """ψ_n(q) for n = 0..n_max-1 at each point; shape (n_max, len(points))."""
+    """ψ_n(q) for n = 0..n_max-1 at each point; shape (n_max, len(points)).
+
+    Rows are contiguous: numpy rounds a sum along a strided axis differently.
+    """
     points = np.asarray(points, dtype=float)
     psi = np.zeros((n_max, points.size))
     psi[0] = np.pi ** -0.25 * np.exp(-0.5 * points**2)
@@ -88,8 +94,8 @@ def prepare_codeword(mu: int, epsilon: float, D: int) -> np.ndarray:
         raise ValueError(f"mu must be 0 or 1, got {mu}")
     if not 0.0 < epsilon < 1.0:
         raise ValueError(f"epsilon must lie in (0, 1), got {epsilon}")
-    if D < 10:
-        raise ValueError(f"cutoff must be >= 10, got {D}")
+    if D < MIN_CUTOFF:
+        raise ValueError(f"cutoff must be >= {MIN_CUTOFF}, got {D}")
 
     points = comb_positions(mu, epsilon)
     psi_n = _hermite_functions(points, D)  # (D, n_peaks)

@@ -66,6 +66,8 @@ from functools import lru_cache
 
 import numpy as np
 
+from .states import _hermite_functions
+
 __all__ = ["WignerGrid", "wigner_grid", "wigner_negativity",
            "wigner_point"]
 
@@ -163,20 +165,10 @@ def wigner_point(rho: np.ndarray, q: float, p: float) -> float:
     return float(out)
 
 
-def _hermite_functions(x: np.ndarray, n: int) -> np.ndarray:
-    """(len(x), n) table of the orthonormal Hermite functions φ_j(x), j < n.
-
-    Forward recurrence φ_{j+1} = √(2/(j+1))·x·φ_j − √(j/(j+1))·φ_{j−1} from
-    φ_0 = π^{−1/4}·e^{−x²/2}.
-    """
-    out = np.empty((x.size, n))
-    out[:, 0] = math.pi ** -0.25 * np.exp(-0.5 * x * x)
-    if n > 1:
-        out[:, 1] = math.sqrt(2.0) * x * out[:, 0]
-    for j in range(1, n - 1):
-        out[:, j + 1] = (math.sqrt(2.0 / (j + 1)) * x * out[:, j]
-                         - math.sqrt(j / (j + 1)) * out[:, j - 1])
-    return out
+def _hermite_columns(x: np.ndarray, n: int) -> np.ndarray:
+    """(len(x), n) table of the orthonormal Hermite functions φ_j(x), j < n,
+    in C order: the products below round differently on a transposed view."""
+    return np.ascontiguousarray(_hermite_functions(x, n).T)
 
 
 @lru_cache(maxsize=8)
@@ -186,7 +178,7 @@ def _quadrature(n: int) -> tuple[np.ndarray, np.ndarray]:
     from numpy.polynomial.hermite import hermgauss
 
     x, w = hermgauss(n)
-    sv = (w * np.exp(x * x))[:, None] * _hermite_functions(x, n)
+    sv = (w * np.exp(x * x))[:, None] * _hermite_columns(x, n)
     x.setflags(write=False)
     sv.setflags(write=False)
     return x, sv
@@ -221,8 +213,8 @@ def wigner_grid(rho: np.ndarray, q_range=(-6.0, 6.0), p_range=(-6.0, 6.0),
     coef = sv.T @ w_nodes @ sv
     q_axis = np.linspace(q_range[0], q_range[1], n_points)
     p_axis = np.linspace(p_range[0], p_range[1], n_points)
-    phi_q = _hermite_functions(math.sqrt(2.0) * q_axis, n)
-    phi_p = _hermite_functions(math.sqrt(2.0) * p_axis, n)
+    phi_q = _hermite_columns(math.sqrt(2.0) * q_axis, n)
+    phi_p = _hermite_columns(math.sqrt(2.0) * p_axis, n)
     W = phi_p @ coef @ phi_q.T
     return WignerGrid(q_axis=q_axis, p_axis=p_axis, values=W)
 

@@ -7,6 +7,7 @@ import math
 import pytest
 
 import gridsense.cli as cli
+from gridsense.optimize import BOUNDS
 from gridsense.cli import (
     ConfigError,
     DEFAULT_CONFIG,
@@ -25,8 +26,93 @@ def write_config(tmp_path, overrides):
 
 FAST = ["--steps", "2", "--n-mc", "10000"]
 
+SUBCOMMANDS = ("single", "theta_star", "phase_diagram", "fractional",
+               "pareto", "tolerance", "wigner")
+
+# Every config leaf: its flag, a valid value other than the default as typed
+# on the command line, and the value that reaches the config.
+LEAF_FLAGS = {
+    "noise.eta": ("--eta", "0.8", 0.8),
+    "noise.gamma": ("--gamma", "0.1", 0.1),
+    "lattice.ell": ("--ell", "1.5", 1.5),
+    "lattice.ell_max": ("--ell-max", "6", 6),
+    "lattice.r": ("--r", "1.2", 1.2),
+    "lattice.theta_deg": ("--theta-deg", "45", 45.0),
+    "state.epsilon": ("--epsilon", "0.1", 0.1),
+    "state.bloch_theta": ("--bloch-theta", "1", 1.0),
+    "state.bloch_phi": ("--bloch-phi", "-2", -2.0),
+    "train.steps": ("--steps", "7", 7),
+    "train.lr_init": ("--lr-init", "0.01", 0.01),
+    "train.lr_final": ("--lr-final", "0", 0.0),
+    "train.clip_norm": ("--clip-norm", "2.5", 2.5),
+    "train.lambda": ("--lambda", "3", 3.0),
+    "train.p_th": ("--p-th", "1e-4", 1e-4),
+    "train.seed": ("--seed", "11", 11),
+    "train.freeze": ("--freeze", "ell,r", ["ell", "r"]),
+    "cutoff": ("--cutoff", "40", 40),
+    "n_mc": ("--n-mc", "20000", 20000),
+}
+
+# The ranged leaves: (lo, lo included, hi, hi included), None: unbounded.
+RANGES = {
+    "noise.eta": (0.0, False, 1.0, True),
+    "noise.gamma": (0.0, True, 0.5, True),
+    "lattice.ell_max": (1, True, None, None),
+    "lattice.r": (BOUNDS["r"][0], True, BOUNDS["r"][1], True),
+    "state.epsilon": (BOUNDS["epsilon"][0], True, BOUNDS["epsilon"][1], True),
+    "state.bloch_theta": (0.0, True, math.pi, True),
+    "train.steps": (1, True, None, None),
+    "train.lr_init": (0.0, False, None, None),
+    "train.lr_final": (0.0, True, None, None),
+    "train.clip_norm": (0.0, False, None, None),
+    "train.lambda": (0.0, True, None, None),
+    "train.p_th": (0.0, True, None, None),
+    "train.seed": (0, True, None, None),
+    "cutoff": (10, True, None, None),
+    "n_mc": (10_000, True, None, None),
+}
+
+
+def leaf_paths(cfg, prefix=""):
+    for key, value in cfg.items():
+        if isinstance(value, dict):
+            yield from leaf_paths(value, f"{prefix}{key}.")
+        else:
+            yield prefix + key
+
+
+def set_leaf(cfg, path, value):
+    *sections, key = path.split(".")
+    for section in sections:
+        cfg = cfg[section]
+    cfg[key] = value
+
 
 class TestConfigLoading:
+    def test_default_config_text(self):
+        # report.json echoes this, and --replay and the bench checks read it
+        assert json.dumps(DEFAULT_CONFIG) == (
+            '{"noise": {"eta": 0.9, "gamma": 0.05}, "lattice": {"ell": 0.0, '
+            '"ell_max": 4, "r": 1.092, "theta_deg": null}, "state": '
+            '{"epsilon": 0.063, "bloch_theta": 1.5707963267948966, '
+            '"bloch_phi": 1.5707963267948966}, "train": {"steps": 500, '
+            '"lr_init": 0.005, "lr_final": 1e-05, "clip_norm": 1.0, '
+            '"lambda": 100.0, "p_th": 0.001, "seed": 0, "freeze": ["ell", '
+            '"r", "epsilon"]}, "cutoff": 30, "n_mc": 1000000}')
+
+    def test_every_leaf_has_a_flag(self):
+        assert sorted(leaf_paths(DEFAULT_CONFIG)) == sorted(LEAF_FLAGS)
+
+    @pytest.mark.parametrize("path", sorted(LEAF_FLAGS))
+    def test_flag_round_trips(self, path):
+        flag, text, value = LEAF_FLAGS[path]
+        args = cli.build_parser().parse_args(["single", flag, text])
+        cfg = cli.resolve_config(args)
+        expected = copy.deepcopy(DEFAULT_CONFIG)
+        set_leaf(expected, path, value)
+        assert cfg == expected
+        assert json.dumps(cfg) == json.dumps(expected)  # same types too
+
     def test_defaults_deep_copied(self):
         cfg = load_config(None)
         cfg["noise"]["eta"] = 0.1
@@ -97,6 +183,39 @@ class TestValidateConfig:
             cfg["state"]["bloch_theta"] = bt
             validate_config(cfg)
 
+    def check_accepts(self, path, value):
+        cfg = copy.deepcopy(DEFAULT_CONFIG)
+        set_leaf(cfg, path, value)
+        validate_config(cfg)
+
+    @pytest.mark.parametrize("path", sorted(RANGES))
+    def test_every_range_end(self, path):
+        lo, lo_in, hi, hi_in = RANGES[path]
+        ends = [(lo, lo_in, -math.inf)]
+        if hi is not None:
+            ends.append((hi, hi_in, math.inf))
+        for end, included, outward in ends:
+            if isinstance(end, int):
+                outside, inside = end + int(math.copysign(1, outward)), end
+            else:
+                outside = end if not included else math.nextafter(end, outward)
+                inside = end if included else math.nextafter(end, -outward)
+            self.check_rejects(lambda c: set_leaf(c, path, outside), path)
+            self.check_accepts(path, inside)
+
+    @pytest.mark.parametrize("path", ["lattice.ell", "lattice.theta_deg",
+                                      "state.bloch_phi"])
+    def test_unranged_numbers_take_any_finite_value(self, path):
+        for value in (-1e300, 1e300):
+            self.check_accepts(path, value)
+        self.check_rejects(lambda c: set_leaf(c, path, math.inf), path)
+
+    def test_integer_leaves_reject_floats(self):
+        for path, (lo, *_) in RANGES.items():
+            if isinstance(lo, int):
+                self.check_rejects(lambda c: set_leaf(c, path, float(lo)),
+                                   path)
+
     def test_bool_is_not_a_number(self):
         self.check_rejects(lambda c: c["noise"].update(eta=True),
                            "must be a number")
@@ -104,6 +223,9 @@ class TestValidateConfig:
     def test_nonfinite_rejected(self):
         self.check_rejects(lambda c: c["noise"].update(gamma=math.nan),
                            "finite")
+        # an integer past the float range is no number the library can use
+        self.check_rejects(lambda c: c["lattice"].update(ell=10**400),
+                           "lattice.ell must be finite")
 
     def test_default_config_validates(self):
         validate_config(copy.deepcopy(DEFAULT_CONFIG))
@@ -165,6 +287,18 @@ class TestExitCodes:
         with pytest.raises(SystemExit):
             main([])
 
+    @pytest.mark.parametrize("command", SUBCOMMANDS)
+    def test_help_lists_every_flag_with_its_domain(self, command, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--help"])
+        assert exc.value.code == 0
+        out = capsys.readouterr().out
+        tokens = out.split()
+        for flag, _, _ in LEAF_FLAGS.values():
+            assert flag in tokens
+        assert "in (0, 1]" in out  # --eta
+        assert "> 0" in out  # --lr-init
+
 
 class TestSingle:
     def test_writes_report_and_trace(self, tmp_path, capsys):
@@ -201,6 +335,18 @@ class TestSingle:
         bad.write_text('{"metrics": {}}')
         code = main(["single", "-o", str(tmp_path), "--replay", str(bad)])
         assert code == 2
+
+    @pytest.mark.parametrize("text", ['{"config": [1]}', '{"config": 3}',
+                                      '{"config": "x"}', '[1]', '5'])
+    def test_replay_rejects_a_config_that_is_not_an_object(self, tmp_path,
+                                                           text, capsys):
+        bad = tmp_path / "report.json"
+        bad.write_text(text)
+        out = tmp_path / "out"
+        code = main(["single", "-o", str(out), "--replay", str(bad)])
+        assert code == 2
+        assert "config error" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestThetaStar:
@@ -274,9 +420,24 @@ class TestPhaseDiagram:
         assert all(",,," not in line for line in lines[1:])
 
     def test_bad_range_rejected(self, tmp_path):
-        code = main(["phase_diagram", "--eta-range", "0.9", "0.8",
+        # inverted, or an end outside the noise.eta / noise.gamma domain
+        for flag, lo, hi in (("--eta-range", "0.9", "0.8"),
+                             ("--eta-range", "0", "0.9"),
+                             ("--eta-range", "0.9", "1.01"),
+                             ("--gamma-range", "-0.01", "0.1"),
+                             ("--gamma-range", "0", "0.51"),
+                             ("--gamma-range", "0", "nan")):
+            code = main(["phase_diagram", flag, lo, hi, "--n", "2",
+                         "-o", str(tmp_path)])
+            assert code == 2
+
+    def test_lossless_edge_of_the_window(self, tmp_path):
+        code = main(["phase_diagram", "--eta-range", "0.9", "1",
+                     "--gamma-range", "0", "0.1", "--n", "3",
                      "-o", str(tmp_path)])
-        assert code == 2
+        assert code == 0
+        lines = (tmp_path / "phase_diagram.csv").read_text().splitlines()
+        assert len(lines) == 10
 
 
 class TestSweepCommands:
@@ -303,8 +464,15 @@ class TestSweepCommands:
         assert len(lines) == 3
 
     def test_pareto_rejects_negative_lambda(self, tmp_path):
-        code = main(["pareto", "--lambdas", "-1", "-o", str(tmp_path)])
-        assert code == 2
+        for lambdas in ("-1", "1,-1e-300"):
+            code = main(["pareto", "--lambdas", lambdas, "-o", str(tmp_path)])
+            assert code == 2
+
+    def test_pareto_rejects_nonfinite_lambda(self, tmp_path):
+        # the train.lambda domain: --lambda inf is a config error too
+        for lambdas in ("inf", "nan"):
+            code = main(["pareto", "--lambdas", lambdas, "-o", str(tmp_path)])
+            assert code == 2
 
 
 class TestTolerance:

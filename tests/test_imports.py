@@ -34,8 +34,11 @@ polynomial = sorted(m for m in sys.modules
 out = sys.argv[1]
 commands = [
     ["single", "--steps", "1", "--n-mc", "10000"],
-    ["fractional", "--steps", "1"],
+    ["theta_star"],
     ["phase_diagram", "--n", "3"],
+    ["fractional", "--steps", "1"],
+    ["pareto", "--steps", "1"],
+    ["tolerance"],
     ["wigner", "--n-points", "32"],
 ]
 codes = [cli.main([*cmd, "-o", f"{out}/{i}"]) for i, cmd in enumerate(commands)]
@@ -56,6 +59,6 @@ def test_cli_never_loads_scipy_special_or_linalg(tmp_path):
     result = json.loads(out.stdout.strip().splitlines()[-1])
     assert result["after_import"] == []
     assert result["polynomial"] == []
-    assert result["codes"] == [0, 0, 0, 0]
+    assert result["codes"] == [0] * 7
     assert result["after_commands"] == []
     assert result["lookups"] == [0, 1]

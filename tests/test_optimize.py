@@ -81,12 +81,38 @@ class TestTrainableParams:
 
 class TestTrainConfig:
     def test_validation(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^steps must be >= 1, got 0$"):
             TrainConfig(noise=LOW_NOISE, steps=0)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError,
+                           match=r"^lr_init must be > 0, got 0\.0$"):
             TrainConfig(noise=LOW_NOISE, lr_init=0.0)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="unknown freeze entries"):
             TrainConfig(noise=LOW_NOISE, freeze={"no_such_param"})
+
+    @pytest.mark.parametrize("field, rule, outside, end", [
+        ("steps", ">= 1", 0, 1),
+        ("lr_init", "> 0", 0.0, 5e-324),
+        ("lr_final", ">= 0", -1.0, 0.0),
+        ("clip_norm", "> 0", -1.0, 5e-324),
+        ("penalty", ">= 0", -1.0, 0.0),
+        ("p_th", ">= 0", -1e-300, 0.0),
+        ("seed", ">= 0", -1, 0),
+    ])
+    def test_limit(self, field, rule, outside, end):
+        # a negative clip_norm flips every gradient, a negative lr_final
+        # climbs the loss at the end of the schedule, and a negative
+        # penalty rewards logical errors
+        with pytest.raises(ValueError, match=f"^{field} must be {rule}, "):
+            TrainConfig(noise=LOW_NOISE, **{field: outside})
+        with pytest.raises(ValueError, match=f"^{field} must be {rule}, "):
+            TrainConfig(noise=LOW_NOISE, **{field: math.nan})
+        assert getattr(TrainConfig(noise=LOW_NOISE, **{field: end}),
+                       field) == end
+
+    def test_limits_cover_the_numeric_knobs(self):
+        assert set(optimize.TRAIN_LIMITS) == {
+            "steps", "lr_init", "lr_final", "clip_norm", "penalty", "p_th",
+            "seed"}
 
     def test_freeze_normalized_to_frozenset(self):
         cfg = TrainConfig(noise=LOW_NOISE, freeze={"ell", "r"})

@@ -19,7 +19,11 @@ from gridsense import (
     rotate_density,
     squeeze,
 )
-from gridsense.states import _squeeze_spectrum, comb_positions
+from gridsense.states import (
+    _hermite_functions,
+    _squeeze_spectrum,
+    comb_positions,
+)
 
 from conftest import D, EPS
 
@@ -221,3 +225,13 @@ class TestRotate:
         a = rotate(rotate(ket, t1), t2)
         b = rotate(ket, t1 + t2)
         assert np.max(np.abs(a - b)) < 1e-12
+
+
+def test_hermite_functions_are_orthonormal():
+    # 40-point Gauss-Hermite quadrature is exact for e^{-x^2} times a
+    # polynomial of degree <= 79, which covers every product of two of them
+    x, w = np.polynomial.hermite.hermgauss(40)
+    psi = _hermite_functions(x, 30)
+    assert psi.shape == (30, 40)
+    gram = (psi * (w * np.exp(x * x))) @ psi.T
+    assert np.abs(gram - np.eye(30)).max() < 1e-12

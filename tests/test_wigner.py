@@ -271,3 +271,13 @@ class TestSeparableGrid:
         monkeypatch.setattr(wigner, "_parity_kernel", spy)
         wigner_grid(rho, n_points=301)
         assert sum(sizes) <= (2 * support - 1) ** 2
+
+
+def test_grid_uses_the_codeword_hermite_recurrence():
+    from gridsense import states
+
+    assert wigner._hermite_functions is states._hermite_functions
+    x = np.linspace(-3.0, 3.0, 7)
+    table = wigner._hermite_columns(x, 5)
+    assert table.flags.c_contiguous
+    assert np.array_equal(table, states._hermite_functions(x, 5).T)
