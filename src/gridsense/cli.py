@@ -159,6 +159,8 @@ def _read_json(path: str, what: str):
         raise ConfigError(
             f"{what} parse error in {path} at line {exc.lineno}, "
             f"column {exc.colno}: {exc.msg}") from exc
+    except ValueError as exc:  # e.g. an integer literal past 4300 digits
+        raise ConfigError(f"{what} parse error in {path}: {exc}") from exc
 
 
 def load_config(path: str | None) -> dict:
@@ -189,8 +191,8 @@ def _check(leaf: _Leaf, value, where: str) -> None:
     if value is None and leaf.default is None:
         return
     integer = isinstance(leaf.default, int)
-    _require(isinstance(value, int) if integer else
-             isinstance(value, (int, float)) and not isinstance(value, bool),
+    _require(isinstance(value, int if integer else (int, float))
+             and not isinstance(value, bool),
              f"{where} must be {'an integer' if integer else 'a number'}, "
              f"got {value!r}")
     # not math.isfinite: it raises on an int too large for a float
@@ -251,12 +253,15 @@ def _write_json(path: str, payload: dict) -> None:
         fh.write(dumps_json(payload) + "\n")
 
 
-def _parse_float_list(text: str, flag: str) -> list[float]:
+def _numbers(text: str, flag: str) -> list[float]:
+    """The entries of a list flag: a non-empty list of finite numbers."""
     try:
-        return [float(tok) for tok in text.split(",") if tok.strip()]
-    except ValueError as exc:
-        raise ConfigError(f"{flag} expects comma-separated numbers, "
-                          f"got {text!r}") from exc
+        values = [float(token) for token in _names(text)]
+    except ValueError:
+        values = []
+    _require(values and all(map(math.isfinite, values)),
+             f"{flag} expects comma-separated finite numbers, got {text!r}")
+    return values
 
 
 def _finite(row: dict, *keys) -> tuple:
@@ -371,10 +376,8 @@ def cmd_phase_diagram(args) -> int:
 
 def cmd_fractional(args) -> int:
     cfg = resolve_config(args)
-    ells = (_parse_float_list(args.ells, "--ells") if args.ells
-            else [0.5 * i for i in range(8)])
-    _require(len(ells) > 0, "--ells must name at least one charge")
-    rows = fractional_sweep(ells, build_train_config(cfg), build_params(cfg))
+    rows = fractional_sweep(_numbers(args.ells, "--ells"),
+                            build_train_config(cfg), build_params(cfg))
     path = _out_path(args, "fractional.csv")
     write_csv(path, "fractional", [
         (row["ell"], *_finite(row, "theta_deg", "qfi", "p_err", "improvement",
@@ -392,8 +395,7 @@ def cmd_fractional(args) -> int:
 
 def cmd_pareto(args) -> int:
     cfg = resolve_config(args)
-    lambdas = (_parse_float_list(args.lambdas, "--lambdas") if args.lambdas
-               else [0.0, 1.0, 10.0, 100.0, 1000.0])
+    lambdas = _numbers(args.lambdas, "--lambdas")
     for lam in lambdas:
         _check(_LEAF["train.lambda"], lam, "--lambdas entry")
     rows = pareto_sweep(lambdas, build_train_config(cfg), build_params(cfg))
@@ -408,8 +410,7 @@ def cmd_tolerance(args) -> int:
     cfg = resolve_config(args)
     noise = build_noise(cfg)
     r = cfg["lattice"]["r"]
-    deltas = (_parse_float_list(args.deltas_deg, "--deltas-deg")
-              if args.deltas_deg else [0.0, 1.0, 3.0, 7.0, 10.0, 20.0])
+    deltas = _numbers(args.deltas_deg, "--deltas-deg")
     params = build_params(cfg)
     if cfg["lattice"]["theta_deg"] is not None or params.ell != 0.0:
         base_theta = params.theta
@@ -519,19 +520,19 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = _subcommand(subs, "fractional", cmd_fractional, "train once, then "
                     "the error rate of each OAM charge at the set r")
-    p.add_argument("--ells", help="comma-separated charges "
-                                  "(default 0,0.5,...,3.5)")
+    p.add_argument("--ells", default="0,0.5,1,1.5,2,2.5,3,3.5",
+                   help="comma-separated charges (default %(default)s)")
 
     p = _subcommand(subs, "pareto", cmd_pareto,
                     "train over a grid of penalty weights")
-    p.add_argument("--lambdas", help="comma-separated penalties "
-                                     "(default 0,1,10,100,1000)")
+    p.add_argument("--lambdas", default="0,1,10,100,1000",
+                   help="comma-separated penalties (default %(default)s)")
 
     p = _subcommand(subs, "tolerance", cmd_tolerance,
                     "error rate under rotation-angle offsets")
-    p.add_argument("--deltas-deg", dest="deltas_deg",
+    p.add_argument("--deltas-deg", dest="deltas_deg", default="0,1,3,7,10,20",
                    help="comma-separated offsets in degrees "
-                        "(default 0,1,3,7,10,20)")
+                        "(default %(default)s)")
 
     p = _subcommand(subs, "wigner", cmd_wigner,
                     "phase-space grid of the sensor state")

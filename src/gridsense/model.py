@@ -84,10 +84,10 @@ def _phi(x):
     return np.exp(-0.5 * x * x) / math.sqrt(2.0 * math.pi)
 
 
-def _margins(theta, r: float, noise: NoiseParams):
+def _margins(theta, r, noise: NoiseParams):
     """Rotated-frame spreads and decoding margins (σ_q, σ_p, u_q, u_p).
 
-    The one formula behind both `perr_analytic` and `balance`; θ and the
+    The one formula behind both `perr_analytic` and `balance`; θ, r and the
     noise fields broadcast together.
     """
     sigma_q, sigma_p = effective_sigmas(noise, theta)
@@ -96,15 +96,16 @@ def _margins(theta, r: float, noise: NoiseParams):
     return sigma_q, sigma_p, u_q, u_p
 
 
-def perr_analytic(theta, r: float, noise: NoiseParams) -> PerrBreakdown:
+def perr_analytic(theta, r, noise: NoiseParams) -> PerrBreakdown:
     """Per-quadrature and combined logical error probabilities at (θ, r).
 
     The coupling_bound field is the worst-case correction from correlated
     q–p errors, 2·P_q·P_p·|sin 2θ| — zero on the lattice axes, maximal at 45°.
-    Array θ or noise fields give array fields. A zero spread (η = 1, γ = 0)
-    has an infinite margin and so zero error.
+    θ, r and the noise fields may be arrays that broadcast together; they
+    give array fields, each element equal to the scalar call's bits. A zero
+    spread (η = 1, γ = 0) has an infinite margin and so zero error.
     """
-    if r <= 0:
+    if np.any(np.asarray(r) <= 0):
         raise ValueError(f"aspect ratio must be positive, got {r}")
     with np.errstate(divide="ignore"):
         _, _, u_q, u_p = _margins(theta, r, noise)
@@ -273,31 +274,27 @@ def theta_sensitivity(r: float, noise: NoiseParams, *,
     backward in η when η + step > 1, forward in γ when γ − step < 0. Next
     to the edge of the root region it is one-sided as well, toward the
     neighbour that has a root; with no such neighbour the derivative is NaN.
+    NoRootError if a one-sided difference needs a centre without a root.
     """
-    def root_or_none(solve, x):
-        try:
-            return solve(x)
-        except NoRootError:
-            return None
+    # the centre, η + step, η − step, γ + step, γ − step
+    eta = noise.eta + step * np.array([0.0, 1.0, -1.0, 0.0, 0.0])
+    gamma = noise.gamma + step * np.array([0.0, 0.0, 0.0, 1.0, -1.0])
+    inside = (eta > 0.0) & (eta <= 1.0) & (gamma >= 0.0)
+    theta = np.full(5, math.nan)
+    theta[inside] = theta_star_grid(r, eta[inside], gamma[inside])[0]
+    centre, eta_up, eta_down, gamma_up, gamma_down = theta.tolist()
 
-    def derivative(solve, x, below_ok, above_ok):
-        above = root_or_none(solve, x + step) if above_ok else None
-        below = root_or_none(solve, x - step) if below_ok else None
-        if above is None and below is None:
-            return math.nan
-        if above is None:
-            return (solve(x) - below) / step
-        if below is None:
-            return (above - solve(x)) / step
+    def derivative(above, below):
+        if math.isnan(centre) and math.isnan(above) != math.isnan(below):
+            theta_star(r, noise)  # raises NoRootError: no root at the centre
+        if math.isnan(above):
+            return (centre - below) / step  # NaN if neither side has a root
+        if math.isnan(below):
+            return (above - centre) / step
         return (above - below) / (2.0 * step)
 
-    d_eta = derivative(
-        lambda e: theta_star(r, NoiseParams(e, noise.gamma)).theta_star,
-        noise.eta, noise.eta - step > 0.0, noise.eta + step <= 1.0)
-    d_gamma = derivative(
-        lambda g: theta_star(r, NoiseParams(noise.eta, g)).theta_star,
-        noise.gamma, noise.gamma - step >= 0.0, True)
-    return math.degrees(d_eta), math.degrees(d_gamma)
+    return (math.degrees(derivative(eta_up, eta_down)),
+            math.degrees(derivative(gamma_up, gamma_down)))
 
 
 def theta_fit(noise: NoiseParams) -> float:
@@ -313,28 +310,29 @@ def theta_fit(noise: NoiseParams) -> float:
     return 64.8 + 162.8 * (1.0 - noise.eta) - 253.2 * noise.gamma
 
 
-def joint_optimum(noise: NoiseParams, *,
-                  r_bounds: tuple[float, float] = (0.8, 1.5),
-                  grid_n: int = 48) -> tuple[float, float, float]:
+JOINT_GRID_N = 48
+JOINT_R_BOUNDS = (0.8, 1.5)
+
+
+def joint_optimum(noise: NoiseParams) -> tuple[float, float, float]:
     """Minimize the analytic P_err over (θ, r); returns (θ, r, p_err).
 
-    Coarse grid scan over the box (0, π/2) × r_bounds, then a simplex polish
-    on the best cell. In the noiseless limit P_err vanishes identically and
-    the call is rejected (nothing to optimize).
+    Coarse JOINT_GRID_N² scan over the box (0, π/2) × JOINT_R_BOUNDS, then a
+    simplex polish on the first best cell. In the noiseless limit P_err
+    vanishes identically and the call is rejected (nothing to optimize).
     """
     if noise.gamma == 0.0 and noise.eta == 1.0:
         raise ValueError("noiseless input: P_err is identically 0")
     from scipy.optimize import minimize
 
-    def f(x):
-        t, rr = x
-        return perr_analytic(t, rr, noise).p_total
-
-    thetas = np.linspace(0.0, math.pi / 2.0, grid_n + 2)[1:-1]
-    rs = np.linspace(r_bounds[0], r_bounds[1], grid_n)
-    best = min(((t, rr) for t in thetas for rr in rs), key=f)
-    res = minimize(f, x0=np.array(best), method="Nelder-Mead",
-                   bounds=[(1e-9, math.pi / 2.0 - 1e-9), r_bounds],
+    thetas, rs = np.meshgrid(
+        np.linspace(0.0, math.pi / 2.0, JOINT_GRID_N + 2)[1:-1],
+        np.linspace(*JOINT_R_BOUNDS, JOINT_GRID_N), indexing="ij")
+    best = np.argmin(perr_analytic(thetas, rs, noise).p_total)
+    res = minimize(lambda x: perr_analytic(*x, noise).p_total,
+                   x0=np.array([thetas.flat[best], rs.flat[best]]),
+                   method="Nelder-Mead",
+                   bounds=[(1e-9, math.pi / 2.0 - 1e-9), JOINT_R_BOUNDS],
                    options={"xatol": 1e-12, "fatol": 1e-30, "maxiter": 4000})
     t, rr = res.x
     return float(t), float(rr), float(res.fun)
@@ -393,17 +391,17 @@ def tolerance_curve(delta_thetas_deg, base_theta: float, r: float,
     the baseline-to-optimum advantage retained,
     (P_base − P(δ)) / (P_base − P(0)).
     """
-    p_base = perr_analytic(0.0, r, noise).p_total
-    p_at_zero = perr_analytic(base_theta, r, noise).p_total
+    deltas = [float(delta_deg) for delta_deg in delta_thetas_deg]
+    thetas = [base_theta + math.radians(delta_deg) for delta_deg in deltas]
+    p_base, p_at_zero, *p_errs = perr_analytic(
+        np.array([0.0, base_theta, *thetas]), r, noise).p_total.tolist()
     rows = []
-    for delta_deg in delta_thetas_deg:
-        theta = base_theta + math.radians(delta_deg)
-        p = perr_analytic(theta, r, noise).p_total
+    for delta_deg, theta, p in zip(deltas, thetas, p_errs):
         improvement = p_base / p if p > 0 else math.inf
         denom = p_base - p_at_zero
         retained = (p_base - p) / denom if denom != 0 else math.nan
         rows.append({
-            "delta_deg": float(delta_deg),
+            "delta_deg": delta_deg,
             "theta_deg": math.degrees(theta),
             "p_err": p,
             "improvement": improvement,

@@ -12,7 +12,7 @@ model — the Monte-Carlo decoder stays a validation oracle and never enters
 the loss. Gradients are central finite differences over the free
 coordinates. A step evaluates the centre and its 2k probes (k ≤ 5 free
 coordinates) together: the 1 + 2k states go through one stacked
-eigendecomposition, and P_err is evaluated once per distinct (θ, r).
+eigendecomposition, and P_err of all 1 + 2k points comes from one call.
 """
 
 from __future__ import annotations
@@ -25,6 +25,7 @@ import numpy as np
 
 from .channels import NoiseParams
 from .fock import NumericError
+from .lattice import OamCharge, theta_from_oam
 from .metrology import capacity
 from .model import perr_analytic
 from .pipeline import SensorSpec, _qfis
@@ -86,8 +87,8 @@ class TrainableParams:
 
     @property
     def theta(self) -> float:
-        """Lattice rotation θ_ℓ = ℓπ/ℓ_max implied by the charge."""
-        return self.ell * math.pi / self.ell_max
+        """Lattice rotation θ_ℓ = ℓπ/ℓ_max of the charge; needs ℓ_max ≥ 1."""
+        return theta_from_oam(OamCharge(self.ell, self.ell_max))
 
     def sensor_spec(self, cutoff: int) -> SensorSpec:
         """The pipeline input these parameters describe at Fock cutoff D."""
@@ -161,22 +162,16 @@ class TrainDiverged(NumericError):
 
 def _evaluate(points, cfg: TrainConfig) -> list[tuple[float, float, float]]:
     """(loss, qfi, p_err) at each point: one stacked F_Q solve, and one
-    `perr_analytic` per distinct (θ, r)."""
+    `perr_analytic` call over every point's (θ, r)."""
     if not points:
         return []
     qfis = _qfis([point.sensor_spec(cfg.cutoff) for point in points],
                  cfg.noise).tolist()
-    p_errs = {}
-    out = []
-    for point, qfi in zip(points, qfis):
-        key = (point.theta, point.r)
-        if key not in p_errs:
-            p_errs[key] = perr_analytic(point.theta, point.r,
-                                        cfg.noise).p_total
-        p_err = p_errs[key]
-        hinge = max(p_err - cfg.p_th, 0.0)
-        out.append((-qfi + cfg.penalty * hinge, qfi, p_err))
-    return out
+    p_errs = perr_analytic(np.array([point.theta for point in points]),
+                           np.array([point.r for point in points]),
+                           cfg.noise).p_total.tolist()
+    return [(-qfi + cfg.penalty * max(p_err - cfg.p_th, 0.0), qfi, p_err)
+            for qfi, p_err in zip(qfis, p_errs)]
 
 
 def _probes(params: TrainableParams, cfg: TrainConfig) -> list[tuple]:
@@ -352,11 +347,11 @@ def fractional_sweep(ells, cfg: TrainConfig, init: TrainableParams):
                              "capacity"), math.nan)
         return [{"ell": ell, **nan, "error": str(exc)} for ell in ells]
     qfi = trace[-1].qfi
-    baseline = perr_analytic(0.0, final.r, cfg.noise).p_total
+    thetas = [replace(final, ell=ell).theta for ell in ells]
+    baseline, *p_errs = perr_analytic(np.array([0.0, *thetas]), final.r,
+                                      cfg.noise).p_total.tolist()
     rows = []
-    for ell in ells:
-        theta = replace(final, ell=ell).theta
-        p_err = perr_analytic(theta, final.r, cfg.noise).p_total
+    for ell, theta, p_err in zip(ells, thetas, p_errs):
         ok = p_err > 0  # also False for NaN
         rows.append({"ell": ell, "theta_deg": math.degrees(theta), "qfi": qfi,
                      "p_err": p_err, "error": "",

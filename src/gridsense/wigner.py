@@ -21,9 +21,9 @@ outer part of a [−6, 6]² window at D = 30.
 The Laguerre values are built by the three-term recurrence in the degree,
 pre-scaled by e^{−|β|²/2} so no intermediate grows like e^{+|β|²/2}; every
 summand is then bounded by the unitarity bound |⟨m|D|n⟩| ≤ 1. The kernel
-walks the points in blocks of _BLOCK so one block's (D, _BLOCK) Laguerre
-table stays in cache, and per diagonal k contracts that table in one matrix
-product with the real (2, D−k) matrix [Re c; −Im c], where
+takes every point in one pass, and per diagonal k contracts the
+(D−k, points) Laguerre table in one matrix product with the real (2, D−k)
+matrix [Re c; −Im c], where
 c_n = ρ[n, n+k]·(−1)ⁿ·√(n!/(n+k)!) (doubled for k > 0, which also counts the
 conjugate diagonal).
 
@@ -71,11 +71,6 @@ from .states import _hermite_functions
 __all__ = ["WignerGrid", "wigner_grid", "wigner_negativity",
            "wigner_point"]
 
-# Points per kernel block: a (D, _BLOCK) Laguerre table at D = 30 is about
-# 1 MB, small enough to stay in cache while every diagonal reuses it.
-_BLOCK = 4096
-
-
 @dataclass(frozen=True, eq=False)
 class WignerGrid:
     q_axis: np.ndarray
@@ -118,44 +113,29 @@ def _parity_kernel(rho: np.ndarray, q: np.ndarray, p: np.ndarray) -> np.ndarray:
     """
     D = rho.shape[0]
     coefs = _diagonal_coefficients(rho)
-    q_flat = np.ravel(q)
-    p_flat = np.ravel(p)
-    size = q_flat.size
-    out = np.empty(size)
-    width = min(_BLOCK, size)
-    lag = np.empty((D, width))  # scaled Laguerre table of one diagonal
-    tmp = np.empty(width)
-    degrees = np.arange(1.0, D + 1)[:, None]  # n + 1
-    for lo in range(0, size, _BLOCK):
-        hi = min(lo + _BLOCK, size)
-        m = hi - lo
-        br = math.sqrt(2.0) * q_flat[lo:hi]  # β = 2α
-        bi = math.sqrt(2.0) * p_flat[lo:hi]
-        x = br * br + bi * bi
-        damp = np.exp(-0.5 * x)
-        x_over = x / degrees  # row n holds x/(n+1)
-        acc = np.zeros(m)
-        bkr, bki = np.ones(m), np.zeros(m)  # β^k, updated per diagonal
-        t = tmp[:m]
-        for k in range(D):
-            if k > 0:
-                bkr, bki = bkr * br - bki * bi, bkr * bi + bki * br
-            # Lt_n = e^{−x/2} L_n^{(k)}(x), with the 1/(n+1) of the
-            # recurrence folded into the scalars and the x/(n+1) rows:
-            # Lt_{n+1} = ((2n+1+k)/(n+1) − x/(n+1))·Lt_n − (n+k)/(n+1)·Lt_{n−1}
-            table = lag[:D - k, :m]
-            table[0] = damp
-            for n in range(D - k - 1):
-                np.subtract((2 * n + 1 + k) / (n + 1), x_over[n], out=t)
-                np.multiply(t, table[n], out=table[n + 1])
-                if n > 0:
-                    np.multiply(table[n - 1], (n + k) / (n + 1), out=t)
-                    np.subtract(table[n + 1], t, out=table[n + 1])
-            s = coefs[k] @ table  # rows Re S and −Im S, S = Σ_n c_n Lt_n
-            acc += bkr * s[0]
-            acc += bki * s[1]
-        out[lo:hi] = acc
-    return (out / math.pi).reshape(np.shape(q))
+    br = math.sqrt(2.0) * np.ravel(q)  # β = 2α
+    bi = math.sqrt(2.0) * np.ravel(p)
+    x = br * br + bi * bi
+    damp = np.exp(-0.5 * x)
+    x_over = x / np.arange(1.0, D + 1)[:, None]  # row n holds x/(n+1)
+    acc = np.zeros(x.size)
+    bkr, bki = np.ones(x.size), np.zeros(x.size)  # β^k, updated per diagonal
+    for k in range(D):
+        if k > 0:
+            bkr, bki = bkr * br - bki * bi, bkr * bi + bki * br
+        # Lt_n = e^{−x/2} L_n^{(k)}(x), with the 1/(n+1) of the recurrence
+        # folded into the scalars and the x/(n+1) rows:
+        # Lt_{n+1} = ((2n+1+k)/(n+1) − x/(n+1))·Lt_n − (n+k)/(n+1)·Lt_{n−1}
+        table = np.empty((D - k, x.size))
+        table[0] = damp
+        for n in range(D - k - 1):
+            table[n + 1] = ((2 * n + 1 + k) / (n + 1) - x_over[n]) * table[n]
+            if n > 0:
+                table[n + 1] -= table[n - 1] * ((n + k) / (n + 1))
+        s = coefs[k] @ table  # rows Re S and −Im S, S = Σ_n c_n Lt_n
+        acc += bkr * s[0]
+        acc += bki * s[1]
+    return (acc / math.pi).reshape(np.shape(q))
 
 
 def wigner_point(rho: np.ndarray, q: float, p: float) -> float:

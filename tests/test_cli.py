@@ -145,6 +145,19 @@ class TestConfigLoading:
         with pytest.raises(ConfigError, match="cannot read"):
             load_config("/no/such/config.json")
 
+    def test_huge_integer_literal_is_a_config_error(self, tmp_path, capsys):
+        # json.load raises a plain ValueError past 4300 digits
+        huge = "1" * 5001
+        path = tmp_path / "huge.json"
+        path.write_text('{"lattice": {"ell": %s}}' % huge)
+        with pytest.raises(ConfigError, match="parse error"):
+            load_config(str(path))
+        report = tmp_path / "report.json"
+        report.write_text('{"config": {"lattice": {"ell": %s}}}' % huge)
+        code = main(["single", "--replay", str(report), "-o", str(tmp_path)])
+        assert code == 2
+        assert "parse error" in capsys.readouterr().err
+
 
 class TestValidateConfig:
     def check_rejects(self, mutate, match):
@@ -219,6 +232,17 @@ class TestValidateConfig:
     def test_bool_is_not_a_number(self):
         self.check_rejects(lambda c: c["noise"].update(eta=True),
                            "must be a number")
+
+    def test_bool_is_not_an_integer(self, tmp_path):
+        for path, (lo, *_) in RANGES.items():
+            if isinstance(lo, int):
+                for value in (True, False):
+                    self.check_rejects(lambda c: set_leaf(c, path, value),
+                                       f"{path} must be an integer")
+        config = write_config(tmp_path, {"train": {"steps": True,
+                                                   "seed": False}})
+        assert main(["single", "--config", config, "-o", str(tmp_path)]) == 2
+        assert not (tmp_path / "report.json").exists()
 
     def test_nonfinite_rejected(self):
         self.check_rejects(lambda c: c["noise"].update(gamma=math.nan),
@@ -467,6 +491,19 @@ class TestSweepCommands:
         for lambdas in ("-1", "1,-1e-300"):
             code = main(["pareto", "--lambdas", lambdas, "-o", str(tmp_path)])
             assert code == 2
+
+    @pytest.mark.parametrize("command,flag", [
+        ("fractional", "--ells"), ("pareto", "--lambdas"),
+        ("tolerance", "--deltas-deg")])
+    @pytest.mark.parametrize("text", [",", "", " , ", "nan", "1,inf",
+                                      "0,-inf", "1e999", "1,x"])
+    def test_list_flag_rejects_empty_or_nonfinite(self, command, flag, text,
+                                                  tmp_path, capsys):
+        code = main([command, flag, text, "-o", str(tmp_path)])
+        assert code == 2
+        assert f"{flag} expects comma-separated finite numbers" in (
+            capsys.readouterr().err)
+        assert list(tmp_path.iterdir()) == []
 
     def test_pareto_rejects_nonfinite_lambda(self, tmp_path):
         # the train.lambda domain: --lambda inf is a config error too

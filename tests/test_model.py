@@ -385,6 +385,27 @@ class TestVectorisedModel:
             assert b.p_total[i] == one.p_total
             assert b.coupling_bound[i] == one.coupling_bound
 
+    def test_perr_broadcast_with_array_r(self):
+        rng = np.random.default_rng(12)
+        theta = rng.uniform(0.0, math.pi / 2, (4, 1, 1))
+        r = rng.uniform(0.5, 2.0, (1, 3, 1))
+        eta = rng.uniform(0.75, 1.0, (1, 1, 5))
+        gamma = rng.uniform(0.0, 0.5, (1, 3, 5))
+        b = perr_analytic(theta, r, NoiseParams(eta, gamma))
+        cells = np.broadcast_arrays(theta, r, eta, gamma)
+        assert b.p_total.shape == cells[0].shape == (4, 3, 5)
+        for i in range(cells[0].size):
+            t, rr, e, g = (float(cell.flat[i]) for cell in cells)
+            one = perr_analytic(t, rr, NoiseParams(e, g))
+            for name in ("p_q", "p_p", "p_total", "coupling_bound"):
+                assert getattr(b, name).flat[i] == getattr(one, name)
+
+    def test_array_r_with_a_non_positive_entry_rejected(self):
+        for bad in (0.0, -1.0):
+            with pytest.raises(ValueError, match="aspect ratio must be "
+                                                 "positive"):
+                perr_analytic(0.3, np.array([1.0, bad, 1.2]), LOW_NOISE)
+
     def test_zero_spread_cell(self):
         # eta = 1, gamma = 0: no noise, zero error, and B has no root
         p = perr_analytic(np.array([0.0, 0.3]), 1.0, NoiseParams(1.0, 0.0))
@@ -445,6 +466,55 @@ class TestSensitivityAndFit:
             (solve(eta + step, gamma0) - solve(eta - step, gamma0))
             / (2.0 * step))
 
+    @staticmethod
+    def grid_call_sizes(monkeypatch):
+        """The cell count of each `theta_star_grid` call, as it is made."""
+        sizes = []
+        real = model.theta_star_grid
+
+        def spy(r, eta, gamma):
+            sizes.append(np.size(eta))
+            return real(r, eta, gamma)
+
+        monkeypatch.setattr(model, "theta_star_grid", spy)
+        return sizes
+
+    def test_one_grid_solve_per_call(self, monkeypatch):
+        sizes = self.grid_call_sizes(monkeypatch)
+        theta_sensitivity(R_LOW, LOW_NOISE)
+        assert sizes == [5]
+        # the lossless edge: eta + step leaves the domain and is not solved
+        sizes.clear()
+        theta_sensitivity(R_LOW, NoiseParams(1.0, 0.05))
+        assert sizes == [4]
+
+    def test_centre_without_a_root_raises(self, monkeypatch):
+        # gamma + step has a root and gamma - step has none, so the gamma
+        # difference is one-sided and needs the rootless centre
+        noise = NoiseParams(0.9, 0.02626896943556492)
+        with pytest.raises(NoRootError):
+            theta_star(R_LOW, noise)
+        theta_star(R_LOW, NoiseParams(0.9, noise.gamma + 1e-4))
+        sizes = self.grid_call_sizes(monkeypatch)
+        with pytest.raises(NoRootError):
+            theta_sensitivity(R_LOW, noise)
+        assert sizes == [5]
+
+    def test_step_onto_zero_gamma_stays_central(self):
+        # gamma - step = 0 is inside the domain, and at r = 1 the flat
+        # gamma = 0 balance keeps its first bracket, so gamma is central
+        step = 0.05
+
+        def solve(gamma):
+            return theta_star(1.0, NoiseParams(0.9, gamma)).theta_star
+
+        with pytest.warns(UserWarning, match="sign changes"):
+            _, d_gamma = theta_sensitivity(1.0, NoiseParams(0.9, step),
+                                           step=step)
+            below = solve(0.0)
+        assert d_gamma == math.degrees((solve(2 * step) - below)
+                                       / (2.0 * step))
+
     def test_no_neighbour_with_a_root_gives_nan(self):
         # eta + 0.2 leaves the domain and eta - 0.2 = 0.65 has no root
         d_eta, d_gamma = theta_sensitivity(R_LOW, NoiseParams(0.85, 0.05),
@@ -462,7 +532,32 @@ class TestSensitivityAndFit:
         assert abs(theta_fit(NoiseParams(1.0, 0.1)) - base + 25.32) < 1e-10
 
 
+def joint_optimum_reference(noise, r_bounds=(0.8, 1.5), grid_n=48):
+    """The scan of one scalar `perr_analytic` call per grid cell, taking the
+    first minimum in θ-major order, then the same simplex polish."""
+    from scipy.optimize import minimize
+
+    def f(x):
+        t, rr = x
+        return perr_analytic(t, rr, noise).p_total
+
+    thetas = np.linspace(0.0, math.pi / 2.0, grid_n + 2)[1:-1]
+    rs = np.linspace(r_bounds[0], r_bounds[1], grid_n)
+    best = min(((t, rr) for t in thetas for rr in rs), key=f)
+    res = minimize(f, x0=np.array(best), method="Nelder-Mead",
+                   bounds=[(1e-9, math.pi / 2.0 - 1e-9), r_bounds],
+                   options={"xatol": 1e-12, "fatol": 1e-30, "maxiter": 4000})
+    t, rr = res.x
+    return float(t), float(rr), float(res.fun)
+
+
 class TestJointOptimum:
+    @pytest.mark.parametrize("eta,gamma", [
+        (0.75, 0.2), (0.9, 0.05), (0.99, 0.0), (0.95, 0.01), (1.0, 0.05)])
+    def test_matches_the_scalar_scan(self, eta, gamma):
+        noise = NoiseParams(eta, gamma)
+        assert joint_optimum(noise) == joint_optimum_reference(noise)
+
     def test_low_noise_optimum(self):
         t, r, p = joint_optimum(LOW_NOISE)
         assert abs(math.degrees(t) - 90.0) < 1e-3

@@ -48,6 +48,14 @@ class TestTrainableParams:
         assert abs(OAM_INIT.theta - math.radians(67.5)) < 1e-15
         assert TrainableParams(ell=2.0, ell_max=4).theta == math.pi / 2
 
+    @pytest.mark.parametrize("ell_max", [0, -2])
+    def test_ell_max_below_one_rejected(self, ell_max):
+        params = replace(OAM_INIT, ell_max=ell_max)
+        with pytest.raises(ValueError, match="ell_max must be >= 1"):
+            params.theta
+        with pytest.raises(ValueError, match="ell_max must be >= 1"):
+            train(short_cfg(steps=1), params)
+
     def test_vector_round_trip(self):
         x = OAM_INIT.vector()
         assert x.shape == (len(PARAM_ORDER),)
@@ -434,7 +442,7 @@ class TestStackedStep:
         assert np.array_equal(gradient(final, cfg),
                               reference_gradient(final, cfg))
 
-    def test_perr_analytic_once_per_distinct_theta_and_r(self, monkeypatch):
+    def test_perr_analytic_once_per_step(self, monkeypatch):
         seen = []
         real = optimize.perr_analytic
 
@@ -443,10 +451,16 @@ class TestStackedStep:
             return real(theta, r, noise)
 
         monkeypatch.setattr(optimize, "perr_analytic", spy)
-        train(short_cfg(steps=2, freeze=frozenset({"epsilon"})), OAM_INIT)
-        # centre, ell ± h, r ± h: the Bloch probes reuse the centre's value
-        assert len(seen) == 2 * 5
-        assert len(set(seen[:5])) == 5
+        cfg = short_cfg(steps=2, freeze=frozenset({"epsilon"}))
+        _, trace = train(cfg, OAM_INIT)
+        # one call per step, over the centre and its 2k = 8 probes in order
+        assert len(seen) == 2
+        for (theta, r), centre in zip(seen, [OAM_INIT, trace[0].params]):
+            points = [centre] + [point for *_, point
+                                 in optimize._probes(centre, cfg)]
+            assert len(points) == 1 + 2 * 4
+            assert theta.tolist() == [point.theta for point in points]
+            assert r.tolist() == [point.r for point in points]
 
     @staticmethod
     def diverge_both(cfg, init):
@@ -494,7 +508,8 @@ class TestStackedStep:
 
         def nan_at_target(theta, r, noise):
             out = real(theta, r, noise)
-            return replace(out, p_total=math.nan) if theta == target else out
+            p_total = np.where(np.equal(theta, target), math.nan, out.p_total)
+            return replace(out, p_total=p_total[()])
 
         monkeypatch.setattr(optimize, "perr_analytic", nan_at_target)
         message, trace = self.diverge_both(cfg, OAM_INIT)

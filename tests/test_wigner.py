@@ -199,8 +199,9 @@ class TestBlockedKernel:
     @pytest.mark.parametrize("dim", [8, 30, 40])
     @pytest.mark.parametrize("offset", [-1, 0, 1])
     def test_matches_reference_across_block_edges(self, dim, offset):
-        # 1-D point counts just below, at and just above one block
-        size = wigner._BLOCK + offset
+        # 1-D point counts just below, at and just above 4096, the block
+        # size a blocked kernel would split at
+        size = 4096 + offset
         rng = np.random.default_rng(1000 * dim + offset + 1)
         q = rng.uniform(-6.0, 6.0, size)
         p = rng.uniform(-6.0, 6.0, size)
