@@ -16,8 +16,18 @@ import argparse
 import json
 import math
 import os
+import re
 import sys
 from typing import NamedTuple
+
+# One OpenBLAS thread unless the caller chose a count. OpenBLAS reads this
+# once, when numpy first loads it, so it is set before the numpy import
+# below (`import gridsense` loads no numpy). Every solve here is 30×30, too
+# small to share: a second thread wins no wall time and busy-waits, also
+# during `import numpy` itself. Library users keep `fock.serial_blas`.
+if not {"OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS",
+        "OMP_NUM_THREADS"} & os.environ.keys():
+    os.environ["OPENBLAS_NUM_THREADS"] = "1"
 
 import numpy as np
 
@@ -493,8 +503,28 @@ def _subcommand(subs, name: str, func, help: str) -> argparse.ArgumentParser:
     return sub
 
 
+# The flags that take one comma-separated list of numbers.
+_LIST_FLAGS = ("--ells", "--lambdas", "--deltas-deg")
+
+
+class _Parser(argparse.ArgumentParser):
+    """Joins a list flag and a value like "-3,3" into "--flag=-3,3" before
+    parsing: argparse takes "-3" after a flag as a value but reads "-3,3"
+    as an unknown option (up to Python 3.12)."""
+
+    def parse_known_args(self, args=None, namespace=None):
+        tokens = []
+        for token in sys.argv[1:] if args is None else args:
+            if (tokens and tokens[-1] in _LIST_FLAGS
+                    and re.match(r"-\.?\d", token)):
+                tokens[-1] += "=" + token
+            else:
+                tokens.append(token)
+        return super().parse_known_args(tokens, namespace)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="gridsense",
         description="Grid-state sensor pipeline: training, analytic optima, "
                     "sweeps, and Wigner exports.")

@@ -15,6 +15,7 @@ from .fock import expectation, hermitian_eig, number_op, quadrature_op
 __all__ = [
     "qfi_pure",
     "qfi_mixed",
+    "qfi_response",
     "cfi_homodyne",
     "measurement_efficiency",
     "capacity",
@@ -35,6 +36,28 @@ def qfi_pure(psi: np.ndarray) -> float:
     return 4.0 * (second - mean * mean)
 
 
+def _sld_parts(rho, eig_tol: float):
+    """What `qfi_mixed` needs from the eigenbasis V of each state, with the
+    eigenvalues clipped at 0: (V, ⟨j|n̂|k⟩, λ_j − λ_k, λ_j + λ_k, the mask
+    λ_j + λ_k > eig_tol)."""
+    w, V = hermitian_eig(rho)
+    w = np.clip(w, 0.0, None)
+    n = np.arange(V.shape[-1])
+    n_eig = np.swapaxes(V, -1, -2).conj() @ (n[:, None] * V)
+    lam_sum = w[..., :, None] + w[..., None, :]
+    lam_diff = w[..., :, None] - w[..., None, :]
+    return V, n_eig, lam_diff, lam_sum, lam_sum > eig_tol
+
+
+def _qfi_from_parts(n_eig, lam_diff, lam_sum, mask):
+    weights = np.divide(lam_diff ** 2, lam_sum, out=np.zeros_like(lam_sum),
+                        where=mask)
+    terms = weights * np.abs(n_eig) ** 2
+    # One contiguous D² sum per state: the summation order of a single state.
+    qfi = 2.0 * np.sum(terms.reshape(*terms.shape[:-2], -1), axis=-1)
+    return float(qfi) if qfi.ndim == 0 else qfi
+
+
 def qfi_mixed(rho: np.ndarray, *,
               eig_tol: float = DEFAULT_EIG_TOL) -> float | np.ndarray:
     """Mixed-state QFI for the generator n̂, via the eigenbasis of ρ:
@@ -46,18 +69,28 @@ def qfi_mixed(rho: np.ndarray, *,
     `hermitian_eig` call and gives an array of F_Q; one D x D state gives a
     float.
     """
-    w, V = hermitian_eig(rho)
-    w = np.clip(w, 0.0, None)
-    n = np.arange(V.shape[-1])
-    n_eig = np.swapaxes(V, -1, -2).conj() @ (n[:, None] * V)
-    lam_sum = w[..., :, None] + w[..., None, :]
-    lam_diff = w[..., :, None] - w[..., None, :]
-    weights = np.divide(lam_diff ** 2, lam_sum, out=np.zeros_like(lam_sum),
-                        where=lam_sum > eig_tol)
-    terms = weights * np.abs(n_eig) ** 2
-    # One contiguous D² sum per state: the summation order of a single state.
-    qfi = 2.0 * np.sum(terms.reshape(*terms.shape[:-2], -1), axis=-1)
-    return float(qfi) if qfi.ndim == 0 else qfi
+    _, *parts = _sld_parts(rho, eig_tol)
+    return _qfi_from_parts(*parts)
+
+
+def qfi_response(rho: np.ndarray, *, eig_tol: float = DEFAULT_EIG_TOL):
+    """F_Q as `qfi_mixed` gives it, and the Hermitian H with
+    dF_Q = Tr(H·dρ) for any Hermitian perturbation dρ, from one solve.
+
+    With the symmetric logarithmic derivative of ∂_φρ = −i[n̂, ρ], in the
+    eigenbasis of ρ and masked as in `qfi_mixed`,
+
+        L_jk = 2i(λ_j − λ_k)·⟨j|n̂|k⟩/(λ_j + λ_k),  H = −2i[L, n̂] − L²
+
+    (Liu, Yuan, Lu & Wang, J. Phys. A 53, 023001 (2020)). H is returned in
+    the number basis, stacked like `rho`.
+    """
+    V, n_eig, lam_diff, lam_sum, mask = _sld_parts(rho, eig_tol)
+    qfi = _qfi_from_parts(n_eig, lam_diff, lam_sum, mask)
+    sld = np.divide(2j * lam_diff * n_eig, lam_sum,
+                    out=np.zeros_like(n_eig), where=mask)
+    h_eig = -2j * (sld @ n_eig - n_eig @ sld) - sld @ sld
+    return qfi, V @ h_eig @ np.swapaxes(V, -1, -2).conj()
 
 
 def cfi_homodyne(rho: np.ndarray, psi_angle: float, *,

@@ -37,6 +37,7 @@ __all__ = [
     "NoRootError",
     "gaussian_tail",
     "perr_analytic",
+    "perr_gradient",
     "balance",
     "theta_star",
     "theta_star_grid",
@@ -114,6 +115,32 @@ def perr_analytic(theta, r, noise: NoiseParams) -> PerrBreakdown:
     p_total = p_q + p_p - p_q * p_p
     coupling = 2.0 * p_q * p_p * np.abs(np.sin(2.0 * theta))
     return PerrBreakdown(p_q, p_p, p_total, coupling)
+
+
+def perr_gradient(theta, r, noise: NoiseParams):
+    """(∂P_err/∂θ, ∂P_err/∂r) of `perr_analytic`'s p_total, in closed form.
+
+    P_err = P_q + P_p − P_q·P_p with P = 2Q(u), so ∂P = −2φ(u)·∂u, where
+    ∂u_q/∂r = u_q/r, ∂u_p/∂r = −u_p/r, ∂u_q/∂θ = −u_q·γ sinθ cosθ/σ_q² and
+    ∂u_p/∂θ = u_p·γ sinθ cosθ/σ_p². A quadrature with a zero spread has an
+    infinite margin and contributes 0. θ, r and the noise fields broadcast.
+    """
+    if np.any(np.asarray(r) <= 0):
+        raise ValueError(f"aspect ratio must be positive, got {r}")
+    with np.errstate(divide="ignore", invalid="ignore"):
+        sigma_q, sigma_p, u_q, u_p = _margins(theta, r, noise)
+        tilt = noise.gamma * np.sin(theta) * np.cos(theta)
+        slopes = []  # (∂P/∂θ, ∂P/∂r) of P_q, then of P_p
+        for u, sigma, sign in ((u_q, sigma_q, 1.0), (u_p, sigma_p, -1.0)):
+            du = -2.0 * _phi(u) * u  # u·∂P/∂u
+            flat = np.isinf(u)
+            slopes.append((np.where(flat, 0.0, -sign * du * tilt / sigma**2),
+                           np.where(flat, 0.0, sign * du / r)))
+    (d_theta_q, d_r_q), (d_theta_p, d_r_p) = slopes
+    p_q = 2.0 * gaussian_tail(u_q)
+    p_p = 2.0 * gaussian_tail(u_p)
+    return ((1.0 - p_p) * d_theta_q + (1.0 - p_q) * d_theta_p,
+            (1.0 - p_p) * d_r_q + (1.0 - p_q) * d_r_p)
 
 
 def balance(theta, r: float, noise: NoiseParams):

@@ -9,10 +9,12 @@ Loss (per configuration, deterministic):
 with F_Q from the full number-basis pipeline (codeword → squeeze → rotate →
 loss → dephasing → mixed-state QFI, generator n̂) and P_err from the analytic
 model — the Monte-Carlo decoder stays a validation oracle and never enters
-the loss. Gradients are central finite differences over the free
-coordinates. A step evaluates the centre and its 2k probes (k ≤ 5 free
-coordinates) together: the 1 + 2k states go through one stacked
-eigendecomposition, and P_err of all 1 + 2k points comes from one call.
+the loss. A training step takes F_Q and its gradient over the Bloch angles
+and r from one eigendecomposition, through the symmetric logarithmic
+derivative, and the hinge's gradient in closed form; only ε is still
+differenced, its two probes solved in the same stack as the centre.
+`gradient` keeps the central differences over every free coordinate as the
+oracle.
 """
 
 from __future__ import annotations
@@ -27,8 +29,8 @@ from .channels import NoiseParams
 from .fock import NumericError
 from .lattice import OamCharge, theta_from_oam
 from .metrology import capacity
-from .model import perr_analytic
-from .pipeline import SensorSpec, _qfis
+from .model import perr_analytic, perr_gradient
+from .pipeline import SensorSpec, _qfi_gradient, _qfis
 from .pipeline import pipeline_qfi  # noqa: F401  (bench tests wrap this copy)
 
 __all__ = [
@@ -40,6 +42,7 @@ __all__ = [
     "BOUNDS",
     "combined_loss",
     "gradient",
+    "analytic_gradient",
     "lr_schedule",
     "train",
     "pareto_sweep",
@@ -69,6 +72,10 @@ TRAIN_LIMITS = {
     "p_th": (0, False),
     "seed": (0, False),
 }
+
+_BLOCH_THETA, _BLOCH_PHI, _ELL, _R = (
+    PARAM_ORDER.index(name)
+    for name in ("bloch_theta", "bloch_phi", "ell", "r"))
 
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
@@ -174,37 +181,41 @@ def _evaluate(points, cfg: TrainConfig) -> list[tuple[float, float, float]]:
             for qfi, p_err in zip(qfis, p_errs)]
 
 
-def _probes(params: TrainableParams, cfg: TrainConfig) -> list[tuple]:
-    """The central-difference probes over PARAM_ORDER, frozen coordinates
-    skipped, + before −: (index, sign, step h, shifted coordinate, projected
+def _probes(params: TrainableParams, cfg: TrainConfig,
+            names=PARAM_ORDER) -> list[tuple]:
+    """The central-difference probes over the free coordinates among
+    `names`, in PARAM_ORDER, + before −: (index, sign, step h, projected
     point). See `gradient` for the step.
     """
     x = params.vector()
     probes = []
     for i, name in enumerate(PARAM_ORDER):
-        if name in cfg.freeze:
+        if name in cfg.freeze or name not in names:
             continue
         h = GRAD_STEP * max(1.0, abs(x[i]))
         for sign in (+1.0, -1.0):
             xs = x.copy()
             xs[i] += sign * h
-            probes.append((i, sign, h, xs[i],
-                           params.with_vector(xs).projected()))
+            probes.append((i, sign, h, params.with_vector(xs).projected()))
     return probes
 
 
-def _gradient(probes: list[tuple], losses: list[float]) -> np.ndarray:
-    """Central differences from the probe losses; NumericError names the
-    first probe whose loss is not finite."""
+def _differences(probes: list[tuple], losses: list[float]) -> np.ndarray:
+    """Central differences from the probe losses, 0 where not probed."""
     g = np.zeros(len(PARAM_ORDER))
-    for (i, sign, h, shifted, _), loss in zip(probes, losses):
-        if not math.isfinite(loss):
-            raise NumericError(
-                f"non-finite loss while differentiating '{PARAM_ORDER[i]}' "
-                f"at {shifted!r}")
+    for (i, sign, h, _), loss in zip(probes, losses):
         g[i] += sign * loss
         if sign < 0.0:
             g[i] /= 2.0 * h
+    return g
+
+
+def _check_gradient(g: np.ndarray, params: TrainableParams) -> np.ndarray:
+    """`g`, or NumericError naming the first coordinate that is not finite."""
+    for name, component in zip(PARAM_ORDER, g):
+        if not math.isfinite(component):
+            raise NumericError(f"non-finite gradient in '{name}' at "
+                               f"{getattr(params, name)!r}")
     return g
 
 
@@ -218,11 +229,55 @@ def gradient(params: TrainableParams, cfg: TrainConfig) -> np.ndarray:
     """Central-difference gradient over PARAM_ORDER; frozen coordinates get 0.
 
     The per-coordinate step is GRAD_STEP scaled by the coordinate magnitude
-    (floored at 1 so angles near zero keep a sane step).
+    (floored at 1 so angles near zero keep a sane step). A probe that leaves
+    the box is projected back onto it, so on a bound this is half the
+    one-sided difference. The oracle for `analytic_gradient`; training does
+    not use it.
     """
     probes = _probes(params, cfg)
     at_probes = _evaluate([point for *_, point in probes], cfg)
-    return _gradient(probes, [at[0] for at in at_probes])
+    return _check_gradient(
+        _differences(probes, [at[0] for at in at_probes]), params)
+
+
+def _loss_and_gradient(params: TrainableParams, cfg: TrainConfig):
+    """(loss, qfi, p_err, gradient) at `params` from one eigendecomposition.
+
+    F_Q's gradient over the Bloch angles and r is analytic
+    (`pipeline._qfi_gradient`); F_Q does not depend on θ, so ℓ moves only
+    the hinge. The hinge's gradient is λ·∂P_err (`perr_gradient`) where
+    p_err > p_th and 0 where p_err ≤ p_th, the kink included. P_err does
+    not depend on ε, so ε moves only F_Q: its central-difference probe pair
+    is solved in the centre's stack. The gradient is not checked for
+    finiteness here.
+    """
+    probes = _probes(params, cfg, names=("epsilon",))
+    points = [params] + [point for *_, point in probes]
+    qfis, d_qfi = _qfi_gradient([point.sensor_spec(cfg.cutoff)
+                                 for point in points], cfg.noise,
+                                free_r="r" not in cfg.freeze)
+    qfi, *at_probes = qfis.tolist()
+    p_err = float(perr_analytic(params.theta, params.r, cfg.noise).p_total)
+    hinge = cfg.penalty * max(p_err - cfg.p_th, 0.0)
+    g = _differences(probes, [-q for q in at_probes])
+    g[[_BLOCH_THETA, _BLOCH_PHI, _R]] -= d_qfi
+    if p_err > cfg.p_th:
+        d_theta, d_r = perr_gradient(params.theta, params.r, cfg.noise)
+        g[_ELL] += cfg.penalty * float(d_theta) * math.pi / params.ell_max
+        g[_R] += cfg.penalty * float(d_r)
+    for i, name in enumerate(PARAM_ORDER):
+        if name in cfg.freeze:
+            g[i] = 0.0
+    return -qfi + hinge, qfi, p_err, g
+
+
+def analytic_gradient(params: TrainableParams,
+                      cfg: TrainConfig) -> np.ndarray:
+    """The gradient `train` steps along, over PARAM_ORDER; frozen
+    coordinates get 0. On a bound it is the derivative of the unprojected
+    loss, where `gradient` gives half the one-sided difference. NumericError
+    names the first coordinate that is not finite."""
+    return _check_gradient(_loss_and_gradient(params, cfg)[3], params)
 
 
 def lr_schedule(cfg: TrainConfig, t: int) -> float:
@@ -246,12 +301,10 @@ def train(cfg: TrainConfig,
     trace: list[TraceStep] = []
     for t in range(cfg.steps):
         try:
-            probes = _probes(params, cfg)
-            (loss, qfi, p_err), *at_probes = _evaluate(
-                [params] + [point for *_, point in probes], cfg)
+            loss, qfi, p_err, g = _loss_and_gradient(params, cfg)
             if not math.isfinite(loss):
                 raise NumericError(f"loss became non-finite at step {t}")
-            g = _gradient(probes, [at[0] for at in at_probes])
+            _check_gradient(g, params)
         except NumericError as exc:
             raise TrainDiverged(str(exc), trace) from exc
 
@@ -276,30 +329,41 @@ def train(cfg: TrainConfig,
 def pareto_sweep(lambdas, cfg: TrainConfig, init: TrainableParams):
     """One train per λ; returns rows sorted by λ.
 
-    Each row is a dict with keys (lam, qfi, p_err, error). The documented
-    monotone trend (p_err non-increasing in λ) is checked and warned about,
-    not asserted — trace noise can locally violate it. So is a sweep with `ell`
-    and `r` frozen: P_err depends only on (θ, r), so λ cannot move any row.
+    Each row is a dict with keys (lam, qfi, p_err, error). The smallest λ
+    trains first. λ enters a step's gradient only where p_err > p_th, and
+    there only along ℓ and r. So if that run completes and no step had
+    p_err > p_th, or ℓ and r are both frozen, every finite λ gives the same
+    trajectory bit for bit: the other rows are copies of that run, and a
+    warning says so. The documented monotone trend (p_err non-increasing in
+    λ) is checked and warned about, not asserted — trace noise can locally
+    violate it.
     """
     lams = sorted(float(lam) for lam in lambdas)
     if not lams:
         raise ValueError("pareto_sweep needs at least one lambda")
-    if {"ell", "r"} <= cfg.freeze:
-        warnings.warn(
-            "lambda cannot move this sweep: 'ell' and 'r' are both frozen, "
-            "so p_err is fixed and every row is the same training run",
-            stacklevel=2)
-    rows = []
-    for lam in lams:
-        run_cfg = replace(cfg, penalty=lam)
+
+    def run(lam: float) -> tuple[dict, list]:
         try:
-            _, trace = train(run_cfg, init)
-            last = trace[-1]
-            rows.append({"lam": lam, "qfi": last.qfi,
-                         "p_err": last.p_err, "error": ""})
+            _, trace = train(replace(cfg, penalty=lam), init)
         except TrainDiverged as exc:
-            rows.append({"lam": lam, "qfi": math.nan,
-                         "p_err": math.nan, "error": str(exc)})
+            return {"lam": lam, "qfi": math.nan, "p_err": math.nan,
+                    "error": str(exc)}, []
+        return {"lam": lam, "qfi": trace[-1].qfi, "p_err": trace[-1].p_err,
+                "error": ""}, trace
+
+    first, trace = run(lams[0])
+    reason = None
+    if trace and all(map(math.isfinite, lams)):
+        if not any(step.p_err > cfg.p_th for step in trace):
+            reason = (f"p_err stayed <= p_th = {cfg.p_th:g} at all "
+                      f"{len(trace)} steps of the lambda = {lams[0]:g} run")
+        elif {"ell", "r"} <= cfg.freeze:
+            reason = "'ell' and 'r' are both frozen"
+    if reason:
+        warnings.warn(f"lambda cannot move this sweep: {reason}, so every "
+                      f"row is the same training run", stacklevel=2)
+        return [first | {"lam": lam} for lam in lams]
+    rows = [first] + [run(lam)[0] for lam in lams[1:]]
     finite = [row for row in rows if math.isfinite(row["p_err"])]
     for lo, hi in zip(finite, finite[1:]):
         if hi["p_err"] > 2.0 * max(lo["p_err"], 1e-300):

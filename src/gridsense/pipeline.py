@@ -14,9 +14,13 @@ Both channels are linear, so for a Bloch state c0|0_ε⟩ + c1|1_ε⟩
 them; every other input only recombines them. The Bloch poles θ_B ∈ {0, π}
 return M00 / M11 exactly, following `logical_state`. Because R(θ) commutes
 with n̂, F_Q does not depend on θ and `pipeline_qfi` never rotates. A
-sequence of specs (a training step's centre and its gradient probes) is
-recombined as one stack and solved in one eigendecomposition; `sensor_state`
-and `pipeline_qfi` are its one-spec views.
+sequence of specs (a training step's centre and its ε probes, or the probes
+of the central-difference oracle) is recombined as one stack and solved in
+one eigendecomposition; `sensor_state` and `pipeline_qfi` are its one-spec
+views. The same solve gives ∂F_Q over the Bloch angles and r at the first
+spec (`metrology.qfi_response`): the angles move only the coefficients of
+the bilinear form, and r only its matrices, whose derivatives
+`noisy_basis_dr` caches next to the basis.
 
 `sensor_ket` is the direct route (codeword → squeeze → rotate) that the
 tests compose with `apply_loss` and `apply_dephasing` as the reference for
@@ -32,12 +36,12 @@ from functools import lru_cache
 import numpy as np
 
 from .channels import NoiseParams, apply_dephasing, apply_loss
-from .metrology import qfi_mixed
+from .metrology import qfi_mixed, qfi_response
 from .states import (bloch_amplitudes, logical_state, prepare_codeword,
-                     rotate, rotate_density, squeeze)
+                     rotate, rotate_density, squeeze, squeeze_generator)
 
-__all__ = ["SensorSpec", "noisy_basis", "sensor_ket", "sensor_state",
-           "pipeline_qfi"]
+__all__ = ["SensorSpec", "noisy_basis", "noisy_basis_dr", "sensor_ket",
+           "sensor_state", "pipeline_qfi"]
 
 
 @dataclass(frozen=True)
@@ -52,23 +56,45 @@ class SensorSpec:
     cutoff: int = 30
 
 
+def _squeezed_outer(epsilon: float, r: float, cutoff: int) -> np.ndarray:
+    """S|i_ε⟩⟨j_ε|S† for (i, j) = (0, 0), (0, 1), (1, 1) as one stack; both
+    codewords share one squeeze exponential."""
+    codewords = np.stack([prepare_codeword(0, epsilon, cutoff),
+                          prepare_codeword(1, epsilon, cutoff)], axis=1)
+    squeezed, _ = squeeze(codewords, math.log(r))
+    k0, k1 = squeezed.T
+    return np.stack([np.outer(a, b.conj())
+                     for a, b in ((k0, k0), (k0, k1), (k1, k1))])
+
+
 @lru_cache(maxsize=16)
 def noisy_basis(epsilon: float, r: float, eta: float, gamma: float,
                 cutoff: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Read-only (M00, M01, M11) with M_ij = dephasing(loss(S|i_ε⟩⟨j_ε|S†)).
 
-    Both codewords share one squeeze exponential, and the three outer
-    products go through each channel as one stack. Cached: during training
-    with ε and r frozen this runs once, and each pipeline run costs a few
-    elementwise operations and one eigendecomposition.
+    The three outer products go through each channel as one stack. Cached:
+    during training with ε and r frozen this runs once, and each pipeline
+    run costs a few elementwise operations and one eigendecomposition.
     """
-    codewords = np.stack([prepare_codeword(0, epsilon, cutoff),
-                          prepare_codeword(1, epsilon, cutoff)], axis=1)
-    squeezed, _ = squeeze(codewords, math.log(r))
-    k0, k1 = squeezed.T
-    outer = np.stack([np.outer(a, b.conj())
-                      for a, b in ((k0, k0), (k0, k1), (k1, k1))])
-    basis = apply_dephasing(apply_loss(outer, eta), gamma)
+    basis = apply_dephasing(apply_loss(_squeezed_outer(epsilon, r, cutoff),
+                                       eta), gamma)
+    basis.setflags(write=False)
+    return tuple(basis)
+
+
+@lru_cache(maxsize=16)
+def noisy_basis_dr(epsilon: float, r: float, eta: float, gamma: float,
+                   cutoff: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Read-only ∂(M00, M01, M11)/∂r, cached like `noisy_basis`.
+
+    S = exp(−i·ln r·K) gives ∂(S·O·S†)/∂ln r = −i[K, S·O·S†]
+    (`states.squeeze_generator`), and both channels are linear, so the
+    commutators go through them as one more 3-stack pass.
+    """
+    outer = _squeezed_outer(epsilon, r, cutoff)
+    K = squeeze_generator(cutoff)
+    slope = (-1j / r) * (K @ outer - outer @ K)
+    basis = apply_dephasing(apply_loss(slope, eta), gamma)
     basis.setflags(write=False)
     return tuple(basis)
 
@@ -113,6 +139,53 @@ def _qfis(specs, noise: NoiseParams) -> np.ndarray:
     return qfi_mixed(_unrotated_states(specs, noise))
 
 
+def _paired(coeffs, traces) -> float:
+    """Tr(X·N) for the bilinear form N = c00·M00 + c11·M11 + c01·M01 + h.c.,
+    from coeffs (c00, c01, c11) and traces Tr(X·M_ij); X Hermitian."""
+    c00, c01, c11 = coeffs
+    x00, x01, x11 = traces
+    return float((c00 * x00 + c11 * x11 + 2.0 * c01 * x01).real)
+
+
+def _qfi_gradient(specs, noise: NoiseParams,
+                  free_r: bool) -> tuple[np.ndarray, np.ndarray]:
+    """F_Q of each spec, as `_qfis` gives it, and ∂F_Q/∂(bloch_theta,
+    bloch_phi, r) at specs[0] from the same stacked eigendecomposition; the
+    r entry is 0 unless `free_r`.
+
+    dF_Q = Tr(H·dρ) (`qfi_response`), and ρ = N/Tr N for the bilinear form
+    N, so dρ = (dN − ρ·Tr dN)/Tr N. The Bloch angles move only the
+    coefficients of N; r moves only its matrices (`noisy_basis_dr`).
+    """
+    qfis, H = qfi_response(_unrotated_states(specs, noise))
+    spec, H = specs[0], H[0]
+    key = (spec.epsilon, spec.r, noise.eta, noise.gamma, spec.cutoff)
+    basis = np.stack(noisy_basis(*key))
+    c0, c1 = bloch_amplitudes(spec.bloch_theta, spec.bloch_phi)
+    coeffs = (c0 * c0, c0 * np.conj(c1), abs(c1) ** 2)
+    sin, cos = math.sin(spec.bloch_theta), math.cos(spec.bloch_theta)
+    phase = np.exp(-1j * spec.bloch_phi)
+    traces = np.trace(basis, axis1=-2, axis2=-1)
+    h = np.sum(H.T * basis, axis=(-2, -1))  # Tr(H·M_ij)
+    norm = _paired(coeffs, traces)
+    mean_h = _paired(coeffs, h) / norm  # Tr(H·ρ)
+
+    def along(d_coeffs, h, traces) -> float:
+        """Tr(H·dρ) where dN has coefficients d_coeffs over matrices with
+        Tr(H·M_ij) = h and Tr M_ij = traces."""
+        return (_paired(d_coeffs, h)
+                - mean_h * _paired(d_coeffs, traces)) / norm
+
+    d_theta = along((-0.5 * sin, 0.5 * cos * phase, 0.5 * sin), h, traces)
+    d_phi = along((0.0, -1j * coeffs[1], 0.0), h, traces)
+    d_r = 0.0
+    if free_r:
+        d_basis = np.stack(noisy_basis_dr(*key))
+        d_r = along(coeffs, np.sum(H.T * d_basis, axis=(-2, -1)),
+                    np.trace(d_basis, axis1=-2, axis2=-1))
+    return qfis, np.array([d_theta, d_phi, d_r])
+
+
 def sensor_state(spec: SensorSpec, noise: NoiseParams) -> np.ndarray:
     """Noisy sensor state R(θ)·ρ₀·R(θ)†; a fresh array the caller may modify."""
     return rotate_density(_unrotated_states([spec], noise)[0], spec.theta)
@@ -120,5 +193,5 @@ def sensor_state(spec: SensorSpec, noise: NoiseParams) -> np.ndarray:
 
 def pipeline_qfi(spec: SensorSpec, noise: NoiseParams) -> float:
     """Mixed-state QFI of the noisy sensor state with generator n̂; the
-    one-spec view of the stacked solve that training runs."""
+    one-spec view of the stacked solve (`_qfis`)."""
     return float(_qfis([spec], noise)[0])

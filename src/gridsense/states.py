@@ -44,6 +44,7 @@ __all__ = [
     "bloch_amplitudes",
     "logical_state",
     "squeeze",
+    "squeeze_generator",
     "rotate",
     "rotate_density",
     "TruncationError",
@@ -144,13 +145,19 @@ def logical_state(bloch_theta: float, bloch_phi: float, epsilon: float,
     return ket / np.linalg.norm(ket)
 
 
+def squeeze_generator(D: int) -> np.ndarray:
+    """K = i·(a†² − a²)/2 at cutoff D, so that S(s) = exp(−isK) and
+    ∂_s(S·O·S†) = −i[K, S·O·S†]."""
+    a = annihilation(D)
+    return 0.5j * (a.conj().T @ a.conj().T - a @ a)
+
+
 @lru_cache(maxsize=8)
 def _squeeze_spectrum(D: int) -> tuple[np.ndarray, np.ndarray]:
-    """Read-only (w, V) with i·(a†² − a²)/2 = V·diag(w)·V† at cutoff D."""
-    a = annihilation(D)
-    K = 0.5j * (a.conj().T @ a.conj().T - a @ a)
+    """Read-only (w, V) with K = V·diag(w)·V† at cutoff D (see
+    `squeeze_generator`)."""
     with serial_blas():
-        w, V = np.linalg.eigh(K)
+        w, V = np.linalg.eigh(squeeze_generator(D))
     w.setflags(write=False)
     V.setflags(write=False)
     return w, V

@@ -505,6 +505,38 @@ class TestSweepCommands:
             capsys.readouterr().err)
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("command,flag,dest", [
+        ("fractional", "--ells", "ells"), ("pareto", "--lambdas", "lambdas"),
+        ("tolerance", "--deltas-deg", "deltas_deg")])
+    @pytest.mark.parametrize("text", ["-3,3", "-0.5", "-.5,1", "-1e-3,2"])
+    def test_list_flag_takes_a_leading_minus(self, command, flag, dest,
+                                             text):
+        # argparse alone reads "-3,3" as an unknown option and exits 2
+        parser = cli.build_parser()
+        spaced = parser.parse_args([command, flag, text])
+        joined = parser.parse_args([command, f"{flag}={text}"])
+        assert getattr(spaced, dest) == getattr(joined, dest) == text
+
+    def test_negative_offsets_run_like_the_joined_form(self, tmp_path):
+        for form in (["--deltas-deg", "-3,3"], ["--deltas-deg=-3,3"]):
+            out = tmp_path / str(len(form))
+            assert main(["tolerance", *form, "-o", str(out)]) == 0
+        assert ((tmp_path / "1" / "tolerance.csv").read_bytes()
+                == (tmp_path / "2" / "tolerance.csv").read_bytes())
+        rows = (tmp_path / "2" / "tolerance.csv").read_text().splitlines()
+        assert [row.split(",")[0] for row in rows[1:]] == ["-3", "3"]
+
+    def test_negative_lambda_list_is_a_domain_error(self, tmp_path, capsys):
+        assert main(["pareto", "--lambdas", "-1,2", "-o", str(tmp_path)]) == 2
+        assert "--lambdas entry must be >= 0" in capsys.readouterr().err
+
+    def test_list_flag_does_not_take_the_next_option(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.build_parser().parse_args(
+                ["tolerance", "--deltas-deg", "--eta", "0.8"])
+        assert exc.value.code == 2
+        assert "expected one argument" in capsys.readouterr().err
+
     def test_pareto_rejects_nonfinite_lambda(self, tmp_path):
         # the train.lambda domain: --lambda inf is a config error too
         for lambdas in ("inf", "nan"):

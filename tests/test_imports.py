@@ -1,4 +1,6 @@
 """The CLI runs on numpy alone: scipy.special and scipy.linalg stay unloaded.
+The package itself loads no numpy until a name is used, and the CLI picks one
+BLAS thread before numpy loads unless the environment already sets a count.
 
 Importing either costs a fresh interpreter several tenths of a second (and
 scipy.linalg loads a second OpenBLAS), which every command would pay. The
@@ -14,6 +16,8 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -62,3 +66,65 @@ def test_cli_never_loads_scipy_special_or_linalg(tmp_path):
     assert result["codes"] == [0] * 7
     assert result["after_commands"] == []
     assert result["lookups"] == [0, 1]
+
+
+THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+
+
+def run_fresh(code: str, **env_vars) -> str:
+    """stdout of `code` in a new interpreter whose environment sets no BLAS
+    thread variable except `env_vars`."""
+    env = {k: v for k, v in os.environ.items() if k not in THREAD_VARS}
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(SRC), env.get("PYTHONPATH")) if p)
+    env.update(env_vars)
+    return subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120,
+                          check=True).stdout.strip()
+
+
+def test_importing_the_package_loads_no_numpy():
+    out = run_fresh("import sys, gridsense\n"
+                    "print(sorted(m for m in sys.modules if m == 'numpy'"
+                    " or m.startswith('gridsense.')))")
+    assert out == "[]"
+
+
+def test_cli_defaults_to_one_blas_thread():
+    out = run_fresh("import os, sys, gridsense.cli\n"
+                    "print(os.environ['OPENBLAS_NUM_THREADS'],"
+                    " 'numpy' in sys.modules)")
+    assert out == "1 True"
+
+
+@pytest.mark.parametrize("name, value", [
+    ("OPENBLAS_NUM_THREADS", "2"), ("OMP_NUM_THREADS", "2"),
+    ("GOTO_NUM_THREADS", "2")])
+def test_cli_keeps_an_explicit_thread_count(name, value):
+    out = run_fresh("import os, gridsense.cli\n"
+                    "print(os.environ.get('OPENBLAS_NUM_THREADS'),"
+                    f" os.environ[{name!r}])", **{name: value})
+    openblas = value if name == "OPENBLAS_NUM_THREADS" else "None"
+    assert out == f"{openblas} {value}"
+
+
+def test_star_import_yields_all_of_all():
+    out = run_fresh("import gridsense\n"
+                    "namespace = {}\n"
+                    "exec('from gridsense import *', namespace)\n"
+                    "missing = [n for n in gridsense.__all__"
+                    " if n not in namespace]\n"
+                    "print(len(gridsense.__all__), missing)")
+    assert out == "74 []"
+
+
+def test_lazy_names_are_the_submodule_objects():
+    import gridsense
+    from gridsense import optimize, pipeline
+
+    assert gridsense.train is optimize.train
+    assert gridsense.pipeline_qfi is pipeline.pipeline_qfi
+    assert gridsense.fock is sys.modules["gridsense.fock"]
+    assert set(gridsense.__all__) <= set(dir(gridsense))
+    with pytest.raises(AttributeError, match="no attribute 'no_such_name'"):
+        gridsense.no_such_name

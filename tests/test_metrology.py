@@ -21,6 +21,8 @@ from gridsense import (
     rotate_density,
 )
 
+from gridsense.metrology import qfi_response
+
 from conftest import D
 
 
@@ -140,6 +142,46 @@ class TestQfiMixedStack:
         for tol, got in ((1e-12, strict), (1e-3, loose)):
             assert got.tolist() == [qfi_mixed_reference(rho, tol)
                                     for rho in stack]
+
+
+class TestQfiResponse:
+    """dF_Q = Tr(H·dρ) for the response operator H of `qfi_response`."""
+
+    @pytest.mark.parametrize("rank", [3, D])
+    def test_qfi_matches_qfi_mixed_exactly(self, rank, noisy_square):
+        stack = np.concatenate([_random_states(rank, 3, rank),
+                                noisy_square[None]])
+        qfis, H = qfi_response(stack)
+        assert qfis.tolist() == qfi_mixed(stack).tolist()
+        assert H.shape == stack.shape
+        assert np.max(np.abs(H - np.swapaxes(H, -1, -2).conj())) < 1e-9
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_directional_derivative_matches_differences(self, seed):
+        # a random trace-free Hermitian direction at a random full-rank
+        # state, whose spectrum stays far from the eig_tol mask and from 0
+        # (the pipeline's physical directions are checked in test_pipeline)
+        rng = np.random.default_rng(seed)
+        X = rng.normal(size=(D, D)) + 1j * rng.normal(size=(D, D))
+        direction = (X + X.conj().T) / 2.0
+        direction -= np.trace(direction) / D * np.eye(D)
+        direction /= np.linalg.norm(direction)
+        for rho in _random_states(10 + seed, 2, D):
+            qfi, H = qfi_response(rho)
+            assert type(qfi) is float
+            h = 1e-6
+            diff = (qfi_mixed(rho + h * direction)
+                    - qfi_mixed(rho - h * direction)) / (2 * h)
+            assert np.sum(H.T * direction).real == pytest.approx(diff,
+                                                                 rel=1e-6)
+
+    def test_pure_state_response(self):
+        # on a pure state only the support is resolved: F_Q = 4 Var(n̂) is
+        # linear in ρ along directions inside span{|ψ⟩}
+        psi = coherent_ket(0.8 + 0.3j)
+        qfi, H = qfi_response(ket_density(psi))
+        assert qfi == pytest.approx(qfi_pure(psi), rel=1e-10)
+        assert np.vdot(psi, H @ psi).real == pytest.approx(qfi, rel=1e-8)
 
 
 class TestCfiHomodyne:

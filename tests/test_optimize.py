@@ -11,9 +11,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import gridsense.optimize as optimize
+import gridsense.pipeline as pipeline
 from gridsense import (
     BOUNDS,
     PARAM_ORDER,
+    NoiseParams,
     TrainConfig,
     TrainableParams,
     combined_loss,
@@ -27,6 +29,8 @@ from gridsense import (
     train,
 )
 from gridsense.fock import NumericError
+from gridsense.model import perr_gradient
+from gridsense.optimize import analytic_gradient
 
 from conftest import LOW_NOISE
 
@@ -261,8 +265,9 @@ class TestSweeps:
 
     def test_pareto_sweep_accepts_generator(self):
         lambdas = (lam for lam in (100.0, 1.0))
-        rows = pareto_sweep(lambdas, short_cfg(steps=2, freeze=R_FREE),
-                            OAM_INIT)
+        with pytest.warns(UserWarning, match="lambda cannot move"):
+            rows = pareto_sweep(lambdas, short_cfg(steps=2, freeze=R_FREE),
+                                OAM_INIT)
         assert [r["lam"] for r in rows] == [1.0, 100.0]
 
     def test_pareto_sweep_warns_when_lambda_is_inert(self):
@@ -272,13 +277,70 @@ class TestSweeps:
         assert len(rows) == 2
         assert rows[0]["p_err"] == rows[1]["p_err"]
 
-    def test_pareto_sweep_quiet_when_r_is_free(self):
+    @staticmethod
+    def count_trainings(monkeypatch):
+        penalties = []
+        real_train = optimize.train
+
+        def counting_train(cfg, init):
+            penalties.append(cfg.penalty)
+            return real_train(cfg, init)
+
+        monkeypatch.setattr(optimize, "train", counting_train)
+        return penalties
+
+    def test_pareto_sweep_trains_once_when_the_hinge_stays_off(
+            self, monkeypatch):
+        # r is free, but p_err stays below p_th at every step, so the
+        # penalty never enters: the rows are copies of the smallest λ's run
+        cfg = short_cfg(steps=3, freeze=R_FREE)
+        expected = [train(replace(cfg, penalty=lam), OAM_INIT)[1][-1]
+                    for lam in (0.0, 10.0, 1e3)]
+        penalties = self.count_trainings(monkeypatch)
+        with pytest.warns(UserWarning, match=(
+                r"^lambda cannot move this sweep: p_err stayed <= p_th = "
+                r"0\.001 at all 3 steps of the lambda = 0 run, so every row "
+                r"is the same training run$")):
+            rows = pareto_sweep([1e3, 0.0, 10.0], cfg, OAM_INIT)
+        assert penalties == [0.0]
+        assert [(row["lam"], row["qfi"], row["p_err"], row["error"])
+                for row in rows] == [(lam, last.qfi, last.p_err, "")
+                                     for lam, last in zip((0.0, 10.0, 1e3),
+                                                          expected)]
+
+    def test_pareto_sweep_trains_every_lambda_when_the_hinge_is_active(
+            self, monkeypatch):
+        penalties = self.count_trainings(monkeypatch)
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            pareto_sweep([1.0, 100.0], short_cfg(steps=2, freeze=R_FREE),
-                         OAM_INIT)
+            rows = pareto_sweep([1.0, 1e4], short_cfg(
+                steps=3, freeze=R_FREE, p_th=1e-6), OAM_INIT)
         assert not [w for w in caught
                     if "lambda cannot move" in str(w.message)]
+        assert penalties == [1.0, 1e4]
+        assert rows[0]["p_err"] != rows[1]["p_err"]
+        assert rows[0]["qfi"] != rows[1]["qfi"]
+
+    def test_pareto_sweep_trains_once_with_ell_and_r_frozen(
+            self, monkeypatch):
+        # the hinge is active, but its gradient lies along ℓ and r only, and
+        # ε moves only F_Q: every λ takes the same steps
+        cfg = short_cfg(steps=3, freeze=frozenset({"ell", "r"}), p_th=1e-6)
+        expected = train(replace(cfg, penalty=1e4), OAM_INIT)[1][-1]
+        penalties = self.count_trainings(monkeypatch)
+        with pytest.warns(UserWarning, match="'ell' and 'r' are both frozen"):
+            rows = pareto_sweep([1e4, 1.0], cfg, OAM_INIT)
+        assert penalties == [1.0]
+        assert [(row["lam"], row["qfi"], row["p_err"]) for row in rows] == [
+            (1.0, expected.qfi, expected.p_err),
+            (1e4, expected.qfi, expected.p_err)]
+
+    def test_pareto_sweep_trains_an_infinite_lambda(self):
+        # inf·0 is NaN, so an infinite penalty is not a copy even with the
+        # hinge off: its loss is NaN from the first step
+        rows = pareto_sweep([1.0, math.inf], short_cfg(steps=2), OAM_INIT)
+        assert rows[0]["error"] == ""
+        assert rows[1]["error"] == "loss became non-finite at step 0"
 
     def test_fractional_sweep_columns_and_symmetry(self):
         rows = fractional_sweep([0.0, 1.0, 3.0], short_cfg(steps=2),
@@ -355,8 +417,9 @@ class TestSweeps:
 
 
 # ------------------------------------------------- per-point reference trainer
-# The trainer as it was before a step's states were stacked: one pipeline_qfi
-# and one perr_analytic per point, probes evaluated one at a time.
+# One pipeline_qfi and one perr_analytic per point, with the gradient passed
+# in: `reference_gradient` evaluates the central-difference probes one at a
+# time, and `train` must equal the reference fed `analytic_gradient`.
 
 def reference_combined_loss(params, cfg):
     qfi = pipeline_qfi(params.sensor_spec(cfg.cutoff), cfg.noise)
@@ -377,16 +440,17 @@ def reference_gradient(params, cfg):
             xs[i] += sign * h
             loss, _, _ = reference_combined_loss(
                 params.with_vector(xs).projected(), cfg)
-            if not math.isfinite(loss):
-                raise NumericError(
-                    f"non-finite loss while differentiating '{name}' at "
-                    f"{xs[i]!r}")
             g[i] += sign * loss
         g[i] /= 2.0 * h
+        if not math.isfinite(g[i]):
+            raise NumericError(f"non-finite gradient in '{name}' at "
+                               f"{x[i]!r}")
     return g
 
 
-def reference_train(cfg, init):
+def reference_train(cfg, init, grad):
+    """The per-point trainer; `grad(params, cfg)` gives each step's
+    gradient."""
     params = init.projected()
     m = np.zeros(len(PARAM_ORDER))
     v = np.zeros(len(PARAM_ORDER))
@@ -396,7 +460,7 @@ def reference_train(cfg, init):
             loss, qfi, p_err = reference_combined_loss(params, cfg)
             if not math.isfinite(loss):
                 raise NumericError(f"loss became non-finite at step {t}")
-            g = reference_gradient(params, cfg)
+            g = grad(params, cfg)
         except NumericError as exc:
             raise optimize.TrainDiverged(str(exc), trace) from exc
         norm = float(np.linalg.norm(g))
@@ -425,8 +489,8 @@ ON_BOUND = TrainableParams(bloch_theta=0.0, bloch_phi=0.3, ell=1.0,
 
 
 class TestStackedStep:
-    """`train` evaluates a step's centre and probes as one stack; it must
-    reproduce the per-point reference bit for bit."""
+    """`train` evaluates a step from one stacked solve; it must reproduce the
+    per-point reference fed the analytic gradient bit for bit."""
 
     @pytest.mark.parametrize("init", [OAM_INIT, ON_BOUND],
                              ids=["interior", "on_bound"])
@@ -435,7 +499,7 @@ class TestStackedStep:
     def test_matches_the_per_point_reference(self, freeze, init):
         cfg = short_cfg(steps=3, freeze=freeze, p_th=1e-5)
         final, trace = train(cfg, init)
-        ref_final, ref_trace = reference_train(cfg, init)
+        ref_final, ref_trace = reference_train(cfg, init, analytic_gradient)
         assert final == ref_final
         assert trace == ref_trace
         assert combined_loss(final, cfg) == reference_combined_loss(final, cfg)
@@ -453,19 +517,29 @@ class TestStackedStep:
         monkeypatch.setattr(optimize, "perr_analytic", spy)
         cfg = short_cfg(steps=2, freeze=frozenset({"epsilon"}))
         _, trace = train(cfg, OAM_INIT)
-        # one call per step, over the centre and its 2k = 8 probes in order
-        assert len(seen) == 2
-        for (theta, r), centre in zip(seen, [OAM_INIT, trace[0].params]):
-            points = [centre] + [point for *_, point
-                                 in optimize._probes(centre, cfg)]
-            assert len(points) == 1 + 2 * 4
-            assert theta.tolist() == [point.theta for point in points]
-            assert r.tolist() == [point.r for point in points]
+        # one call per step, at the centre only: no coordinate is probed
+        assert seen == [(centre.theta, centre.r)
+                        for centre in (OAM_INIT, trace[0].params)]
+
+    @pytest.mark.parametrize("freeze, states", [
+        (frozenset({"ell", "r", "epsilon"}), 1), (frozenset(), 3)])
+    def test_one_solve_per_step(self, freeze, states, monkeypatch):
+        # ε keeps its probe pair, solved in the centre's stack
+        shapes = []
+        real = pipeline.qfi_response
+
+        def spy(rho):
+            shapes.append(rho.shape)
+            return real(rho)
+
+        monkeypatch.setattr(pipeline, "qfi_response", spy)
+        train(short_cfg(steps=3, freeze=freeze), OAM_INIT)
+        assert shapes == [(states, 30, 30)] * 3
 
     @staticmethod
     def diverge_both(cfg, init):
         with pytest.raises(optimize.TrainDiverged) as ref:
-            reference_train(cfg, init)
+            reference_train(cfg, init, analytic_gradient)
         with pytest.raises(optimize.TrainDiverged) as got:
             train(cfg, init)
         assert str(got.value) == str(ref.value)
@@ -484,26 +558,22 @@ class TestStackedStep:
         assert trace == []
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-    def test_non_finite_probe(self):
-        # θ = ℓπ/4 is finite at the centre and overflows at ℓ + h only
+    def test_oracle_names_a_non_finite_probe(self):
+        # θ = ℓπ/4 is finite at the centre and overflows at ℓ + h only: the
+        # oracle's ℓ probe fails, while training never probes ℓ
         init = replace(OAM_INIT, ell=sys.float_info.max / math.pi * (1 - 1e-5))
         cfg = short_cfg(freeze=frozenset({"r", "epsilon"}))
-        message, trace = self.diverge_both(cfg, init)
-        assert message.startswith(
-            "non-finite loss while differentiating 'ell' at ")
-        assert trace == []
+        with pytest.raises(NumericError,
+                           match=r"^non-finite gradient in 'ell' at "):
+            gradient(init, cfg)
+        final, trace = train(cfg, init)
+        assert len(trace) == cfg.steps
+        assert final.ell == init.ell  # inactive hinge: ∂L/∂ℓ = 0
 
-    @pytest.mark.parametrize("which,sign", [
-        ("centre", 0.0), ("ell+", +1.0), ("ell-", -1.0)])
-    def test_non_finite_at_a_later_step(self, which, sign, monkeypatch):
-        # an active hinge makes the loss, and so ℓ, move with θ
+    def test_non_finite_centre_at_a_later_step(self, monkeypatch):
         cfg = short_cfg(steps=4, freeze=frozenset({"epsilon"}), p_th=1e-6)
-        _, clean = reference_train(cfg, OAM_INIT)
-        centre = clean[1].params  # the centre of step 2
-        x = centre.vector()
-        i = PARAM_ORDER.index("ell")
-        x[i] += sign * optimize.GRAD_STEP * max(1.0, abs(x[i]))
-        target = centre.with_vector(x).projected().theta
+        _, clean = reference_train(cfg, OAM_INIT, analytic_gradient)
+        target = clean[1].params.theta  # the centre of step 2
         real = optimize.perr_analytic
 
         def nan_at_target(theta, r, noise):
@@ -514,8 +584,146 @@ class TestStackedStep:
         monkeypatch.setattr(optimize, "perr_analytic", nan_at_target)
         message, trace = self.diverge_both(cfg, OAM_INIT)
         assert trace == clean[:2]
-        if which == "centre":
-            assert message == "loss became non-finite at step 2"
-        else:
-            assert message == ("non-finite loss while differentiating 'ell' "
-                               f"at {x[i]!r}")
+        assert message == "loss became non-finite at step 2"
+
+    @pytest.mark.parametrize("name", PARAM_ORDER)
+    def test_non_finite_gradient_names_its_coordinate(self, name,
+                                                      monkeypatch):
+        # every coordinate free and the hinge active, so each one has a
+        # gradient source: the QFI response (Bloch angles, r), the closed-form
+        # P_err slope (ℓ) or the ε probe pair
+        cfg = short_cfg(steps=4, freeze=frozenset(), p_th=1e-6)
+        _, clean = train(cfg, OAM_INIT)
+        centre = clean[1].params  # the centre of step 2
+        real_qfi, real_perr = optimize._qfi_gradient, optimize.perr_gradient
+
+        def poisoned_qfi(specs, noise, free_r):
+            qfis, d_qfi = real_qfi(specs, noise, free_r)
+            if specs[0] == centre.sensor_spec(cfg.cutoff):
+                if name == "epsilon":
+                    qfis[1] = math.nan  # the + probe
+                elif name != "ell":
+                    d_qfi[("bloch_theta", "bloch_phi", "r").index(name)] = \
+                        math.nan
+            return qfis, d_qfi
+
+        def poisoned_perr(theta, r, noise):
+            d_theta, d_r = real_perr(theta, r, noise)
+            if name == "ell" and theta == centre.theta:
+                d_theta = math.nan
+            return d_theta, d_r
+
+        monkeypatch.setattr(optimize, "_qfi_gradient", poisoned_qfi)
+        monkeypatch.setattr(optimize, "perr_gradient", poisoned_perr)
+        message, trace = self.diverge_both(cfg, OAM_INIT)
+        assert trace == clean[:2]
+        assert message == (f"non-finite gradient in '{name}' at "
+                           f"{getattr(centre, name)!r}")
+
+
+def interior_point(seed):
+    """A seeded point well inside the box, away from the Bloch poles."""
+    rng = np.random.default_rng(seed)
+    return TrainableParams(bloch_theta=rng.uniform(0.4, math.pi - 0.4),
+                           bloch_phi=rng.uniform(0.0, 2.0 * math.pi),
+                           ell=rng.uniform(0.2, 3.8), r=rng.uniform(0.9, 1.3),
+                           epsilon=rng.uniform(0.04, 0.1))
+
+
+class TestAnalyticGradient:
+    """`analytic_gradient` against the central-difference oracle."""
+
+    # p_err at these points lies in [1e-6, 1e-2]: a threshold of 1e-9 keeps
+    # the hinge active at every probe, 1.0 keeps it off
+    @pytest.mark.parametrize("p_th", [1e-9, 1.0], ids=["active", "inactive"])
+    @pytest.mark.parametrize("seed", [0, 1])
+    @pytest.mark.parametrize("freeze", FREEZE_SETS,
+                             ids=lambda f: ",".join(sorted(f)) or "none")
+    def test_matches_the_oracle(self, freeze, seed, p_th, monkeypatch):
+        # At the default step the oracle's own truncation error in r reaches
+        # 1.4e-6 (r = 1.28); a 10x smaller step makes it 100x smaller. ε is
+        # differenced with the same step by both.
+        monkeypatch.setattr(optimize, "GRAD_STEP", optimize.GRAD_STEP / 10)
+        params = interior_point(seed)
+        cfg = short_cfg(freeze=freeze, p_th=p_th)
+        assert 1e-6 < combined_loss(params, cfg)[2] < 1e-2
+        got, want = analytic_gradient(params, cfg), gradient(params, cfg)
+        assert np.linalg.norm(got - want) <= 1e-6 * np.linalg.norm(want)
+        for i, name in enumerate(PARAM_ORDER):
+            if name in freeze:
+                assert got[i] == 0.0
+
+    def test_inactive_hinge_leaves_ell_at_zero(self):
+        cfg = short_cfg(freeze=frozenset(), p_th=1.0)
+        assert analytic_gradient(interior_point(0), cfg)[
+            PARAM_ORDER.index("ell")] == 0.0
+
+    def test_on_the_bounds(self):
+        # On a bound the oracle's outer probe clips onto the centre. The
+        # analytic value is the derivative of the unprojected loss: checked
+        # against central differences through the bound, with θ_B = −h taken
+        # as θ_B = h at φ_B + π (the same state).
+        cfg = short_cfg(freeze=frozenset(), p_th=1e-9)
+        got = analytic_gradient(ON_BOUND, cfg)
+        oracle = gradient(ON_BOUND, cfg)
+        h = 1e-5
+
+        def loss(**over):
+            return combined_loss(replace(ON_BOUND, **over), cfg)[0]
+
+        d_theta = (loss(bloch_theta=h)
+                   - loss(bloch_theta=h, bloch_phi=ON_BOUND.bloch_phi
+                          + math.pi)) / (2 * h)
+        d_r = (loss(r=ON_BOUND.r + h) - loss(r=ON_BOUND.r - h)) / (2 * h)
+        index = PARAM_ORDER.index
+        assert got[index("bloch_theta")] == pytest.approx(d_theta, rel=1e-6)
+        assert got[index("r")] == pytest.approx(d_r, rel=1e-6)
+        # the azimuth is a global phase at the pole
+        assert got[index("bloch_phi")] == oracle[index("bloch_phi")] == 0.0
+        assert got[index("ell")] == pytest.approx(oracle[index("ell")],
+                                                  rel=1e-6)
+        # ε keeps the oracle's probe pair, clipped onto the centre here
+        assert got[index("epsilon")] == pytest.approx(
+            oracle[index("epsilon")], rel=1e-9)
+
+
+class TestPerrGradient:
+    @pytest.mark.parametrize("seed", range(4))
+    def test_matches_differences_of_perr_analytic(self, seed):
+        rng = np.random.default_rng(seed)
+        theta = rng.uniform(0.0, math.pi, size=6)
+        r = rng.uniform(0.8, 1.5, size=6)
+        noise = NoiseParams(rng.uniform(0.75, 0.99, size=6),
+                            rng.uniform(0.0, 0.25, size=6))
+        d_theta, d_r = perr_gradient(theta, r, noise)
+        h = 1e-6
+
+        def p(theta, r):
+            return perr_analytic(theta, r, noise).p_total
+
+        np.testing.assert_allclose(
+            d_theta, (p(theta + h, r) - p(theta - h, r)) / (2 * h),
+            rtol=1e-6)
+        np.testing.assert_allclose(
+            d_r, (p(theta, r + h) - p(theta, r - h)) / (2 * h), rtol=1e-6)
+
+    @pytest.mark.parametrize("theta, noise", [
+        (0.3, NoiseParams(1.0, 0.0)),  # no spread at all
+        (0.0, NoiseParams(1.0, 0.1)),  # no q spread on the axis
+    ])
+    def test_zero_spread_contributes_nothing(self, theta, noise):
+        d_theta, d_r = perr_gradient(theta, 1.1, noise)
+        assert math.isfinite(d_theta) and math.isfinite(d_r)
+        if noise.gamma == 0.0:
+            assert d_theta == d_r == 0.0
+        else:  # the p quadrature still moves with r
+            assert d_theta == 0.0
+            h = 1e-6
+            assert d_r == pytest.approx(
+                (perr_analytic(theta, 1.1 + h, noise).p_total
+                 - perr_analytic(theta, 1.1 - h, noise).p_total) / (2 * h),
+                rel=1e-6)
+
+    def test_rejects_a_non_positive_ratio(self):
+        with pytest.raises(ValueError, match="aspect ratio"):
+            perr_gradient(0.1, np.array([1.0, 0.0]), LOW_NOISE)

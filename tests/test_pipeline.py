@@ -21,7 +21,7 @@ from gridsense import (
     train,
 )
 from gridsense import pipeline, states
-from gridsense.pipeline import noisy_basis
+from gridsense.pipeline import noisy_basis, noisy_basis_dr
 
 from conftest import LOW_NOISE
 
@@ -149,9 +149,67 @@ def test_training_builds_the_basis_once(monkeypatch):
     train(cfg, TrainableParams(bloch_theta=1.5708, bloch_phi=1.5708))
     info = noisy_basis.cache_info()
     assert info.misses == 1
-    assert info.hits == 5 * 5 - 1  # 1 + 2 x 2 free coordinates per step
+    # one state per step, looked up for its stack and for its gradient
+    assert info.hits == 2 * 5 - 1
     assert calls == {"squeeze": 1}
     assert states._squeeze_spectrum.cache_info().misses == 1
+
+
+def test_free_r_builds_one_basis_and_one_slope_per_step():
+    # r is differentiated through its basis slope, not probed at r ± h
+    noisy_basis.cache_clear()
+    noisy_basis_dr.cache_clear()
+    cfg = TrainConfig(noise=LOW_NOISE, steps=4,
+                      freeze=frozenset({"ell", "epsilon"}))
+    train(cfg, TrainableParams(bloch_theta=1.5708, bloch_phi=1.5708))
+    assert noisy_basis.cache_info().misses == 4
+    assert noisy_basis_dr.cache_info().misses == 4
+
+
+@pytest.mark.parametrize("args", [
+    (0.063, 1.092, 0.9, 0.05, 30),
+    (0.15, 0.6, 0.7, 0.2, 20),
+    (0.1, 1.0, 1.0, 0.0, 40),
+])
+def test_basis_slope_matches_differences_of_the_basis(args):
+    epsilon, r, eta, gamma, cutoff = args
+    h = 1e-5
+    slope = noisy_basis_dr(*args)
+    plus = noisy_basis(epsilon, r + h, eta, gamma, cutoff)
+    minus = noisy_basis(epsilon, r - h, eta, gamma, cutoff)
+    for dM, M_plus, M_minus in zip(slope, plus, minus, strict=True):
+        assert not dM.flags.writeable
+        diff = (M_plus - M_minus) / (2 * h)
+        assert np.max(np.abs(dM - diff)) <= 1e-6 * np.max(np.abs(diff))
+
+
+def test_gradient_stack_gives_the_same_qfis():
+    base = SensorSpec(theta=0.0, r=1.092, bloch_theta=1.1, bloch_phi=0.4)
+    specs = [base, replace(base, epsilon=0.08), replace(base, epsilon=0.05)]
+    qfis, _ = pipeline._qfi_gradient(specs, LOW_NOISE, free_r=True)
+    assert qfis.tobytes() == pipeline._qfis(specs, LOW_NOISE).tobytes()
+
+
+@pytest.mark.parametrize("bloch_theta", [0.0, 1.1, math.pi])
+def test_qfi_gradient_matches_differences(bloch_theta):
+    # the poles return a codeword's state exactly; there the azimuth is a
+    # global phase
+    spec = SensorSpec(theta=0.0, r=1.092, bloch_theta=bloch_theta,
+                      bloch_phi=0.4)
+    _, got = pipeline._qfi_gradient([spec], LOW_NOISE, free_r=True)
+    h = 1e-5
+
+    def qfi(**over):
+        return pipeline_qfi(replace(spec, **over), LOW_NOISE)
+
+    if 0.0 < bloch_theta < math.pi:
+        d_theta = (qfi(bloch_theta=bloch_theta + h)
+                   - qfi(bloch_theta=bloch_theta - h)) / (2 * h)
+        assert got[0] == pytest.approx(d_theta, rel=1e-6)
+    d_phi = (qfi(bloch_phi=0.4 + h) - qfi(bloch_phi=0.4 - h)) / (2 * h)
+    assert got[1] == pytest.approx(d_phi, rel=1e-6, abs=1e-9)
+    d_r = (qfi(r=1.092 + h) - qfi(r=1.092 - h)) / (2 * h)
+    assert got[2] == pytest.approx(d_r, rel=1e-6)
 
 
 def test_basis_from_cached_codewords_matches_an_uncached_build(monkeypatch):
