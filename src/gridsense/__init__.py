@@ -2,7 +2,7 @@
 Fisher information, logical-error model, and the constrained optimizer.
 
 Everything runs in a truncated number basis (default dimension 30) with
-plain numpy/scipy; the command-line entry point lives in gridsense.cli.
+plain numpy; the command-line entry point lives in gridsense.cli.
 
 The names below are re-exported lazily (PEP 562): `import gridsense` loads
 no submodule and so no numpy, and the first access of a name imports the

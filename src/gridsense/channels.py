@@ -25,7 +25,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .fock import position_op, serial_blas
+from .fock import check_domain, hermitian_eig, position_op
 
 __all__ = [
     "NoiseParams",
@@ -37,9 +37,13 @@ __all__ = [
 ]
 
 
+# (lo, hi, strict) triples, as `fock.in_domain` reads them.
+NOISE_DOMAINS = {"eta": (0.0, 1.0, True), "gamma": (0.0, 0.5, False)}
+
+
 @dataclass(frozen=True)
 class NoiseParams:
-    """Transmissivity η ∈ (0, 1] and dephasing rate γ ≥ 0.
+    """Transmissivity η and dephasing rate γ, in `NOISE_DOMAINS`.
 
     Either field may also be an array of cells (the two broadcast together);
     the closed-form model functions then return arrays of the same shape.
@@ -49,11 +53,8 @@ class NoiseParams:
     gamma: float
 
     def __post_init__(self):
-        eta, gamma = np.asarray(self.eta), np.asarray(self.gamma)
-        if not np.all((0.0 < eta) & (eta <= 1.0)):
-            raise ValueError(f"eta must lie in (0, 1], got {self.eta}")
-        if not np.all(gamma >= 0.0):
-            raise ValueError(f"gamma must be >= 0, got {self.gamma}")
+        for name, domain in NOISE_DOMAINS.items():
+            check_domain(name, np.asarray(getattr(self, name)), domain)
 
 
 @lru_cache(maxsize=32)
@@ -71,8 +72,7 @@ def _loss_amplitudes(eta: float, D: int) -> np.ndarray:
     K_k[m, m+k] = A[k, m]. Computed in log space so large-n binomials stay
     finite. Callers handle η = 1 (the identity channel) themselves.
     """
-    if not 0.0 < eta <= 1.0:
-        raise ValueError(f"eta must lie in (0, 1], got {eta}")
+    check_domain("eta", eta, NOISE_DOMAINS["eta"])
     lgamma = _log_factorials(D)
     log_eta = math.log(eta)
     log_one_minus = math.log1p(-eta)
@@ -140,8 +140,7 @@ def apply_dephasing(rho: np.ndarray, gamma: float) -> np.ndarray:
 
     Diagonal (and hence trace) is untouched for any γ.
     """
-    if gamma < 0.0:
-        raise ValueError(f"gamma must be >= 0, got {gamma}")
+    check_domain("gamma", gamma, NOISE_DOMAINS["gamma"])
     rho = np.asarray(rho, dtype=complex)
     n = np.arange(rho.shape[-1])
     dn = n[:, None] - n[None, :]
@@ -150,10 +149,7 @@ def apply_dephasing(rho: np.ndarray, gamma: float) -> np.ndarray:
 
 @lru_cache(maxsize=32)
 def _position_eigenbasis(D: int):
-    q = position_op(D)
-    with serial_blas():
-        w, V = np.linalg.eigh((q + q.conj().T) / 2.0)
-    return w, V
+    return hermitian_eig(position_op(D))
 
 
 def apply_momentum_diffusion(rho: np.ndarray, gamma: float) -> np.ndarray:
@@ -164,8 +160,7 @@ def apply_momentum_diffusion(rho: np.ndarray, gamma: float) -> np.ndarray:
     ρ(q_i, q_j) → ρ(q_i, q_j)·e^{-γ(q_i-q_j)²/2}. Completely positive and
     trace preserving; anisotropic, hence not rotation-covariant.
     """
-    if gamma < 0.0:
-        raise ValueError(f"gamma must be >= 0, got {gamma}")
+    check_domain("gamma", gamma, NOISE_DOMAINS["gamma"])
     rho = np.asarray(rho, dtype=complex)
     w, V = _position_eigenbasis(rho.shape[0])
     rho_q = V.conj().T @ rho @ V

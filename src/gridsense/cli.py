@@ -32,12 +32,12 @@ if not {"OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS",
 import numpy as np
 
 from . import __version__
-from .channels import NoiseParams
-from .fock import NumericError
-from .lattice import twisted_lattice
+from .channels import NOISE_DOMAINS, NoiseParams
+from .fock import NumericError, domain_text, in_domain
+from .lattice import ELL_MAX_DOMAIN, twisted_lattice
 from .metrology import capacity, measurement_efficiency
 from .model import (
-    MC_MIN_SAMPLES,
+    MC_SAMPLES_DOMAIN,
     NoRootError,
     mc_perr,
     perr_analytic,
@@ -53,7 +53,7 @@ from .optimize import (
     ADAM_EPS,
     BOUNDS,
     PARAM_ORDER,
-    TRAIN_LIMITS,
+    TRAIN_LIMITS as _TRAIN,
     TrainConfig,
     TrainableParams,
     combined_loss,
@@ -63,8 +63,8 @@ from .optimize import (
 )
 from .pipeline import sensor_state
 from .report import RunReport, dumps_json, write_csv
-from .states import MIN_CUTOFF
-from .wigner import wigner_grid, wigner_negativity
+from .states import BLOCH_THETA_DOMAIN, CUTOFF_DOMAIN, EPSILON_DOMAIN
+from .wigner import check_grid, wigner_grid, wigner_negativity
 
 __all__ = ["main", "ConfigError", "DEFAULT_CONFIG", "load_config"]
 
@@ -85,42 +85,37 @@ class _Leaf(NamedTuple):
     help: str
 
 
-# The train.* domains: the trainer's own lower limits, with no upper bound.
-_FLOOR = {name: (bound, None, strict)
-          for name, (bound, strict) in TRAIN_LIMITS.items()}
-
 # One row per config leaf, the source of DEFAULT_CONFIG, the --<leaf> flags
 # and their checks. A leaf has its default's type (None: a number or null).
-# A domain is None (any finite number), (lo, hi, strict) with hi None for no
-# upper bound and lo excluded when strict, or the names a list may hold.
+# A domain is None (any finite number), a (lo, hi, strict) triple
+# (`fock.in_domain`), or the names a list may hold.
 _LEAVES = (
-    _Leaf("noise.eta", 0.9, (0, 1, True), "transmissivity"),
-    _Leaf("noise.gamma", 0.05, (0, 0.5, False), "dephasing rate"),
+    _Leaf("noise.eta", 0.9, NOISE_DOMAINS["eta"], "transmissivity"),
+    _Leaf("noise.gamma", 0.05, NOISE_DOMAINS["gamma"], "dephasing rate"),
     _Leaf("lattice.ell", 0.0, None, "OAM charge (fractional ok)"),
-    _Leaf("lattice.ell_max", 4, (1, None, False), "maximal OAM charge"),
+    _Leaf("lattice.ell_max", 4, ELL_MAX_DOMAIN, "maximal OAM charge"),
     # Trainable coordinates start inside the box projection keeps them in.
     _Leaf("lattice.r", 1.092, (*BOUNDS["r"], False), "lattice aspect ratio"),
     _Leaf("lattice.theta_deg", None, None, "rotation (deg), overrides --ell"),
-    _Leaf("state.epsilon", 0.063, (*BOUNDS["epsilon"], False),
-          "finite-energy parameter"),
+    _Leaf("state.epsilon", 0.063, EPSILON_DOMAIN, "finite-energy parameter"),
     # Bloch init pi/2, pi/2: an equatorial start keeps the trainer away from
     # the bloch_theta in {0, pi} boundary, where the gradient points out of
     # the feasible box and projected Adam stalls on the corner.
-    _Leaf("state.bloch_theta", math.pi / 2, (*BOUNDS["bloch_theta"], False),
+    _Leaf("state.bloch_theta", math.pi / 2, BLOCH_THETA_DOMAIN,
           "Bloch polar angle (radians)"),
     _Leaf("state.bloch_phi", math.pi / 2, None, "Bloch azimuth (radians)"),
-    _Leaf("train.steps", 500, _FLOOR["steps"], "optimizer steps"),
-    _Leaf("train.lr_init", 5e-3, _FLOOR["lr_init"], "initial learning rate"),
-    _Leaf("train.lr_final", 1e-5, _FLOOR["lr_final"], "final learning rate"),
-    _Leaf("train.clip_norm", 1.0, _FLOOR["clip_norm"], "gradient-norm clip"),
-    _Leaf("train.lambda", 100.0, _FLOOR["penalty"], "error-rate penalty"),
-    _Leaf("train.p_th", 1e-3, _FLOOR["p_th"], "target logical error rate"),
-    _Leaf("train.seed", 0, _FLOOR["seed"], "Monte-Carlo seed"),
+    # The train.* domains are the trainer's own (`optimize.TRAIN_LIMITS`).
+    _Leaf("train.steps", 500, _TRAIN["steps"], "optimizer steps"),
+    _Leaf("train.lr_init", 5e-3, _TRAIN["lr_init"], "initial learning rate"),
+    _Leaf("train.lr_final", 1e-5, _TRAIN["lr_final"], "final learning rate"),
+    _Leaf("train.clip_norm", 1.0, _TRAIN["clip_norm"], "gradient-norm clip"),
+    _Leaf("train.lambda", 100.0, _TRAIN["penalty"], "error-rate penalty"),
+    _Leaf("train.p_th", 1e-3, _TRAIN["p_th"], "target logical error rate"),
+    _Leaf("train.seed", 0, (0, None, False), "Monte-Carlo seed"),
     _Leaf("train.freeze", ["ell", "r", "epsilon"], PARAM_ORDER,
           "comma-separated parameter names to hold fixed"),
-    _Leaf("cutoff", 30, (MIN_CUTOFF, None, False), "Fock-space dimension"),
-    _Leaf("n_mc", 1_000_000, (MC_MIN_SAMPLES, None, False),
-          "Monte-Carlo sample count"),
+    _Leaf("cutoff", 30, CUTOFF_DOMAIN, "Fock-space dimension"),
+    _Leaf("n_mc", 1_000_000, MC_SAMPLES_DOMAIN, "Monte-Carlo sample count"),
 )
 _LEAF = {leaf.path: leaf for leaf in _LEAVES}
 
@@ -184,10 +179,7 @@ def _domain_text(domain) -> str:
         return ""
     if isinstance(domain[0], str):
         return "from " + ",".join(domain)
-    lo, hi, strict = domain
-    if hi is None:
-        return f"{'>' if strict else '>='} {lo:.12g}"
-    return f"in {'(' if strict else '['}{lo:.12g}, {hi:.12g}]"
+    return domain_text(domain)
 
 
 def _check(leaf: _Leaf, value, where: str) -> None:
@@ -209,9 +201,7 @@ def _check(leaf: _Leaf, value, where: str) -> None:
     _require(integer or abs(value) <= sys.float_info.max,
              f"{where} must be finite, got {value!r}")
     if leaf.domain is not None:
-        lo, hi, strict = leaf.domain
-        _require((value > lo if strict else value >= lo)
-                 and (hi is None or value <= hi),
+        _require(in_domain(value, leaf.domain),
                  f"{where} must be {_domain_text(leaf.domain)}, got {value!r}")
 
 
@@ -249,7 +239,7 @@ def build_train_config(cfg: dict) -> TrainConfig:
         noise=build_noise(cfg), steps=tr["steps"],
         lr_init=float(tr["lr_init"]), lr_final=float(tr["lr_final"]),
         clip_norm=float(tr["clip_norm"]), penalty=float(tr["lambda"]),
-        p_th=float(tr["p_th"]), cutoff=cfg["cutoff"], seed=tr["seed"],
+        p_th=float(tr["p_th"]), cutoff=cfg["cutoff"],
         freeze=frozenset(tr["freeze"]))
 
 
@@ -301,7 +291,7 @@ def cmd_single(args) -> int:
 
     _, qfi, p_err = combined_loss(final, tcfg)
     p_mc, p_mc_err = mc_perr(final.theta, final.r, tcfg.noise, cfg["n_mc"],
-                             tcfg.seed)
+                             cfg["train"]["seed"])
     metrics = {
         "qfi": qfi,
         "p_err_analytic": p_err,
@@ -314,7 +304,7 @@ def cmd_single(args) -> int:
         config=cfg,
         lattice=twisted_lattice(final.theta, final.r).as_dict(),
         noise={"eta": tcfg.noise.eta, "gamma": tcfg.noise.gamma},
-        metrics=metrics, trace_file="trace.csv", seed=tcfg.seed,
+        metrics=metrics, trace_file="trace.csv", seed=cfg["train"]["seed"],
         adam={"beta1": ADAM_BETA1, "beta2": ADAM_BETA2, "eps": ADAM_EPS})
     _write_json(_out_path(args, "report.json"), report.as_dict())
     print(f"qfi={qfi:.6g} p_err={p_err:.6g} p_err_mc={p_mc:.6g} "
@@ -439,12 +429,10 @@ def cmd_tolerance(args) -> int:
 
 def cmd_wigner(args) -> int:
     cfg = resolve_config(args)
-    _require(args.n_points >= 32, f"--n-points must be >= 32, got "
-             f"{args.n_points}")
-    for flag, (lo, hi) in (("--q-range", args.q_range),
-                           ("--p-range", args.p_range)):
-        _require(math.isfinite(lo) and math.isfinite(hi) and lo < hi,
-                 f"{flag} must be finite with LO < HI, got {lo} {hi}")
+    try:
+        check_grid(args.q_range, args.p_range, args.n_points)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
     noise = build_noise(cfg)
     spec = build_params(cfg).sensor_spec(cfg["cutoff"])
     rho = sensor_state(spec, noise)

@@ -153,6 +153,28 @@ def serial_blas():
             setter(count)
 
 
+def in_domain(value, domain):
+    """Whether `value` is in `domain` = (lo, hi, strict): above lo (or at it
+    unless strict), at most hi (None: no bound). Elementwise; ints exact."""
+    lo, hi, strict = domain
+    inside = value > lo if strict else value >= lo
+    return inside if hi is None else inside & (value <= hi)
+
+
+def domain_text(domain) -> str:
+    """A domain triple as messages print it: "in (0, 1]" or ">= 1"."""
+    lo, hi, strict = domain
+    if hi is None:
+        return f"{'>' if strict else '>='} {lo:.12g}"
+    return f"in {'(' if strict else '['}{lo:.12g}, {hi:.12g}]"
+
+
+def check_domain(name: str, value, domain) -> None:
+    """ValueError naming `name` unless all of `value` is in `domain`."""
+    if not np.all(in_domain(value, domain)):
+        raise ValueError(f"{name} must be {domain_text(domain)}, got {value}")
+
+
 def hermitian_eig(M: np.ndarray, *, tol: float = 1e-10):
     """Eigendecomposition of a Hermitian matrix or a (..., D, D) stack of them.
 
@@ -200,16 +222,12 @@ def check_density(rho: np.ndarray, *, herm_tol: float = HERMITICITY_TOL,
                   eig_floor: float = EIGENVALUE_FLOOR) -> None:
     """Assert the density-matrix contract: Hermitian, unit trace, PSD.
 
-    Hermiticity within 1e-12 entrywise, trace within 1e-10 of 1, eigenvalues
-    above -1e-10 (defaults; all overridable).
+    Hermiticity within 1e-12 entrywise (checked by `hermitian_eig`), trace
+    within 1e-10 of 1, eigenvalues above -1e-10 (defaults; all overridable).
     """
-    rho = np.asarray(rho)
-    defect = np.max(np.abs(rho - rho.conj().T))
-    if defect > herm_tol:
-        raise ValueError(f"density not Hermitian: defect {defect:.3e}")
+    w, _ = hermitian_eig(rho, tol=herm_tol)
     tr = np.trace(rho)
     if abs(tr - 1.0) > trace_tol:
         raise ValueError(f"density trace {tr!r} != 1")
-    w = np.linalg.eigvalsh((rho + rho.conj().T) / 2.0)
     if w.min() < eig_floor:
         raise ValueError(f"density has eigenvalue {w.min():.3e} below floor")

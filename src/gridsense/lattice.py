@@ -18,7 +18,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .fock import check_domain
+
 A_LATTICE = math.sqrt(2.0 * math.pi)
+
+ELL_MAX_DOMAIN = (1, None, False)  # of ℓ_max (`fock.in_domain`)
 
 OMEGA = np.array([[0.0, 1.0], [-1.0, 0.0]])
 
@@ -48,8 +52,7 @@ class OamCharge:
     ell_max: int
 
     def __post_init__(self):
-        if self.ell_max < 1:
-            raise ValueError(f"ell_max must be >= 1, got {self.ell_max}")
+        check_domain("ell_max", self.ell_max, ELL_MAX_DOMAIN)
 
 
 def theta_from_oam(charge: OamCharge) -> float:
@@ -90,7 +93,9 @@ def square_lattice() -> GkpLattice:
 
 
 def hexagonal_lattice() -> GkpLattice:
-    """Hexagonal preset (θ=π/6, r=1); exposed at r=1 only."""
+    """The twisted lattice at θ = π/6, r = 1. Despite the name it is not
+    hexagonal: u1 ⊥ u2 with |u1| = |u2|, a square lattice rotated by 30°.
+    No twisted rectangle is hexagonal, as R(θ) keeps u1 ⊥ u2."""
     return twisted_lattice(math.pi / 6.0, 1.0)
 
 

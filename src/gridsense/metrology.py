@@ -10,7 +10,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .fock import expectation, hermitian_eig, number_op, quadrature_op
+from .fock import (check_domain, check_ket, expectation, hermitian_eig,
+                   number_op, quadrature_op)
 
 __all__ = [
     "qfi_pure",
@@ -27,9 +28,7 @@ DEFAULT_EIG_TOL = 1e-12
 def qfi_pure(psi: np.ndarray) -> float:
     """Pure-state quantum Fisher information 4·Var_ψ(n̂)."""
     psi = np.asarray(psi, dtype=complex)
-    nrm = np.linalg.norm(psi)
-    if abs(nrm - 1.0) > 1e-10:
-        raise ValueError(f"qfi_pure needs a normalized ket, got norm {nrm!r}")
+    check_ket(psi, tol=1e-10)
     npsi = np.arange(psi.shape[0]) * psi
     mean = np.vdot(psi, npsi).real
     second = np.vdot(npsi, npsi).real
@@ -117,15 +116,13 @@ def cfi_homodyne(rho: np.ndarray, psi_angle: float, *,
 
 def measurement_efficiency(p_err: float) -> float:
     """Binary-channel measurement efficiency 1 − 4p(1−p)."""
-    if not 0.0 <= p_err <= 1.0:
-        raise ValueError(f"p_err must lie in [0, 1], got {p_err}")
+    check_domain("p_err", p_err, (0.0, 1.0, False))
     return 1.0 - 4.0 * p_err * (1.0 - p_err)
 
 
 def capacity(qfi: float, p_err: float) -> float:
     """Metrological capacity C = F_Q · (−ln P_err)."""
-    if qfi < 0.0:
-        raise ValueError(f"qfi must be >= 0, got {qfi}")
+    check_domain("qfi", qfi, (0.0, None, False))
     if not 0.0 < p_err < 1.0:
         raise ValueError(f"p_err must lie in (0, 1), got {p_err}")
     return qfi * -np.log(p_err)

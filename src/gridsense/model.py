@@ -28,7 +28,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channels import NoiseParams, effective_sigmas
+from .channels import NOISE_DOMAINS, NoiseParams, effective_sigmas
+from .fock import check_domain, in_domain
 from .lattice import A_LATTICE
 
 __all__ = [
@@ -88,9 +89,11 @@ def _phi(x):
 def _margins(theta, r, noise: NoiseParams):
     """Rotated-frame spreads and decoding margins (σ_q, σ_p, u_q, u_p).
 
-    The one formula behind both `perr_analytic` and `balance`; θ, r and the
-    noise fields broadcast together.
+    The one formula behind `perr_analytic`, `perr_gradient` and `balance`;
+    θ, r and the noise fields broadcast together, and r must be positive.
     """
+    if np.any(np.asarray(r) <= 0):
+        raise ValueError(f"aspect ratio must be positive, got {r}")
     sigma_q, sigma_p = effective_sigmas(noise, theta)
     u_q = A_LATTICE * r / (2.0 * sigma_q)
     u_p = (A_LATTICE / r) / (2.0 * sigma_p)
@@ -106,8 +109,6 @@ def perr_analytic(theta, r, noise: NoiseParams) -> PerrBreakdown:
     give array fields, each element equal to the scalar call's bits. A zero
     spread (η = 1, γ = 0) has an infinite margin and so zero error.
     """
-    if np.any(np.asarray(r) <= 0):
-        raise ValueError(f"aspect ratio must be positive, got {r}")
     with np.errstate(divide="ignore"):
         _, _, u_q, u_p = _margins(theta, r, noise)
     p_q = 2.0 * gaussian_tail(u_q)
@@ -125,8 +126,6 @@ def perr_gradient(theta, r, noise: NoiseParams):
     ∂u_p/∂θ = u_p·γ sinθ cosθ/σ_p². A quadrature with a zero spread has an
     infinite margin and contributes 0. θ, r and the noise fields broadcast.
     """
-    if np.any(np.asarray(r) <= 0):
-        raise ValueError(f"aspect ratio must be positive, got {r}")
     with np.errstate(divide="ignore", invalid="ignore"):
         sigma_q, sigma_p, u_q, u_p = _margins(theta, r, noise)
         tilt = noise.gamma * np.sin(theta) * np.cos(theta)
@@ -297,16 +296,18 @@ def theta_sensitivity(r: float, noise: NoiseParams, *,
                       step: float = 1e-4) -> tuple[float, float]:
     """(∂θ*/∂η, ∂θ*/∂γ) in degrees per unit, by central differences.
 
-    Where a step would leave the noise domain the difference is one-sided:
-    backward in η when η + step > 1, forward in γ when γ − step < 0. Next
-    to the edge of the root region it is one-sided as well, toward the
+    Where a step would leave the noise domain (`NOISE_DOMAINS`) the
+    difference is one-sided: backward where the step up leaves it (η at 1,
+    γ at its cap), forward where the step down does (γ at 0). Next to the
+    edge of the root region it is one-sided as well, toward the
     neighbour that has a root; with no such neighbour the derivative is NaN.
     NoRootError if a one-sided difference needs a centre without a root.
     """
     # the centre, η + step, η − step, γ + step, γ − step
     eta = noise.eta + step * np.array([0.0, 1.0, -1.0, 0.0, 0.0])
     gamma = noise.gamma + step * np.array([0.0, 0.0, 0.0, 1.0, -1.0])
-    inside = (eta > 0.0) & (eta <= 1.0) & (gamma >= 0.0)
+    inside = (in_domain(eta, NOISE_DOMAINS["eta"])
+              & in_domain(gamma, NOISE_DOMAINS["gamma"]))
     theta = np.full(5, math.nan)
     theta[inside] = theta_star_grid(r, eta[inside], gamma[inside])[0]
     centre, eta_up, eta_down, gamma_up, gamma_down = theta.tolist()
@@ -366,7 +367,7 @@ def joint_optimum(noise: NoiseParams) -> tuple[float, float, float]:
 
 
 MC_CHUNK = 1 << 22
-MC_MIN_SAMPLES = 10_000
+MC_SAMPLES_DOMAIN = (10_000, None, False)  # of n_samples (`fock.in_domain`)
 _MC_BLOCK = 1 << 16
 
 
@@ -383,9 +384,7 @@ def mc_perr(theta: float, r: float, noise: NoiseParams, n_samples: int,
     its δ_q, then all its δ_p, in blocks of _MC_BLOCK and ORs their parities
     into one bool array, so memory stays flat; a zero spread draws nothing.
     """
-    if n_samples < MC_MIN_SAMPLES:
-        raise ValueError(f"n_samples must be >= {MC_MIN_SAMPLES}, "
-                         f"got {n_samples}")
+    check_domain("n_samples", n_samples, MC_SAMPLES_DOMAIN)
     sigma_q, sigma_p = effective_sigmas(noise, theta)
     d_q = A_LATTICE * r
     d_p = A_LATTICE / r

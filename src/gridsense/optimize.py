@@ -26,12 +26,13 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .channels import NoiseParams
-from .fock import NumericError
+from .fock import NumericError, check_domain
 from .lattice import OamCharge, theta_from_oam
 from .metrology import capacity
 from .model import perr_analytic, perr_gradient
 from .pipeline import SensorSpec, _qfi_gradient, _qfis
 from .pipeline import pipeline_qfi  # noqa: F401  (bench tests wrap this copy)
+from .states import BLOCH_THETA_DOMAIN, EPSILON_DOMAIN
 
 __all__ = [
     "TrainableParams",
@@ -56,21 +57,19 @@ PARAM_ORDER = ("bloch_theta", "bloch_phi", "ell", "r", "epsilon")
 # start values outside them. Entries absent here (the angles) are free.
 BOUNDS = {
     "r": (0.5, 2.0),
-    "epsilon": (0.005 + 1e-12, 0.5 - 1e-12),
-    "bloch_theta": (0.0, math.pi),
+    "epsilon": EPSILON_DOMAIN[:2],
+    "bloch_theta": BLOCH_THETA_DOMAIN[:2],
 }
 
-# Lower limits of the training knobs, as (bound, strict): TrainConfig rejects
-# a value below the bound, or at it when strict, and the CLI's train.* keys
-# are checked against the same rows.
+# Domains of the training knobs (`fock.in_domain`), all unbounded above;
+# TrainConfig and the CLI's train.* keys are checked against these rows.
 TRAIN_LIMITS = {
-    "steps": (1, False),
-    "lr_init": (0, True),
-    "lr_final": (0, False),
-    "clip_norm": (0, True),
-    "penalty": (0, False),
-    "p_th": (0, False),
-    "seed": (0, False),
+    "steps": (1, None, False),
+    "lr_init": (0, None, True),
+    "lr_final": (0, None, False),
+    "clip_norm": (0, None, True),
+    "penalty": (0, None, False),
+    "p_th": (0, None, False),
 }
 
 _BLOCH_THETA, _BLOCH_PHI, _ELL, _R = (
@@ -133,15 +132,11 @@ class TrainConfig:
     penalty: float = 100.0  # the Lagrange multiplier λ
     p_th: float = 1e-3
     cutoff: int = 30
-    seed: int = 0
     freeze: frozenset = frozenset({"ell", "r", "epsilon"})
 
     def __post_init__(self):
-        for name, (bound, strict) in TRAIN_LIMITS.items():
-            value = getattr(self, name)
-            if not (value > bound if strict else value >= bound):
-                raise ValueError(f"{name} must be {'>' if strict else '>='} "
-                                 f"{bound}, got {value}")
+        for name, domain in TRAIN_LIMITS.items():
+            check_domain(name, getattr(self, name), domain)
         unknown = set(self.freeze) - set(PARAM_ORDER)
         if unknown:
             raise ValueError(f"unknown freeze entries: {sorted(unknown)}")
@@ -167,6 +162,11 @@ class TrainDiverged(NumericError):
         self.trace = trace
 
 
+def _hinge(p_err: float, cfg: TrainConfig) -> float:
+    """The penalty term λ·[P_err − P_th]₊ of the loss."""
+    return cfg.penalty * max(p_err - cfg.p_th, 0.0)
+
+
 def _evaluate(points, cfg: TrainConfig) -> list[tuple[float, float, float]]:
     """(loss, qfi, p_err) at each point: one stacked F_Q solve, and one
     `perr_analytic` call over every point's (θ, r)."""
@@ -177,7 +177,7 @@ def _evaluate(points, cfg: TrainConfig) -> list[tuple[float, float, float]]:
     p_errs = perr_analytic(np.array([point.theta for point in points]),
                            np.array([point.r for point in points]),
                            cfg.noise).p_total.tolist()
-    return [(-qfi + cfg.penalty * max(p_err - cfg.p_th, 0.0), qfi, p_err)
+    return [(-qfi + _hinge(p_err, cfg), qfi, p_err)
             for qfi, p_err in zip(qfis, p_errs)]
 
 
@@ -258,7 +258,6 @@ def _loss_and_gradient(params: TrainableParams, cfg: TrainConfig):
                                 free_r="r" not in cfg.freeze)
     qfi, *at_probes = qfis.tolist()
     p_err = float(perr_analytic(params.theta, params.r, cfg.noise).p_total)
-    hinge = cfg.penalty * max(p_err - cfg.p_th, 0.0)
     g = _differences(probes, [-q for q in at_probes])
     g[[_BLOCH_THETA, _BLOCH_PHI, _R]] -= d_qfi
     if p_err > cfg.p_th:
@@ -268,7 +267,7 @@ def _loss_and_gradient(params: TrainableParams, cfg: TrainConfig):
     for i, name in enumerate(PARAM_ORDER):
         if name in cfg.freeze:
             g[i] = 0.0
-    return -qfi + hinge, qfi, p_err, g
+    return -qfi + _hinge(p_err, cfg), qfi, p_err, g
 
 
 def analytic_gradient(params: TrainableParams,

@@ -108,6 +108,11 @@ def sensor_ket(spec: SensorSpec) -> tuple[np.ndarray, float]:
     return psi, leakage
 
 
+def _coefficients(c0, c1) -> tuple:
+    """The bilinear form's (c00, c01, c11) = (c0², c0·c1*, |c1|²)."""
+    return c0 * c0, c0 * np.conj(c1), abs(c1) ** 2
+
+
 def _unrotated_states(specs, noise: NoiseParams) -> np.ndarray:
     """The noisy states at θ = 0 of a sequence of specs, as a fresh
     (len(specs), D, D) stack: the bilinear form broadcast over the specs,
@@ -117,9 +122,8 @@ def _unrotated_states(specs, noise: NoiseParams) -> np.ndarray:
     bases = [noisy_basis(spec.epsilon, spec.r, noise.eta, noise.gamma,
                          spec.cutoff) for spec in specs]
     M00, M01, M11 = (np.stack(matrices) for matrices in zip(*bases))
-    c00 = np.array([c0 * c0 for c0, _ in amplitudes])[:, None, None]
-    c11 = np.array([abs(c1) ** 2 for _, c1 in amplitudes])[:, None, None]
-    c01 = np.array([c0 * np.conj(c1) for c0, c1 in amplitudes])[:, None, None]
+    coeffs = [_coefficients(c0, c1) for c0, c1 in amplitudes]
+    c00, c01, c11 = (np.array(column)[:, None, None] for column in zip(*coeffs))
     cross = c01 * M01
     rho = c00 * M00 + c11 * M11 + cross + np.swapaxes(cross, -1, -2).conj()
     rho /= np.trace(rho, axis1=-2, axis2=-1).real[:, None, None]
@@ -161,8 +165,8 @@ def _qfi_gradient(specs, noise: NoiseParams,
     spec, H = specs[0], H[0]
     key = (spec.epsilon, spec.r, noise.eta, noise.gamma, spec.cutoff)
     basis = np.stack(noisy_basis(*key))
-    c0, c1 = bloch_amplitudes(spec.bloch_theta, spec.bloch_phi)
-    coeffs = (c0 * c0, c0 * np.conj(c1), abs(c1) ** 2)
+    coeffs = _coefficients(*bloch_amplitudes(spec.bloch_theta,
+                                             spec.bloch_phi))
     sin, cos = math.sin(spec.bloch_theta), math.cos(spec.bloch_theta)
     phase = np.exp(-1j * spec.bloch_phi)
     traces = np.trace(basis, axis1=-2, axis2=-1)

@@ -135,14 +135,12 @@ def write_csv(path, schema_name: str, rows, axes=None) -> None:
 
 def versions() -> dict:
     import numpy
-    import scipy
 
     from . import __version__
 
     return {
         "gridsense": __version__,
         "numpy": numpy.__version__,
-        "scipy": scipy.__version__,
         "python": "%d.%d.%d" % sys.version_info[:3],
     }
 

@@ -19,7 +19,7 @@ recurrence
 seeded with ψ_0 = π^{-1/4} e^{-q²/2}. Both combs are symmetric under
 q → −q, so the odd-n amplitudes vanish identically and the amplitudes are
 real. The comb is truncated at S = ceil(6/√(2πε)) peaks per side, which puts
-the omitted weight below 1e-14 for any ε in the supported range.
+the omitted weight below 1e-14 for any ε in `EPSILON_DOMAIN`.
 
 Squeeze
 -------
@@ -37,7 +37,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .fock import NumericError, annihilation, serial_blas
+from .fock import NumericError, annihilation, check_domain, hermitian_eig
 
 __all__ = [
     "prepare_codeword",
@@ -52,8 +52,10 @@ __all__ = [
 
 _SPACING = math.sqrt(2.0 * math.pi)
 
-# Smallest Fock cutoff `prepare_codeword` accepts.
-MIN_CUTOFF = 10
+# Domains (`fock.in_domain`) of the cutoff D, ε and θ_B.
+CUTOFF_DOMAIN = (10, None, False)
+EPSILON_DOMAIN = (0.005 + 1e-12, 0.5 - 1e-12, False)
+BLOCH_THETA_DOMAIN = (0.0, math.pi, False)
 
 
 class TruncationError(NumericError):
@@ -87,16 +89,14 @@ def comb_positions(mu: int, epsilon: float) -> np.ndarray:
 def prepare_codeword(mu: int, epsilon: float, D: int) -> np.ndarray:
     """Normalized finite-energy codeword |μ_ε⟩ at cutoff D.
 
-    mu must be 0 or 1; epsilon in (0, 1); D >= 10. The returned amplitudes
+    mu must be 0 or 1; ε and D in their domains. The returned amplitudes
     are real (stored complex) with all odd-n entries exactly zero. Cached
     per (μ, ε, D) and returned read-only; copy before writing to it.
     """
     if mu not in (0, 1):
         raise ValueError(f"mu must be 0 or 1, got {mu}")
-    if not 0.0 < epsilon < 1.0:
-        raise ValueError(f"epsilon must lie in (0, 1), got {epsilon}")
-    if D < MIN_CUTOFF:
-        raise ValueError(f"cutoff must be >= {MIN_CUTOFF}, got {D}")
+    check_domain("epsilon", epsilon, EPSILON_DOMAIN)
+    check_domain("cutoff", D, CUTOFF_DOMAIN)
 
     points = comb_positions(mu, epsilon)
     psi_n = _hermite_functions(points, D)  # (D, n_peaks)
@@ -118,8 +118,7 @@ def bloch_amplitudes(bloch_theta: float,
     global phase there, and cos(π/2) is ~6e-17 in floats, so this has to
     key on the input.
     """
-    if not 0.0 <= bloch_theta <= math.pi:
-        raise ValueError(f"bloch_theta must lie in [0, pi], got {bloch_theta}")
+    check_domain("bloch_theta", bloch_theta, BLOCH_THETA_DOMAIN)
     if bloch_theta == 0.0:
         return 1.0, 0j
     if bloch_theta == math.pi:
@@ -156,8 +155,7 @@ def squeeze_generator(D: int) -> np.ndarray:
 def _squeeze_spectrum(D: int) -> tuple[np.ndarray, np.ndarray]:
     """Read-only (w, V) with K = V·diag(w)·V† at cutoff D (see
     `squeeze_generator`)."""
-    with serial_blas():
-        w, V = np.linalg.eigh(squeeze_generator(D))
+    w, V = hermitian_eig(squeeze_generator(D))
     w.setflags(write=False)
     V.setflags(write=False)
     return w, V

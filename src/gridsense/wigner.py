@@ -66,6 +66,7 @@ from functools import lru_cache
 
 import numpy as np
 
+from .fock import check_domain
 from .states import _hermite_functions
 
 __all__ = ["WignerGrid", "wigner_grid", "wigner_negativity",
@@ -170,19 +171,24 @@ def _support(rho: np.ndarray) -> int:
     return int(used[-1]) + 1 if used.size else 1
 
 
-def wigner_grid(rho: np.ndarray, q_range=(-6.0, 6.0), p_range=(-6.0, 6.0),
-                n_points: int = 201) -> WignerGrid:
-    """Evaluate W(q, p) on a regular n_points × n_points grid.
-
-    Separable and exact (see the module docstring): the point kernel runs
-    on the (2D − 1)² Gauss–Hermite node pairs of ρ's support D only.
-    """
-    if n_points < 32:
-        raise ValueError(f"n_points must be >= 32, got {n_points}")
+def check_grid(q_range, p_range, n_points: int) -> None:
+    """ValueError unless `wigner_grid` takes this grid: n_points in its
+    domain and each range finite with lo < hi. Needs no state."""
+    check_domain("n_points", n_points, (32, None, False))
     for name, (lo, hi) in (("q_range", q_range), ("p_range", p_range)):
         if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
             raise ValueError(f"{name} must be finite with lo < hi, "
                              f"got ({lo}, {hi})")
+
+
+def wigner_grid(rho: np.ndarray, q_range=(-6.0, 6.0), p_range=(-6.0, 6.0),
+                n_points: int = 201) -> WignerGrid:
+    """Evaluate W(q, p) on a regular n_points × n_points grid (`check_grid`).
+
+    Separable and exact (see the module docstring): the point kernel runs
+    on the (2D − 1)² Gauss–Hermite node pairs of ρ's support D only.
+    """
+    check_grid(q_range, p_range, n_points)
     rho = np.asarray(rho, dtype=complex)
     d = _support(rho)
     rho = rho[:d, :d]

@@ -32,6 +32,14 @@ class TestNoiseParams:
     def test_lossless_allowed(self):
         NoiseParams(1.0, 0.0)
 
+    def test_gamma_capped(self):
+        # the cap the CLI's --gamma has: both read one table
+        NoiseParams(0.9, 0.5)
+        with pytest.raises(ValueError, match=r"^gamma must be in \[0, 0\.5\]"):
+            NoiseParams(0.9, math.nextafter(0.5, 1.0))
+        with pytest.raises(ValueError, match="^gamma must be"):
+            NoiseParams(0.9, np.array([0.1, 0.6]))
+
 
 def test_log_factorials_match_gammaln():
     from scipy.special import gammaln

@@ -397,6 +397,21 @@ class TestThetaStar:
         assert math.isfinite(payload["dtheta_deta_deg"])
         assert math.isfinite(payload["dtheta_dgamma_deg"])
 
+    def test_dephasing_cap(self, tmp_path):
+        # a central step in gamma would build gamma > 0.5; the difference
+        # there is backward
+        code = main(["theta_star", "--gamma", "0.5", "-o", str(tmp_path)])
+        assert code == 0
+        payload = json.loads((tmp_path / "theta_star.json").read_text())
+        noise = cli.build_noise(load_config(None))
+
+        def solve(gamma):
+            return cli.theta_star(DEFAULT_CONFIG["lattice"]["r"],
+                                  cli.NoiseParams(noise.eta, gamma)).theta_star
+
+        assert payload["dtheta_dgamma_deg"] == math.degrees(
+            (solve(0.5) - solve(0.5 - 1e-4)) / 1e-4)
+
     def test_neighbour_without_a_root(self, tmp_path):
         # gamma - 1e-4 has no root here; the gamma difference is one-sided
         code = main(["theta_star", "--gamma", "0.02631906943556492",

@@ -194,8 +194,8 @@ class TestSerialBlas:
         assert self.threads(setter) == 2
 
     def test_cached_spectra_solve_on_one_thread(self, setter, monkeypatch):
-        # the squeeze generator and the position operator are solved
-        # directly (not through hermitian_eig) but under the same guard
+        # the cached spectra of the squeeze generator and the position
+        # operator are solved through hermitian_eig, under its guard
         seen = []
         real_eigh = np.linalg.eigh
 

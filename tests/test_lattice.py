@@ -78,6 +78,9 @@ def test_presets():
     hexa = hexagonal_lattice()
     assert hexa.r == 1.0 and abs(hexa.theta - math.pi / 6) < 1e-15
     assert abs(symplectic_product(hexa.u1, hexa.u2) - 2.0) < 1e-12
+    # not hexagonal despite the name: a square lattice rotated by 30°
+    assert abs(hexa.u1 @ hexa.u2) < 1e-12
+    assert abs(np.linalg.norm(hexa.u1) - np.linalg.norm(hexa.u2)) < 1e-12
 
     oam = oam_lattice(1.5, 4, 1.092)
     assert abs(oam.theta - math.radians(67.5)) < 1e-15

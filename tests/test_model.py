@@ -433,6 +433,18 @@ class TestSensitivityAndFit:
         assert d_eta == math.degrees(backward / step)
         assert math.isfinite(d_gamma)
 
+    def test_backward_in_gamma_at_its_cap(self):
+        # a central step would ask for gamma > 0.5, which NoiseParams rejects
+        step = 1e-4
+
+        def solve(gamma):
+            return theta_star(R_LOW, NoiseParams(0.9, gamma)).theta_star
+
+        d_eta, d_gamma = theta_sensitivity(R_LOW, NoiseParams(0.9, 0.5),
+                                           step=step)
+        assert d_gamma == math.degrees((solve(0.5) - solve(0.5 - step)) / step)
+        assert math.isfinite(d_eta)
+
     def test_one_sided_at_both_edges(self):
         # a step of 0.01 from (0.999, 0.005) would leave the domain in both
         # coordinates: backward in eta, forward in gamma

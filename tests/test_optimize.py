@@ -108,7 +108,6 @@ class TestTrainConfig:
         ("clip_norm", "> 0", -1.0, 5e-324),
         ("penalty", ">= 0", -1.0, 0.0),
         ("p_th", ">= 0", -1e-300, 0.0),
-        ("seed", ">= 0", -1, 0),
     ])
     def test_limit(self, field, rule, outside, end):
         # a negative clip_norm flips every gradient, a negative lr_final
@@ -123,8 +122,7 @@ class TestTrainConfig:
 
     def test_limits_cover_the_numeric_knobs(self):
         assert set(optimize.TRAIN_LIMITS) == {
-            "steps", "lr_init", "lr_final", "clip_norm", "penalty", "p_th",
-            "seed"}
+            "steps", "lr_init", "lr_final", "clip_norm", "penalty", "p_th"}
 
     def test_freeze_normalized_to_frozenset(self):
         cfg = TrainConfig(noise=LOW_NOISE, freeze={"ell", "r"})

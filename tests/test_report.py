@@ -210,8 +210,7 @@ class TestRunReport:
     def test_as_dict_carries_schema_versions_and_versions(self):
         d = self.make().as_dict()
         assert d["schemas"] == {k: v for k, (v, _) in SCHEMAS.items()}
-        assert set(d["versions"]) == {"gridsense", "numpy", "scipy",
-                                      "python"}
+        assert set(d["versions"]) == {"gridsense", "numpy", "python"}
         assert d["seed"] == 0
 
     def test_nonfinite_metric_rejected(self):

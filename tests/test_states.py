@@ -10,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 from gridsense import (
     TruncationError,
     annihilation,
+    check_ket,
     expectation,
     ket_density,
     logical_state,
@@ -19,8 +20,10 @@ from gridsense import (
     rotate_density,
     squeeze,
 )
+from gridsense.optimize import BOUNDS
 from gridsense.states import (
     _hermite_functions,
+    bloch_amplitudes,
     _squeeze_spectrum,
     comb_positions,
 )
@@ -60,6 +63,22 @@ class TestCodewords:
             prepare_codeword(0, 1.5, D)
         with pytest.raises(ValueError):
             prepare_codeword(0, EPS, 5)
+
+    def test_epsilon_domain_is_the_trainers_box(self):
+        lo, hi = BOUNDS["epsilon"]
+        for eps in (lo, hi):
+            check_ket(prepare_codeword(0, eps, D))
+        for eps in (math.nextafter(lo, 0.0), math.nextafter(hi, 1.0)):
+            with pytest.raises(ValueError, match="^epsilon must be in"):
+                prepare_codeword(0, eps, D)
+
+    def test_bloch_theta_domain_is_the_trainers_box(self):
+        lo, hi = BOUNDS["bloch_theta"]
+        assert bloch_amplitudes(lo, 0.3) == (1.0, 0j)
+        assert bloch_amplitudes(hi, 0.3) == (0.0, 1 + 0j)
+        for theta in (math.nextafter(lo, -1.0), math.nextafter(hi, 4.0)):
+            with pytest.raises(ValueError, match="^bloch_theta must be in"):
+                bloch_amplitudes(theta, 0.0)
 
     @settings(max_examples=20, deadline=None)
     @given(eps=st.floats(0.02, 0.3))
