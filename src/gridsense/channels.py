@@ -148,8 +148,12 @@ def apply_dephasing(rho: np.ndarray, gamma: float) -> np.ndarray:
 
 
 @lru_cache(maxsize=32)
-def _position_eigenbasis(D: int):
-    return hermitian_eig(position_op(D))
+def _position_eigenbasis(D: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only (w, V) with q̂ = V·diag(w)·V† at cutoff D."""
+    w, V = hermitian_eig(position_op(D))
+    w.setflags(write=False)
+    V.setflags(write=False)
+    return w, V
 
 
 def apply_momentum_diffusion(rho: np.ndarray, gamma: float) -> np.ndarray:

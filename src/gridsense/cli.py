@@ -1,7 +1,8 @@
 """Command-line driver: one JSON config, seven subcommands, file outputs.
 
-All config keys are optional; `DEFAULT_CONFIG` holds the defaults, and each
-leaf has an overriding flag named after it (--eta, --lambda, --ell-max, ...).
+All config keys are optional; `DEFAULT_CONFIG` holds the defaults. Each
+subcommand has an overriding flag, named after its leaf (--eta, --lambda,
+--ell-max, ...), for each leaf it reads; --config takes every key.
 Angles are degrees at the CLI boundary and radians inside, except the Bloch
 angles which are radians everywhere (they are not lattice angles).
 lattice.theta_deg, when set, overrides ell via ell = theta_deg/180 * ell_max.
@@ -469,17 +470,23 @@ def _names(text: str) -> list[str]:
     return [token for token in text.split(",") if token.strip()]
 
 
-def _subcommand(subs, name: str, func, help: str) -> argparse.ArgumentParser:
-    """A subparser running `func`, with --config, -o and a flag per leaf."""
-    sub = subs.add_parser(name, help=help)
+def _subcommand(subs, name: str, func, help: str,
+                reads: str) -> argparse.ArgumentParser:
+    """A subparser running `func`, with --config, -o and a flag for each
+    leaf `reads` names by key or section: those `func` reads, as no other
+    can move its outputs. Flags match whole: --lambda is not --lambdas."""
+    sub = subs.add_parser(name, help=help, allow_abbrev=False)
     sub.set_defaults(func=func)
     sub.add_argument("--config", metavar="PATH",
                      help="JSON config file (defaults used when omitted)")
     sub.add_argument("-o", "--out", default=".", metavar="DIR",
                      help="output directory (default: current directory)")
     num = sub.add_argument_group("config overrides")
+    names = set(reads.split())
     for leaf in _LEAVES:
-        key = leaf.path.rpartition(".")[2]
+        section, _, key = leaf.path.rpartition(".")
+        if not {section, key} & names:
+            continue
         kind = float if leaf.default is None else type(leaf.default)
         text = " ".join(filter(None, (leaf.help, _domain_text(leaf.domain))))
         if leaf.default is not None:
@@ -521,39 +528,46 @@ def build_parser() -> argparse.ArgumentParser:
     subs = parser.add_subparsers(dest="command", required=True)
 
     p = _subcommand(subs, "single", cmd_single,
-                    "train one configuration and report")
+                    "train one configuration and report",
+                    "noise lattice state train cutoff n_mc")
     p.add_argument("--replay", metavar="REPORT_JSON",
                    help="re-run from a report's config echo")
 
     _subcommand(subs, "theta_star", cmd_theta_star,
-                "analytic optimal rotation at one noise point")
+                "analytic optimal rotation at one noise point", "noise r")
 
     p = _subcommand(subs, "phase_diagram", cmd_phase_diagram,
-                    "theta_star over an (eta, gamma) grid")
+                    "theta_star over an (eta, gamma) grid", "r")
     p.add_argument("--eta-range", type=float, nargs=2, default=[0.75, 0.99],
                    metavar=("LO", "HI"))
     p.add_argument("--gamma-range", type=float, nargs=2, default=[0.01, 0.25],
                    metavar=("LO", "HI"))
     p.add_argument("--n", type=int, default=21, help="grid points per axis")
 
+    # --ells sets ell; with ell and r held, lambda and p_th move no gradient
     p = _subcommand(subs, "fractional", cmd_fractional, "train once, then "
-                    "the error rate of each OAM charge at the set r")
+                    "the error rate of each OAM charge at the set r",
+                    "noise ell_max r state steps lr_init lr_final clip_norm "
+                    "freeze cutoff")
     p.add_argument("--ells", default="0,0.5,1,1.5,2,2.5,3,3.5",
                    help="comma-separated charges (default %(default)s)")
 
     p = _subcommand(subs, "pareto", cmd_pareto,
-                    "train over a grid of penalty weights")
+                    "train over a grid of penalty weights",
+                    "noise lattice state steps lr_init lr_final clip_norm "
+                    "p_th freeze cutoff")
     p.add_argument("--lambdas", default="0,1,10,100,1000",
                    help="comma-separated penalties (default %(default)s)")
 
     p = _subcommand(subs, "tolerance", cmd_tolerance,
-                    "error rate under rotation-angle offsets")
+                    "error rate under rotation-angle offsets", "noise lattice")
     p.add_argument("--deltas-deg", dest="deltas_deg", default="0,1,3,7,10,20",
                    help="comma-separated offsets in degrees "
                         "(default %(default)s)")
 
     p = _subcommand(subs, "wigner", cmd_wigner,
-                    "phase-space grid of the sensor state")
+                    "phase-space grid of the sensor state",
+                    "noise lattice state cutoff")
     p.add_argument("--q-range", type=float, nargs=2, default=[-6.0, 6.0],
                    metavar=("LO", "HI"))
     p.add_argument("--p-range", type=float, nargs=2, default=[-6.0, 6.0],

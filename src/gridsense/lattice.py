@@ -20,6 +20,19 @@ import numpy as np
 
 from .fock import check_domain
 
+__all__ = [
+    "A_LATTICE",
+    "GkpLattice",
+    "OamCharge",
+    "hexagonal_lattice",
+    "oam_lattice",
+    "rotation_matrix",
+    "square_lattice",
+    "symplectic_product",
+    "theta_from_oam",
+    "twisted_lattice",
+]
+
 A_LATTICE = math.sqrt(2.0 * math.pi)
 
 ELL_MAX_DOMAIN = (1, None, False)  # of ℓ_max (`fock.in_domain`)
@@ -78,10 +91,16 @@ class GkpLattice:
         }
 
 
+def check_aspect_ratio(r) -> None:
+    """ValueError unless the aspect ratio r is positive, at every element of
+    an array."""
+    if np.any(np.asarray(r) <= 0):
+        raise ValueError(f"aspect ratio must be positive, got {r}")
+
+
 def twisted_lattice(theta: float, r: float) -> GkpLattice:
     """Construct the rotated rectangular lattice u1 = R(θ)(ar,0)ᵀ, u2 = R(θ)(0,a/r)ᵀ."""
-    if r <= 0:
-        raise ValueError(f"aspect ratio must be positive, got {r}")
+    check_aspect_ratio(r)
     R = rotation_matrix(theta)
     u1 = R @ np.array([A_LATTICE * r, 0.0])
     u2 = R @ np.array([0.0, A_LATTICE / r])

@@ -30,7 +30,7 @@ import numpy as np
 
 from .channels import NOISE_DOMAINS, NoiseParams, effective_sigmas
 from .fock import check_domain, in_domain
-from .lattice import A_LATTICE
+from .lattice import A_LATTICE, check_aspect_ratio
 
 __all__ = [
     "PerrBreakdown",
@@ -82,8 +82,10 @@ def gaussian_tail(x):
 
 
 def _phi(x):
-    """Standard normal density."""
-    return np.exp(-0.5 * x * x) / math.sqrt(2.0 * math.pi)
+    """Standard normal density. Past |x| ≈ 1.3e154 x² overflows to inf, and
+    the density is 0, its right value."""
+    with np.errstate(over="ignore"):
+        return np.exp(-0.5 * x * x) / math.sqrt(2.0 * math.pi)
 
 
 def _margins(theta, r, noise: NoiseParams):
@@ -92,8 +94,7 @@ def _margins(theta, r, noise: NoiseParams):
     The one formula behind `perr_analytic`, `perr_gradient` and `balance`;
     θ, r and the noise fields broadcast together, and r must be positive.
     """
-    if np.any(np.asarray(r) <= 0):
-        raise ValueError(f"aspect ratio must be positive, got {r}")
+    check_aspect_ratio(r)
     sigma_q, sigma_p = effective_sigmas(noise, theta)
     u_q = A_LATTICE * r / (2.0 * sigma_q)
     u_p = (A_LATTICE / r) / (2.0 * sigma_p)

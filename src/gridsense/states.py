@@ -47,6 +47,7 @@ __all__ = [
     "squeeze_generator",
     "rotate",
     "rotate_density",
+    "comb_positions",
     "TruncationError",
 ]
 

@@ -149,6 +149,20 @@ class TestMomentumDiffusion:
         b = apply_dephasing(rho, 0.05)
         assert np.max(np.abs(a - b)) > 1e-6
 
+    def test_cached_spectrum_is_read_only(self):
+        # a write through the cache would corrupt every later call at D
+        from gridsense.channels import _position_eigenbasis
+        from gridsense.fock import hermitian_eig, position_op
+
+        w, V = _position_eigenbasis(6)
+        with pytest.raises(ValueError):
+            w[0] = 99.0
+        with pytest.raises(ValueError):
+            V[0, 0] = 99.0
+        w_ref, V_ref = hermitian_eig(position_op(6))
+        w2, V2 = _position_eigenbasis(6)
+        assert np.array_equal(w2, w_ref) and np.array_equal(V2, V_ref)
+
 
 class TestEffectiveSigmas:
     def test_formulas_at_benchmark_point(self):

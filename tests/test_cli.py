@@ -3,6 +3,7 @@
 import copy
 import json
 import math
+import warnings
 
 import pytest
 
@@ -51,6 +52,62 @@ LEAF_FLAGS = {
     "train.freeze": ("--freeze", "ell,r", ["ell", "r"]),
     "cutoff": ("--cutoff", "40", 40),
     "n_mc": ("--n-mc", "20000", 20000),
+}
+
+# The leaves each subcommand reads, and so has a flag for; `--config` sets
+# the others, and they cannot move the subcommand's outputs.
+NOISE = {"noise.eta", "noise.gamma"}
+LATTICE = {"lattice.ell", "lattice.ell_max", "lattice.r", "lattice.theta_deg"}
+STATE = {"state.epsilon", "state.bloch_theta", "state.bloch_phi"}
+TRAIN = {"train.steps", "train.lr_init", "train.lr_final", "train.clip_norm",
+         "train.freeze"}
+READS = {
+    "single": set(LEAF_FLAGS),
+    "theta_star": NOISE | {"lattice.r"},
+    "phase_diagram": {"lattice.r"},
+    "fractional": NOISE | {"lattice.ell_max", "lattice.r"} | STATE | TRAIN
+    | {"cutoff"},
+    "pareto": NOISE | LATTICE | STATE | TRAIN | {"train.p_th", "cutoff"},
+    "tolerance": NOISE | LATTICE,
+    "wigner": NOISE | LATTICE | STATE | {"cutoff"},
+}
+READ_PAIRS = [(c, p) for c in SUBCOMMANDS for p in sorted(READS[c])]
+DROPPED_PAIRS = [(c, p) for c in SUBCOMMANDS
+                 for p in sorted(set(LEAF_FLAGS) - READS[c])]
+
+# A small default run of each subcommand.
+SMALL = {
+    "single": ["--steps", "2", "--n-mc", "10000"],
+    "theta_star": [],
+    "phase_diagram": ["--n", "2"],
+    "fractional": ["--steps", "2"],
+    "pareto": ["--steps", "2"],
+    "tolerance": [],
+    "wigner": ["--n-points", "32"],
+}
+
+# (command, leaf) -> the arguments both runs add, and the value that moves
+# an output where the LEAF_FLAGS one does not: ell_max matters at ell != 0,
+# theta_star and tolerance need a noise point with a root, lambda and p_th
+# need a free r and an active hinge, and the sweeps report the last step's
+# state, which lr_final reaches only at the third step.
+MOVERS = {
+    ("single", "lattice.ell_max"): (["--ell", "1"], None),
+    ("single", "train.clip_norm"): ([], "1e-3"),
+    ("single", "train.lambda"): (["--freeze", "ell,epsilon", "--p-th",
+                                  "1e-6"], None),
+    ("theta_star", "noise.eta"): ([], "0.95"),
+    ("theta_star", "lattice.r"): ([], "1.05"),
+    ("fractional", "train.lr_final"): (["--steps", "3"], None),
+    ("fractional", "train.clip_norm"): ([], "1e-3"),
+    ("pareto", "lattice.ell_max"): (["--ell", "1"], None),
+    ("pareto", "train.lr_final"): (["--steps", "3"], None),
+    ("pareto", "train.clip_norm"): ([], "1e-3"),
+    ("pareto", "train.p_th"): (["--freeze", "ell,epsilon"], "1e-5"),
+    ("tolerance", "noise.eta"): ([], "0.95"),
+    ("tolerance", "lattice.r"): ([], "1.05"),
+    ("tolerance", "lattice.ell_max"): (["--ell", "1"], None),
+    ("wigner", "lattice.ell_max"): (["--ell", "1"], None),
 }
 
 # The ranged leaves: (lo, lo included, hi, hi included), None: unbounded.
@@ -316,12 +373,59 @@ class TestExitCodes:
         with pytest.raises(SystemExit) as exc:
             main([command, "--help"])
         assert exc.value.code == 0
-        out = capsys.readouterr().out
-        tokens = out.split()
-        for flag, _, _ in LEAF_FLAGS.values():
-            assert flag in tokens
-        assert "in (0, 1]" in out  # --eta
-        assert "> 0" in out  # --lr-init
+        tokens = capsys.readouterr().out.split()
+        assert {path for path, (flag, _, _) in LEAF_FLAGS.items()
+                if flag in tokens} == READS[command]
+        text = " ".join(tokens)
+        for path in READS[command]:
+            assert cli._domain_text(cli._LEAF[path].domain) in text
+
+
+class TestFlagSets:
+    """Each subcommand has a flag for each leaf it reads, and each of those
+    leaves can move an output; every other leaf cannot, and has no flag."""
+
+    @staticmethod
+    def outputs(tmp_path, argv) -> dict:
+        """The bytes of each file a run of `argv` writes, without the config
+        echo in single's report.json."""
+        out = tmp_path / str(len(list(tmp_path.iterdir())))
+        with warnings.catch_warnings():
+            # e.g. pareto's note that lambda cannot move its rows
+            warnings.simplefilter("ignore", UserWarning)
+            assert main([*argv, "-o", str(out)]) == 0
+        files = {path.name: path.read_bytes() for path in out.iterdir()}
+        if "report.json" in files:
+            report = json.loads(files["report.json"])
+            del report["config"]
+            files["report.json"] = json.dumps(report).encode()
+        return files
+
+    @pytest.mark.parametrize("command,path", DROPPED_PAIRS)
+    def test_dropped_leaf_is_inert(self, command, path, tmp_path):
+        config = copy.deepcopy(DEFAULT_CONFIG)
+        set_leaf(config, path, LEAF_FLAGS[path][2])
+        (tmp_path / "config").mkdir()
+        config_path = write_config(tmp_path / "config", config)
+        base = [command, *SMALL[command]]
+        assert (self.outputs(tmp_path, base)
+                == self.outputs(tmp_path, [*base, "--config", config_path]))
+
+    @pytest.mark.parametrize("command,path", DROPPED_PAIRS)
+    def test_dropped_flag_exits_2(self, command, path, capsys):
+        flag, text, _ = LEAF_FLAGS[path]
+        with pytest.raises(SystemExit) as exc:
+            main([command, flag, text])
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command,path", READ_PAIRS)
+    def test_read_leaf_moves_an_output(self, command, path, tmp_path):
+        flag, text, _ = LEAF_FLAGS[path]
+        extra, value = MOVERS.get((command, path), ([], None))
+        base = [command, *SMALL[command], *extra]
+        assert (self.outputs(tmp_path, base)
+                != self.outputs(tmp_path, [*base, flag, value or text]))
 
 
 class TestSingle:
@@ -482,7 +586,7 @@ class TestPhaseDiagram:
 class TestSweepCommands:
     def test_fractional(self, tmp_path, capsys):
         code = main(["fractional", "--ells", "0,2", "-o", str(tmp_path),
-                     *FAST])
+                     "--steps", "2"])
         assert code == 0
         lines = (tmp_path / "fractional.csv").read_text().splitlines()
         assert lines[0] == "ell,theta_deg,qfi,p_err,improvement,capacity"
@@ -496,7 +600,7 @@ class TestSweepCommands:
         # the default freeze set holds ell and r, so lambda is inert
         with pytest.warns(UserWarning, match="lambda cannot move"):
             code = main(["pareto", "--lambdas", "1,100", "-o", str(tmp_path),
-                         *FAST])
+                         "--steps", "2"])
         assert code == 0
         lines = (tmp_path / "pareto.csv").read_text().splitlines()
         assert lines[0] == "lambda,qfi,p_err"

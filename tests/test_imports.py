@@ -128,3 +128,13 @@ def test_lazy_names_are_the_submodule_objects():
     assert set(gridsense.__all__) <= set(dir(gridsense))
     with pytest.raises(AttributeError, match="no attribute 'no_such_name'"):
         gridsense.no_such_name
+
+
+def test_each_module_lists_what_the_package_re_exports():
+    import importlib
+
+    import gridsense
+
+    for module, names in gridsense._EXPORTS.items():
+        listed = importlib.import_module(f"gridsense.{module}").__all__
+        assert set(names) <= set(listed), module

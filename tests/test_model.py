@@ -54,6 +54,14 @@ class TestGaussianTail:
         assert np.all(0.5 * erfc(deep / math.sqrt(2.0)) == 0.0)
         assert np.all(gaussian_tail(deep) == 0.0)
 
+    def test_density_of_a_huge_margin_is_zero_without_a_warning(self):
+        # x * x overflows past |x| ~ 1.3e154; the density there is 0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for x in (2e154, -2e154, 1e308, np.inf):
+                assert model._phi(np.float64(x)) == 0.0
+            assert (model._phi(np.array([2e154, 1e300])) == 0.0).all()
+
     def test_scalar_and_array_calls_agree_bitwise(self):
         xs = np.concatenate([np.linspace(-8.0, 37.0, 4001), [np.inf]])
         tails = gaussian_tail(xs.reshape(-1, 1)).ravel()
