@@ -299,7 +299,8 @@ def cmd_single(args) -> int:
         "p_err_mc": p_mc,
         "p_err_mc_stderr": p_mc_err,
         "eta_meas": measurement_efficiency(p_err),
-        "capacity": capacity(qfi, p_err),
+        # as in `fractional_sweep`: −ln P_err is unbounded at P_err = 0
+        "capacity": capacity(qfi, p_err) if p_err > 0 else math.nan,
     }
     report = RunReport(
         config=cfg,

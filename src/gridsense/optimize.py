@@ -9,10 +9,9 @@ Loss (per configuration, deterministic):
 with F_Q from the full number-basis pipeline (codeword → squeeze → rotate →
 loss → dephasing → mixed-state QFI, generator n̂) and P_err from the analytic
 model — the Monte-Carlo decoder stays a validation oracle and never enters
-the loss. A training step takes F_Q and its gradient over the Bloch angles
-and r from one eigendecomposition, through the symmetric logarithmic
-derivative, and the hinge's gradient in closed form; only ε is still
-differenced, its two probes solved in the same stack as the centre.
+the loss. A training step takes F_Q and its gradient over the Bloch angles,
+r and ε from one eigendecomposition, through the symmetric logarithmic
+derivative, and the hinge's gradient in closed form; it never probes.
 `gradient` keeps the central differences over every free coordinate as the
 oracle.
 """
@@ -72,9 +71,10 @@ TRAIN_LIMITS = {
     "p_th": (0, None, False),
 }
 
-_BLOCH_THETA, _BLOCH_PHI, _ELL, _R = (
-    PARAM_ORDER.index(name)
-    for name in ("bloch_theta", "bloch_phi", "ell", "r"))
+_ELL, _R = PARAM_ORDER.index("ell"), PARAM_ORDER.index("r")
+# The coordinates of F_Q's gradient (`pipeline._qfi_gradient`).
+_QFI_AXES = [PARAM_ORDER.index(name)
+             for name in ("bloch_theta", "bloch_phi", "r", "epsilon")]
 
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
@@ -181,35 +181,6 @@ def _evaluate(points, cfg: TrainConfig) -> list[tuple[float, float, float]]:
             for qfi, p_err in zip(qfis, p_errs)]
 
 
-def _probes(params: TrainableParams, cfg: TrainConfig,
-            names=PARAM_ORDER) -> list[tuple]:
-    """The central-difference probes over the free coordinates among
-    `names`, in PARAM_ORDER, + before −: (index, sign, step h, projected
-    point). See `gradient` for the step.
-    """
-    x = params.vector()
-    probes = []
-    for i, name in enumerate(PARAM_ORDER):
-        if name in cfg.freeze or name not in names:
-            continue
-        h = GRAD_STEP * max(1.0, abs(x[i]))
-        for sign in (+1.0, -1.0):
-            xs = x.copy()
-            xs[i] += sign * h
-            probes.append((i, sign, h, params.with_vector(xs).projected()))
-    return probes
-
-
-def _differences(probes: list[tuple], losses: list[float]) -> np.ndarray:
-    """Central differences from the probe losses, 0 where not probed."""
-    g = np.zeros(len(PARAM_ORDER))
-    for (i, sign, h, _), loss in zip(probes, losses):
-        g[i] += sign * loss
-        if sign < 0.0:
-            g[i] /= 2.0 * h
-    return g
-
-
 def _check_gradient(g: np.ndarray, params: TrainableParams) -> np.ndarray:
     """`g`, or NumericError naming the first coordinate that is not finite."""
     for name, component in zip(PARAM_ORDER, g):
@@ -231,35 +202,38 @@ def gradient(params: TrainableParams, cfg: TrainConfig) -> np.ndarray:
     The per-coordinate step is GRAD_STEP scaled by the coordinate magnitude
     (floored at 1 so angles near zero keep a sane step). A probe that leaves
     the box is projected back onto it, so on a bound this is half the
-    one-sided difference. The oracle for `analytic_gradient`; training does
-    not use it.
+    one-sided difference. Every probe is solved in one stack. The oracle for
+    `analytic_gradient`; training does not use it.
     """
-    probes = _probes(params, cfg)
-    at_probes = _evaluate([point for *_, point in probes], cfg)
-    return _check_gradient(
-        _differences(probes, [at[0] for at in at_probes]), params)
+    x = params.vector()
+    steps = [(i, GRAD_STEP * max(1.0, abs(x[i])))
+             for i, name in enumerate(PARAM_ORDER) if name not in cfg.freeze]
+    probes = []
+    for i, h in steps:
+        for step in (h, -h):
+            xs = x.copy()
+            xs[i] += step
+            probes.append(params.with_vector(xs).projected())
+    losses = [loss for loss, *_ in _evaluate(probes, cfg)]
+    g = np.zeros(len(PARAM_ORDER))
+    for (i, h), plus, minus in zip(steps, losses[::2], losses[1::2]):
+        g[i] = (plus - minus) / (2.0 * h)
+    return _check_gradient(g, params)
 
 
 def _loss_and_gradient(params: TrainableParams, cfg: TrainConfig):
     """(loss, qfi, p_err, gradient) at `params` from one eigendecomposition.
 
-    F_Q's gradient over the Bloch angles and r is analytic
+    F_Q's gradient over the Bloch angles, r and ε is analytic
     (`pipeline._qfi_gradient`); F_Q does not depend on θ, so ℓ moves only
     the hinge. The hinge's gradient is λ·∂P_err (`perr_gradient`) where
-    p_err > p_th and 0 where p_err ≤ p_th, the kink included. P_err does
-    not depend on ε, so ε moves only F_Q: its central-difference probe pair
-    is solved in the centre's stack. The gradient is not checked for
-    finiteness here.
+    p_err > p_th and 0 where p_err ≤ p_th, the kink included. The gradient
+    is not checked for finiteness here.
     """
-    probes = _probes(params, cfg, names=("epsilon",))
-    points = [params] + [point for *_, point in probes]
-    qfis, d_qfi = _qfi_gradient([point.sensor_spec(cfg.cutoff)
-                                 for point in points], cfg.noise,
-                                free_r="r" not in cfg.freeze)
-    qfi, *at_probes = qfis.tolist()
+    qfi, d_qfi = _qfi_gradient(params.sensor_spec(cfg.cutoff), cfg.noise)
     p_err = float(perr_analytic(params.theta, params.r, cfg.noise).p_total)
-    g = _differences(probes, [-q for q in at_probes])
-    g[[_BLOCH_THETA, _BLOCH_PHI, _R]] -= d_qfi
+    g = np.zeros(len(PARAM_ORDER))
+    g[_QFI_AXES] -= d_qfi
     if p_err > cfg.p_th:
         d_theta, d_r = perr_gradient(params.theta, params.r, cfg.noise)
         g[_ELL] += cfg.penalty * float(d_theta) * math.pi / params.ell_max

@@ -10,17 +10,17 @@ Both channels are linear, so for a Bloch state c0|0_ε⟩ + c1|1_ε⟩
     ρ = R(θ)·[c0²M00 + |c1|²M11 + c0c1*M01 + h.c.]/tr·R(θ)†,
     M_ij = dephasing(loss(S|i_ε⟩⟨j_ε|S†)),  M10 = M01†.
 
-`noisy_basis` builds (M00, M01, M11) once per (ε, r, η, γ, D) and caches
-them; every other input only recombines them. The Bloch poles θ_B ∈ {0, π}
-return M00 / M11 exactly, following `logical_state`. Because R(θ) commutes
-with n̂, F_Q does not depend on θ and `pipeline_qfi` never rotates. A
-sequence of specs (a training step's centre and its ε probes, or the probes
-of the central-difference oracle) is recombined as one stack and solved in
-one eigendecomposition; `sensor_state` and `pipeline_qfi` are its one-spec
-views. The same solve gives ∂F_Q over the Bloch angles and r at the first
-spec (`metrology.qfi_response`): the angles move only the coefficients of
-the bilinear form, and r only its matrices, whose derivatives
-`noisy_basis_dr` caches next to the basis.
+`noisy_basis` builds (M00, M01, M11) and their slopes in r and ε once per
+(ε, r, η, γ, D) and caches them; every other input only recombines them.
+The Bloch poles θ_B ∈ {0, π} return M00 / M11 exactly, following
+`logical_state`. Because R(θ) commutes with n̂, F_Q does not depend on θ and
+`pipeline_qfi` never rotates. A sequence of specs (the probes of the
+central-difference oracle) is recombined as one stack and solved in one
+eigendecomposition; `sensor_state` and `pipeline_qfi` are its one-spec
+views. A training step solves its one spec and takes ∂F_Q from the same
+solve (`metrology.qfi_response`): the Bloch angles move only the
+coefficients of the bilinear form, and r and ε only its matrices, whose
+slopes come with the basis.
 
 `sensor_ket` is the direct route (codeword → squeeze → rotate) that the
 tests compose with `apply_loss` and `apply_dephasing` as the reference for
@@ -38,10 +38,11 @@ import numpy as np
 from .channels import NoiseParams, apply_dephasing, apply_loss
 from .metrology import qfi_mixed, qfi_response
 from .states import (bloch_amplitudes, logical_state, prepare_codeword,
-                     rotate, rotate_density, squeeze, squeeze_generator)
+                     rotate, rotate_density, squeeze, squeeze_gate,
+                     squeeze_generator)
 
-__all__ = ["SensorSpec", "noisy_basis", "noisy_basis_dr", "sensor_ket",
-           "sensor_state", "pipeline_qfi"]
+__all__ = ["SensorSpec", "noisy_basis", "sensor_ket", "sensor_state",
+           "pipeline_qfi"]
 
 
 @dataclass(frozen=True)
@@ -56,47 +57,40 @@ class SensorSpec:
     cutoff: int = 30
 
 
-def _squeezed_outer(epsilon: float, r: float, cutoff: int) -> np.ndarray:
-    """S|i_ε⟩⟨j_ε|S† for (i, j) = (0, 0), (0, 1), (1, 1) as one stack; both
-    codewords share one squeeze exponential."""
-    codewords = np.stack([prepare_codeword(0, epsilon, cutoff),
-                          prepare_codeword(1, epsilon, cutoff)], axis=1)
-    squeezed, _ = squeeze(codewords, math.log(r))
-    k0, k1 = squeezed.T
-    return np.stack([np.outer(a, b.conj())
-                     for a, b in ((k0, k0), (k0, k1), (k1, k1))])
-
-
 @lru_cache(maxsize=16)
 def noisy_basis(epsilon: float, r: float, eta: float, gamma: float,
                 cutoff: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Read-only (M00, M01, M11) with M_ij = dephasing(loss(S|i_ε⟩⟨j_ε|S†)).
+    """Read-only (M, ∂_r M, ∂_ε M), each the (3, D, D) stack over
+    (i, j) = (0, 0), (0, 1), (1, 1) of M_ij = dephasing(loss(S|i_ε⟩⟨j_ε|S†))
+    or of its slope.
 
-    The three outer products go through each channel as one stack. Cached:
+    Both codewords share one squeeze. S = exp(−i·ln r·K) gives
+    ∂_r(S·O·S†) = −i[K, S·O·S†]/r (`states.squeeze_generator`). While the
+    comb's peak count stays fixed, ∂_ε|μ_ε⟩ = −(n̂ − ⟨n̂⟩_μ)|μ_ε⟩, which the
+    gate maps without renormalizing (`states.squeeze_gate`). Both channels
+    are linear, so the nine matrices go through them as one stack. Cached:
     during training with ε and r frozen this runs once, and each pipeline
     run costs a few elementwise operations and one eigendecomposition.
     """
-    basis = apply_dephasing(apply_loss(_squeezed_outer(epsilon, r, cutoff),
-                                       eta), gamma)
-    basis.setflags(write=False)
-    return tuple(basis)
-
-
-@lru_cache(maxsize=16)
-def noisy_basis_dr(epsilon: float, r: float, eta: float, gamma: float,
-                   cutoff: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Read-only ∂(M00, M01, M11)/∂r, cached like `noisy_basis`.
-
-    S = exp(−i·ln r·K) gives ∂(S·O·S†)/∂ln r = −i[K, S·O·S†]
-    (`states.squeeze_generator`), and both channels are linear, so the
-    commutators go through them as one more 3-stack pass.
-    """
-    outer = _squeezed_outer(epsilon, r, cutoff)
+    codewords = np.stack([prepare_codeword(0, epsilon, cutoff),
+                          prepare_codeword(1, epsilon, cutoff)], axis=1)
+    n = np.arange(cutoff)[:, None]
+    mean_n = np.sum(n * np.abs(codewords) ** 2, axis=0)  # ⟨n̂⟩_μ
+    log_r = math.log(r)
+    kets, _ = squeeze(codewords, log_r)
+    d_kets = squeeze_gate((mean_n - n) * codewords, log_r)
+    pairs = ((0, 0), (0, 1), (1, 1))
+    outer = np.stack([np.outer(kets[:, i], kets[:, j].conj())
+                      for i, j in pairs])
     K = squeeze_generator(cutoff)
-    slope = (-1j / r) * (K @ outer - outer @ K)
-    basis = apply_dephasing(apply_loss(slope, eta), gamma)
+    d_r = (-1j / r) * (K @ outer - outer @ K)
+    d_epsilon = np.stack([np.outer(d_kets[:, i], kets[:, j].conj())
+                          + np.outer(kets[:, i], d_kets[:, j].conj())
+                          for i, j in pairs])
+    basis = apply_dephasing(
+        apply_loss(np.concatenate([outer, d_r, d_epsilon]), eta), gamma)
     basis.setflags(write=False)
-    return tuple(basis)
+    return basis[:3], basis[3:6], basis[6:]
 
 
 def sensor_ket(spec: SensorSpec) -> tuple[np.ndarray, float]:
@@ -119,9 +113,9 @@ def _unrotated_states(specs, noise: NoiseParams) -> np.ndarray:
     with each spec's coefficients computed as for a single state."""
     amplitudes = [bloch_amplitudes(spec.bloch_theta, spec.bloch_phi)
                   for spec in specs]
-    bases = [noisy_basis(spec.epsilon, spec.r, noise.eta, noise.gamma,
-                         spec.cutoff) for spec in specs]
-    M00, M01, M11 = (np.stack(matrices) for matrices in zip(*bases))
+    M00, M01, M11 = np.stack([noisy_basis(spec.epsilon, spec.r, noise.eta,
+                                          noise.gamma, spec.cutoff)[0]
+                              for spec in specs], axis=1)
     coeffs = [_coefficients(c0, c1) for c0, c1 in amplitudes]
     c00, c01, c11 = (np.array(column)[:, None, None] for column in zip(*coeffs))
     cross = c01 * M01
@@ -151,26 +145,30 @@ def _paired(coeffs, traces) -> float:
     return float((c00 * x00 + c11 * x11 + 2.0 * c01 * x01).real)
 
 
-def _qfi_gradient(specs, noise: NoiseParams,
-                  free_r: bool) -> tuple[np.ndarray, np.ndarray]:
-    """F_Q of each spec, as `_qfis` gives it, and ∂F_Q/∂(bloch_theta,
-    bloch_phi, r) at specs[0] from the same stacked eigendecomposition; the
-    r entry is 0 unless `free_r`.
+def _qfi_gradient(spec: SensorSpec,
+                  noise: NoiseParams) -> tuple[float, np.ndarray]:
+    """F_Q of the spec's noisy state, as `pipeline_qfi` gives it, and
+    ∂F_Q/∂(bloch_theta, bloch_phi, r, epsilon) from the same
+    eigendecomposition.
 
     dF_Q = Tr(H·dρ) (`qfi_response`), and ρ = N/Tr N for the bilinear form
     N, so dρ = (dN − ρ·Tr dN)/Tr N. The Bloch angles move only the
-    coefficients of N; r moves only its matrices (`noisy_basis_dr`).
+    coefficients of N; r and ε move only its matrices (`noisy_basis`).
     """
-    qfis, H = qfi_response(_unrotated_states(specs, noise))
-    spec, H = specs[0], H[0]
-    key = (spec.epsilon, spec.r, noise.eta, noise.gamma, spec.cutoff)
-    basis = np.stack(noisy_basis(*key))
+    qfis, H = qfi_response(_unrotated_states([spec], noise))
+    H = H[0]
     coeffs = _coefficients(*bloch_amplitudes(spec.bloch_theta,
                                              spec.bloch_phi))
     sin, cos = math.sin(spec.bloch_theta), math.cos(spec.bloch_theta)
     phase = np.exp(-1j * spec.bloch_phi)
-    traces = np.trace(basis, axis1=-2, axis2=-1)
-    h = np.sum(H.T * basis, axis=(-2, -1))  # Tr(H·M_ij)
+
+    def pairings(stack) -> tuple:
+        """(Tr(H·X_ij), Tr X_ij) over a (3, D, D) stack X."""
+        return (np.sum(H.T * stack, axis=(-2, -1)),
+                np.trace(stack, axis1=-2, axis2=-1))
+
+    (h, traces), d_r, d_epsilon = (pairings(stack) for stack in noisy_basis(
+        spec.epsilon, spec.r, noise.eta, noise.gamma, spec.cutoff))
     norm = _paired(coeffs, traces)
     mean_h = _paired(coeffs, h) / norm  # Tr(H·ρ)
 
@@ -180,14 +178,11 @@ def _qfi_gradient(specs, noise: NoiseParams,
         return (_paired(d_coeffs, h)
                 - mean_h * _paired(d_coeffs, traces)) / norm
 
-    d_theta = along((-0.5 * sin, 0.5 * cos * phase, 0.5 * sin), h, traces)
-    d_phi = along((0.0, -1j * coeffs[1], 0.0), h, traces)
-    d_r = 0.0
-    if free_r:
-        d_basis = np.stack(noisy_basis_dr(*key))
-        d_r = along(coeffs, np.sum(H.T * d_basis, axis=(-2, -1)),
-                    np.trace(d_basis, axis1=-2, axis2=-1))
-    return qfis, np.array([d_theta, d_phi, d_r])
+    return float(qfis[0]), np.array([
+        along((-0.5 * sin, 0.5 * cos * phase, 0.5 * sin), h, traces),
+        along((0.0, -1j * coeffs[1], 0.0), h, traces),
+        along(coeffs, *d_r),
+        along(coeffs, *d_epsilon)])
 
 
 def sensor_state(spec: SensorSpec, noise: NoiseParams) -> np.ndarray:

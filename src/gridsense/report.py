@@ -145,6 +145,11 @@ def versions() -> dict:
     }
 
 
+# Metrics that are NaN where they are undefined: capacity at P_err = 0,
+# where −ln P_err is unbounded. Every other metric must be finite.
+NAN_WHERE_UNDEFINED = ("capacity",)
+
+
 @dataclass
 class RunReport:
     """Everything a single run writes to report.json."""
@@ -159,7 +164,8 @@ class RunReport:
 
     def as_dict(self) -> dict:
         for key, value in self.metrics.items():
-            if isinstance(value, float) and not math.isfinite(value):
+            if (isinstance(value, float) and not math.isfinite(value)
+                    and not (key in NAN_WHERE_UNDEFINED and math.isnan(value))):
                 raise ValueError(f"metric {key!r} is not finite: {value}")
         return {
             "config": self.config,

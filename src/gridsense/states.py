@@ -44,6 +44,7 @@ __all__ = [
     "bloch_amplitudes",
     "logical_state",
     "squeeze",
+    "squeeze_gate",
     "squeeze_generator",
     "rotate",
     "rotate_density",
@@ -162,14 +163,22 @@ def _squeeze_spectrum(D: int) -> tuple[np.ndarray, np.ndarray]:
     return w, V
 
 
+def squeeze_gate(psi: np.ndarray, log_r: float) -> np.ndarray:
+    """V·e^{−i·log_r·w}·V†·psi from the cached spectrum of the generator:
+    the gate of `squeeze` without its per-column renormalization, so that
+    it also maps derivatives of kets."""
+    w, V = _squeeze_spectrum(psi.shape[0])
+    return (V * np.exp(-1j * log_r * w)) @ (V.conj().T @ psi)
+
+
 def squeeze(psi: np.ndarray, log_r: float, *,
             max_leakage: float = 1e-3) -> tuple[np.ndarray, float]:
     """Apply S(log_r) = exp(log_r·(a†² − a²)/2); returns (ket, leakage).
 
     `psi` is one ket, or a (D, k) array of kets as columns that all share
     the one gate; each column is renormalized and `leakage` is the largest
-    over the columns. The gate is V·e^{−i·log_r·w}·V† from the cached
-    spectrum of the Hermitian generator (see the module docstring).
+    over the columns. The gate is `squeeze_gate` (see the module
+    docstring).
 
     The truncated generator is still anti-Hermitian, so the gate is unitary
     on the truncated space and leakage = 1 − ‖raw‖² sits at roundoff
@@ -184,15 +193,13 @@ def squeeze(psi: np.ndarray, log_r: float, *,
     psi = np.asarray(psi, dtype=complex)
     if log_r == 0.0:
         return psi.copy(), 0.0
-    D = psi.shape[0]
-    w, V = _squeeze_spectrum(D)
-    raw = (V * np.exp(-1j * log_r * w)) @ (V.conj().T @ psi)
+    raw = squeeze_gate(psi, log_r)
     norm_sq = np.sum(raw.real**2 + raw.imag**2, axis=0)
     leakage = float(np.max(1.0 - norm_sq))
     if leakage > max_leakage:
         raise TruncationError(
             f"squeeze leakage {leakage:.3e} exceeds {max_leakage:.1e} "
-            f"(log_r={log_r}, D={D})")
+            f"(log_r={log_r}, D={psi.shape[0]})")
     return raw / np.sqrt(norm_sq), leakage
 
 

@@ -458,6 +458,18 @@ class TestSingle:
         assert (out1 / "trace.csv").read_bytes() == \
             (out2 / "trace.csv").read_bytes()
 
+    @pytest.mark.parametrize("noise", [["--eta", "1", "--gamma", "0"],
+                                       ["--eta", "0.9999", "--gamma", "0.0001"]])
+    def test_zero_error_rate_reports_an_undefined_capacity(self, tmp_path,
+                                                           noise):
+        # P_err underflows to 0 here, and −ln P_err has no finite value
+        code = main(["single", "-o", str(tmp_path), *FAST, *noise])
+        assert code == 0
+        metrics = json.loads((tmp_path / "report.json").read_text())["metrics"]
+        assert metrics["p_err_analytic"] == 0.0
+        assert math.isnan(metrics["capacity"])
+        assert '"capacity": NaN' in (tmp_path / "report.json").read_text()
+
     def test_replay_rejects_foreign_json(self, tmp_path):
         bad = tmp_path / "not_a_report.json"
         bad.write_text('{"metrics": {}}')

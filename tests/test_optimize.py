@@ -12,6 +12,7 @@ from hypothesis import given, settings, strategies as st
 
 import gridsense.optimize as optimize
 import gridsense.pipeline as pipeline
+import gridsense.states as states
 from gridsense import (
     BOUNDS,
     PARAM_ORDER,
@@ -519,10 +520,10 @@ class TestStackedStep:
         assert seen == [(centre.theta, centre.r)
                         for centre in (OAM_INIT, trace[0].params)]
 
-    @pytest.mark.parametrize("freeze, states", [
-        (frozenset({"ell", "r", "epsilon"}), 1), (frozenset(), 3)])
-    def test_one_solve_per_step(self, freeze, states, monkeypatch):
-        # ε keeps its probe pair, solved in the centre's stack
+    @pytest.mark.parametrize("freeze", FREEZE_SETS,
+                             ids=lambda f: ",".join(sorted(f)) or "none")
+    def test_one_solve_per_step(self, freeze, monkeypatch):
+        # no coordinate is probed: each step solves its centre alone
         shapes = []
         real = pipeline.qfi_response
 
@@ -532,7 +533,7 @@ class TestStackedStep:
 
         monkeypatch.setattr(pipeline, "qfi_response", spy)
         train(short_cfg(steps=3, freeze=freeze), OAM_INIT)
-        assert shapes == [(states, 30, 30)] * 3
+        assert shapes == [(1, 30, 30)] * 3
 
     @staticmethod
     def diverge_both(cfg, init):
@@ -588,22 +589,19 @@ class TestStackedStep:
     def test_non_finite_gradient_names_its_coordinate(self, name,
                                                       monkeypatch):
         # every coordinate free and the hinge active, so each one has a
-        # gradient source: the QFI response (Bloch angles, r), the closed-form
-        # P_err slope (ℓ) or the ε probe pair
+        # gradient source: the QFI response (Bloch angles, r, ε) or the
+        # closed-form P_err slope (ℓ)
         cfg = short_cfg(steps=4, freeze=frozenset(), p_th=1e-6)
         _, clean = train(cfg, OAM_INIT)
         centre = clean[1].params  # the centre of step 2
         real_qfi, real_perr = optimize._qfi_gradient, optimize.perr_gradient
 
-        def poisoned_qfi(specs, noise, free_r):
-            qfis, d_qfi = real_qfi(specs, noise, free_r)
-            if specs[0] == centre.sensor_spec(cfg.cutoff):
-                if name == "epsilon":
-                    qfis[1] = math.nan  # the + probe
-                elif name != "ell":
-                    d_qfi[("bloch_theta", "bloch_phi", "r").index(name)] = \
-                        math.nan
-            return qfis, d_qfi
+        def poisoned_qfi(spec, noise):
+            qfi, d_qfi = real_qfi(spec, noise)
+            if spec == centre.sensor_spec(cfg.cutoff) and name != "ell":
+                d_qfi[("bloch_theta", "bloch_phi", "r",
+                       "epsilon").index(name)] = math.nan
+            return qfi, d_qfi
 
         def poisoned_perr(theta, r, noise):
             d_theta, d_r = real_perr(theta, r, noise)
@@ -639,8 +637,7 @@ class TestAnalyticGradient:
                              ids=lambda f: ",".join(sorted(f)) or "none")
     def test_matches_the_oracle(self, freeze, seed, p_th, monkeypatch):
         # At the default step the oracle's own truncation error in r reaches
-        # 1.4e-6 (r = 1.28); a 10x smaller step makes it 100x smaller. ε is
-        # differenced with the same step by both.
+        # 1.4e-6 (r = 1.28); a 10x smaller step makes it 100x smaller.
         monkeypatch.setattr(optimize, "GRAD_STEP", optimize.GRAD_STEP / 10)
         params = interior_point(seed)
         cfg = short_cfg(freeze=freeze, p_th=p_th)
@@ -656,11 +653,13 @@ class TestAnalyticGradient:
         assert analytic_gradient(interior_point(0), cfg)[
             PARAM_ORDER.index("ell")] == 0.0
 
-    def test_on_the_bounds(self):
+    def test_on_the_bounds(self, monkeypatch):
         # On a bound the oracle's outer probe clips onto the centre. The
         # analytic value is the derivative of the unprojected loss: checked
         # against central differences through the bound, with θ_B = −h taken
-        # as θ_B = h at φ_B + π (the same state).
+        # as θ_B = h at φ_B + π (the same state). ε's bound is the codeword
+        # domain's edge, so the domain is widened for its − probe; the comb
+        # keeps its peak count S = 34 across the step.
         cfg = short_cfg(freeze=frozenset(), p_th=1e-9)
         got = analytic_gradient(ON_BOUND, cfg)
         oracle = gradient(ON_BOUND, cfg)
@@ -673,16 +672,20 @@ class TestAnalyticGradient:
                    - loss(bloch_theta=h, bloch_phi=ON_BOUND.bloch_phi
                           + math.pi)) / (2 * h)
         d_r = (loss(r=ON_BOUND.r + h) - loss(r=ON_BOUND.r - h)) / (2 * h)
+        monkeypatch.setattr(states, "EPSILON_DOMAIN", (0.0, 0.5, False))
+        d_epsilon = (loss(epsilon=ON_BOUND.epsilon + h)
+                     - loss(epsilon=ON_BOUND.epsilon - h)) / (2 * h)
+        # drop the out-of-domain codeword and basis from their caches
+        states.prepare_codeword.cache_clear()
+        pipeline.noisy_basis.cache_clear()
         index = PARAM_ORDER.index
         assert got[index("bloch_theta")] == pytest.approx(d_theta, rel=1e-6)
         assert got[index("r")] == pytest.approx(d_r, rel=1e-6)
+        assert got[index("epsilon")] == pytest.approx(d_epsilon, rel=1e-6)
         # the azimuth is a global phase at the pole
         assert got[index("bloch_phi")] == oracle[index("bloch_phi")] == 0.0
         assert got[index("ell")] == pytest.approx(oracle[index("ell")],
                                                   rel=1e-6)
-        # ε keeps the oracle's probe pair, clipped onto the centre here
-        assert got[index("epsilon")] == pytest.approx(
-            oracle[index("epsilon")], rel=1e-9)
 
 
 class TestPerrGradient:

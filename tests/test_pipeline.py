@@ -21,7 +21,7 @@ from gridsense import (
     train,
 )
 from gridsense import pipeline, states
-from gridsense.pipeline import noisy_basis, noisy_basis_dr
+from gridsense.pipeline import noisy_basis
 
 from conftest import LOW_NOISE
 
@@ -72,8 +72,8 @@ def test_cached_state_matches_direct_route(spec, noise):
 def test_poles_return_the_basis_matrix_exactly(bloch_theta, index):
     spec = SensorSpec(theta=0.0, r=1.092, bloch_theta=bloch_theta,
                       bloch_phi=0.4)
-    basis = noisy_basis(spec.epsilon, spec.r, LOW_NOISE.eta, LOW_NOISE.gamma,
-                        spec.cutoff)
+    basis, _, _ = noisy_basis(spec.epsilon, spec.r, LOW_NOISE.eta,
+                              LOW_NOISE.gamma, spec.cutoff)
     assert np.array_equal(sensor_state(spec, LOW_NOISE), basis[index])
 
 
@@ -155,39 +155,41 @@ def test_training_builds_the_basis_once(monkeypatch):
     assert states._squeeze_spectrum.cache_info().misses == 1
 
 
-def test_free_r_builds_one_basis_and_one_slope_per_step():
-    # r is differentiated through its basis slope, not probed at r ± h
+@pytest.mark.parametrize("freeze", [{"ell", "epsilon"}, {"ell", "r"},
+                                    {"ell"}], ids=["r", "epsilon", "both"])
+def test_free_r_or_epsilon_builds_one_basis_per_step(freeze):
+    # r and ε are differentiated through the basis slopes, never probed
     noisy_basis.cache_clear()
-    noisy_basis_dr.cache_clear()
-    cfg = TrainConfig(noise=LOW_NOISE, steps=4,
-                      freeze=frozenset({"ell", "epsilon"}))
+    cfg = TrainConfig(noise=LOW_NOISE, steps=4, freeze=frozenset(freeze))
     train(cfg, TrainableParams(bloch_theta=1.5708, bloch_phi=1.5708))
     assert noisy_basis.cache_info().misses == 4
-    assert noisy_basis_dr.cache_info().misses == 4
 
 
+# Each ε lies well inside a stretch of fixed peak count S, where the
+# ε slope is exact.
 @pytest.mark.parametrize("args", [
     (0.063, 1.092, 0.9, 0.05, 30),
     (0.15, 0.6, 0.7, 0.2, 20),
     (0.1, 1.0, 1.0, 0.0, 40),
 ])
-def test_basis_slope_matches_differences_of_the_basis(args):
-    epsilon, r, eta, gamma, cutoff = args
+@pytest.mark.parametrize("index,name", [(1, "r"), (2, "epsilon")])
+def test_basis_slope_matches_differences_of_the_basis(args, index, name):
+    point = dict(zip(("epsilon", "r", "eta", "gamma", "cutoff"), args))
     h = 1e-5
-    slope = noisy_basis_dr(*args)
-    plus = noisy_basis(epsilon, r + h, eta, gamma, cutoff)
-    minus = noisy_basis(epsilon, r - h, eta, gamma, cutoff)
+    slope = noisy_basis(*args)[index]
+    plus, _, _ = noisy_basis(**point | {name: point[name] + h})
+    minus, _, _ = noisy_basis(**point | {name: point[name] - h})
+    assert not slope.flags.writeable
     for dM, M_plus, M_minus in zip(slope, plus, minus, strict=True):
-        assert not dM.flags.writeable
         diff = (M_plus - M_minus) / (2 * h)
         assert np.max(np.abs(dM - diff)) <= 1e-6 * np.max(np.abs(diff))
 
 
-def test_gradient_stack_gives_the_same_qfis():
-    base = SensorSpec(theta=0.0, r=1.092, bloch_theta=1.1, bloch_phi=0.4)
-    specs = [base, replace(base, epsilon=0.08), replace(base, epsilon=0.05)]
-    qfis, _ = pipeline._qfi_gradient(specs, LOW_NOISE, free_r=True)
-    assert qfis.tobytes() == pipeline._qfis(specs, LOW_NOISE).tobytes()
+def test_qfi_gradient_gives_the_pipeline_qfi():
+    spec = SensorSpec(theta=0.0, r=1.092, bloch_theta=1.1, bloch_phi=0.4)
+    qfi, _ = pipeline._qfi_gradient(spec, LOW_NOISE)
+    assert np.float64(qfi).tobytes() == \
+        np.float64(pipeline_qfi(spec, LOW_NOISE)).tobytes()
 
 
 @pytest.mark.parametrize("bloch_theta", [0.0, 1.1, math.pi])
@@ -196,7 +198,7 @@ def test_qfi_gradient_matches_differences(bloch_theta):
     # global phase
     spec = SensorSpec(theta=0.0, r=1.092, bloch_theta=bloch_theta,
                       bloch_phi=0.4)
-    _, got = pipeline._qfi_gradient([spec], LOW_NOISE, free_r=True)
+    _, got = pipeline._qfi_gradient(spec, LOW_NOISE)
     h = 1e-5
 
     def qfi(**over):
@@ -210,6 +212,8 @@ def test_qfi_gradient_matches_differences(bloch_theta):
     assert got[1] == pytest.approx(d_phi, rel=1e-6, abs=1e-9)
     d_r = (qfi(r=1.092 + h) - qfi(r=1.092 - h)) / (2 * h)
     assert got[2] == pytest.approx(d_r, rel=1e-6)
+    d_epsilon = (qfi(epsilon=0.063 + h) - qfi(epsilon=0.063 - h)) / (2 * h)
+    assert got[3] == pytest.approx(d_epsilon, rel=1e-6)
 
 
 def test_basis_from_cached_codewords_matches_an_uncached_build(monkeypatch):
@@ -261,7 +265,7 @@ def test_stacked_basis_is_bit_identical_to_one_matrix_at_a_time(args):
     noisy_basis.cache_clear()
     basis = noisy_basis(*args)
     noisy_basis.cache_clear()
-    for M, ref in zip(basis, basis_reference(*args), strict=True):
+    for M, ref in zip(basis[0], basis_reference(*args), strict=True):
         assert M.tobytes() == ref.tobytes()
 
 
@@ -276,8 +280,8 @@ def test_channels_map_a_stack_matrix_by_matrix(eta, gamma):
 
 
 def test_stacked_states_match_the_one_spec_views_exactly():
-    # a training step mixes specs with one shared basis and specs whose r
-    # or ε moved, and may include a pole
+    # the oracle's stack mixes specs with one shared basis and specs whose
+    # r or ε moved, and may include a pole
     base = SensorSpec(theta=0.0, r=1.092, bloch_theta=1.1, bloch_phi=0.4)
     specs = [base, replace(base, bloch_theta=0.0), replace(base, r=1.2),
              replace(base, epsilon=0.08), replace(base, bloch_theta=math.pi),

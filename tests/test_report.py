@@ -219,6 +219,12 @@ class TestRunReport:
         with pytest.raises(ValueError):
             self.make(p_err=math.inf).as_dict()
 
+    def test_capacity_may_be_nan_where_undefined(self):
+        d = self.make(capacity=math.nan).as_dict()
+        assert math.isnan(d["metrics"]["capacity"])
+        with pytest.raises(ValueError):
+            self.make(capacity=math.inf).as_dict()
+
     def test_dumps_parses_as_json(self):
         text = self.make().dumps()
         assert text.endswith("\n")
