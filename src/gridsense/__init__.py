@@ -18,13 +18,11 @@ __version__ = "0.1.0"
 _EXPORTS = {
     "fock": (
         "InvalidDimensionError", "NumericError", "annihilation",
-        "check_density", "check_ket", "creation", "expectation",
-        "hermitian_eig", "ket_density", "matrix_exp", "number_op",
-        "position_op", "quadrature_op",
+        "check_density", "check_ket", "expectation", "hermitian_eig",
+        "number_op", "position_op", "quadrature_op",
     ),
     "lattice": (
-        "A_LATTICE", "GkpLattice", "OamCharge", "hexagonal_lattice",
-        "oam_lattice", "rotation_matrix", "square_lattice",
+        "A_LATTICE", "GkpLattice", "OamCharge", "rotation_matrix",
         "symplectic_product", "theta_from_oam", "twisted_lattice",
     ),
     "states": (
@@ -33,7 +31,7 @@ _EXPORTS = {
     ),
     "channels": (
         "NoiseParams", "apply_dephasing", "apply_loss",
-        "apply_momentum_diffusion", "effective_sigmas", "loss_kraus",
+        "apply_momentum_diffusion", "effective_sigmas",
     ),
     "metrology": (
         "capacity", "cfi_homodyne", "measurement_efficiency", "qfi_mixed",
@@ -41,8 +39,8 @@ _EXPORTS = {
     ),
     "model": (
         "NoRootError", "PerrBreakdown", "ThetaStarResult", "balance",
-        "gaussian_tail", "joint_optimum", "mc_perr", "perr_analytic",
-        "theta_fit", "theta_sensitivity", "theta_star", "theta_star_grid",
+        "gaussian_tail", "mc_perr", "perr_analytic", "theta_fit",
+        "theta_sensitivity", "theta_star", "theta_star_grid",
         "tolerance_curve",
     ),
     "wigner": (
@@ -51,11 +49,9 @@ _EXPORTS = {
     "optimize": (
         "BOUNDS", "PARAM_ORDER", "TrainConfig", "TrainDiverged",
         "TrainableParams", "combined_loss", "fractional_sweep", "gradient",
-        "lr_schedule", "pareto_filter", "pareto_sweep", "train",
+        "lr_schedule", "pareto_sweep", "train",
     ),
-    "pipeline": (
-        "SensorSpec", "pipeline_qfi", "sensor_ket", "sensor_state",
-    ),
+    "pipeline": ("SensorSpec", "pipeline_qfi", "sensor_state"),
 }
 _ORIGIN = {name: module for module, names in _EXPORTS.items()
            for name in names}

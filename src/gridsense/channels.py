@@ -29,7 +29,6 @@ from .fock import check_domain, hermitian_eig, position_op
 
 __all__ = [
     "NoiseParams",
-    "loss_kraus",
     "apply_loss",
     "apply_dephasing",
     "apply_momentum_diffusion",
@@ -85,6 +84,9 @@ def _loss_amplitudes(eta: float, D: int) -> np.ndarray:
     return A
 
 
+# Not exported and not called by the package: kept only because
+# bench/tracer.py spans it by name. It moves to the tests with ROADMAP item 1,
+# which lets the tracer skip it.
 def loss_kraus(eta: float, D: int) -> list[np.ndarray]:
     """Kraus operators of the photon-loss channel with transmissivity η.
 
@@ -105,11 +107,13 @@ def loss_kraus(eta: float, D: int) -> list[np.ndarray]:
 
 @lru_cache(maxsize=16)
 def _loss_weights(eta: float, D: int) -> tuple[np.ndarray, ...]:
-    """Read-only W_k = a_k a_kᵀ, a_k the nonzero part of row k of A."""
+    """Read-only W_k = a_k a_kᵀ, a_k the nonzero part of row k of A, stored
+    complex: numpy would cast each real W_k to w + 0j on every `apply_loss`
+    call before the same complex multiply, so the cast is done once here."""
     A = _loss_amplitudes(eta, D)
     weights = []
     for k in range(D):
-        W = np.outer(A[k, :D - k], A[k, :D - k])
+        W = np.outer(A[k, :D - k], A[k, :D - k]).astype(complex)
         W.setflags(write=False)
         weights.append(W)
     return tuple(weights)

@@ -24,14 +24,11 @@ import numpy as np
 
 __all__ = [
     "annihilation",
-    "creation",
     "number_op",
     "position_op",
     "quadrature_op",
-    "matrix_exp",
     "hermitian_eig",
     "expectation",
-    "ket_density",
     "check_ket",
     "check_density",
     "InvalidDimensionError",
@@ -61,10 +58,6 @@ def annihilation(D: int) -> np.ndarray:
     return a
 
 
-def creation(D: int) -> np.ndarray:
-    return annihilation(D).conj().T
-
-
 def number_op(D: int) -> np.ndarray:
     """n̂ = a†a, diagonal (0, 1, ..., D-1)."""
     if D < 2:
@@ -89,14 +82,17 @@ def quadrature_op(D: int, psi: float) -> np.ndarray:
     return (a * np.exp(1j * psi) + a.conj().T * np.exp(-1j * psi)) / np.sqrt(2.0)
 
 
+# Not exported and not called by the package (`states.squeeze` diagonalizes
+# its generator instead): kept only because bench/tracer.py spans it by name.
+# It moves to the tests with ROADMAP item 1, which lets the tracer skip it.
 def matrix_exp(M: np.ndarray) -> np.ndarray:
-    """Matrix exponential e^M (scaling-and-squaring with a Padé core).
+    """Matrix exponential e^M (scaling-and-squaring with a Padé core), the
+    tests' reference for displacement operators.
 
     Raises NumericError on non-finite input; the relative-accuracy contract
     (<1e-10 for ‖M‖ ≤ 10) is covered by the test suite against term-by-term
-    Taylor summation. The package itself does not call it (`states.squeeze`
-    diagonalizes its generator instead), so scipy.linalg is imported here,
-    on first use, and never by the CLI.
+    Taylor summation. scipy is a test-only dependency, imported here on
+    first use and never by the CLI.
     """
     import scipy.linalg
 
@@ -181,13 +177,16 @@ def hermitian_eig(M: np.ndarray, *, tol: float = 1e-10):
     Returns (eigenvalues ascending, eigenvectors as columns), stacked like the
     input. Every matrix must be Hermitian within `tol` (max-abs entrywise); it
     is symmetrized before the solve so the output is exactly consistent with
-    a Hermitian operator. A stack is solved in one `eigh` call, on one BLAS
-    thread (`serial_blas`).
+    a Hermitian operator. A non-finite entry raises NumericError. A stack is
+    solved in one `eigh` call, on one BLAS thread (`serial_blas`).
     """
     M = np.asarray(M)
     M_h = np.swapaxes(M, -1, -2).conj()
     herm_defect = np.max(np.abs(M - M_h))
-    if herm_defect > tol:
+    # A non-finite entry makes the defect NaN or inf, which fails this test.
+    if not herm_defect <= tol:
+        if not np.all(np.isfinite(M)):
+            raise NumericError("hermitian_eig: input has non-finite entries")
         raise ValueError(f"matrix is not Hermitian (defect {herm_defect:.3e} > {tol:.1e})")
     with serial_blas():
         w, V = np.linalg.eigh((M + M_h) / 2.0)
@@ -202,12 +201,6 @@ def expectation(rho: np.ndarray, M: np.ndarray) -> complex:
         raise ValueError(f"dimension mismatch: rho {rho.shape}, M {M.shape}")
     # Tr(rho @ M) without forming the product
     return complex(np.sum(rho.T * M))
-
-
-def ket_density(psi: np.ndarray) -> np.ndarray:
-    """|ψ⟩⟨ψ| as a density matrix."""
-    psi = np.asarray(psi, dtype=complex)
-    return np.outer(psi, psi.conj())
 
 
 def check_ket(psi: np.ndarray, *, tol: float = 1e-12) -> None:

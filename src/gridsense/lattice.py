@@ -6,7 +6,9 @@ displacement vectors
 
     u1 = R(θ) (a r, 0)ᵀ,   u2 = R(θ) (0, a/r)ᵀ,
 
-with rotation θ and aspect ratio r. The symplectic product is reported in
+with rotation θ and aspect ratio r, built by `twisted_lattice(θ, r)`: the
+square lattice is θ = 0, r = 1, and an OAM charge gives θ through
+`theta_from_oam`. The symplectic product is reported in
 units of π, so every valid construction scores exactly 2 (the qudit
 dimension); see `symplectic_product`.
 """
@@ -24,10 +26,7 @@ __all__ = [
     "A_LATTICE",
     "GkpLattice",
     "OamCharge",
-    "hexagonal_lattice",
-    "oam_lattice",
     "rotation_matrix",
-    "square_lattice",
     "symplectic_product",
     "theta_from_oam",
     "twisted_lattice",
@@ -106,17 +105,3 @@ def twisted_lattice(theta: float, r: float) -> GkpLattice:
     u2 = R @ np.array([0.0, A_LATTICE / r])
     return GkpLattice(theta=theta, r=r, u1=u1, u2=u2)
 
-
-def square_lattice() -> GkpLattice:
-    return twisted_lattice(0.0, 1.0)
-
-
-def hexagonal_lattice() -> GkpLattice:
-    """The twisted lattice at θ = π/6, r = 1. Despite the name it is not
-    hexagonal: u1 ⊥ u2 with |u1| = |u2|, a square lattice rotated by 30°.
-    No twisted rectangle is hexagonal, as R(θ) keeps u1 ⊥ u2."""
-    return twisted_lattice(math.pi / 6.0, 1.0)
-
-
-def oam_lattice(ell: float, ell_max: int, r: float) -> GkpLattice:
-    return twisted_lattice(theta_from_oam(OamCharge(ell, ell_max)), r)

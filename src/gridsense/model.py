@@ -44,7 +44,6 @@ __all__ = [
     "theta_star_grid",
     "theta_sensitivity",
     "theta_fit",
-    "joint_optimum",
     "mc_perr",
     "tolerance_curve",
 ]
@@ -337,34 +336,6 @@ def theta_fit(noise: NoiseParams) -> float:
     these coefficients.)
     """
     return 64.8 + 162.8 * (1.0 - noise.eta) - 253.2 * noise.gamma
-
-
-JOINT_GRID_N = 48
-JOINT_R_BOUNDS = (0.8, 1.5)
-
-
-def joint_optimum(noise: NoiseParams) -> tuple[float, float, float]:
-    """Minimize the analytic P_err over (θ, r); returns (θ, r, p_err).
-
-    Coarse JOINT_GRID_N² scan over the box (0, π/2) × JOINT_R_BOUNDS, then a
-    simplex polish on the first best cell. In the noiseless limit P_err
-    vanishes identically and the call is rejected (nothing to optimize).
-    """
-    if noise.gamma == 0.0 and noise.eta == 1.0:
-        raise ValueError("noiseless input: P_err is identically 0")
-    from scipy.optimize import minimize
-
-    thetas, rs = np.meshgrid(
-        np.linspace(0.0, math.pi / 2.0, JOINT_GRID_N + 2)[1:-1],
-        np.linspace(*JOINT_R_BOUNDS, JOINT_GRID_N), indexing="ij")
-    best = np.argmin(perr_analytic(thetas, rs, noise).p_total)
-    res = minimize(lambda x: perr_analytic(*x, noise).p_total,
-                   x0=np.array([thetas.flat[best], rs.flat[best]]),
-                   method="Nelder-Mead",
-                   bounds=[(1e-9, math.pi / 2.0 - 1e-9), JOINT_R_BOUNDS],
-                   options={"xatol": 1e-12, "fatol": 1e-30, "maxiter": 4000})
-    t, rr = res.x
-    return float(t), float(rr), float(res.fun)
 
 
 MC_CHUNK = 1 << 22

@@ -47,7 +47,6 @@ __all__ = [
     "train",
     "pareto_sweep",
     "fractional_sweep",
-    "pareto_filter",
 ]
 
 PARAM_ORDER = ("bloch_theta", "bloch_phi", "ell", "r", "epsilon")
@@ -344,22 +343,6 @@ def pareto_sweep(lambdas, cfg: TrainConfig, init: TrainableParams):
                 f"p_err not monotone in lambda beyond trace noise: "
                 f"{lo['lam']} -> {hi['lam']}", stacklevel=2)
     return rows
-
-
-def pareto_filter(rows):
-    """Non-dominated subset of (qfi maximized, p_err minimized) rows."""
-    keep = []
-    for row in rows:
-        if not (math.isfinite(row["qfi"]) and math.isfinite(row["p_err"])):
-            continue
-        dominated = any(
-            other["qfi"] >= row["qfi"] and other["p_err"] <= row["p_err"]
-            and (other["qfi"] > row["qfi"] or other["p_err"] < row["p_err"])
-            for other in rows if other is not row
-            and math.isfinite(other["qfi"]) and math.isfinite(other["p_err"]))
-        if not dominated:
-            keep.append(row)
-    return keep
 
 
 def fractional_sweep(ells, cfg: TrainConfig, init: TrainableParams):

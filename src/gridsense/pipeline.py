@@ -21,10 +21,6 @@ views. A training step solves its one spec and takes ∂F_Q from the same
 solve (`metrology.qfi_response`): the Bloch angles move only the
 coefficients of the bilinear form, and r and ε only its matrices, whose
 slopes come with the basis.
-
-`sensor_ket` is the direct route (codeword → squeeze → rotate) that the
-tests compose with `apply_loss` and `apply_dephasing` as the reference for
-`sensor_state`.
 """
 
 from __future__ import annotations
@@ -37,12 +33,10 @@ import numpy as np
 
 from .channels import NoiseParams, apply_dephasing, apply_loss
 from .metrology import qfi_mixed, qfi_response
-from .states import (bloch_amplitudes, logical_state, prepare_codeword,
-                     rotate, rotate_density, squeeze, squeeze_gate,
-                     squeeze_generator)
+from .states import (bloch_amplitudes, prepare_codeword, rotate_density,
+                     squeeze, squeeze_gate, squeeze_generator)
 
-__all__ = ["SensorSpec", "noisy_basis", "sensor_ket", "sensor_state",
-           "pipeline_qfi"]
+__all__ = ["SensorSpec", "noisy_basis", "sensor_state", "pipeline_qfi"]
 
 
 @dataclass(frozen=True)
@@ -91,15 +85,6 @@ def noisy_basis(epsilon: float, r: float, eta: float, gamma: float,
         apply_loss(np.concatenate([outer, d_r, d_epsilon]), eta), gamma)
     basis.setflags(write=False)
     return basis[:3], basis[3:6], basis[6:]
-
-
-def sensor_ket(spec: SensorSpec) -> tuple[np.ndarray, float]:
-    """Pure sensor state before the noise channels; returns (ket, leakage)."""
-    psi = logical_state(spec.bloch_theta, spec.bloch_phi, spec.epsilon,
-                        spec.cutoff)
-    psi, leakage = squeeze(psi, math.log(spec.r))
-    psi = rotate(psi, spec.theta)
-    return psi, leakage
 
 
 def _coefficients(c0, c1) -> tuple:

@@ -1,4 +1,5 @@
-"""Shared fixtures: the two benchmark noise points and cached heavy states.
+"""Shared fixtures: the two benchmark noise points and cached heavy states,
+and the reference helpers that several test modules use.
 
 Everything expensive (noisy density matrices, trained runs) is session-scoped
 so the suite stays well under its time budget.
@@ -12,6 +13,7 @@ import pytest
 from gridsense import (
     NoiseParams,
     SensorSpec,
+    perr_analytic,
     prepare_codeword,
     sensor_state,
 )
@@ -24,6 +26,35 @@ D = 30
 EPS = 0.063
 R_LOW = 1.092
 R_HIGH = 1.082
+
+
+def ket_density(psi):
+    """|ψ⟩⟨ψ| as a density matrix."""
+    psi = np.asarray(psi, dtype=complex)
+    return np.outer(psi, psi.conj())
+
+
+def joint_optimum_reference(noise, r_bounds=(0.8, 1.5), grid_n=48):
+    """Minimize the analytic P_err over (θ, r); returns (θ, r, p_err).
+
+    The scan of one scalar `perr_analytic` call per cell of the grid_n² grid
+    over (0, π/2) × r_bounds, taking the first minimum in θ-major order, then
+    a Nelder–Mead polish from it.
+    """
+    from scipy.optimize import minimize
+
+    def f(x):
+        t, rr = x
+        return perr_analytic(t, rr, noise).p_total
+
+    thetas = np.linspace(0.0, math.pi / 2.0, grid_n + 2)[1:-1]
+    rs = np.linspace(r_bounds[0], r_bounds[1], grid_n)
+    best = min(((t, rr) for t in thetas for rr in rs), key=f)
+    res = minimize(f, x0=np.array(best), method="Nelder-Mead",
+                   bounds=[(1e-9, math.pi / 2.0 - 1e-9), r_bounds],
+                   options={"xatol": 1e-12, "fatol": 1e-30, "maxiter": 4000})
+    t, rr = res.x
+    return float(t), float(rr), float(res.fun)
 
 
 @pytest.fixture(scope="session")

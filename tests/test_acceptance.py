@@ -26,7 +26,8 @@ import math
 import numpy as np
 import pytest
 
-from conftest import D, EPS, HIGH_NOISE, LOW_NOISE, R_HIGH, R_LOW
+from conftest import (D, EPS, HIGH_NOISE, LOW_NOISE, R_HIGH, R_LOW,
+                      joint_optimum_reference)
 from gridsense import (
     NoiseParams,
     SensorSpec,
@@ -34,8 +35,6 @@ from gridsense import (
     apply_loss,
     apply_momentum_diffusion,
     capacity,
-    joint_optimum,
-    loss_kraus,
     mc_perr,
     measurement_efficiency,
     perr_analytic,
@@ -48,6 +47,7 @@ from gridsense import (
     theta_star,
     tolerance_curve,
 )
+from gridsense.channels import loss_kraus
 from gridsense.cli import main as cli_main
 from gridsense.model import NoRootError
 from gridsense.optimize import TrainConfig, TrainableParams, train
@@ -374,7 +374,7 @@ def test_criterion_08_optimizer_convergence(trained_low, free_geometry_run):
     assert trace[-1].grad_norm < 1e-3
 
     final, _ = free_geometry_run
-    theta_opt, r_opt, _ = joint_optimum(LOW_NOISE)
+    theta_opt, r_opt, _ = joint_optimum_reference(LOW_NOISE)
     assert abs(math.degrees(final.theta - theta_opt)) < 1.0
     assert abs(final.r - r_opt) < 0.02
 

@@ -12,12 +12,11 @@ from gridsense import (
     apply_loss,
     apply_momentum_diffusion,
     effective_sigmas,
-    ket_density,
-    loss_kraus,
     rotate_density,
 )
+from gridsense.channels import loss_kraus
 
-from conftest import D, LOW_NOISE
+from conftest import D, LOW_NOISE, ket_density
 
 
 class TestNoiseParams:

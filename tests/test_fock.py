@@ -13,15 +13,16 @@ from gridsense import (
     annihilation,
     check_density,
     check_ket,
-    creation,
     expectation,
     hermitian_eig,
-    ket_density,
-    matrix_exp,
     number_op,
     position_op,
+    qfi_mixed,
     quadrature_op,
 )
+from gridsense.fock import matrix_exp
+
+from conftest import ket_density
 
 
 def test_commutator_is_identity_up_to_truncation():
@@ -29,7 +30,8 @@ def test_commutator_is_identity_up_to_truncation():
     # truncated a† cannot raise |D-1>.
     D = 12
     a = annihilation(D)
-    comm = a @ creation(D) - creation(D) @ a
+    a_dag = a.conj().T
+    comm = a @ a_dag - a_dag @ a
     expected = np.eye(D)
     expected[-1, -1] = -(D - 1)  # truncation artifact, exact value
     assert np.allclose(comm, expected, atol=1e-12)
@@ -37,7 +39,8 @@ def test_commutator_is_identity_up_to_truncation():
 
 def test_number_op_is_a_dagger_a():
     D = 9
-    assert np.allclose(number_op(D), creation(D) @ annihilation(D), atol=1e-12)
+    a = annihilation(D)
+    assert np.allclose(number_op(D), a.conj().T @ a, atol=1e-12)
 
 
 def test_quadrature_psi_zero_is_position():
@@ -143,6 +146,25 @@ def test_hermitian_eig_rejects_one_bad_matrix_in_a_stack():
         hermitian_eig(H)
     with pytest.raises(ValueError, match="matrix is not Hermitian"):
         hermitian_eig(H[2])
+
+
+# inf − inf on the diagonal warns before the check fails
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.parametrize("entry", [(1, 1), (0, 2)],
+                         ids=["diagonal", "off_diagonal"])
+def test_non_finite_entry_is_a_numeric_error(entry, bad):
+    # NaN fails every comparison, so a `defect > tol` test let a NaN
+    # through: on the diagonal qfi_mixed returned 0.0, off it eigh raised
+    # numpy's LinAlgError
+    rho = np.eye(4, dtype=complex) / 4
+    rho[entry] = bad
+    for solve in (hermitian_eig, qfi_mixed, check_density):
+        with pytest.raises(NumericError, match="non-finite entries"):
+            solve(rho)
+    stack = np.stack([np.eye(4, dtype=complex) / 4, rho])
+    with pytest.raises(NumericError, match="non-finite entries"):
+        hermitian_eig(stack)
 
 
 class TestSerialBlas:

@@ -11,17 +11,24 @@ Wigner grid's Gauss–Hermite rule comes from numpy.polynomial, which only
 look up the OpenBLAS thread setters of `fock.serial_blas`: that reads the
 process's memory map and is left to the first solve. Each check runs in a
 new interpreter, so modules loaded by other tests do not count.
+
+scipy is a test-only dependency: the package imports it in one place, the
+test reference `fock.matrix_exp`, and `pyproject.toml` lists it in the
+`test` extra only. The README's Library API table lists `gridsense.__all__`.
 """
 
+import ast
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parents[1] / "src"
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src"
 
 PROBE = """
 import json, sys
@@ -115,7 +122,7 @@ def test_star_import_yields_all_of_all():
                     "missing = [n for n in gridsense.__all__"
                     " if n not in namespace]\n"
                     "print(len(gridsense.__all__), missing)")
-    assert out == "74 []"
+    assert out == "64 []"
 
 
 def test_lazy_names_are_the_submodule_objects():
@@ -138,3 +145,59 @@ def test_each_module_lists_what_the_package_re_exports():
     for module, names in gridsense._EXPORTS.items():
         listed = importlib.import_module(f"gridsense.{module}").__all__
         assert set(names) <= set(listed), module
+
+
+def scipy_imports() -> list[tuple[str, str]]:
+    """(file, enclosing function or class) of each `scipy` import statement
+    under src/gridsense; "" for a module-level one."""
+    found = []
+
+    def visit(node, file, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                  ast.ClassDef)):
+                visit(child, file, scope + (child.name,))
+                continue
+            if isinstance(child, ast.Import):
+                modules = [alias.name for alias in child.names]
+            elif isinstance(child, ast.ImportFrom) and child.level == 0:
+                modules = [child.module]
+            else:
+                modules = []
+            if any(m.split(".")[0] == "scipy" for m in modules):
+                found.append((file, ".".join(scope)))
+            visit(child, file, scope)
+
+    for path in sorted((SRC / "gridsense").glob("*.py")):
+        visit(ast.parse(path.read_text(encoding="utf-8")), path.name, ())
+    return found
+
+
+def test_scipy_is_imported_only_by_the_matrix_exp_reference():
+    assert scipy_imports() == [("fock.py", "matrix_exp")]
+
+
+def test_runtime_dependencies_are_numpy_alone():
+    tomllib = pytest.importorskip("tomllib")  # Python 3.11+
+
+    def names(requirements):
+        return [re.match(r"[A-Za-z0-9._-]+", req).group(0).lower()
+                for req in requirements]
+
+    project = tomllib.loads((ROOT / "pyproject.toml").read_text(
+        encoding="utf-8"))["project"]
+    assert names(project["dependencies"]) == ["numpy"]
+    assert "scipy" in names(project["optional-dependencies"]["test"])
+
+
+def test_readme_api_table_lists_all():
+    import gridsense
+
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    section = readme.split("\n## Library API\n", 1)[1].split("\n## ", 1)[0]
+    count = re.search(r"`gridsense\.__all__` lists the (\d+) names", section)
+    assert count and int(count.group(1)) == len(gridsense.__all__)
+    rows = re.findall(r"^\| `(\w+)` \| (.+) \|$", section, re.MULTILINE)
+    table = {module: tuple(re.findall(r"`(\w+)`", names))
+             for module, names in rows}
+    assert list(table.items()) == list(gridsense._EXPORTS.items())

@@ -1,4 +1,4 @@
-"""Lattice geometry: symplecticity, the OAM-to-rotation map, presets."""
+"""Lattice geometry: symplecticity, the OAM-to-rotation map."""
 
 import math
 
@@ -9,10 +9,7 @@ from hypothesis import given, settings, strategies as st
 from gridsense import (
     A_LATTICE,
     OamCharge,
-    hexagonal_lattice,
-    oam_lattice,
     rotation_matrix,
-    square_lattice,
     symplectic_product,
     theta_from_oam,
     twisted_lattice,
@@ -24,7 +21,7 @@ def test_lattice_constant():
 
 
 def test_square_lattice_symplectic_product_is_two():
-    lat = square_lattice()
+    lat = twisted_lattice(0.0, 1.0)
     assert abs(symplectic_product(lat.u1, lat.u2) - 2.0) < 1e-12
 
 
@@ -75,14 +72,15 @@ def test_oam_charge_validates_ell_max():
 
 
 def test_presets():
-    hexa = hexagonal_lattice()
+    """The geometries the former presets named, built with `twisted_lattice`."""
+    hexa = twisted_lattice(math.pi / 6, 1.0)
     assert hexa.r == 1.0 and abs(hexa.theta - math.pi / 6) < 1e-15
     assert abs(symplectic_product(hexa.u1, hexa.u2) - 2.0) < 1e-12
-    # not hexagonal despite the name: a square lattice rotated by 30°
+    # no twisted rectangle is hexagonal: a square lattice rotated by 30°
     assert abs(hexa.u1 @ hexa.u2) < 1e-12
     assert abs(np.linalg.norm(hexa.u1) - np.linalg.norm(hexa.u2)) < 1e-12
 
-    oam = oam_lattice(1.5, 4, 1.092)
+    oam = twisted_lattice(theta_from_oam(OamCharge(1.5, 4)), 1.092)
     assert abs(oam.theta - math.radians(67.5)) < 1e-15
     assert oam.r == 1.092
 

@@ -12,7 +12,6 @@ from gridsense import (
     cfi_homodyne,
     expectation,
     hermitian_eig,
-    ket_density,
     measurement_efficiency,
     number_op,
     qfi_mixed,
@@ -23,7 +22,7 @@ from gridsense import (
 
 from gridsense.metrology import qfi_response
 
-from conftest import D
+from conftest import D, ket_density
 
 
 def cfi_fd_check(rho_of_phi, psi_angle: float, *, step: float = 1e-4) -> float:

@@ -11,7 +11,6 @@ from gridsense import (
     NoiseParams,
     balance,
     gaussian_tail,
-    joint_optimum,
     mc_perr,
     perr_analytic,
     theta_fit,
@@ -23,7 +22,8 @@ from gridsense import (
 from gridsense import model
 from gridsense.model import N_SCAN, NoRootError, ThetaStarResult
 
-from conftest import HIGH_NOISE, LOW_NOISE, R_HIGH, R_LOW
+from conftest import (HIGH_NOISE, LOW_NOISE, R_HIGH, R_LOW,
+                      joint_optimum_reference)
 
 
 class TestGaussianTail:
@@ -552,45 +552,34 @@ class TestSensitivityAndFit:
         assert abs(theta_fit(NoiseParams(1.0, 0.1)) - base + 25.32) < 1e-10
 
 
-def joint_optimum_reference(noise, r_bounds=(0.8, 1.5), grid_n=48):
-    """The scan of one scalar `perr_analytic` call per grid cell, taking the
-    first minimum in θ-major order, then the same simplex polish."""
-    from scipy.optimize import minimize
-
-    def f(x):
-        t, rr = x
-        return perr_analytic(t, rr, noise).p_total
-
-    thetas = np.linspace(0.0, math.pi / 2.0, grid_n + 2)[1:-1]
-    rs = np.linspace(r_bounds[0], r_bounds[1], grid_n)
-    best = min(((t, rr) for t in thetas for rr in rs), key=f)
-    res = minimize(f, x0=np.array(best), method="Nelder-Mead",
-                   bounds=[(1e-9, math.pi / 2.0 - 1e-9), r_bounds],
-                   options={"xatol": 1e-12, "fatol": 1e-30, "maxiter": 4000})
-    t, rr = res.x
-    return float(t), float(rr), float(res.fun)
-
-
 class TestJointOptimum:
     @pytest.mark.parametrize("eta,gamma", [
         (0.75, 0.2), (0.9, 0.05), (0.99, 0.0), (0.95, 0.01), (1.0, 0.05)])
     def test_matches_the_scalar_scan(self, eta, gamma):
+        """One broadcast `perr_analytic` call over the reference's (θ, r)
+        grid equals its scalar scan cell for cell, bit for bit, and its
+        first argmin is the scan's first-best cell."""
         noise = NoiseParams(eta, gamma)
-        assert joint_optimum(noise) == joint_optimum_reference(noise)
+        thetas = np.linspace(0.0, math.pi / 2.0, 48 + 2)[1:-1]
+        rs = np.linspace(0.8, 1.5, 48)
+        grid = perr_analytic(thetas[:, None], rs[None, :], noise).p_total
+        scalar = np.array([[perr_analytic(t, rr, noise).p_total for rr in rs]
+                           for t in thetas])
+        assert grid.tobytes() == scalar.tobytes()
+        i, j = np.unravel_index(np.argmin(grid), grid.shape)
+        best = min(((t, rr) for t in thetas for rr in rs),
+                   key=lambda x: perr_analytic(*x, noise).p_total)
+        assert (thetas[i], rs[j]) == best
 
     def test_low_noise_optimum(self):
-        t, r, p = joint_optimum(LOW_NOISE)
+        t, r, p = joint_optimum_reference(LOW_NOISE)
         assert abs(math.degrees(t) - 90.0) < 1e-3
         assert abs(r - 1.174055) < 1e-4
         assert abs(p / 1.184947e-5 - 1.0) < 1e-4
 
     def test_beats_every_fixed_theta_pin(self):
-        _, _, p = joint_optimum(LOW_NOISE)
+        _, _, p = joint_optimum_reference(LOW_NOISE)
         assert p < min(TestPerrAnalytic.LOW_PINS.values())
-
-    def test_noiseless_rejected(self):
-        with pytest.raises(ValueError):
-            joint_optimum(NoiseParams(1.0, 0.0))
 
 
 class TestMonteCarlo:

@@ -8,7 +8,6 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
 
 import gridsense.optimize as optimize
 import gridsense.pipeline as pipeline
@@ -23,7 +22,6 @@ from gridsense import (
     fractional_sweep,
     gradient,
     lr_schedule,
-    pareto_filter,
     pareto_sweep,
     perr_analytic,
     pipeline_qfi,
@@ -203,51 +201,6 @@ class TestTrain:
         final, _ = train(cfg, OAM_INIT)
         for name, (lo, hi) in BOUNDS.items():
             assert lo <= getattr(final, name) <= hi
-
-
-class TestParetoFilter:
-    def test_hand_built_case(self):
-        rows = [
-            {"qfi": 10.0, "p_err": 1e-4},   # kept
-            {"qfi": 9.0, "p_err": 1e-5},    # kept (better error)
-            {"qfi": 8.0, "p_err": 1e-4},    # dominated by the first
-            {"qfi": math.nan, "p_err": 1e-6},  # dropped: not finite
-        ]
-        kept = pareto_filter(rows)
-        assert rows[0] in kept and rows[1] in kept
-        assert rows[2] not in kept and rows[3] not in kept
-
-    @settings(max_examples=40, deadline=None)
-    @given(st.lists(st.tuples(st.floats(0.1, 10.0), st.floats(1e-6, 1e-2)),
-                    min_size=1, max_size=12))
-    def test_kept_rows_are_mutually_nondominating(self, pairs):
-        rows = [{"qfi": q, "p_err": p} for q, p in pairs]
-        kept = pareto_filter(rows)
-        assert kept  # a finite nonempty set always has a nondominated row
-        for a in kept:
-            for b in kept:
-                if a is b:
-                    continue
-                strictly_better = (b["qfi"] >= a["qfi"]
-                                   and b["p_err"] <= a["p_err"]
-                                   and (b["qfi"] > a["qfi"]
-                                        or b["p_err"] < a["p_err"]))
-                assert not strictly_better
-
-    @settings(max_examples=40, deadline=None)
-    @given(st.lists(st.tuples(st.floats(0.1, 10.0), st.floats(1e-6, 1e-2)),
-                    min_size=1, max_size=12))
-    def test_dropped_rows_are_dominated(self, pairs):
-        rows = [{"qfi": q, "p_err": p} for q, p in pairs]
-        kept = pareto_filter(rows)
-        for row in rows:
-            if row in kept:
-                continue
-            assert any(other["qfi"] >= row["qfi"]
-                       and other["p_err"] <= row["p_err"]
-                       and (other["qfi"] > row["qfi"]
-                            or other["p_err"] < row["p_err"])
-                       for other in rows if other is not row)
 
 
 class TestSweeps:
@@ -547,13 +500,17 @@ class TestStackedStep:
         return str(got.value), got.value.trace
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-    @pytest.mark.parametrize("init", [
-        replace(OAM_INIT, bloch_phi=math.inf),  # NaN state, NaN F_Q
-        replace(OAM_INIT, ell=sys.float_info.max),  # θ = inf, NaN P_err
+    @pytest.mark.parametrize("init, expected", [
+        # NaN state: the solve refuses it before any F_Q is formed
+        (replace(OAM_INIT, bloch_phi=math.inf),
+         "hermitian_eig: input has non-finite entries"),
+        # θ = inf, NaN P_err
+        (replace(OAM_INIT, ell=sys.float_info.max),
+         "loss became non-finite at step 0"),
     ], ids=["nan_state", "infinite_theta"])
-    def test_non_finite_centre(self, init):
+    def test_non_finite_centre(self, init, expected):
         message, trace = self.diverge_both(short_cfg(freeze=R_FREE), init)
-        assert message == "loss became non-finite at step 0"
+        assert message == expected
         assert trace == []
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")

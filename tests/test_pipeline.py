@@ -13,17 +13,27 @@ from gridsense import (
     TrainableParams,
     apply_dephasing,
     apply_loss,
-    ket_density,
-    loss_kraus,
+    logical_state,
     pipeline_qfi,
-    sensor_ket,
+    rotate,
     sensor_state,
+    squeeze,
     train,
 )
 from gridsense import pipeline, states
+from gridsense.channels import loss_kraus
 from gridsense.pipeline import noisy_basis
 
-from conftest import LOW_NOISE
+from conftest import LOW_NOISE, ket_density
+
+
+def sensor_ket(spec):
+    """Pure sensor state before the noise channels; returns (ket, leakage)."""
+    psi = logical_state(spec.bloch_theta, spec.bloch_phi, spec.epsilon,
+                        spec.cutoff)
+    psi, leakage = squeeze(psi, math.log(spec.r))
+    psi = rotate(psi, spec.theta)
+    return psi, leakage
 
 
 def direct_state(spec, noise):

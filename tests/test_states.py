@@ -12,7 +12,6 @@ from gridsense import (
     annihilation,
     check_ket,
     expectation,
-    ket_density,
     logical_state,
     number_op,
     prepare_codeword,
@@ -28,7 +27,7 @@ from gridsense.states import (
     comb_positions,
 )
 
-from conftest import D, EPS
+from conftest import D, EPS, ket_density
 
 
 class TestCodewords:

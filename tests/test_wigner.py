@@ -7,16 +7,15 @@ import pytest
 
 from gridsense import (
     annihilation,
-    ket_density,
-    matrix_exp,
     rotate_density,
     wigner_grid,
     wigner_negativity,
     wigner_point,
 )
 from gridsense import wigner
+from gridsense.fock import matrix_exp
 
-from conftest import D
+from conftest import D, ket_density
 
 
 def displacement(alpha: complex, dim: int) -> np.ndarray:
