@@ -182,8 +182,10 @@ def hermitian_eig(M: np.ndarray, *, tol: float = 1e-10):
     """
     M = np.asarray(M)
     M_h = np.swapaxes(M, -1, -2).conj()
-    herm_defect = np.max(np.abs(M - M_h))
-    # A non-finite entry makes the defect NaN or inf, which fails this test.
+    # A non-finite entry makes the defect NaN or inf (inf − inf on the
+    # diagonal, unwarned), which fails this test.
+    with np.errstate(invalid="ignore"):
+        herm_defect = np.max(np.abs(M - M_h))
     if not herm_defect <= tol:
         if not np.all(np.isfinite(M)):
             raise NumericError("hermitian_eig: input has non-finite entries")
@@ -210,17 +212,15 @@ def check_ket(psi: np.ndarray, *, tol: float = 1e-12) -> None:
         raise ValueError(f"ket is not normalized: ||psi|| = {nrm!r}")
 
 
-def check_density(rho: np.ndarray, *, herm_tol: float = HERMITICITY_TOL,
-                  trace_tol: float = TRACE_TOL,
-                  eig_floor: float = EIGENVALUE_FLOOR) -> None:
+def check_density(rho: np.ndarray) -> None:
     """Assert the density-matrix contract: Hermitian, unit trace, PSD.
 
     Hermiticity within 1e-12 entrywise (checked by `hermitian_eig`), trace
-    within 1e-10 of 1, eigenvalues above -1e-10 (defaults; all overridable).
+    within 1e-10 of 1, eigenvalues above -1e-10 (the module constants).
     """
-    w, _ = hermitian_eig(rho, tol=herm_tol)
+    w, _ = hermitian_eig(rho, tol=HERMITICITY_TOL)
     tr = np.trace(rho)
-    if abs(tr - 1.0) > trace_tol:
+    if abs(tr - 1.0) > TRACE_TOL:
         raise ValueError(f"density trace {tr!r} != 1")
-    if w.min() < eig_floor:
+    if w.min() < EIGENVALUE_FLOOR:
         raise ValueError(f"density has eigenvalue {w.min():.3e} below floor")

@@ -36,37 +36,33 @@ def qfi_pure(psi: np.ndarray) -> float:
 
 
 def _sld_parts(rho, eig_tol: float):
-    """What `qfi_mixed` needs from the eigenbasis V of each state, with the
+    """What `qfi_mixed` needs from the eigenbasis V of ρ, with the
     eigenvalues clipped at 0: (V, ⟨j|n̂|k⟩, λ_j − λ_k, λ_j + λ_k, the mask
     λ_j + λ_k > eig_tol)."""
+    if np.shape(rho) != (len(rho),) * 2:
+        raise ValueError(f"expected one D x D state, got shape {np.shape(rho)}")
     w, V = hermitian_eig(rho)
     w = np.clip(w, 0.0, None)
-    n = np.arange(V.shape[-1])
-    n_eig = np.swapaxes(V, -1, -2).conj() @ (n[:, None] * V)
-    lam_sum = w[..., :, None] + w[..., None, :]
-    lam_diff = w[..., :, None] - w[..., None, :]
+    n = np.arange(V.shape[0])
+    n_eig = V.conj().T @ (n[:, None] * V)
+    lam_sum = w[:, None] + w[None, :]
+    lam_diff = w[:, None] - w[None, :]
     return V, n_eig, lam_diff, lam_sum, lam_sum > eig_tol
 
 
-def _qfi_from_parts(n_eig, lam_diff, lam_sum, mask):
+def _qfi_from_parts(n_eig, lam_diff, lam_sum, mask) -> float:
     weights = np.divide(lam_diff ** 2, lam_sum, out=np.zeros_like(lam_sum),
                         where=mask)
-    terms = weights * np.abs(n_eig) ** 2
-    # One contiguous D² sum per state: the summation order of a single state.
-    qfi = 2.0 * np.sum(terms.reshape(*terms.shape[:-2], -1), axis=-1)
-    return float(qfi) if qfi.ndim == 0 else qfi
+    return float(2.0 * np.sum(weights * np.abs(n_eig) ** 2))
 
 
-def qfi_mixed(rho: np.ndarray, *,
-              eig_tol: float = DEFAULT_EIG_TOL) -> float | np.ndarray:
+def qfi_mixed(rho: np.ndarray, *, eig_tol: float = DEFAULT_EIG_TOL) -> float:
     """Mixed-state QFI for the generator n̂, via the eigenbasis of ρ:
 
         F_Q = 2 Σ_{jk} (λ_j - λ_k)²/(λ_j + λ_k) · |⟨j|n̂|k⟩|²,
 
     summing only pairs with λ_j + λ_k > eig_tol. Reduces to `qfi_pure` on
-    rank-1 inputs. A (..., D, D) stack of states is solved in one
-    `hermitian_eig` call and gives an array of F_Q; one D x D state gives a
-    float.
+    rank-1 inputs.
     """
     _, *parts = _sld_parts(rho, eig_tol)
     return _qfi_from_parts(*parts)
@@ -82,14 +78,14 @@ def qfi_response(rho: np.ndarray, *, eig_tol: float = DEFAULT_EIG_TOL):
         L_jk = 2i(λ_j − λ_k)·⟨j|n̂|k⟩/(λ_j + λ_k),  H = −2i[L, n̂] − L²
 
     (Liu, Yuan, Lu & Wang, J. Phys. A 53, 023001 (2020)). H is returned in
-    the number basis, stacked like `rho`.
+    the number basis.
     """
     V, n_eig, lam_diff, lam_sum, mask = _sld_parts(rho, eig_tol)
     qfi = _qfi_from_parts(n_eig, lam_diff, lam_sum, mask)
     sld = np.divide(2j * lam_diff * n_eig, lam_sum,
                     out=np.zeros_like(n_eig), where=mask)
     h_eig = -2j * (sld @ n_eig - n_eig @ sld) - sld @ sld
-    return qfi, V @ h_eig @ np.swapaxes(V, -1, -2).conj()
+    return qfi, V @ h_eig @ V.conj().T
 
 
 def cfi_homodyne(rho: np.ndarray, psi_angle: float, *,

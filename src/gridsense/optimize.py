@@ -29,8 +29,7 @@ from .fock import NumericError, check_domain
 from .lattice import OamCharge, theta_from_oam
 from .metrology import capacity
 from .model import perr_analytic, perr_gradient
-from .pipeline import SensorSpec, _qfi_gradient, _qfis
-from .pipeline import pipeline_qfi  # noqa: F401  (bench tests wrap this copy)
+from .pipeline import SensorSpec, _qfi_gradient, pipeline_qfi
 from .states import BLOCH_THETA_DOMAIN, EPSILON_DOMAIN
 
 __all__ = [
@@ -166,20 +165,6 @@ def _hinge(p_err: float, cfg: TrainConfig) -> float:
     return cfg.penalty * max(p_err - cfg.p_th, 0.0)
 
 
-def _evaluate(points, cfg: TrainConfig) -> list[tuple[float, float, float]]:
-    """(loss, qfi, p_err) at each point: one stacked F_Q solve, and one
-    `perr_analytic` call over every point's (θ, r)."""
-    if not points:
-        return []
-    qfis = _qfis([point.sensor_spec(cfg.cutoff) for point in points],
-                 cfg.noise).tolist()
-    p_errs = perr_analytic(np.array([point.theta for point in points]),
-                           np.array([point.r for point in points]),
-                           cfg.noise).p_total.tolist()
-    return [(-qfi + _hinge(p_err, cfg), qfi, p_err)
-            for qfi, p_err in zip(qfis, p_errs)]
-
-
 def _check_gradient(g: np.ndarray, params: TrainableParams) -> np.ndarray:
     """`g`, or NumericError naming the first coordinate that is not finite."""
     for name, component in zip(PARAM_ORDER, g):
@@ -192,7 +177,9 @@ def _check_gradient(g: np.ndarray, params: TrainableParams) -> np.ndarray:
 def combined_loss(params: TrainableParams,
                   cfg: TrainConfig) -> tuple[float, float, float]:
     """Evaluate (loss, qfi, p_err) at the given parameters."""
-    return _evaluate([params], cfg)[0]
+    qfi = pipeline_qfi(params.sensor_spec(cfg.cutoff), cfg.noise)
+    p_err = float(perr_analytic(params.theta, params.r, cfg.noise).p_total)
+    return -qfi + _hinge(p_err, cfg), qfi, p_err
 
 
 def gradient(params: TrainableParams, cfg: TrainConfig) -> np.ndarray:
@@ -201,22 +188,21 @@ def gradient(params: TrainableParams, cfg: TrainConfig) -> np.ndarray:
     The per-coordinate step is GRAD_STEP scaled by the coordinate magnitude
     (floored at 1 so angles near zero keep a sane step). A probe that leaves
     the box is projected back onto it, so on a bound this is half the
-    one-sided difference. Every probe is solved in one stack. The oracle for
-    `analytic_gradient`; training does not use it.
+    one-sided difference. The oracle for `analytic_gradient`; training does
+    not use it.
     """
     x = params.vector()
-    steps = [(i, GRAD_STEP * max(1.0, abs(x[i])))
-             for i, name in enumerate(PARAM_ORDER) if name not in cfg.freeze]
-    probes = []
-    for i, h in steps:
-        for step in (h, -h):
-            xs = x.copy()
-            xs[i] += step
-            probes.append(params.with_vector(xs).projected())
-    losses = [loss for loss, *_ in _evaluate(probes, cfg)]
+
+    def probe(i: int, step: float) -> float:
+        xs = x.copy()
+        xs[i] += step
+        return combined_loss(params.with_vector(xs).projected(), cfg)[0]
+
     g = np.zeros(len(PARAM_ORDER))
-    for (i, h), plus, minus in zip(steps, losses[::2], losses[1::2]):
-        g[i] = (plus - minus) / (2.0 * h)
+    for i, name in enumerate(PARAM_ORDER):
+        if name not in cfg.freeze:
+            h = GRAD_STEP * max(1.0, abs(x[i]))
+            g[i] = (probe(i, h) - probe(i, -h)) / (2.0 * h)
     return _check_gradient(g, params)
 
 

@@ -14,13 +14,10 @@ Both channels are linear, so for a Bloch state c0|0_ε⟩ + c1|1_ε⟩
 (ε, r, η, γ, D) and caches them; every other input only recombines them.
 The Bloch poles θ_B ∈ {0, π} return M00 / M11 exactly, following
 `logical_state`. Because R(θ) commutes with n̂, F_Q does not depend on θ and
-`pipeline_qfi` never rotates. A sequence of specs (the probes of the
-central-difference oracle) is recombined as one stack and solved in one
-eigendecomposition; `sensor_state` and `pipeline_qfi` are its one-spec
-views. A training step solves its one spec and takes ∂F_Q from the same
-solve (`metrology.qfi_response`): the Bloch angles move only the
-coefficients of the bilinear form, and r and ε only its matrices, whose
-slopes come with the basis.
+`pipeline_qfi` never rotates. A training step solves its one state and
+takes ∂F_Q from the same solve (`metrology.qfi_response`): the Bloch angles
+move only the coefficients of the bilinear form, and r and ε only its
+matrices, whose slopes come with the basis.
 """
 
 from __future__ import annotations
@@ -92,34 +89,21 @@ def _coefficients(c0, c1) -> tuple:
     return c0 * c0, c0 * np.conj(c1), abs(c1) ** 2
 
 
-def _unrotated_states(specs, noise: NoiseParams) -> np.ndarray:
-    """The noisy states at θ = 0 of a sequence of specs, as a fresh
-    (len(specs), D, D) stack: the bilinear form broadcast over the specs,
-    with each spec's coefficients computed as for a single state."""
-    amplitudes = [bloch_amplitudes(spec.bloch_theta, spec.bloch_phi)
-                  for spec in specs]
-    M00, M01, M11 = np.stack([noisy_basis(spec.epsilon, spec.r, noise.eta,
-                                          noise.gamma, spec.cutoff)[0]
-                              for spec in specs], axis=1)
-    coeffs = [_coefficients(c0, c1) for c0, c1 in amplitudes]
-    c00, c01, c11 = (np.array(column)[:, None, None] for column in zip(*coeffs))
+def _unrotated_state(spec: SensorSpec, noise: NoiseParams) -> np.ndarray:
+    """The spec's noisy state at θ = 0 as a fresh (D, D) array: the bilinear
+    form, or a copy of M00 / M11 at the Bloch poles."""
+    c0, c1 = bloch_amplitudes(spec.bloch_theta, spec.bloch_phi)
+    M00, M01, M11 = noisy_basis(spec.epsilon, spec.r, noise.eta, noise.gamma,
+                                spec.cutoff)[0]
+    if c1 == 0.0:
+        return M00.copy()
+    if c0 == 0.0:
+        return M11.copy()
+    c00, c01, c11 = _coefficients(c0, c1)
     cross = c01 * M01
-    rho = c00 * M00 + c11 * M11 + cross + np.swapaxes(cross, -1, -2).conj()
-    rho /= np.trace(rho, axis1=-2, axis2=-1).real[:, None, None]
-    for i, (c0, c1) in enumerate(amplitudes):
-        if c1 == 0.0:
-            rho[i] = M00[i]
-        elif c0 == 0.0:
-            rho[i] = M11[i]
+    rho = c00 * M00 + c11 * M11 + cross + cross.T.conj()
+    rho /= np.trace(rho).real
     return rho
-
-
-def _qfis(specs, noise: NoiseParams) -> np.ndarray:
-    """F_Q of each spec's noisy state: one stacked eigendecomposition.
-
-    Evaluated at θ = 0: R(θ) commutes with n̂, so F_Q is the same at any θ.
-    """
-    return qfi_mixed(_unrotated_states(specs, noise))
 
 
 def _paired(coeffs, traces) -> float:
@@ -140,8 +124,7 @@ def _qfi_gradient(spec: SensorSpec,
     N, so dρ = (dN − ρ·Tr dN)/Tr N. The Bloch angles move only the
     coefficients of N; r and ε move only its matrices (`noisy_basis`).
     """
-    qfis, H = qfi_response(_unrotated_states([spec], noise))
-    H = H[0]
+    qfi, H = qfi_response(_unrotated_state(spec, noise))
     coeffs = _coefficients(*bloch_amplitudes(spec.bloch_theta,
                                              spec.bloch_phi))
     sin, cos = math.sin(spec.bloch_theta), math.cos(spec.bloch_theta)
@@ -163,7 +146,7 @@ def _qfi_gradient(spec: SensorSpec,
         return (_paired(d_coeffs, h)
                 - mean_h * _paired(d_coeffs, traces)) / norm
 
-    return float(qfis[0]), np.array([
+    return qfi, np.array([
         along((-0.5 * sin, 0.5 * cos * phase, 0.5 * sin), h, traces),
         along((0.0, -1j * coeffs[1], 0.0), h, traces),
         along(coeffs, *d_r),
@@ -172,10 +155,12 @@ def _qfi_gradient(spec: SensorSpec,
 
 def sensor_state(spec: SensorSpec, noise: NoiseParams) -> np.ndarray:
     """Noisy sensor state R(θ)·ρ₀·R(θ)†; a fresh array the caller may modify."""
-    return rotate_density(_unrotated_states([spec], noise)[0], spec.theta)
+    return rotate_density(_unrotated_state(spec, noise), spec.theta)
 
 
 def pipeline_qfi(spec: SensorSpec, noise: NoiseParams) -> float:
-    """Mixed-state QFI of the noisy sensor state with generator n̂; the
-    one-spec view of the stacked solve (`_qfis`)."""
-    return float(_qfis([spec], noise)[0])
+    """Mixed-state QFI of the noisy sensor state with generator n̂.
+
+    Evaluated at θ = 0: R(θ) commutes with n̂, so F_Q is the same at any θ.
+    """
+    return qfi_mixed(_unrotated_state(spec, noise))

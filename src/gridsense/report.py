@@ -178,6 +178,3 @@ class RunReport:
             "schemas": {name: ver for name, (ver, _) in SCHEMAS.items()},
             "versions": versions(),
         }
-
-    def dumps(self) -> str:
-        return dumps_json(self.as_dict()) + "\n"

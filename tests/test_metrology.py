@@ -110,37 +110,35 @@ def _random_states(seed, count, rank, dim=D):
     return rho / np.trace(rho, axis1=-2, axis2=-1)[:, None, None]
 
 
-class TestQfiMixedStack:
+class TestQfiMixedStates:
     @pytest.mark.parametrize("rank", [1, 3, D])
-    def test_stack_matches_the_one_state_reference_exactly(self, rank,
-                                                           noisy_square):
-        stack = np.concatenate([_random_states(rank, 6, rank),
-                                noisy_square[None]])
-        qfis = qfi_mixed(stack)
-        assert qfis.shape == (7,)
-        assert qfis.tolist() == [qfi_mixed_reference(rho) for rho in stack]
+    def test_each_state_matches_the_reference_exactly(self, rank,
+                                                      noisy_square):
+        for rho in [*_random_states(rank, 6, rank), noisy_square]:
+            qfi = qfi_mixed(rho)
+            assert type(qfi) is float
+            assert qfi == qfi_mixed_reference(rho)
 
-    def test_one_state_gives_a_float(self, noisy_square):
-        qfi = qfi_mixed(noisy_square)
-        assert type(qfi) is float
-        assert qfi == qfi_mixed_reference(noisy_square)
+    @pytest.mark.parametrize("solve", [qfi_mixed, qfi_response])
+    def test_a_stack_is_rejected(self, solve):
+        # two 2 x 2 states would otherwise broadcast to a wrong F_Q
+        with pytest.raises(ValueError, match=r"one D x D state.*\(2, 2, 2\)"):
+            solve(np.stack([np.eye(2, dtype=complex) / 2] * 2))
 
     def test_eig_tol_masks_per_state(self):
         # spectra spanning 1 .. 1e-10, so the two masks drop different pairs
         rng = np.random.default_rng(5)
         p = 10.0 ** (-np.arange(D) / 3.0)
         p /= p.sum()
-        stack = []
         for _ in range(3):
             Q, _ = np.linalg.qr(rng.normal(size=(D, D))
                                 + 1j * rng.normal(size=(D, D)))
-            stack.append((Q * p) @ Q.conj().T)
-        stack = np.stack(stack)
-        strict, loose = (qfi_mixed(stack, eig_tol=tol) for tol in (1e-12, 1e-3))
-        assert np.all(strict != loose)
-        for tol, got in ((1e-12, strict), (1e-3, loose)):
-            assert got.tolist() == [qfi_mixed_reference(rho, tol)
-                                    for rho in stack]
+            rho = (Q * p) @ Q.conj().T
+            strict, loose = (qfi_mixed(rho, eig_tol=tol)
+                             for tol in (1e-12, 1e-3))
+            assert strict != loose
+            assert strict == qfi_mixed_reference(rho, 1e-12)
+            assert loose == qfi_mixed_reference(rho, 1e-3)
 
 
 class TestQfiResponse:
@@ -148,12 +146,11 @@ class TestQfiResponse:
 
     @pytest.mark.parametrize("rank", [3, D])
     def test_qfi_matches_qfi_mixed_exactly(self, rank, noisy_square):
-        stack = np.concatenate([_random_states(rank, 3, rank),
-                                noisy_square[None]])
-        qfis, H = qfi_response(stack)
-        assert qfis.tolist() == qfi_mixed(stack).tolist()
-        assert H.shape == stack.shape
-        assert np.max(np.abs(H - np.swapaxes(H, -1, -2).conj())) < 1e-9
+        for rho in [*_random_states(rank, 3, rank), noisy_square]:
+            qfi, H = qfi_response(rho)
+            assert qfi == qfi_mixed(rho)
+            assert H.shape == rho.shape
+            assert np.max(np.abs(H - H.conj().T)) < 1e-9
 
     @pytest.mark.parametrize("seed", range(3))
     def test_directional_derivative_matches_differences(self, seed):

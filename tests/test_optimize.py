@@ -440,9 +440,10 @@ ON_BOUND = TrainableParams(bloch_theta=0.0, bloch_phi=0.3, ell=1.0,
                            r=BOUNDS["r"][1], epsilon=BOUNDS["epsilon"][0])
 
 
-class TestStackedStep:
-    """`train` evaluates a step from one stacked solve; it must reproduce the
-    per-point reference fed the analytic gradient bit for bit."""
+class TestTrainingStep:
+    """`train` evaluates a step from one eigendecomposition; it must
+    reproduce the per-point reference fed the analytic gradient bit for bit,
+    and `gradient` the per-point `reference_gradient`."""
 
     @pytest.mark.parametrize("init", [OAM_INIT, ON_BOUND],
                              ids=["interior", "on_bound"])
@@ -486,7 +487,7 @@ class TestStackedStep:
 
         monkeypatch.setattr(pipeline, "qfi_response", spy)
         train(short_cfg(steps=3, freeze=freeze), OAM_INIT)
-        assert shapes == [(1, 30, 30)] * 3
+        assert shapes == [(30, 30)] * 3
 
     @staticmethod
     def diverge_both(cfg, init):

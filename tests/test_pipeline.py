@@ -85,6 +85,10 @@ def test_poles_return_the_basis_matrix_exactly(bloch_theta, index):
     basis, _, _ = noisy_basis(spec.epsilon, spec.r, LOW_NOISE.eta,
                               LOW_NOISE.gamma, spec.cutoff)
     assert np.array_equal(sensor_state(spec, LOW_NOISE), basis[index])
+    # a fresh, writable copy, not the read-only cached matrix
+    state = pipeline._unrotated_state(spec, LOW_NOISE)
+    assert state.flags.writeable
+    assert not np.shares_memory(state, basis)
 
 
 def test_qfi_is_exactly_theta_independent():
@@ -159,7 +163,7 @@ def test_training_builds_the_basis_once(monkeypatch):
     train(cfg, TrainableParams(bloch_theta=1.5708, bloch_phi=1.5708))
     info = noisy_basis.cache_info()
     assert info.misses == 1
-    # one state per step, looked up for its stack and for its gradient
+    # one state per step, looked up for the state and for its gradient
     assert info.hits == 2 * 5 - 1
     assert calls == {"squeeze": 1}
     assert states._squeeze_spectrum.cache_info().misses == 1
@@ -287,19 +291,3 @@ def test_channels_map_a_stack_matrix_by_matrix(eta, gamma):
     for i, M in enumerate(X):
         assert np.array_equal(lost[i], apply_loss(M, eta))
         assert np.array_equal(dephased[i], apply_dephasing(M, gamma))
-
-
-def test_stacked_states_match_the_one_spec_views_exactly():
-    # the oracle's stack mixes specs with one shared basis and specs whose
-    # r or ε moved, and may include a pole
-    base = SensorSpec(theta=0.0, r=1.092, bloch_theta=1.1, bloch_phi=0.4)
-    specs = [base, replace(base, bloch_theta=0.0), replace(base, r=1.2),
-             replace(base, epsilon=0.08), replace(base, bloch_theta=math.pi),
-             replace(base, bloch_phi=-2.5), replace(base, theta=0.9)]
-    rho = pipeline._unrotated_states(specs, LOW_NOISE)
-    qfis = pipeline._qfis(specs, LOW_NOISE)
-    for i, spec in enumerate(specs):
-        assert np.array_equal(rho[i], sensor_state(replace(spec, theta=0.0),
-                                                   LOW_NOISE))
-        assert qfis[i] == pipeline_qfi(spec, LOW_NOISE)
-    assert rho.flags.writeable
