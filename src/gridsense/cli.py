@@ -361,17 +361,17 @@ def cmd_phase_diagram(args) -> int:
     eta, gamma = eta.ravel(), gamma.ravel()  # row-major: gamma runs fastest
     theta, p_star = theta_star_grid(r, eta, gamma)
     p_square = perr_analytic(0.0, r, NoiseParams(eta, gamma)).p_total
-    rows = []
-    for t, p, p0 in zip(theta.tolist(), p_star.tolist(), p_square.tolist()):
-        if math.isnan(t):
-            rows.append((None, None, p0, None))
-        else:
-            rows.append((math.degrees(t), p, p0,
-                         p0 / p if p > 0 else math.inf))
+    improvement = np.divide(p_square, p_star, out=np.full_like(p_star, np.inf),
+                            where=p_star > 0)
+    # a cell without a root leaves all but its p_err_square empty
+    no_root = np.isnan(theta)
+    rows = np.ma.masked_array(
+        np.column_stack([np.degrees(theta), p_star, p_square, improvement]),
+        mask=no_root[:, None] & np.array([True, True, False, True]))
     path = _out_path(args, "phase_diagram.csv")
     write_csv(path, "phase_diagram", rows,
               axes=(eta_axis.tolist(), gamma_axis.tolist()))
-    n_roots = sum(1 for row in rows if row[0] is not None)
+    n_roots = theta.size - int(np.count_nonzero(no_root))
     print(f"{len(rows)} cells ({n_roots} with a root) -> {path}")
     return 0
 
@@ -443,7 +443,7 @@ def cmd_wigner(args) -> int:
     # q-major, p fastest: with n points per axis, row i is
     # (q[i // n], p[i % n], W[i % n, i // n])
     csv_path = _out_path(args, "wigner.csv")
-    write_csv(csv_path, "wigner", grid.values.T.reshape(-1, 1).tolist(),
+    write_csv(csv_path, "wigner", grid.values.T.reshape(-1, 1),
               axes=(grid.q_axis.tolist(), grid.p_axis.tolist()))
     meta = {
         "q_range": [float(args.q_range[0]), float(args.q_range[1])],

@@ -172,16 +172,19 @@ def check_domain(name: str, value, domain) -> None:
 
 
 def hermitian_eig(M: np.ndarray, *, tol: float = 1e-10):
-    """Eigendecomposition of a Hermitian matrix or a (..., D, D) stack of them.
+    """Eigendecomposition of one Hermitian D×D matrix.
 
-    Returns (eigenvalues ascending, eigenvectors as columns), stacked like the
-    input. Every matrix must be Hermitian within `tol` (max-abs entrywise); it
-    is symmetrized before the solve so the output is exactly consistent with
-    a Hermitian operator. A non-finite entry raises NumericError. A stack is
-    solved in one `eigh` call, on one BLAS thread (`serial_blas`).
+    Returns (eigenvalues ascending, eigenvectors as columns). The matrix
+    must be Hermitian within `tol` (max-abs entrywise); it is symmetrized
+    before the solve so the output is exactly consistent with a Hermitian
+    operator. A non-finite entry raises NumericError, and any other shape,
+    a stack of matrices included, ValueError. The solve runs on one BLAS
+    thread (`serial_blas`).
     """
     M = np.asarray(M)
-    M_h = np.swapaxes(M, -1, -2).conj()
+    if M.ndim != 2 or M.shape[0] != M.shape[1]:
+        raise ValueError(f"expected one D x D matrix, got shape {M.shape}")
+    M_h = M.T.conj()
     # A non-finite entry makes the defect NaN or inf (inf − inf on the
     # diagonal, unwarned), which fails this test.
     with np.errstate(invalid="ignore"):

@@ -38,9 +38,8 @@ def qfi_pure(psi: np.ndarray) -> float:
 def _sld_parts(rho, eig_tol: float):
     """What `qfi_mixed` needs from the eigenbasis V of ρ, with the
     eigenvalues clipped at 0: (V, ⟨j|n̂|k⟩, λ_j − λ_k, λ_j + λ_k, the mask
-    λ_j + λ_k > eig_tol)."""
-    if np.shape(rho) != (len(rho),) * 2:
-        raise ValueError(f"expected one D x D state, got shape {np.shape(rho)}")
+    λ_j + λ_k > eig_tol). `hermitian_eig` rejects anything but one D×D
+    state."""
     w, V = hermitian_eig(rho)
     w = np.clip(w, 0.0, None)
     n = np.arange(V.shape[0])

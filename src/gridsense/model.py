@@ -146,10 +146,18 @@ def balance(theta, r: float, noise: NoiseParams):
     """Balance function B(θ) = r²·φ(u_q)/σ_q³ − φ(u_p)/σ_p³.
 
     B < 0 means the p quadrature dominates the error budget (rotate further);
-    B > 0 means q dominates. B is strictly increasing on (0, π/2) whenever
-    u_q, u_p > √3 throughout, which holds in the whole fault-tolerant regime.
-    θ and the noise fields broadcast together. B is NaN where a spread is
-    zero (η = 1 with γ = 0, or η = 1 on an axis).
+    B > 0 means q dominates. θ and the noise fields broadcast together. B is
+    NaN where a spread is zero (η = 1 with γ = 0, or η = 1 on an axis).
+
+    Monotonicity: 1/σ = 2u/(a·r) for q and 2u·r/a for p, so
+    B = (8/a³)·[g(u_q)/r − r³·g(u_p)] with g(u) = u³φ(u), and
+    g'(u) = u²(3 − u²)φ(u) < 0 for u > √3. With γ > 0, σ_q grows and σ_p
+    shrinks strictly as θ runs over (0, π/2), so u_q falls and u_p rises,
+    and B is strictly increasing wherever both margins stay above √3. They
+    are smallest at the widest spread σ² = (1−η)/(2η) + γ (u_q at θ = π/2,
+    u_p at θ = 0), so the per-cell test is γ > 0 and a·r/(2σ) > √3 and
+    (a/r)/(2σ) > √3 at that σ. It holds in the whole fault-tolerant regime,
+    and θ* then takes a binary search instead of the full scan.
     """
     b_q, b_p = _balance_terms(theta, r, noise)
     return b_q - b_p
@@ -166,11 +174,78 @@ def _balance_terms(theta, r: float, noise: NoiseParams):
 
 N_SCAN = 64
 ROOT_TOL = 1e-10
+_SQRT3 = math.sqrt(3.0)
 
 
 def _scan_grid() -> np.ndarray:
     """The N_SCAN interior scan angles on (0, π/2)."""
     return np.linspace(0.0, math.pi / 2.0, N_SCAN + 2)[1:-1]
+
+
+def _increasing(r: float, eta: np.ndarray, gamma: np.ndarray) -> np.ndarray:
+    """Cells where B is provably strictly increasing on (0, π/2): γ > 0 and
+    both margins exceed √3 at the widest spread (see `balance`)."""
+    widest = np.sqrt((1.0 - eta) / (2.0 * eta) + gamma)
+    u_q = A_LATTICE * r / (2.0 * widest)
+    u_p = (A_LATTICE / r) / (2.0 * widest)
+    return (gamma > 0.0) & (u_q > _SQRT3) & (u_p > _SQRT3)
+
+
+def _search_brackets(r: float, eta: np.ndarray, gamma: np.ndarray):
+    """Brackets of cells whose B is increasing, by a binary search of the
+    scan grid for the first angle with B ≥ 0: 7 calls of `balance` instead
+    of N_SCAN.
+
+    Returns (cell, k, unsure): the cells with a bracket (grid[k],
+    grid[k+1]), which is the only sign change the scan would find, and the
+    cells where a probe read 0 or NaN, for the scan to decide. The other
+    cells keep one sign of B and have no root.
+    """
+    grid = _scan_grid()
+    noise = NoiseParams(eta, gamma)
+    # B < 0 at grid[lo] and B > 0 at grid[hi]; -1 and N_SCAN are unprobed
+    lo = np.full(eta.size, -1)
+    hi = np.full(eta.size, N_SCAN)
+    unsure = np.zeros(eta.size, dtype=bool)
+    live = hi - lo > 1
+    while live.any():
+        mid = (lo + hi) // 2
+        # only a finished cell can have mid = -1
+        b = balance(grid[np.clip(mid, 0, N_SCAN - 1)], r, noise)
+        below, above = live & (b < 0.0), live & (b > 0.0)
+        unsure |= live & ~below & ~above  # B is 0 or NaN
+        lo = np.where(below, mid, lo)
+        hi = np.where(above, mid, hi)
+        live &= ~unsure & (hi - lo > 1)
+    found = ~unsure & (lo >= 0) & (hi < N_SCAN)
+    return np.flatnonzero(found), lo[found], np.flatnonzero(unsure)
+
+
+def _scan_brackets(r: float, eta: np.ndarray, gamma: np.ndarray):
+    """Every bracket of B over the N_SCAN scan angles, as (cell, k) ordered
+    by cell, then k: a sign change over (grid[k], grid[k+1]) or
+    B(grid[k]) == 0. A cell where both terms of B are 0 at every angle gets
+    none."""
+    noise = NoiseParams(eta, gamma)
+    grid = _scan_grid()
+    # Scan one angle at a time over every cell, which keeps memory at a few
+    # cell vectors.
+    change = np.empty((eta.size, N_SCAN - 1), dtype=bool)
+    prev = balance(grid[0], r, noise)
+    flat = prev == 0.0
+    for k in range(N_SCAN - 1):
+        nxt = balance(grid[k + 1], r, noise)
+        change[:, k] = (prev == 0.0) | ((prev < 0.0) != (nxt < 0.0))
+        flat &= nxt == 0.0
+        prev = nxt
+    # Where B == 0 at every angle its terms are equal; if they are 0 as
+    # well, B ≡ 0 only by underflow and the cell gets no bracket.
+    if flat.any():
+        at = np.flatnonzero(flat)
+        b_q, _ = _balance_terms(grid[:, None], r,
+                                NoiseParams(eta[at], gamma[at]))
+        change[at[np.all(b_q == 0.0, axis=0)]] = False
+    return np.nonzero(change)
 
 
 def _solve_cells(r: float, eta: np.ndarray, gamma: np.ndarray):
@@ -184,29 +259,24 @@ def _solve_cells(r: float, eta: np.ndarray, gamma: np.ndarray):
     η = 1 with γ ≲ 0.002): that B ≡ 0 locates no root. A B ≡ 0 whose terms
     cancel (r = 1, γ = 0) means P_err is flat in θ, and its first bracket
     is kept.
+
+    Where B is provably increasing (`_increasing`) a binary search finds
+    the scan's one bracket; every other cell, and every cell the search is
+    unsure of, is scanned at all N_SCAN angles.
     """
-    noise = NoiseParams(eta, gamma)
     grid = _scan_grid()
     with np.errstate(divide="ignore", invalid="ignore"):
-        # Scan one angle at a time over every cell, which keeps memory at a
-        # few cell vectors; a bracket is (cell, k) with a sign change of B
-        # over (grid[k], grid[k+1]) or B(grid[k]) == 0.
-        change = np.empty((eta.size, N_SCAN - 1), dtype=bool)
-        prev = balance(grid[0], r, noise)
-        flat = prev == 0.0
-        for k in range(N_SCAN - 1):
-            nxt = balance(grid[k + 1], r, noise)
-            change[:, k] = (prev == 0.0) | ((prev < 0.0) != (nxt < 0.0))
-            flat &= nxt == 0.0
-            prev = nxt
-        # Where B == 0 at every angle its terms are equal; if they are 0 as
-        # well, B ≡ 0 only by underflow and the cell gets no bracket.
-        if flat.any():
-            at = np.flatnonzero(flat)
-            b_q, _ = _balance_terms(grid[:, None], r,
-                                    NoiseParams(eta[at], gamma[at]))
-            change[at[np.all(b_q == 0.0, axis=0)]] = False
-        cell, k = np.nonzero(change)  # ordered by cell, then k
+        increasing = _increasing(r, eta, gamma)
+        searched = np.flatnonzero(increasing)
+        at, k, unsure = _search_brackets(r, eta[searched], gamma[searched])
+        cell = searched[at]
+        scanned = np.union1d(np.flatnonzero(~increasing), searched[unsure])
+        if scanned.size:
+            at, k_scan = _scan_brackets(r, eta[scanned], gamma[scanned])
+            cell = np.concatenate([cell, scanned[at]])
+            k = np.concatenate([k, k_scan])
+            order = np.argsort(cell, kind="stable")  # by cell, then k
+            cell, k = cell[order], k[order]
 
         # Bisect every bracket in lock step until its width is at most
         # ROOT_TOL; f_mid == 0 collapses the bracket onto mid. lo only moves
@@ -354,13 +424,15 @@ def mc_perr(theta: float, r: float, noise: NoiseParams, n_samples: int,
     (estimate, binomial standard error). Deterministic for a fixed seed
     (counter-based Philox stream). Each chunk of MC_CHUNK samples draws all
     its δ_q, then all its δ_p, in blocks of _MC_BLOCK and ORs their parities
-    into one bool array, so memory stays flat; a zero spread draws nothing.
+    into one bool array, drawing each block into one reused buffer, so
+    memory stays flat; a zero spread draws nothing.
     """
     check_domain("n_samples", n_samples, MC_SAMPLES_DOMAIN)
     sigma_q, sigma_p = effective_sigmas(noise, theta)
     d_q = A_LATTICE * r
     d_p = A_LATTICE / r
     rng = np.random.Generator(np.random.Philox(seed))
+    buf = np.empty(min(_MC_BLOCK, n_samples))
     errors = 0
     remaining = n_samples
     while remaining > 0:
@@ -371,8 +443,12 @@ def mc_perr(theta: float, r: float, noise: NoiseParams, n_samples: int,
                 continue
             for start in range(0, m, _MC_BLOCK):
                 block = flips[start:start + _MC_BLOCK]
-                delta = rng.normal(0.0, sigma, size=block.size)
-                block |= (np.rint(delta / spacing).astype(np.int64) & 1) != 0
+                # δ/d = (σ·z)/d in place, the bits of normal(0, σ)/d
+                x = buf[:block.size]
+                rng.standard_normal(out=x)
+                x *= sigma
+                x /= spacing
+                block |= (np.rint(x, out=x).astype(np.int64) & 1) != 0
         errors += int(np.count_nonzero(flips))
         remaining -= m
     p_hat = errors / n_samples

@@ -90,11 +90,17 @@ def _coefficients(c0, c1) -> tuple:
 
 
 def _unrotated_state(spec: SensorSpec, noise: NoiseParams) -> np.ndarray:
-    """The spec's noisy state at θ = 0 as a fresh (D, D) array: the bilinear
-    form, or a copy of M00 / M11 at the Bloch poles."""
-    c0, c1 = bloch_amplitudes(spec.bloch_theta, spec.bloch_phi)
-    M00, M01, M11 = noisy_basis(spec.epsilon, spec.r, noise.eta, noise.gamma,
-                                spec.cutoff)[0]
+    """The spec's noisy state at θ = 0 (`_state`)."""
+    return _state(*bloch_amplitudes(spec.bloch_theta, spec.bloch_phi),
+                  noisy_basis(spec.epsilon, spec.r, noise.eta, noise.gamma,
+                              spec.cutoff)[0])
+
+
+def _state(c0, c1, M) -> np.ndarray:
+    """The noisy state at θ = 0 as a fresh (D, D) array from the Bloch
+    amplitudes and M = (M00, M01, M11): the bilinear form, or a copy of
+    M00 / M11 at the Bloch poles."""
+    M00, M01, M11 = M
     if c1 == 0.0:
         return M00.copy()
     if c0 == 0.0:
@@ -124,9 +130,11 @@ def _qfi_gradient(spec: SensorSpec,
     N, so dρ = (dN − ρ·Tr dN)/Tr N. The Bloch angles move only the
     coefficients of N; r and ε move only its matrices (`noisy_basis`).
     """
-    qfi, H = qfi_response(_unrotated_state(spec, noise))
-    coeffs = _coefficients(*bloch_amplitudes(spec.bloch_theta,
-                                             spec.bloch_phi))
+    c0, c1 = bloch_amplitudes(spec.bloch_theta, spec.bloch_phi)
+    basis = noisy_basis(spec.epsilon, spec.r, noise.eta, noise.gamma,
+                        spec.cutoff)
+    qfi, H = qfi_response(_state(c0, c1, basis[0]))
+    coeffs = _coefficients(c0, c1)
     sin, cos = math.sin(spec.bloch_theta), math.cos(spec.bloch_theta)
     phase = np.exp(-1j * spec.bloch_phi)
 
@@ -135,8 +143,7 @@ def _qfi_gradient(spec: SensorSpec,
         return (np.sum(H.T * stack, axis=(-2, -1)),
                 np.trace(stack, axis1=-2, axis2=-1))
 
-    (h, traces), d_r, d_epsilon = (pairings(stack) for stack in noisy_basis(
-        spec.epsilon, spec.r, noise.eta, noise.gamma, spec.cutoff))
+    (h, traces), d_r, d_epsilon = (pairings(stack) for stack in basis)
     norm = _paired(coeffs, traces)
     mean_h = _paired(coeffs, h) / norm  # Tr(H·ρ)
 

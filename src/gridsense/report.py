@@ -12,10 +12,11 @@ strings.
 
 from __future__ import annotations
 
-import itertools
 import math
 import sys
 from dataclasses import dataclass, field
+
+import numpy as np
 
 __all__ = [
     "SCHEMAS",
@@ -89,14 +90,44 @@ def dumps_json(obj, indent: int = 0) -> str:
     return _json_scalar(obj)
 
 
-def write_csv(path, schema_name: str, rows, axes=None) -> None:
-    """Write rows (sequences ordered like the schema columns) under the
-    registered header.
+def _cells(schema_name: str, rows, width: int):
+    """The flat list of rows' non-empty cells, row-major, and (row index,
+    [cell is empty]) for each row with an empty cell."""
+    if isinstance(rows, np.ndarray):
+        if rows.ndim != 2 or rows.shape[1] != width:
+            raise ValueError(f"{schema_name} rows have shape {rows.shape}, "
+                             f"expected (n, {width})")
+        # only a masked array reads np.ma, whose first use imports it
+        # (~15 ms on a 2-core x86 VM)
+        empty = (np.ma.getmaskarray(rows) if hasattr(rows, "mask")
+                 else np.zeros(rows.shape, dtype=bool))
+        values = np.asarray(rows)[~empty].tolist()
+        return values, [(at, empty[at].tolist())
+                        for at in np.flatnonzero(empty.any(axis=1)).tolist()]
+    values, with_empty = [], []
+    for at, row in enumerate(rows):
+        if len(row) != width:
+            raise ValueError(
+                f"{schema_name} row has {len(row)} cells, expected {width}")
+        if None in row:
+            with_empty.append((at, [v is None for v in row]))
+            values.extend(v for v in row if v is not None)
+        else:
+            values.extend(row)
+    return values, with_empty
 
-    Cells are numbers or None (an empty cell, e.g. a phase-diagram cell with
-    no root). A row without None is formatted by one '%' call; the nan/inf
-    tokens are then mapped to format_float's NaN/Infinity over the whole
-    body at once, which is safe because a finite '%.17g' never contains them.
+
+def write_csv(path, schema_name: str, rows, axes=None) -> None:
+    """Write rows (ordered like the schema columns) under the registered
+    header.
+
+    rows is a sequence of rows whose cells are numbers or None, or a 2-D
+    float array of cells. None, or a masked cell of an `np.ma` array, is an
+    empty cell (e.g. a phase-diagram cell with no root). The body is built as
+    one format string, a '%.17g' pattern per row with the empty cells left
+    out, and formatted by one '%' over the flat tuple of the other cells.
+    The nan/inf tokens are then mapped to format_float's NaN/Infinity over
+    the whole body, only when it holds an 'n': a finite '%.17g' never does.
 
     A grid passes axes=(outer, inner), the values of the first two columns.
     rows then holds only the remaining cells, one row per grid point in
@@ -105,42 +136,39 @@ def write_csv(path, schema_name: str, rows, axes=None) -> None:
     the same as with the axis values written into every row.
     """
     _, columns = SCHEMAS[schema_name]
-    width = len(columns)
+    width = len(columns) if axes is None else len(columns) - 2
+    values, with_empty = _cells(schema_name, rows, width)
     if axes is None:
-        prefixes = itertools.repeat("")
+        outer, inner = [""], [""] * len(rows)
     else:
         outer, inner = (["%.17g," % v for v in axis] for axis in axes)
         if len(rows) != len(outer) * len(inner):
             raise ValueError(
                 f"{schema_name} has {len(rows)} rows for a "
                 f"{len(outer)} x {len(inner)} grid")
-        prefixes = (o + i for o in outer for i in inner)
-        width -= 2
-    fmt = ",".join(["%.17g"] * width) + "\n"
-    lines = []
-    for prefix, row in zip(prefixes, rows):
-        if len(row) != width:
-            raise ValueError(
-                f"{schema_name} row has {len(row)} cells, expected {width}")
-        if None in row:
-            lines.append(prefix + ",".join("" if v is None else "%.17g" % v
-                                           for v in row) + "\n")
-        else:
-            lines.append(prefix + fmt % tuple(row))
-    body = "".join(lines).replace("nan", "NaN").replace("inf", "Infinity")
+    # patterns[i] is row i's pattern after its outer prefix
+    full = ",".join(["%.17g"] * width) + "\n"
+    patterns = [prefix + full for prefix in inner] * len(outer)
+    for at, empty in with_empty:
+        patterns[at] = inner[at % len(inner)] + ",".join(
+            "" if e else "%.17g" for e in empty) + "\n"
+    # prefix.join(["", *block]) puts the outer prefix before each row
+    size = len(inner)
+    body = "".join(prefix.join(["", *patterns[a * size:(a + 1) * size]])
+                   for a, prefix in enumerate(outer)) % tuple(values)
+    if "n" in body:
+        body = body.replace("nan", "NaN").replace("inf", "Infinity")
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(",".join(columns) + "\n")
         fh.write(body)
 
 
 def versions() -> dict:
-    import numpy
-
     from . import __version__
 
     return {
         "gridsense": __version__,
-        "numpy": numpy.__version__,
+        "numpy": np.__version__,
         "python": "%d.%d.%d" % sys.version_info[:3],
     }
 

@@ -1,6 +1,7 @@
 """Operator algebra and numeric-kernel contracts."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -122,30 +123,29 @@ def test_loss_free_expm_of_zero(D):
     assert np.allclose(matrix_exp(np.zeros((D, D))), np.eye(D))
 
 
-def _hermitian_stack(seed, count, dim):
+def _hermitian(seed, dim):
     rng = np.random.default_rng(seed)
-    M = (rng.normal(size=(count, dim, dim))
-         + 1j * rng.normal(size=(count, dim, dim)))
-    return (M + np.swapaxes(M, -1, -2).conj()) / 2
+    M = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    return (M + M.T.conj()) / 2
 
 
-def test_hermitian_eig_stack_matches_each_matrix_exactly():
-    H = _hermitian_stack(12, 7, 30)
-    w, V = hermitian_eig(H)
-    assert w.shape == (7, 30) and V.shape == (7, 30, 30)
-    for i, M in enumerate(H):
-        w_i, V_i = hermitian_eig(M)
-        assert np.array_equal(w[i], w_i) and np.array_equal(V[i], V_i)
+@pytest.mark.parametrize("shape", [(7, 30, 30), (1, 6, 6), (6,), (6, 5),
+                                   ()])
+def test_hermitian_eig_takes_one_square_matrix(shape):
+    # no caller solves a stack, so a stack is rejected like any other shape,
+    # as qfi_mixed rejects it
+    M = np.zeros(shape, dtype=complex)
+    with pytest.raises(ValueError,
+                       match=rf"one D x D matrix, got shape {re.escape(str(shape))}"):
+        hermitian_eig(M)
 
 
-def test_hermitian_eig_rejects_one_bad_matrix_in_a_stack():
-    H = _hermitian_stack(13, 4, 6)
-    H[2, 0, 1] += 1e-6
+def test_hermitian_eig_rejects_a_non_hermitian_matrix():
+    H = _hermitian(13, 6)
+    H[0, 1] += 1e-6
     with pytest.raises(ValueError,
                        match=r"matrix is not Hermitian \(defect 1\.000e-06"):
         hermitian_eig(H)
-    with pytest.raises(ValueError, match="matrix is not Hermitian"):
-        hermitian_eig(H[2])
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
@@ -160,9 +160,6 @@ def test_non_finite_entry_is_a_numeric_error(entry, bad):
     for solve in (hermitian_eig, qfi_mixed, check_density):
         with pytest.raises(NumericError, match="non-finite entries"):
             solve(rho)
-    stack = np.stack([np.eye(4, dtype=complex) / 4, rho])
-    with pytest.raises(NumericError, match="non-finite entries"):
-        hermitian_eig(stack)
 
 
 class TestSerialBlas:
@@ -209,7 +206,7 @@ class TestSerialBlas:
             return real_eigh(M)
 
         monkeypatch.setattr(np.linalg, "eigh", spy)
-        hermitian_eig(_hermitian_stack(14, 3, 5))
+        hermitian_eig(_hermitian(14, 5))
         assert seen == [1]
         assert self.threads(setter) == 2
 

@@ -122,7 +122,7 @@ class TestQfiMixedStates:
     @pytest.mark.parametrize("solve", [qfi_mixed, qfi_response])
     def test_a_stack_is_rejected(self, solve):
         # two 2 x 2 states would otherwise broadcast to a wrong F_Q
-        with pytest.raises(ValueError, match=r"one D x D state.*\(2, 2, 2\)"):
+        with pytest.raises(ValueError, match=r"one D x D matrix.*\(2, 2, 2\)"):
             solve(np.stack([np.eye(2, dtype=complex) / 2] * 2))
 
     def test_eig_tol_masks_per_state(self):

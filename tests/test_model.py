@@ -339,6 +339,69 @@ class TestThetaStarGrid:
             theta_star_grid(R_LOW, 0.9, [0.05, -0.1])
 
 
+class TestIncreasingBalanceSearch:
+    """Where B is provably increasing, a binary search of the scan grid
+    stands in for the scan; every root keeps the reference's bits."""
+
+    @staticmethod
+    def eta_at_margin(r, u, gammas):
+        """Per γ, the η whose smaller margin at the widest spread is u."""
+        widest = model.A_LATTICE * min(r, 1.0 / r) / (2.0 * u)
+        return (1.0 / (1.0 + 2.0 * (widest**2 - np.array(gammas)))).tolist()
+
+    @pytest.mark.parametrize("r", [0.5, 1.0, 2.0])
+    def test_matches_reference_across_the_margin_bound(self, r):
+        gammas = [0.0, 5e-324, 1e-12, 0.05, 0.12]
+        eta, gamma, increasing = [], [], []
+        for u in (math.sqrt(3.0) * (1 + 1e-12), math.sqrt(3.0) * (1 - 1e-12)):
+            eta += self.eta_at_margin(r, u, gammas)
+            gamma += gammas
+            increasing += [u > math.sqrt(3.0) and g > 0.0 for g in gammas]
+        # η = 1: the spreads are tiny or 0, so B underflows or is NaN
+        eta += [1.0] * len(gammas)
+        gamma += gammas
+        increasing += [g > 0.0 for g in gammas]
+        eta, gamma = np.array(eta), np.array(gamma)
+        with np.errstate(divide="ignore"):
+            assert model._increasing(r, eta, gamma).tolist() == increasing
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)
+            theta, p_err = theta_star_grid(r, eta, gamma)
+            for i, (e, g) in enumerate(zip(eta.tolist(), gamma.tolist())):
+                noise = NoiseParams(e, g)
+                try:
+                    # a zero spread divides by 0 in the scalar reference
+                    with np.errstate(divide="ignore", invalid="ignore"):
+                        ref = theta_star_reference(r, noise)
+                except NoRootError:
+                    ref = None
+                if ref is None or terms_vanish_on_scan(r, noise):
+                    assert np.isnan(theta[i]) and np.isnan(p_err[i])
+                else:
+                    assert theta[i] == ref.theta_star
+                    assert p_err[i] == ref.p_err_at_star
+
+    def test_increasing_grid_skips_the_scan(self, monkeypatch):
+        calls = []
+        real = model.balance
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return real(*args, **kwargs)
+
+        eta, gamma = np.meshgrid(np.linspace(0.75, 0.99, 31),
+                                 np.linspace(0.01, 0.25, 31), indexing="ij")
+        assert model._increasing(R_LOW, eta.ravel(), gamma.ravel()).all()
+        ref = theta_star_grid(R_LOW, eta, gamma)
+        monkeypatch.setattr(model, "balance", counted)
+        theta, p_err = theta_star_grid(R_LOW, eta, gamma)
+        # 7 search probes, one sign at lo, and the bisection; no N_SCAN scan
+        assert len(calls) <= 40
+        np.testing.assert_array_equal(theta, ref[0])
+        np.testing.assert_array_equal(p_err, ref[1])
+        assert np.isfinite(theta).any() and np.isnan(theta).any()
+
+
 @settings(max_examples=60, deadline=None)
 @given(eta=st.floats(0.5, 1.0), gamma=st.floats(0.0, 0.5),
        r=st.floats(0.5, 2.0))

@@ -49,6 +49,13 @@ EDGE_VALUES = [None, math.nan, -math.nan, math.inf, -math.inf, -0.0, 0.0,
                np.float64(-0.0), np.float64(2.2250738585072014e-308)]
 
 
+def as_cells(rows) -> np.ma.MaskedArray:
+    """rows as the array form of write_csv: None becomes a masked cell."""
+    return np.ma.masked_array(
+        [[0.0 if v is None else v for v in row] for row in rows],
+        mask=[[v is None for v in row] for row in rows], dtype=float)
+
+
 def edge_rows(width: int, seed: int) -> list:
     """Rows that put every edge value in every column, with and without a
     None in the same row, plus seeded random doubles."""
@@ -135,6 +142,26 @@ class TestWriteCsv:
             (tmp_path / "ref.csv").read_bytes()
 
     @pytest.mark.parametrize("schema", sorted(SCHEMAS))
+    def test_array_form_matches_the_row_form(self, tmp_path, schema):
+        rows = edge_rows(len(SCHEMAS[schema][1]), seed=len(schema))
+        write_csv(tmp_path / "rows.csv", schema, rows)
+        write_csv(tmp_path / "masked.csv", schema, as_cells(rows))
+        assert (tmp_path / "masked.csv").read_bytes() == \
+            (tmp_path / "rows.csv").read_bytes()
+        # a plain array has no empty cell
+        full = [row for row in rows if None not in row]
+        write_csv(tmp_path / "rows.csv", schema, full)
+        write_csv(tmp_path / "plain.csv", schema, np.array(full, dtype=float))
+        assert (tmp_path / "plain.csv").read_bytes() == \
+            (tmp_path / "rows.csv").read_bytes()
+
+    def test_array_shape_validated(self, tmp_path):
+        with pytest.raises(ValueError, match=r"shape \(2, 3\), expected \(n, 6\)"):
+            write_csv(tmp_path / "x.csv", "trace", np.zeros((2, 3)))
+        with pytest.raises(ValueError, match=r"shape \(3,\), expected \(n, 3\)"):
+            write_csv(tmp_path / "x.csv", "wigner", np.zeros(3))
+
+    @pytest.mark.parametrize("schema", sorted(SCHEMAS))
     def test_no_rows_writes_the_header_alone(self, tmp_path, schema):
         write_csv(tmp_path / "new.csv", schema, [])
         write_csv_reference(tmp_path / "ref.csv", schema, [])
@@ -162,11 +189,14 @@ class TestWriteCsv:
         outer = [edges[k % len(edges)] for k in range(len(cells) // 5)]
         cells = cells[:len(outer) * len(inner)]
         write_csv(tmp_path / "axes.csv", schema, cells, axes=(outer, inner))
+        write_csv(tmp_path / "array.csv", schema, as_cells(cells),
+                  axes=(outer, inner))
         full = [(o, i, *c) for (o, i), c in
                 zip(((o, i) for o in outer for i in inner), cells)]
         write_csv(tmp_path / "rows.csv", schema, full)
         write_csv_reference(tmp_path / "ref.csv", schema, full)
         data = (tmp_path / "axes.csv").read_bytes()
+        assert data == (tmp_path / "array.csv").read_bytes()
         assert data == (tmp_path / "rows.csv").read_bytes()
         assert data == (tmp_path / "ref.csv").read_bytes()
         # one data row per entry of rows
@@ -180,6 +210,13 @@ class TestWriteCsv:
         with pytest.raises(ValueError, match="3 cells, expected 1"):
             write_csv(tmp_path / "x.csv", "wigner", [(0.0, 0.0, 1.0)],
                       axes=([0.0], [0.0]))
+
+    @pytest.mark.parametrize("axes", [([0.0], []), ([], [0.0]), ([], [])])
+    def test_empty_axis_writes_the_header_alone(self, tmp_path, axes):
+        write_csv(tmp_path / "x.csv", "wigner", [], axes=axes)
+        write_csv(tmp_path / "y.csv", "wigner", np.zeros((0, 1)), axes=axes)
+        assert (tmp_path / "x.csv").read_text() == "q,p,W\n"
+        assert (tmp_path / "y.csv").read_text() == "q,p,W\n"
 
     def test_axes_row_count_validated(self, tmp_path):
         with pytest.raises(ValueError, match="2 x 3 grid"):
