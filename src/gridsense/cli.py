@@ -265,12 +265,6 @@ def _numbers(text: str, flag: str) -> list[float]:
     return values
 
 
-def _finite(row: dict, *keys) -> tuple:
-    """The values of `row` at `keys`, None (an empty cell) if not finite."""
-    return tuple(row[key] if math.isfinite(row[key]) else None
-                 for key in keys)
-
-
 # ---------------------------------------------------------------- commands
 
 
@@ -365,12 +359,11 @@ def cmd_phase_diagram(args) -> int:
                             where=p_star > 0)
     # a cell without a root leaves all but its p_err_square empty
     no_root = np.isnan(theta)
-    rows = np.ma.masked_array(
-        np.column_stack([np.degrees(theta), p_star, p_square, improvement]),
-        mask=no_root[:, None] & np.array([True, True, False, True]))
+    rows = np.column_stack([np.degrees(theta), p_star, p_square, improvement])
     path = _out_path(args, "phase_diagram.csv")
     write_csv(path, "phase_diagram", rows,
-              axes=(eta_axis.tolist(), gamma_axis.tolist()))
+              axes=(eta_axis.tolist(), gamma_axis.tolist()),
+              empty=no_root[:, None] & np.array([True, True, False, True]))
     n_roots = theta.size - int(np.count_nonzero(no_root))
     print(f"{len(rows)} cells ({n_roots} with a root) -> {path}")
     return 0
@@ -381,9 +374,10 @@ def cmd_fractional(args) -> int:
     rows = fractional_sweep(_numbers(args.ells, "--ells"),
                             build_train_config(cfg), build_params(cfg))
     path = _out_path(args, "fractional.csv")
-    write_csv(path, "fractional", [
-        (row["ell"], *_finite(row, "theta_deg", "qfi", "p_err", "improvement",
-                              "capacity")) for row in rows])
+    table = np.array([[row[key] for key in ("ell", "theta_deg", "qfi", "p_err",
+                                            "improvement", "capacity")]
+                      for row in rows])
+    write_csv(path, "fractional", table, empty=~np.isfinite(table))
     ok = [row for row in rows if math.isfinite(row["p_err"])]
     if ok:
         best = min(ok, key=lambda row: row["p_err"])
@@ -402,8 +396,8 @@ def cmd_pareto(args) -> int:
         _check(_LEAF["train.lambda"], lam, "--lambdas entry")
     rows = pareto_sweep(lambdas, build_train_config(cfg), build_params(cfg))
     path = _out_path(args, "pareto.csv")
-    write_csv(path, "pareto", [(row["lam"], *_finite(row, "qfi", "p_err"))
-                               for row in rows])
+    table = np.array([[row["lam"], row["qfi"], row["p_err"]] for row in rows])
+    write_csv(path, "pareto", table, empty=~np.isfinite(table))
     print(f"{len(rows)} lambdas -> {path}")
     return 0
 

@@ -28,8 +28,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channels import NOISE_DOMAINS, NoiseParams, effective_sigmas
-from .fock import check_domain, in_domain
+from .channels import NoiseParams, effective_sigmas
+from .fock import check_domain
 from .lattice import A_LATTICE, check_aspect_ratio
 
 __all__ = [
@@ -270,7 +270,9 @@ def _solve_cells(r: float, eta: np.ndarray, gamma: np.ndarray):
         searched = np.flatnonzero(increasing)
         at, k, unsure = _search_brackets(r, eta[searched], gamma[searched])
         cell = searched[at]
-        scanned = np.union1d(np.flatnonzero(~increasing), searched[unsure])
+        scan = ~increasing  # not np.union1d, whose np.unique loads np.ma
+        scan[searched[unsure]] = True
+        scanned = np.flatnonzero(scan)
         if scanned.size:
             at, k_scan = _scan_brackets(r, eta[scanned], gamma[scanned])
             cell = np.concatenate([cell, scanned[at]])
@@ -362,37 +364,34 @@ def theta_star(r: float, noise: NoiseParams) -> ThetaStarResult:
         residual=float(abs(balance(theta, r, noise))))
 
 
-def theta_sensitivity(r: float, noise: NoiseParams, *,
-                      step: float = 1e-4) -> tuple[float, float]:
-    """(∂θ*/∂η, ∂θ*/∂γ) in degrees per unit, by central differences.
+def theta_sensitivity(r: float, noise: NoiseParams) -> tuple[float, float]:
+    """(∂θ*/∂η, ∂θ*/∂γ) in degrees per unit, in closed form.
 
-    Where a step would leave the noise domain (`NOISE_DOMAINS`) the
-    difference is one-sided: backward where the step up leaves it (η at 1,
-    γ at its cap), forward where the step down does (γ at 0). Next to the
-    edge of the root region it is one-sided as well, toward the
-    neighbour that has a root; with no such neighbour the derivative is NaN.
-    NoRootError if a one-sided difference needs a centre without a root.
+    θ* is a root of B(θ; η, γ), so by the implicit function theorem
+    ∂θ*/∂x = −(∂B/∂x)/(∂B/∂θ). A term c·φ(u)/σ³ of B, with u ∝ 1/σ, has
+    the slope T′ = c·φ(u)·(u² − 3)/σ⁴ in σ; with σ_q² = b + γ sin²θ,
+    σ_p² = b + γ cos²θ and b = (1 − η)/(2η),
+
+        ∂B/∂θ = γ·sinθ·cosθ·(T_q′/σ_q + T_p′/σ_p),
+        ∂B/∂η = −(T_q′/σ_q − T_p′/σ_p)/(4η²),
+        ∂B/∂γ = (sin²θ·T_q′/σ_q − cos²θ·T_p′/σ_p)/2.
+
+    Both are NaN where ∂B/∂θ = 0 at θ*: B is flat there (r = 1, γ = 0), θ*
+    is no isolated root and has no derivative. θ* is `theta_star`'s, with
+    its NoRootError and its several-roots warning.
     """
-    # the centre, η + step, η − step, γ + step, γ − step
-    eta = noise.eta + step * np.array([0.0, 1.0, -1.0, 0.0, 0.0])
-    gamma = noise.gamma + step * np.array([0.0, 0.0, 0.0, 1.0, -1.0])
-    inside = (in_domain(eta, NOISE_DOMAINS["eta"])
-              & in_domain(gamma, NOISE_DOMAINS["gamma"]))
-    theta = np.full(5, math.nan)
-    theta[inside] = theta_star_grid(r, eta[inside], gamma[inside])[0]
-    centre, eta_up, eta_down, gamma_up, gamma_down = theta.tolist()
-
-    def derivative(above, below):
-        if math.isnan(centre) and math.isnan(above) != math.isnan(below):
-            theta_star(r, noise)  # raises NoRootError: no root at the centre
-        if math.isnan(above):
-            return (centre - below) / step  # NaN if neither side has a root
-        if math.isnan(below):
-            return (above - centre) / step
-        return (above - below) / (2.0 * step)
-
-    return (math.degrees(derivative(eta_up, eta_down)),
-            math.degrees(derivative(gamma_up, gamma_down)))
+    theta = theta_star(r, noise).theta_star
+    sigma_q, sigma_p, u_q, u_p = _margins(theta, r, noise)
+    # T′/σ of each term of B
+    slope_q = r**2 * _phi(u_q) * (u_q * u_q - 3.0) / sigma_q**5
+    slope_p = _phi(u_p) * (u_p * u_p - 3.0) / sigma_p**5
+    sin, cos = math.sin(theta), math.cos(theta)
+    d_theta = noise.gamma * sin * cos * (slope_q + slope_p)
+    if d_theta == 0.0:
+        return math.nan, math.nan
+    d_eta = -(slope_q - slope_p) / (4.0 * noise.eta**2)
+    d_gamma = (sin * sin * slope_q - cos * cos * slope_p) / 2.0
+    return math.degrees(-d_eta / d_theta), math.degrees(-d_gamma / d_theta)
 
 
 def theta_fit(noise: NoiseParams) -> float:

@@ -285,7 +285,8 @@ def train(cfg: TrainConfig,
 
 
 def pareto_sweep(lambdas, cfg: TrainConfig, init: TrainableParams):
-    """One train per λ; returns rows sorted by λ.
+    """One train per distinct λ; returns rows sorted by λ, a repeated λ's
+    rows copies of one run.
 
     Each row is a dict with keys (lam, qfi, p_err, error). The smallest λ
     trains first. λ enters a step's gradient only where p_err > p_th, and
@@ -321,7 +322,11 @@ def pareto_sweep(lambdas, cfg: TrainConfig, init: TrainableParams):
         warnings.warn(f"lambda cannot move this sweep: {reason}, so every "
                       f"row is the same training run", stacklevel=2)
         return [first | {"lam": lam} for lam in lams]
-    rows = [first] + [run(lam)[0] for lam in lams[1:]]
+    runs = {lams[0]: first}  # one training per distinct λ
+    for lam in lams[1:]:
+        if lam not in runs:
+            runs[lam] = run(lam)[0]
+    rows = [runs[lam] | {"lam": lam} for lam in lams]
     finite = [row for row in rows if math.isfinite(row["p_err"])]
     for lo, hi in zip(finite, finite[1:]):
         if hi["p_err"] > 2.0 * max(lo["p_err"], 1e-300):

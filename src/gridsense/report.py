@@ -90,44 +90,18 @@ def dumps_json(obj, indent: int = 0) -> str:
     return _json_scalar(obj)
 
 
-def _cells(schema_name: str, rows, width: int):
-    """The flat list of rows' non-empty cells, row-major, and (row index,
-    [cell is empty]) for each row with an empty cell."""
-    if isinstance(rows, np.ndarray):
-        if rows.ndim != 2 or rows.shape[1] != width:
-            raise ValueError(f"{schema_name} rows have shape {rows.shape}, "
-                             f"expected (n, {width})")
-        # only a masked array reads np.ma, whose first use imports it
-        # (~15 ms on a 2-core x86 VM)
-        empty = (np.ma.getmaskarray(rows) if hasattr(rows, "mask")
-                 else np.zeros(rows.shape, dtype=bool))
-        values = np.asarray(rows)[~empty].tolist()
-        return values, [(at, empty[at].tolist())
-                        for at in np.flatnonzero(empty.any(axis=1)).tolist()]
-    values, with_empty = [], []
-    for at, row in enumerate(rows):
-        if len(row) != width:
-            raise ValueError(
-                f"{schema_name} row has {len(row)} cells, expected {width}")
-        if None in row:
-            with_empty.append((at, [v is None for v in row]))
-            values.extend(v for v in row if v is not None)
-        else:
-            values.extend(row)
-    return values, with_empty
-
-
-def write_csv(path, schema_name: str, rows, axes=None) -> None:
+def write_csv(path, schema_name: str, rows, axes=None, empty=None) -> None:
     """Write rows (ordered like the schema columns) under the registered
     header.
 
-    rows is a sequence of rows whose cells are numbers or None, or a 2-D
-    float array of cells. None, or a masked cell of an `np.ma` array, is an
-    empty cell (e.g. a phase-diagram cell with no root). The body is built as
-    one format string, a '%.17g' pattern per row with the empty cells left
-    out, and formatted by one '%' over the flat tuple of the other cells.
-    The nan/inf tokens are then mapped to format_float's NaN/Infinity over
-    the whole body, only when it holds an 'n': a finite '%.17g' never does.
+    rows is a 2-D float array of cells, or anything `np.asarray(rows,
+    dtype=float)` makes one of; no rows at all write the header alone.
+    `empty`, a bool array of rows' shape, marks the cells written empty
+    (e.g. a phase-diagram cell with no root). The body is built as one
+    format string, a '%.17g' pattern per row with the empty cells left out,
+    and formatted by one '%' over the flat tuple of the other cells. The
+    nan/inf tokens are then mapped to format_float's NaN/Infinity over the
+    whole body, only when it holds an 'n': a finite '%.17g' never does.
 
     A grid passes axes=(outer, inner), the values of the first two columns.
     rows then holds only the remaining cells, one row per grid point in
@@ -137,21 +111,29 @@ def write_csv(path, schema_name: str, rows, axes=None) -> None:
     """
     _, columns = SCHEMAS[schema_name]
     width = len(columns) if axes is None else len(columns) - 2
-    values, with_empty = _cells(schema_name, rows, width)
+    table = np.asarray(rows, dtype=float)
+    if table.shape == (0,):
+        table = table.reshape(0, width)
+    if table.ndim != 2 or table.shape[1] != width:
+        raise ValueError(f"{schema_name} rows have shape {table.shape}, "
+                         f"expected (n, {width})")
+    if empty is None:
+        empty = np.zeros(table.shape, dtype=bool)
+    values = table[~empty].tolist()
     if axes is None:
-        outer, inner = [""], [""] * len(rows)
+        outer, inner = [""], [""] * len(table)
     else:
         outer, inner = (["%.17g," % v for v in axis] for axis in axes)
-        if len(rows) != len(outer) * len(inner):
+        if len(table) != len(outer) * len(inner):
             raise ValueError(
-                f"{schema_name} has {len(rows)} rows for a "
+                f"{schema_name} has {len(table)} rows for a "
                 f"{len(outer)} x {len(inner)} grid")
     # patterns[i] is row i's pattern after its outer prefix
     full = ",".join(["%.17g"] * width) + "\n"
     patterns = [prefix + full for prefix in inner] * len(outer)
-    for at, empty in with_empty:
+    for at in np.flatnonzero(empty.any(axis=1)).tolist():
         patterns[at] = inner[at % len(inner)] + ",".join(
-            "" if e else "%.17g" for e in empty) + "\n"
+            "" if e else "%.17g" for e in empty[at].tolist()) + "\n"
     # prefix.join(["", *block]) puts the outer prefix before each row
     size = len(inner)
     body = "".join(prefix.join(["", *patterns[a * size:(a + 1) * size]])

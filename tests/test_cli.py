@@ -504,8 +504,6 @@ class TestThetaStar:
 
     @pytest.mark.parametrize("eta", ["1", "0.99995"])
     def test_lossless_edge(self, tmp_path, eta):
-        # a central step in eta would build eta > 1; the difference there
-        # is one-sided instead
         code = main(["theta_star", "--eta", eta, "--gamma", "0.05",
                      "-o", str(tmp_path)])
         assert code == 0
@@ -514,8 +512,7 @@ class TestThetaStar:
         assert math.isfinite(payload["dtheta_dgamma_deg"])
 
     def test_dephasing_cap(self, tmp_path):
-        # a central step in gamma would build gamma > 0.5; the difference
-        # there is backward
+        # γ at its cap: the closed-form slope against a backward difference
         code = main(["theta_star", "--gamma", "0.5", "-o", str(tmp_path)])
         assert code == 0
         payload = json.loads((tmp_path / "theta_star.json").read_text())
@@ -525,11 +522,24 @@ class TestThetaStar:
             return cli.theta_star(DEFAULT_CONFIG["lattice"]["r"],
                                   cli.NoiseParams(noise.eta, gamma)).theta_star
 
-        assert payload["dtheta_dgamma_deg"] == math.degrees(
-            (solve(0.5) - solve(0.5 - 1e-4)) / 1e-4)
+        diff = math.degrees((solve(0.5) - solve(0.5 - 1e-6)) / 1e-6)
+        assert (abs(payload["dtheta_dgamma_deg"] - diff)
+                <= 1e-3 * abs(diff) + 0.01)
+
+    def test_flat_balance(self, tmp_path):
+        # r = 1, γ = 0: B is flat in θ, so θ* has no derivative
+        with pytest.warns(UserWarning, match="sign changes"):
+            code = main(["theta_star", "--r", "1", "--gamma", "0",
+                         "-o", str(tmp_path)])
+        assert code == 0
+        payload = json.loads((tmp_path / "theta_star.json").read_text())
+        assert payload["status"] == "ok"
+        assert math.isnan(payload["dtheta_deta_deg"])
+        assert math.isnan(payload["dtheta_dgamma_deg"])
 
     def test_neighbour_without_a_root(self, tmp_path):
-        # gamma - 1e-4 has no root here; the gamma difference is one-sided
+        # gamma - 1e-4 has no root here, so θ* sits next to the root
+        # region's edge
         code = main(["theta_star", "--gamma", "0.02631906943556492",
                      "-o", str(tmp_path)])
         assert code == 0

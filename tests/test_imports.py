@@ -9,8 +9,10 @@ bare `import scipy` costs every command about 12 ms. The
 Wigner grid's Gauss–Hermite rule comes from numpy.polynomial, which only
 `wigner` needs, so importing the CLI must not load that either. Nor may it
 look up the OpenBLAS thread setters of `fock.serial_blas`: that reads the
-process's memory map and is left to the first solve. Each check runs in a
-new interpreter, so modules loaded by other tests do not count.
+process's memory map and is left to the first solve. No command loads
+numpy.ma either, which costs about 13 ms: `np.unique`, and with it
+`np.union1d`, loads it through `np.ma.is_masked`. Each check runs in a new
+interpreter, so modules loaded by other tests do not count.
 
 scipy is a test-only dependency: the package imports it in one place, the
 test reference `fock.matrix_exp`, and `pyproject.toml` lists it in the
@@ -56,7 +58,7 @@ codes = [cli.main([*cmd, "-o", f"{out}/{i}"]) for i, cmd in enumerate(commands)]
 lookups.append(fock._openblas_thread_setters.cache_info().currsize)
 print(json.dumps({"after_import": after_import, "polynomial": polynomial,
                   "codes": codes, "after_commands": heavy(),
-                  "lookups": lookups}))
+                  "lookups": lookups, "ma": "numpy.ma" in sys.modules}))
 """
 
 
@@ -73,6 +75,7 @@ def test_cli_never_loads_scipy(tmp_path):
     assert result["codes"] == [0] * 7
     assert result["after_commands"] == []
     assert result["lookups"] == [0, 1]
+    assert not result["ma"]
 
 
 THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")

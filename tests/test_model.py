@@ -492,118 +492,49 @@ class TestSensitivityAndFit:
         assert abs(d_eta - (-197.705)) < 0.1
         assert abs(d_gamma - (-300.176)) < 0.1
 
-    @pytest.mark.parametrize("eta", [1.0, 1.0 - 5e-5])
-    def test_backward_in_eta_at_the_lossless_edge(self, eta):
-        # a central step would ask for eta > 1, which NoiseParams rejects
-        step = 1e-4
-        d_eta, d_gamma = theta_sensitivity(R_LOW, NoiseParams(eta, 0.05),
-                                           step=step)
-        backward = (theta_star(R_LOW, NoiseParams(eta, 0.05)).theta_star
-                    - theta_star(R_LOW,
-                                 NoiseParams(eta - step, 0.05)).theta_star)
-        assert d_eta == math.degrees(backward / step)
-        assert math.isfinite(d_gamma)
-
-    def test_backward_in_gamma_at_its_cap(self):
-        # a central step would ask for gamma > 0.5, which NoiseParams rejects
-        step = 1e-4
-
-        def solve(gamma):
-            return theta_star(R_LOW, NoiseParams(0.9, gamma)).theta_star
-
-        d_eta, d_gamma = theta_sensitivity(R_LOW, NoiseParams(0.9, 0.5),
-                                           step=step)
-        assert d_gamma == math.degrees((solve(0.5) - solve(0.5 - step)) / step)
-        assert math.isfinite(d_eta)
-
-    def test_one_sided_at_both_edges(self):
-        # a step of 0.01 from (0.999, 0.005) would leave the domain in both
-        # coordinates: backward in eta, forward in gamma
-        step = 0.01
+    @pytest.mark.parametrize("r,eta,gamma", [
+        (R_LOW, 0.9, 0.05),  # the benchmark point
+        (R_LOW, 1.0, 0.05),  # η at its cap: backward in η
+        (R_LOW, 1.0 - 5e-5, 0.05),
+        (R_LOW, 0.9, 0.5),  # γ at its cap: backward in γ
+        (R_LOW, 0.999, 0.005),
+        (R_LOW, 0.9, 0.02631906943556492),  # next to the root region's edge
+        (R_LOW, 0.85, 0.05),
+        (1.0, 0.9, 0.05),  # several sign changes
+        (0.846, 0.952, 0.0260),  # θ* ≈ 3.8°, growing with the noise
+    ])
+    def test_matches_a_difference_of_theta_star(self, r, eta, gamma):
+        # a 1e-6 step, one-sided toward the inside of the noise domain
+        step = 1e-6
 
         def solve(eta, gamma):
-            return theta_star(R_LOW, NoiseParams(eta, gamma)).theta_star
+            return theta_star(r, NoiseParams(eta, gamma)).theta_star
 
-        d_eta, d_gamma = theta_sensitivity(R_LOW, NoiseParams(0.999, 0.005),
-                                           step=step)
-        assert d_eta == math.degrees(
-            (solve(0.999, 0.005) - solve(0.999 - step, 0.005)) / step)
-        assert d_gamma == math.degrees(
-            (solve(0.999, 0.005 + step) - solve(0.999, 0.005)) / step)
+        with warnings.catch_warnings():
+            warnings.filterwarnings("ignore", "balance equation has",
+                                    UserWarning)
+            d_eta, d_gamma = theta_sensitivity(r, NoiseParams(eta, gamma))
+            centre = solve(eta, gamma)
+            if eta + step < 1.0:
+                diff_eta = (solve(eta + step, gamma)
+                            - solve(eta - step, gamma)) / (2.0 * step)
+            else:
+                diff_eta = (centre - solve(eta - step, gamma)) / step
+            if gamma + step <= 0.5:
+                diff_gamma = (solve(eta, gamma + step)
+                              - solve(eta, gamma - step)) / (2.0 * step)
+            else:
+                diff_gamma = (centre - solve(eta, gamma - step)) / step
+        for got, diff in ((d_eta, diff_eta), (d_gamma, diff_gamma)):
+            diff = math.degrees(diff)
+            assert abs(got - diff) <= 1e-3 * abs(diff) + 0.01
 
-    def test_one_sided_toward_the_neighbour_with_a_root(self):
-        # gamma0 sits just inside the root region: gamma0 - step has no
-        # root, so the gamma difference is forward; eta stays central
-        step, eta, gamma0 = 1e-4, 0.9, 0.02631906943556492
-
-        def solve(eta, gamma):
-            return theta_star(R_LOW, NoiseParams(eta, gamma)).theta_star
-
-        with pytest.raises(NoRootError):
-            solve(eta, gamma0 - step)
-        d_eta, d_gamma = theta_sensitivity(R_LOW, NoiseParams(eta, gamma0),
-                                           step=step)
-        assert d_gamma == math.degrees(
-            (solve(eta, gamma0 + step) - solve(eta, gamma0)) / step)
-        assert d_eta == math.degrees(
-            (solve(eta + step, gamma0) - solve(eta - step, gamma0))
-            / (2.0 * step))
-
-    @staticmethod
-    def grid_call_sizes(monkeypatch):
-        """The cell count of each `theta_star_grid` call, as it is made."""
-        sizes = []
-        real = model.theta_star_grid
-
-        def spy(r, eta, gamma):
-            sizes.append(np.size(eta))
-            return real(r, eta, gamma)
-
-        monkeypatch.setattr(model, "theta_star_grid", spy)
-        return sizes
-
-    def test_one_grid_solve_per_call(self, monkeypatch):
-        sizes = self.grid_call_sizes(monkeypatch)
-        theta_sensitivity(R_LOW, LOW_NOISE)
-        assert sizes == [5]
-        # the lossless edge: eta + step leaves the domain and is not solved
-        sizes.clear()
-        theta_sensitivity(R_LOW, NoiseParams(1.0, 0.05))
-        assert sizes == [4]
-
-    def test_centre_without_a_root_raises(self, monkeypatch):
-        # gamma + step has a root and gamma - step has none, so the gamma
-        # difference is one-sided and needs the rootless centre
+    def test_centre_without_a_root_raises(self):
         noise = NoiseParams(0.9, 0.02626896943556492)
         with pytest.raises(NoRootError):
             theta_star(R_LOW, noise)
-        theta_star(R_LOW, NoiseParams(0.9, noise.gamma + 1e-4))
-        sizes = self.grid_call_sizes(monkeypatch)
         with pytest.raises(NoRootError):
             theta_sensitivity(R_LOW, noise)
-        assert sizes == [5]
-
-    def test_step_onto_zero_gamma_stays_central(self):
-        # gamma - step = 0 is inside the domain, and at r = 1 the flat
-        # gamma = 0 balance keeps its first bracket, so gamma is central
-        step = 0.05
-
-        def solve(gamma):
-            return theta_star(1.0, NoiseParams(0.9, gamma)).theta_star
-
-        with pytest.warns(UserWarning, match="sign changes"):
-            _, d_gamma = theta_sensitivity(1.0, NoiseParams(0.9, step),
-                                           step=step)
-            below = solve(0.0)
-        assert d_gamma == math.degrees((solve(2 * step) - below)
-                                       / (2.0 * step))
-
-    def test_no_neighbour_with_a_root_gives_nan(self):
-        # eta + 0.2 leaves the domain and eta - 0.2 = 0.65 has no root
-        d_eta, d_gamma = theta_sensitivity(R_LOW, NoiseParams(0.85, 0.05),
-                                           step=0.2)
-        assert math.isnan(d_eta)
-        assert math.isfinite(d_gamma)
 
     def test_fit_formula_value(self):
         assert abs(theta_fit(LOW_NOISE) - 68.42) < 1e-10

@@ -273,6 +273,17 @@ class TestSweeps:
         assert rows[0]["p_err"] != rows[1]["p_err"]
         assert rows[0]["qfi"] != rows[1]["qfi"]
 
+    def test_pareto_sweep_trains_each_distinct_lambda_once(self, monkeypatch):
+        # the hinge is active, so every distinct λ trains; a repeat copies
+        cfg = short_cfg(steps=3, freeze=R_FREE, p_th=1e-6)
+        penalties = self.count_trainings(monkeypatch)
+        rows = pareto_sweep([10.0, 1.0, 10.0, 1.0], cfg, OAM_INIT)
+        assert penalties == [1.0, 10.0]
+        assert [row["lam"] for row in rows] == [1.0, 1.0, 10.0, 10.0]
+        assert rows[0] == rows[1] and rows[2] == rows[3]
+        assert rows[0]["p_err"] != rows[2]["p_err"]
+        assert rows[0] is not rows[1]
+
     def test_pareto_sweep_trains_once_with_ell_and_r_frozen(
             self, monkeypatch):
         # the hinge is active, but its gradient lies along ℓ and r only, and

@@ -49,11 +49,12 @@ EDGE_VALUES = [None, math.nan, -math.nan, math.inf, -math.inf, -0.0, 0.0,
                np.float64(-0.0), np.float64(2.2250738585072014e-308)]
 
 
-def as_cells(rows) -> np.ma.MaskedArray:
-    """rows as the array form of write_csv: None becomes a masked cell."""
-    return np.ma.masked_array(
-        [[0.0 if v is None else v for v in row] for row in rows],
-        mask=[[v is None for v in row] for row in rows], dtype=float)
+def as_cells(rows) -> tuple[np.ndarray, np.ndarray]:
+    """rows as write_csv's (table, empty): None becomes an empty cell, and
+    the NaN under it would show if it were written."""
+    return (np.array([[math.nan if v is None else v for v in row]
+                      for row in rows], dtype=float),
+            np.array([[v is None for v in row] for row in rows]))
 
 
 def edge_rows(width: int, seed: int) -> list:
@@ -122,10 +123,10 @@ class TestWriteCsv:
         assert lines[0] == "q,p,W"
         assert lines[1] == "0,0.5,0.33333333333333331"
 
-    def test_none_becomes_empty_cell(self, tmp_path):
+    def test_empty_cell(self, tmp_path):
         path = tmp_path / "pd.csv"
-        write_csv(path, "phase_diagram",
-                  [(0.9, 0.01, None, None, 4.1e-4, None)])
+        table, empty = as_cells([(0.9, 0.01, None, None, 4.1e-4, None)])
+        write_csv(path, "phase_diagram", table, empty=empty)
         row = path.read_text().splitlines()[1]
         assert row == "0.90000000000000002,0.01,,,0.00040999999999999999,"
 
@@ -136,24 +137,27 @@ class TestWriteCsv:
     @pytest.mark.parametrize("schema", sorted(SCHEMAS))
     def test_bytes_match_reference_writer(self, tmp_path, schema):
         rows = edge_rows(len(SCHEMAS[schema][1]), seed=len(schema))
-        write_csv(tmp_path / "new.csv", schema, rows)
+        table, empty = as_cells(rows)
+        write_csv(tmp_path / "new.csv", schema, table, empty=empty)
         write_csv_reference(tmp_path / "ref.csv", schema, rows)
         assert (tmp_path / "new.csv").read_bytes() == \
             (tmp_path / "ref.csv").read_bytes()
 
     @pytest.mark.parametrize("schema", sorted(SCHEMAS))
-    def test_array_form_matches_the_row_form(self, tmp_path, schema):
-        rows = edge_rows(len(SCHEMAS[schema][1]), seed=len(schema))
-        write_csv(tmp_path / "rows.csv", schema, rows)
-        write_csv(tmp_path / "masked.csv", schema, as_cells(rows))
-        assert (tmp_path / "masked.csv").read_bytes() == \
-            (tmp_path / "rows.csv").read_bytes()
-        # a plain array has no empty cell
-        full = [row for row in rows if None not in row]
-        write_csv(tmp_path / "rows.csv", schema, full)
-        write_csv(tmp_path / "plain.csv", schema, np.array(full, dtype=float))
-        assert (tmp_path / "plain.csv").read_bytes() == \
-            (tmp_path / "rows.csv").read_bytes()
+    def test_without_empty_every_cell_is_written(self, tmp_path, schema):
+        # rows as tuples or as an array, with no `empty` or an all-False one
+        full = [row for row in edge_rows(len(SCHEMAS[schema][1]),
+                                         seed=len(schema))
+                if None not in row]
+        write_csv_reference(tmp_path / "ref.csv", schema, full)
+        table = np.array(full, dtype=float)
+        for name, rows, empty in (("tuples", full, None),
+                                  ("plain", table, None),
+                                  ("none_empty", table,
+                                   np.zeros(table.shape, dtype=bool))):
+            write_csv(tmp_path / f"{name}.csv", schema, rows, empty=empty)
+            assert (tmp_path / f"{name}.csv").read_bytes() == \
+                (tmp_path / "ref.csv").read_bytes()
 
     def test_array_shape_validated(self, tmp_path):
         with pytest.raises(ValueError, match=r"shape \(2, 3\), expected \(n, 6\)"):
@@ -188,15 +192,15 @@ class TestWriteCsv:
         edges = [-0.0, 0.75, math.nan, 0.1 + 0.2, math.inf, -6.0]
         outer = [edges[k % len(edges)] for k in range(len(cells) // 5)]
         cells = cells[:len(outer) * len(inner)]
-        write_csv(tmp_path / "axes.csv", schema, cells, axes=(outer, inner))
-        write_csv(tmp_path / "array.csv", schema, as_cells(cells),
-                  axes=(outer, inner))
+        table, empty = as_cells(cells)
+        write_csv(tmp_path / "axes.csv", schema, table, axes=(outer, inner),
+                  empty=empty)
         full = [(o, i, *c) for (o, i), c in
                 zip(((o, i) for o in outer for i in inner), cells)]
-        write_csv(tmp_path / "rows.csv", schema, full)
+        table, empty = as_cells(full)
+        write_csv(tmp_path / "rows.csv", schema, table, empty=empty)
         write_csv_reference(tmp_path / "ref.csv", schema, full)
         data = (tmp_path / "axes.csv").read_bytes()
-        assert data == (tmp_path / "array.csv").read_bytes()
         assert data == (tmp_path / "rows.csv").read_bytes()
         assert data == (tmp_path / "ref.csv").read_bytes()
         # one data row per entry of rows
@@ -204,10 +208,12 @@ class TestWriteCsv:
 
     def test_axes_cell_width_validated(self, tmp_path):
         # with axes a row holds the cells after the two axis columns
-        with pytest.raises(ValueError, match="1 cells, expected 4"):
-            write_csv(tmp_path / "x.csv", "phase_diagram",
-                      [(1.0, 2.0, 3.0, 4.0), (1.0,)], axes=([0.5], [1, 2]))
-        with pytest.raises(ValueError, match="3 cells, expected 1"):
+        with pytest.raises(ValueError, match=r"shape \(2, 1\), expected "
+                                             r"\(n, 4\)"):
+            write_csv(tmp_path / "x.csv", "phase_diagram", [(1.0,), (1.0,)],
+                      axes=([0.5], [1, 2]))
+        with pytest.raises(ValueError, match=r"shape \(1, 3\), expected "
+                                             r"\(n, 1\)"):
             write_csv(tmp_path / "x.csv", "wigner", [(0.0, 0.0, 1.0)],
                       axes=([0.0], [0.0]))
 
