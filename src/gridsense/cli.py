@@ -25,7 +25,8 @@ from typing import NamedTuple
 # once, when numpy first loads it, so it is set before the numpy import
 # below (`import gridsense` loads no numpy). Every solve here is 30×30, too
 # small to share: a second thread wins no wall time and busy-waits, also
-# during `import numpy` itself. Library users keep `fock.serial_blas`.
+# during `import numpy` itself. This is the package's only thread policy;
+# the library leaves the count to whoever loads numpy.
 if not {"OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS",
         "OMP_NUM_THREADS"} & os.environ.keys():
     os.environ["OPENBLAS_NUM_THREADS"] = "1"
@@ -40,10 +41,10 @@ from .metrology import capacity, measurement_efficiency
 from .model import (
     MC_SAMPLES_DOMAIN,
     NoRootError,
+    _theta_slope,
     mc_perr,
     perr_analytic,
     theta_fit,
-    theta_sensitivity,
     theta_star,
     theta_star_grid,
     tolerance_curve,
@@ -322,7 +323,7 @@ def cmd_theta_star(args) -> int:
         _write_json(path, base | {"status": "no_root", "detail": str(exc)})
         print(f"status=no_root ({exc}) -> {path}")
         return 4
-    d_eta, d_gamma = theta_sensitivity(r, noise)
+    d_eta, d_gamma = _theta_slope(res.theta_star, r, noise)
     payload = base | {
         "status": "ok",
         "theta_star_deg": math.degrees(res.theta_star),

@@ -9,16 +9,13 @@ Conventions used throughout the package:
 
 Everything is a plain numpy array; the helpers below build the standard
 operators and enforce the numerical contracts (hermiticity, trace, residuals)
-that the rest of the package relies on.
+that the rest of the package relies on. No code here picks a BLAS thread
+count: `gridsense.cli` pins its own process to one OpenBLAS thread, and a
+library caller that wants the same sets `OPENBLAS_NUM_THREADS=1` before it
+imports numpy.
 """
 
 from __future__ import annotations
-
-import contextlib
-import ctypes
-import functools
-import os
-import sys
 
 import numpy as np
 
@@ -102,53 +99,6 @@ def matrix_exp(M: np.ndarray) -> np.ndarray:
     return scipy.linalg.expm(M)
 
 
-@functools.cache
-def _openblas_thread_setters() -> tuple:
-    """`openblas_set_num_threads_local` of every mapped library whose file
-    name contains "openblas", found through /proc/self/maps on the first
-    call; empty on other platforms or where no mapped library exports it."""
-    if not sys.platform.startswith("linux"):
-        return ()
-    try:
-        with open("/proc/self/maps", encoding="utf-8") as fh:
-            paths = {fields[5].strip() for fields in
-                     (line.split(maxsplit=5) for line in fh)
-                     if len(fields) == 6}
-    except OSError:
-        return ()
-    setters = []
-    for path in sorted(paths):
-        if "openblas" not in os.path.basename(path).lower():
-            continue
-        try:
-            setter = ctypes.CDLL(path).openblas_set_num_threads_local
-        except (OSError, AttributeError):
-            continue
-        setter.argtypes = [ctypes.c_int]
-        setter.restype = ctypes.c_int
-        setters.append(setter)
-    return tuple(setters)
-
-
-@contextlib.contextmanager
-def serial_blas():
-    """Run the block with one OpenBLAS thread, restoring the old count after.
-
-    A 30×30 solve is far too small to share: a second OpenBLAS thread wins no
-    wall time on it and then busy-waits, which doubles the CPU time of a
-    training run. Does nothing where no OpenBLAS exports
-    `openblas_set_num_threads_local`. In a pthreads OpenBLAS that call sets
-    the process-wide count, so the guard assumes one solving thread.
-    """
-    setters = _openblas_thread_setters()
-    previous = [setter(1) for setter in setters]
-    try:
-        yield
-    finally:
-        for setter, count in zip(setters, previous):
-            setter(count)
-
-
 def in_domain(value, domain):
     """Whether `value` is in `domain` = (lo, hi, strict): above lo (or at it
     unless strict), at most hi (None: no bound). Elementwise; ints exact."""
@@ -178,8 +128,7 @@ def hermitian_eig(M: np.ndarray, *, tol: float = 1e-10):
     must be Hermitian within `tol` (max-abs entrywise); it is symmetrized
     before the solve so the output is exactly consistent with a Hermitian
     operator. A non-finite entry raises NumericError, and any other shape,
-    a stack of matrices included, ValueError. The solve runs on one BLAS
-    thread (`serial_blas`).
+    a stack of matrices included, ValueError.
     """
     M = np.asarray(M)
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
@@ -193,8 +142,7 @@ def hermitian_eig(M: np.ndarray, *, tol: float = 1e-10):
         if not np.all(np.isfinite(M)):
             raise NumericError("hermitian_eig: input has non-finite entries")
         raise ValueError(f"matrix is not Hermitian (defect {herm_defect:.3e} > {tol:.1e})")
-    with serial_blas():
-        w, V = np.linalg.eigh((M + M_h) / 2.0)
+    w, V = np.linalg.eigh((M + M_h) / 2.0)
     return w, V
 
 

@@ -380,7 +380,12 @@ def theta_sensitivity(r: float, noise: NoiseParams) -> tuple[float, float]:
     is no isolated root and has no derivative. θ* is `theta_star`'s, with
     its NoRootError and its several-roots warning.
     """
-    theta = theta_star(r, noise).theta_star
+    return _theta_slope(theta_star(r, noise).theta_star, r, noise)
+
+
+def _theta_slope(theta: float, r: float,
+                 noise: NoiseParams) -> tuple[float, float]:
+    """`theta_sensitivity` at an already solved root θ* = `theta` (rad)."""
     sigma_q, sigma_p, u_q, u_p = _margins(theta, r, noise)
     # T′/σ of each term of B
     slope_q = r**2 * _phi(u_q) * (u_q * u_q - 3.0) / sigma_q**5

@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gridsense import channels, fock, states
 from gridsense import (
     InvalidDimensionError,
     NumericError,
@@ -160,81 +159,3 @@ def test_non_finite_entry_is_a_numeric_error(entry, bad):
     for solve in (hermitian_eig, qfi_mixed, check_density):
         with pytest.raises(NumericError, match="non-finite entries"):
             solve(rho)
-
-
-class TestSerialBlas:
-    """`serial_blas` pins the mapped OpenBLAS libraries to one thread."""
-
-    @staticmethod
-    def threads(setter):
-        # openblas_set_num_threads_local returns the count it replaces
-        count = setter(1)
-        setter(count)
-        return count
-
-    @pytest.fixture
-    def setter(self):
-        setters = fock._openblas_thread_setters()
-        if not setters:
-            pytest.skip("no mapped OpenBLAS exports "
-                        "openblas_set_num_threads_local")
-        before = setters[0](2)
-        yield setters[0]
-        setters[0](before)
-
-    def test_one_thread_inside_and_restored_after(self, setter):
-        with fock.serial_blas():
-            assert self.threads(setter) == 1
-            with fock.serial_blas():
-                assert self.threads(setter) == 1
-            assert self.threads(setter) == 1
-        assert self.threads(setter) == 2
-
-    def test_restored_after_a_raise(self, setter):
-        with pytest.raises(KeyError):
-            with fock.serial_blas():
-                assert self.threads(setter) == 1
-                raise KeyError("boom")
-        assert self.threads(setter) == 2
-
-    def test_solves_run_on_one_thread(self, setter, monkeypatch):
-        seen = []
-        real_eigh = np.linalg.eigh
-
-        def spy(M):
-            seen.append(self.threads(setter))
-            return real_eigh(M)
-
-        monkeypatch.setattr(np.linalg, "eigh", spy)
-        hermitian_eig(_hermitian(14, 5))
-        assert seen == [1]
-        assert self.threads(setter) == 2
-
-    def test_cached_spectra_solve_on_one_thread(self, setter, monkeypatch):
-        # the cached spectra of the squeeze generator and the position
-        # operator are solved through hermitian_eig, under its guard
-        seen = []
-        real_eigh = np.linalg.eigh
-
-        def spy(M):
-            seen.append(self.threads(setter))
-            return real_eigh(M)
-
-        monkeypatch.setattr(np.linalg, "eigh", spy)
-        for solve in (states._squeeze_spectrum, channels._position_eigenbasis):
-            solve.cache_clear()
-            try:
-                solve(9)
-            finally:
-                solve.cache_clear()
-        assert seen == [1, 1]
-        assert self.threads(setter) == 2
-
-    def test_no_library_found_is_a_no_op(self, monkeypatch):
-        real = fock._openblas_thread_setters()
-        monkeypatch.setattr(fock, "_openblas_thread_setters", lambda: ())
-        counts = [self.threads(s) for s in real]
-        with fock.serial_blas():
-            assert [self.threads(s) for s in real] == counts
-            w, _ = hermitian_eig(np.diag([2.0, 1.0]).astype(complex))
-        assert np.array_equal(w, [1.0, 2.0])
