@@ -526,6 +526,31 @@ class TestThetaStar:
         assert (abs(payload["dtheta_dgamma_deg"] - diff)
                 <= 1e-3 * abs(diff) + 0.01)
 
+    def test_one_theta_star_solve_per_run(self, tmp_path, monkeypatch):
+        # the slope is taken at the root the payload reports, not re-solved
+        from gridsense import model, theta_sensitivity
+
+        roots = []
+        real = model.theta_star
+
+        def spy(r, noise):
+            res = real(r, noise)
+            roots.append(res.theta_star)
+            return res
+
+        monkeypatch.setattr(cli, "theta_star", spy)
+        monkeypatch.setattr(model, "theta_star", spy)
+        code = main(["theta_star", "-o", str(tmp_path)])
+        assert code == 0
+        payload = json.loads((tmp_path / "theta_star.json").read_text())
+        assert len(roots) == 1
+        assert payload["theta_star_deg"] == math.degrees(roots[0])
+        noise = cli.build_noise(load_config(None))
+        d_eta, d_gamma = theta_sensitivity(
+            DEFAULT_CONFIG["lattice"]["r"], noise)
+        assert payload["dtheta_deta_deg"] == d_eta
+        assert payload["dtheta_dgamma_deg"] == d_gamma
+
     def test_flat_balance(self, tmp_path):
         # r = 1, γ = 0: B is flat in θ, so θ* has no derivative. θ* is
         # solved once per run, so its several-roots warning shows once.

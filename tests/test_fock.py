@@ -2,11 +2,13 @@
 
 import math
 import re
+import threading
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from gridsense import channels, states
 from gridsense import (
     InvalidDimensionError,
     NumericError,
@@ -22,6 +24,7 @@ from gridsense import (
 )
 from gridsense.fock import matrix_exp
 
+import blas_threads
 from conftest import ket_density
 
 
@@ -159,3 +162,76 @@ def test_non_finite_entry_is_a_numeric_error(entry, bad):
     for solve in (hermitian_eig, qfi_mixed, check_density):
         with pytest.raises(NumericError, match="non-finite entries"):
             solve(rho)
+
+
+class TestBlasThreads:
+    """The solves run on the caller's OpenBLAS thread count and leave it as
+    they found it: the package sets no count of its own."""
+
+    @pytest.fixture
+    def threads(self):
+        controls = blas_threads.controls()
+        if controls is None:
+            pytest.skip("no mapped OpenBLAS exports a thread count")
+        get, set_ = controls
+        before = get()
+        set_(2)
+        if get() != 2:
+            set_(before)
+            pytest.skip("this OpenBLAS runs on one thread only")
+        yield get
+        set_(before)
+
+    @staticmethod
+    def spy_eigh(monkeypatch, threads):
+        seen = []
+        real_eigh = np.linalg.eigh
+
+        def spy(M):
+            seen.append(threads())
+            return real_eigh(M)
+
+        monkeypatch.setattr(np.linalg, "eigh", spy)
+        return seen
+
+    def test_solve_runs_on_the_callers_count(self, threads, monkeypatch):
+        seen = self.spy_eigh(monkeypatch, threads)
+        hermitian_eig(_hermitian(14, 5))
+        assert seen == [2]
+        assert threads() == 2
+
+    def test_cached_spectra_run_on_the_callers_count(self, threads,
+                                                     monkeypatch):
+        # the squeeze generator and the position operator are solved once
+        # per cutoff through hermitian_eig
+        seen = self.spy_eigh(monkeypatch, threads)
+        for solve in (states._squeeze_spectrum, channels._position_eigenbasis):
+            solve.cache_clear()
+            try:
+                solve(9)
+            finally:
+                solve.cache_clear()
+        assert seen == [2, 2]
+        assert threads() == 2
+
+    def test_concurrent_solves_leave_the_count(self, threads):
+        # two library threads solving at once; a save-and-restore of the
+        # process-wide count around each solve could interleave and leave
+        # the process on a count neither thread chose
+        H = _hermitian(14, 5)
+        reference, _ = hermitian_eig(H)
+        mismatches = []
+
+        def work():
+            for _ in range(2000):
+                w, _ = hermitian_eig(H)
+                if not np.allclose(w, reference, rtol=0, atol=1e-12):
+                    mismatches.append(w)
+
+        workers = [threading.Thread(target=work) for _ in range(2)]
+        for worker in workers:
+            worker.start()
+        for worker in workers:
+            worker.join()
+        assert mismatches == []
+        assert threads() == 2

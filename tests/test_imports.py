@@ -112,6 +112,51 @@ def test_cli_keeps_an_explicit_thread_count(name, value):
     assert out == f"{openblas} {value}"
 
 
+SOLVE_PROBE = """
+import json
+import gridsense.cli
+import numpy as np
+from gridsense import hermitian_eig
+from blas_threads import controls
+
+get, _ = controls()
+start, seen, real_eigh = get(), [], np.linalg.eigh
+
+def spy(M):
+    seen.append(get())
+    return real_eigh(M)
+
+np.linalg.eigh = spy
+hermitian_eig(np.eye(4, dtype=complex))
+print(json.dumps({"start": start, "seen": seen, "end": get()}))
+"""
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"),
+                    reason="the probe reads the Linux memory map")
+@pytest.mark.parametrize("env_vars, chosen", [
+    ({}, 1), ({"OPENBLAS_NUM_THREADS": "2"}, 2)])
+def test_cli_solves_on_its_thread_count(env_vars, chosen):
+    # OpenBLAS caps a count at the CPUs the process may run on
+    expected = min(chosen, len(os.sched_getaffinity(0)))
+    out = run_fresh(SOLVE_PROBE, PYTHONPATH=os.pathsep.join(
+        [str(SRC), str(ROOT / "tests")]), **env_vars)
+    assert json.loads(out) == {"start": expected, "seen": [expected],
+                               "end": expected}
+
+
+def test_only_the_cli_touches_blas_threads():
+    # the CLI's environment pin before numpy loads is the one thread
+    # policy: no other module writes the environment or reaches OpenBLAS
+    writes = re.compile(r"os\.environ\b(?!\.get\b)|os\.putenv|ctypes"
+                        r"|openblas_set|/proc/self")
+    found = {path.name: writes.findall(path.read_text(encoding="utf-8"))
+             for path in sorted((SRC / "gridsense").glob("*.py"))}
+    assert {name: hits for name, hits in found.items() if hits} == {
+        "cli.py": ["os.environ"] * len(found["cli.py"])}
+    assert found["cli.py"]
+
+
 def test_star_import_yields_all_of_all():
     out = run_fresh("import gridsense\n"
                     "namespace = {}\n"
