@@ -8,13 +8,15 @@ Two dephasing maps are provided on purpose:
   (after loss). Being a Hadamard multiplication it commutes exactly with
   phase-space rotations.
 * `apply_momentum_diffusion` — Gaussian diffusion of p with variance γ,
-  i.e. ρ(q, q′) → ρ(q, q′)·e^{-γ(q-q′)²/2} in the position eigenbasis.
-  This channel is anisotropic (it singles out the p axis) and is NOT
-  rotation-covariant; it is the channel whose rotated-frame spreads are the
-  σ_q(θ), σ_p(θ) formulas below.
+  i.e. ρ(q, q′) → ρ(q, q′)·e^{-γ(q-q′)²/2}, discretized on the D-point
+  Gauss–Hermite grid (`states._gauss_hermite`). This channel is
+  anisotropic (it singles out the p axis) and is NOT rotation-covariant; it
+  is the channel whose rotated-frame spreads are the σ_q(θ), σ_p(θ)
+  formulas below.
 
 The two maps agree only approximately; both are kept so each claim about
-"dephasing" can be tested against the map it is actually true of.
+"dephasing" can be tested against the map it is actually true of. The
+Wigner kernel reads the loss amplitudes' ln(n!) table, `_log_factorials`.
 """
 
 from __future__ import annotations
@@ -25,7 +27,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .fock import check_domain, hermitian_eig, position_op
+from .fock import check_domain
+from .states import _gauss_hermite
 
 __all__ = [
     "NoiseParams",
@@ -151,30 +154,23 @@ def apply_dephasing(rho: np.ndarray, gamma: float) -> np.ndarray:
     return rho * np.exp(-0.5 * gamma * dn.astype(float) ** 2)
 
 
-@lru_cache(maxsize=32)
-def _position_eigenbasis(D: int) -> tuple[np.ndarray, np.ndarray]:
-    """Read-only (w, V) with q̂ = V·diag(w)·V† at cutoff D."""
-    w, V = hermitian_eig(position_op(D))
-    w.setflags(write=False)
-    V.setflags(write=False)
-    return w, V
-
-
 def apply_momentum_diffusion(rho: np.ndarray, gamma: float) -> np.ndarray:
-    """Gaussian diffusion of the p quadrature with variance γ.
+    """Gaussian diffusion of the p quadrature with variance γ, as a
+    discrete-variable approximation on the D-point Gauss–Hermite grid.
 
-    Implemented exactly (within the cutoff) by damping position-basis
-    coherences: with q̂ = Σ_i q_i |q_i⟩⟨q_i|, the map is
-    ρ(q_i, q_j) → ρ(q_i, q_j)·e^{-γ(q_i-q_j)²/2}. Completely positive and
-    trace preserving; anisotropic, hence not rotation-covariant.
+    Its nodes q_i are the spectrum of the truncated q̂, whose real
+    orthonormal eigenbasis is V = Φᵀ·diag(√s) (`states._gauss_hermite`);
+    the map is ρ(q_i, q_j) → ρ(q_i, q_j)·e^{-γ(q_i-q_j)²/2}. Completely
+    positive and trace preserving; anisotropic, hence not rotation-covariant.
     """
     check_domain("gamma", gamma, NOISE_DOMAINS["gamma"])
     rho = np.asarray(rho, dtype=complex)
-    w, V = _position_eigenbasis(rho.shape[0])
-    rho_q = V.conj().T @ rho @ V
-    dq = w[:, None] - w[None, :]
+    x, s, phi = _gauss_hermite(rho.shape[0])
+    V = phi.T * np.sqrt(s)
+    rho_q = V.T @ rho @ V
+    dq = x[:, None] - x[None, :]
     rho_q *= np.exp(-0.5 * gamma * dq**2)
-    return V @ rho_q @ V.conj().T
+    return V @ rho_q @ V.T
 
 
 def effective_sigmas(noise: NoiseParams, theta):

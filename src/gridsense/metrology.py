@@ -4,6 +4,9 @@ joint sensitivity–fault-tolerance capacity figure.
 The phase parameter φ enters through U(φ) = e^{-iφ n̂}; since the generator
 commutes with both noise channels the state derivative at the channel output
 is exactly ∂_φ ρ = -i[n̂, ρ], which is what `cfi_homodyne` uses.
+
+The mixed-state F_Q has one solve, `qfi_response`, which also gives its
+response to ρ; `qfi_mixed` is that F_Q.
 """
 
 from __future__ import annotations
@@ -35,52 +38,40 @@ def qfi_pure(psi: np.ndarray) -> float:
     return 4.0 * (second - mean * mean)
 
 
-def _sld_parts(rho, eig_tol: float):
-    """What `qfi_mixed` needs from the eigenbasis V of ρ, with the
-    eigenvalues clipped at 0: (V, ⟨j|n̂|k⟩, λ_j − λ_k, λ_j + λ_k, the mask
-    λ_j + λ_k > eig_tol). `hermitian_eig` rejects anything but one D×D
-    state."""
-    w, V = hermitian_eig(rho)
-    w = np.clip(w, 0.0, None)
-    n = np.arange(V.shape[0])
-    n_eig = V.conj().T @ (n[:, None] * V)
-    lam_sum = w[:, None] + w[None, :]
-    lam_diff = w[:, None] - w[None, :]
-    return V, n_eig, lam_diff, lam_sum, lam_sum > eig_tol
-
-
-def _qfi_from_parts(n_eig, lam_diff, lam_sum, mask) -> float:
-    weights = np.divide(lam_diff ** 2, lam_sum, out=np.zeros_like(lam_sum),
-                        where=mask)
-    return float(2.0 * np.sum(weights * np.abs(n_eig) ** 2))
-
-
 def qfi_mixed(rho: np.ndarray, *, eig_tol: float = DEFAULT_EIG_TOL) -> float:
     """Mixed-state QFI for the generator n̂, via the eigenbasis of ρ:
 
         F_Q = 2 Σ_{jk} (λ_j - λ_k)²/(λ_j + λ_k) · |⟨j|n̂|k⟩|²,
 
-    summing only pairs with λ_j + λ_k > eig_tol. Reduces to `qfi_pure` on
-    rank-1 inputs.
+    summing only pairs with λ_j + λ_k > eig_tol. This is `qfi_response`'s
+    F_Q, bit for bit. Reduces to `qfi_pure` on rank-1 inputs.
     """
-    _, *parts = _sld_parts(rho, eig_tol)
-    return _qfi_from_parts(*parts)
+    return qfi_response(rho, eig_tol=eig_tol)[0]
 
 
 def qfi_response(rho: np.ndarray, *, eig_tol: float = DEFAULT_EIG_TOL):
     """F_Q as `qfi_mixed` gives it, and the Hermitian H with
     dF_Q = Tr(H·dρ) for any Hermitian perturbation dρ, from one solve.
 
-    With the symmetric logarithmic derivative of ∂_φρ = −i[n̂, ρ], in the
-    eigenbasis of ρ and masked as in `qfi_mixed`,
+    The eigenvalues λ of ρ are clipped at 0. With the symmetric logarithmic
+    derivative of ∂_φρ = −i[n̂, ρ], in the eigenbasis of ρ and summed over
+    λ_j + λ_k > eig_tol only,
 
         L_jk = 2i(λ_j − λ_k)·⟨j|n̂|k⟩/(λ_j + λ_k),  H = −2i[L, n̂] − L²
 
     (Liu, Yuan, Lu & Wang, J. Phys. A 53, 023001 (2020)). H is returned in
-    the number basis.
+    the number basis. `hermitian_eig` rejects anything but one D×D state.
     """
-    V, n_eig, lam_diff, lam_sum, mask = _sld_parts(rho, eig_tol)
-    qfi = _qfi_from_parts(n_eig, lam_diff, lam_sum, mask)
+    w, V = hermitian_eig(rho)
+    w = np.clip(w, 0.0, None)
+    n = np.arange(V.shape[0])
+    n_eig = V.conj().T @ (n[:, None] * V)
+    lam_sum = w[:, None] + w[None, :]
+    lam_diff = w[:, None] - w[None, :]
+    mask = lam_sum > eig_tol
+    weights = np.divide(lam_diff ** 2, lam_sum, out=np.zeros_like(lam_sum),
+                        where=mask)
+    qfi = float(2.0 * np.sum(weights * np.abs(n_eig) ** 2))
     sld = np.divide(2j * lam_diff * n_eig, lam_sum,
                     out=np.zeros_like(n_eig), where=mask)
     h_eig = -2j * (sld @ n_eig - n_eig @ sld) - sld @ sld

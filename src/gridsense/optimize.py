@@ -212,14 +212,15 @@ def _loss_and_gradient(params: TrainableParams, cfg: TrainConfig):
     F_Q's gradient over the Bloch angles, r and ε is analytic
     (`pipeline._qfi_gradient`); F_Q does not depend on θ, so ℓ moves only
     the hinge. The hinge's gradient is λ·∂P_err (`perr_gradient`) where
-    p_err > p_th and 0 where p_err ≤ p_th, the kink included. The gradient
+    p_err > p_th and 0 where p_err ≤ p_th, the kink included; it is not
+    taken when ℓ and r are both frozen, which would zero it. The gradient
     is not checked for finiteness here.
     """
     qfi, d_qfi = _qfi_gradient(params.sensor_spec(cfg.cutoff), cfg.noise)
     p_err = float(perr_analytic(params.theta, params.r, cfg.noise).p_total)
     g = np.zeros(len(PARAM_ORDER))
     g[_QFI_AXES] -= d_qfi
-    if p_err > cfg.p_th:
+    if p_err > cfg.p_th and not {"ell", "r"} <= cfg.freeze:
         d_theta, d_r = perr_gradient(params.theta, params.r, cfg.noise)
         g[_ELL] += cfg.penalty * float(d_theta) * math.pi / params.ell_max
         g[_R] += cfg.penalty * float(d_r)

@@ -28,6 +28,13 @@ with K = V·diag(w)·V† the gate is S(s)ψ = V·e^{−isw}·V†ψ. The eigenv
 route is well conditioned for a normal generator (Moler & Van Loan, SIAM Rev.
 45, 2003), and the decomposition depends on D only, so it is taken once per
 cutoff and every squeeze after that costs two matrix-vector products.
+
+Gauss–Hermite rule
+------------------
+`_gauss_hermite(n)` is the one n-point rule: nodes x, s = w·e^{x²} and
+Φ[i, j] = ψ_j(x_i). The nodes are the spectrum of q̂ at cutoff n, with
+eigenvectors the columns of Φᵀ·diag(√s) (Golub & Welsch, Math. Comp. 23,
+221 (1969)); the Wigner grid and the momentum diffusion read it.
 """
 
 from __future__ import annotations
@@ -78,6 +85,21 @@ def _hermite_functions(points: np.ndarray, n_max: int) -> np.ndarray:
         psi[n + 1] = (np.sqrt(2.0 / (n + 1)) * points * psi[n]
                       - np.sqrt(n / (n + 1.0)) * psi[n - 1])
     return psi
+
+
+@lru_cache(maxsize=16)
+def _gauss_hermite(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Read-only (x, s, Φ) of the n-point Gauss–Hermite rule (see the
+    module docstring), Φ in C order: a product rounds differently on a
+    transposed view. numpy.polynomial loads on the first call only."""
+    from numpy.polynomial.hermite import hermgauss
+
+    x, w = hermgauss(n)
+    s = w * np.exp(x * x)
+    phi = np.ascontiguousarray(_hermite_functions(x, n).T)
+    for table in (x, s, phi):
+        table.setflags(write=False)
+    return x, s, phi
 
 
 def comb_positions(mu: int, epsilon: float) -> np.ndarray:

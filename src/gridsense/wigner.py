@@ -25,7 +25,8 @@ takes every point in one pass, and per diagonal k contracts the
 (D−k, points) Laguerre table in one matrix product with the real (2, D−k)
 matrix [Re c; −Im c], where
 c_n = ρ[n, n+k]·(−1)ⁿ·√(n!/(n+k)!) (doubled for k > 0, which also counts the
-conjugate diagonal).
+conjugate diagonal), with ln(n!) from the loss channel's table
+(`channels._log_factorials`).
 
 Separable grid
 --------------
@@ -48,8 +49,9 @@ So, exactly in exact arithmetic,
     C = (Vᵀ·S)·W_nodes·(S·V),   V[i, j] = φ_j(x_i),   S = diag(w·e^{x²}),
 
 where W_nodes[i, j] = W(x_j/√2, x_i/√2) comes from the point kernel at the
-N² node pairs. A grid of any size then costs one N²-point kernel call and
-two small matrix products instead of a kernel call per grid point.
+N² node pairs; x, w·e^{x²} and V come cached from `states._gauss_hermite`.
+A grid of any size then costs one N²-point kernel call and two small
+matrix products instead of a kernel call per grid point.
 
 ρ is trimmed to its support first. That changes nothing mathematically,
 but a padded ρ would raise N, and the roundoff of the larger C would then
@@ -62,12 +64,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
+from .channels import _log_factorials
 from .fock import check_domain
-from .states import _hermite_functions
+from .states import _gauss_hermite, _hermite_functions
 
 __all__ = ["WignerGrid", "wigner_grid", "wigner_negativity",
            "wigner_point"]
@@ -95,7 +97,7 @@ def _diagonal_coefficients(rho: np.ndarray) -> list:
     c_n = ρ[n, n+k]·(−1)ⁿ·√(n!/(n+k)!), doubled for k > 0 (the k < 0
     diagonal is the conjugate). On k = 0 only Re ρ[n, n] enters."""
     D = rho.shape[0]
-    lgamma = np.cumsum(np.concatenate(([0.0], np.log(np.arange(1, D) + 0.0))))
+    lgamma = _log_factorials(D)
     coefs = []
     for k in range(D):
         n = np.arange(D - k)
@@ -146,25 +148,6 @@ def wigner_point(rho: np.ndarray, q: float, p: float) -> float:
     return float(out)
 
 
-def _hermite_columns(x: np.ndarray, n: int) -> np.ndarray:
-    """(len(x), n) table of the orthonormal Hermite functions φ_j(x), j < n,
-    in C order: the products below round differently on a transposed view."""
-    return np.ascontiguousarray(_hermite_functions(x, n).T)
-
-
-@lru_cache(maxsize=8)
-def _quadrature(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Read-only (x, S·V) for the n-point Gauss–Hermite rule: the nodes x
-    and the projection matrix S·V[i, j] = w_i·e^{x_i²}·φ_j(x_i)."""
-    from numpy.polynomial.hermite import hermgauss
-
-    x, w = hermgauss(n)
-    sv = (w * np.exp(x * x))[:, None] * _hermite_columns(x, n)
-    x.setflags(write=False)
-    sv.setflags(write=False)
-    return x, sv
-
-
 def _support(rho: np.ndarray) -> int:
     """One past the last Fock level with a nonzero row or column (≥ 1)."""
     used = np.flatnonzero(np.any(rho != 0, axis=0) | np.any(rho != 0, axis=1))
@@ -193,14 +176,16 @@ def wigner_grid(rho: np.ndarray, q_range=(-6.0, 6.0), p_range=(-6.0, 6.0),
     d = _support(rho)
     rho = rho[:d, :d]
     n = 2 * d - 1
-    x, sv = _quadrature(n)
+    x, s, phi = _gauss_hermite(n)
+    sv = s[:, None] * phi
     node = x / math.sqrt(2.0)
     w_nodes = _parity_kernel(rho, *np.meshgrid(node, node))  # rows index p
     coef = sv.T @ w_nodes @ sv
     q_axis = np.linspace(q_range[0], q_range[1], n_points)
     p_axis = np.linspace(p_range[0], p_range[1], n_points)
-    phi_q = _hermite_columns(math.sqrt(2.0) * q_axis, n)
-    phi_p = _hermite_columns(math.sqrt(2.0) * p_axis, n)
+    phi_q, phi_p = (np.ascontiguousarray(  # C order, as `_gauss_hermite`
+        _hermite_functions(math.sqrt(2.0) * axis, n).T)
+        for axis in (q_axis, p_axis))
     W = phi_p @ coef @ phi_q.T
     return WignerGrid(q_axis=q_axis, p_axis=p_axis, values=W)
 

@@ -150,17 +150,19 @@ class TestMomentumDiffusion:
 
     def test_cached_spectrum_is_read_only(self):
         # a write through the cache would corrupt every later call at D
-        from gridsense.channels import _position_eigenbasis
-        from gridsense.fock import hermitian_eig, position_op
+        from numpy.polynomial.hermite import hermgauss
 
-        w, V = _position_eigenbasis(6)
-        with pytest.raises(ValueError):
-            w[0] = 99.0
-        with pytest.raises(ValueError):
-            V[0, 0] = 99.0
-        w_ref, V_ref = hermitian_eig(position_op(6))
-        w2, V2 = _position_eigenbasis(6)
-        assert np.array_equal(w2, w_ref) and np.array_equal(V2, V_ref)
+        from gridsense.states import _gauss_hermite, _hermite_functions
+
+        x, s, phi = _gauss_hermite(6)
+        for table in (x, s, phi):
+            with pytest.raises(ValueError):
+                table[0] = 99.0
+        x_ref, w_ref = hermgauss(6)
+        x2, s2, phi2 = _gauss_hermite(6)
+        assert np.array_equal(x2, x_ref)
+        assert np.array_equal(s2, w_ref * np.exp(x_ref * x_ref))
+        assert np.array_equal(phi2, _hermite_functions(x_ref, 6).T)
 
 
 class TestEffectiveSigmas:

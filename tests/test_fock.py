@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gridsense import channels, states
+from gridsense import states
 from gridsense import (
     InvalidDimensionError,
     NumericError,
@@ -202,16 +202,15 @@ class TestBlasThreads:
 
     def test_cached_spectra_run_on_the_callers_count(self, threads,
                                                      monkeypatch):
-        # the squeeze generator and the position operator are solved once
-        # per cutoff through hermitian_eig
+        # the squeeze generator is solved once per cutoff through
+        # hermitian_eig
         seen = self.spy_eigh(monkeypatch, threads)
-        for solve in (states._squeeze_spectrum, channels._position_eigenbasis):
-            solve.cache_clear()
-            try:
-                solve(9)
-            finally:
-                solve.cache_clear()
-        assert seen == [2, 2]
+        states._squeeze_spectrum.cache_clear()
+        try:
+            states._squeeze_spectrum(9)
+        finally:
+            states._squeeze_spectrum.cache_clear()
+        assert seen == [2]
         assert threads() == 2
 
     def test_concurrent_solves_leave_the_count(self, threads):

@@ -6,8 +6,9 @@ already sets a count.
 Importing scipy.special or scipy.linalg costs a fresh interpreter several
 tenths of a second (and scipy.linalg loads a second OpenBLAS), and even the
 bare `import scipy` costs every command about 12 ms. The
-Wigner grid's Gauss–Hermite rule comes from numpy.polynomial, which only
-`wigner` needs, so importing the CLI must not load that either. No command
+Gauss–Hermite rule (`states._gauss_hermite`) comes from numpy.polynomial,
+which only `wigner` and the momentum diffusion need, so importing the CLI
+must not load that either. No command
 loads numpy.ma either, which costs about 13 ms: `np.unique`, and with it
 `np.union1d`, loads it through `np.ma.is_masked`. Each check runs in a new
 interpreter, so modules loaded by other tests do not count.

@@ -500,6 +500,25 @@ class TestTrainingStep:
         train(short_cfg(steps=3, freeze=freeze), OAM_INIT)
         assert shapes == [(30, 30)] * 3
 
+    @pytest.mark.parametrize("freeze, calls", [
+        (frozenset({"ell", "r", "epsilon"}), 0), (R_FREE, 3)],
+        ids=["ell_r_frozen", "r_free"])
+    def test_hinge_slope_only_where_it_can_move(self, freeze, calls,
+                                                monkeypatch):
+        # with ℓ and r frozen the slope of the active hinge would be zeroed
+        seen = []
+        real = optimize.perr_gradient
+
+        def spy(theta, r, noise):
+            seen.append((theta, r))
+            return real(theta, r, noise)
+
+        monkeypatch.setattr(optimize, "perr_gradient", spy)
+        cfg = short_cfg(steps=3, freeze=freeze, p_th=1e-6)
+        _, trace = train(cfg, OAM_INIT)
+        assert all(step.p_err > cfg.p_th for step in trace)
+        assert len(seen) == calls
+
     @staticmethod
     def diverge_both(cfg, init):
         with pytest.raises(optimize.TrainDiverged) as ref:

@@ -291,3 +291,28 @@ def test_channels_map_a_stack_matrix_by_matrix(eta, gamma):
     for i, M in enumerate(X):
         assert np.array_equal(lost[i], apply_loss(M, eta))
         assert np.array_equal(dephased[i], apply_dephasing(M, gamma))
+
+
+PARITY_POINTS = [  # (epsilon, r, eta, gamma, bloch_theta, bloch_phi)
+    (0.063, 1.092, 0.95, 0.05, 1.1, 0.4),
+    (0.2, 0.6, 0.7, 0.3, 0.0, 0.0),
+    (0.03, 1.8, 0.999, 0.0, math.pi, 0.0),
+    (0.1, 1.0, 0.8, 0.5, 2.0, -2.5),
+]
+
+
+@pytest.mark.parametrize("cutoff", [30, 60])
+@pytest.mark.parametrize("point", PARITY_POINTS)
+def test_states_are_block_diagonal_in_parity(point, cutoff):
+    # the codewords are even, and the squeeze, both channels and R(θ) keep
+    # m − n mod 2, so every entry between the parity sectors is roundoff
+    epsilon, r, eta, gamma, bloch_theta, bloch_phi = point
+    n = np.arange(cutoff)
+    cross = (n[:, None] - n[None, :]) % 2 == 1
+    spec = SensorSpec(theta=0.7, r=r, epsilon=epsilon, bloch_theta=bloch_theta,
+                      bloch_phi=bloch_phi, cutoff=cutoff)
+    noise = NoiseParams(eta=eta, gamma=gamma)
+    matrices = [*np.concatenate(noisy_basis(epsilon, r, eta, gamma, cutoff)),
+                sensor_state(spec, noise)]
+    for X in matrices:
+        assert np.abs(X[cross]).max() <= 1e-14 * np.abs(X).max()

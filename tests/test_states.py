@@ -14,6 +14,7 @@ from gridsense import (
     expectation,
     logical_state,
     number_op,
+    position_op,
     prepare_codeword,
     rotate,
     rotate_density,
@@ -21,6 +22,7 @@ from gridsense import (
 )
 from gridsense.optimize import BOUNDS
 from gridsense.states import (
+    _gauss_hermite,
     _hermite_functions,
     bloch_amplitudes,
     _squeeze_spectrum,
@@ -253,3 +255,18 @@ def test_hermite_functions_are_orthonormal():
     assert psi.shape == (30, 40)
     gram = (psi * (w * np.exp(x * x))) @ psi.T
     assert np.abs(gram - np.eye(30)).max() < 1e-12
+
+
+@pytest.mark.parametrize("dim", [6, 30, 60])
+def test_gauss_hermite_rule_is_the_position_spectrum(dim):
+    # Golub & Welsch: the dim-point rule's nodes are the eigenvalues of the
+    # truncated q̂, and Φᵀ·diag(√s) is its orthonormal eigenbasis
+    x, s, phi = _gauss_hermite(dim)
+    w_ref, V_ref = np.linalg.eigh(position_op(dim))
+    assert np.abs(x - w_ref).max() < 1e-13
+    V = phi.T * np.sqrt(s)
+    signs = np.sign(np.sum(V * V_ref.real, axis=0))
+    assert np.abs(V * signs - V_ref).max() < 1e-13
+    assert np.abs(V.T @ V - np.eye(dim)).max() < 1e-13
+    for table in (x, s, phi):
+        assert not table.flags.writeable

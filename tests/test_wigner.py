@@ -274,10 +274,11 @@ class TestSeparableGrid:
 
 
 def test_grid_uses_the_codeword_hermite_recurrence():
-    from gridsense import states
+    from gridsense import channels, states
 
     assert wigner._hermite_functions is states._hermite_functions
-    x = np.linspace(-3.0, 3.0, 7)
-    table = wigner._hermite_columns(x, 5)
+    assert wigner._gauss_hermite is states._gauss_hermite
+    assert wigner._log_factorials is channels._log_factorials
+    x, _, table = states._gauss_hermite(5)
     assert table.flags.c_contiguous
     assert np.array_equal(table, states._hermite_functions(x, 5).T)
