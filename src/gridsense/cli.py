@@ -55,7 +55,7 @@ from .optimize import (
     ADAM_EPS,
     BOUNDS,
     PARAM_ORDER,
-    TRAIN_LIMITS as _TRAIN,
+    TRAIN_LIMITS,
     TrainConfig,
     TrainableParams,
     combined_loss,
@@ -91,32 +91,35 @@ class _Leaf(NamedTuple):
 # and their checks. A leaf has its default's type (None: a number or null).
 # A domain is None (any finite number), a (lo, hi, strict) triple
 # (`fock.in_domain`), or the names a list may hold.
+_P = TrainableParams  # whose defaults the lattice.* and state.* rows read
+_TRAIN = {name: (getattr(TrainConfig, name), domain)
+          for name, domain in TRAIN_LIMITS.items()}
 _LEAVES = (
     _Leaf("noise.eta", 0.9, NOISE_DOMAINS["eta"], "transmissivity"),
     _Leaf("noise.gamma", 0.05, NOISE_DOMAINS["gamma"], "dephasing rate"),
-    _Leaf("lattice.ell", 0.0, None, "OAM charge (fractional ok)"),
-    _Leaf("lattice.ell_max", 4, ELL_MAX_DOMAIN, "maximal OAM charge"),
+    _Leaf("lattice.ell", _P.ell, None, "OAM charge (fractional ok)"),
+    _Leaf("lattice.ell_max", _P.ell_max, ELL_MAX_DOMAIN, "maximal OAM charge"),
     # Trainable coordinates start inside the box projection keeps them in.
-    _Leaf("lattice.r", 1.092, (*BOUNDS["r"], False), "lattice aspect ratio"),
+    _Leaf("lattice.r", _P.r, (*BOUNDS["r"], False), "lattice aspect ratio"),
     _Leaf("lattice.theta_deg", None, None, "rotation (deg), overrides --ell"),
-    _Leaf("state.epsilon", 0.063, EPSILON_DOMAIN, "finite-energy parameter"),
+    _Leaf("state.epsilon", _P.epsilon, EPSILON_DOMAIN,
+          "finite-energy parameter"),
     # Bloch init pi/2, pi/2: an equatorial start keeps the trainer away from
     # the bloch_theta in {0, pi} boundary, where the gradient points out of
     # the feasible box and projected Adam stalls on the corner.
     _Leaf("state.bloch_theta", math.pi / 2, BLOCH_THETA_DOMAIN,
           "Bloch polar angle (radians)"),
     _Leaf("state.bloch_phi", math.pi / 2, None, "Bloch azimuth (radians)"),
-    # The train.* domains are the trainer's own (`optimize.TRAIN_LIMITS`).
-    _Leaf("train.steps", 500, _TRAIN["steps"], "optimizer steps"),
-    _Leaf("train.lr_init", 5e-3, _TRAIN["lr_init"], "initial learning rate"),
-    _Leaf("train.lr_final", 1e-5, _TRAIN["lr_final"], "final learning rate"),
-    _Leaf("train.clip_norm", 1.0, _TRAIN["clip_norm"], "gradient-norm clip"),
-    _Leaf("train.lambda", 100.0, _TRAIN["penalty"], "error-rate penalty"),
-    _Leaf("train.p_th", 1e-3, _TRAIN["p_th"], "target logical error rate"),
+    _Leaf("train.steps", *_TRAIN["steps"], "optimizer steps"),
+    _Leaf("train.lr_init", *_TRAIN["lr_init"], "initial learning rate"),
+    _Leaf("train.lr_final", *_TRAIN["lr_final"], "final learning rate"),
+    _Leaf("train.clip_norm", *_TRAIN["clip_norm"], "gradient-norm clip"),
+    _Leaf("train.lambda", *_TRAIN["penalty"], "error-rate penalty"),
+    _Leaf("train.p_th", *_TRAIN["p_th"], "target logical error rate"),
     _Leaf("train.seed", 0, (0, None, False), "Monte-Carlo seed"),
-    _Leaf("train.freeze", ["ell", "r", "epsilon"], PARAM_ORDER,
-          "comma-separated parameter names to hold fixed"),
-    _Leaf("cutoff", 30, CUTOFF_DOMAIN, "Fock-space dimension"),
+    _Leaf("train.freeze", sorted(TrainConfig.freeze, key=PARAM_ORDER.index),
+          PARAM_ORDER, "comma-separated parameter names to hold fixed"),
+    _Leaf("cutoff", TrainConfig.cutoff, CUTOFF_DOMAIN, "Fock-space dimension"),
     _Leaf("n_mc", 1_000_000, MC_SAMPLES_DOMAIN, "Monte-Carlo sample count"),
 )
 _LEAF = {leaf.path: leaf for leaf in _LEAVES}

@@ -74,11 +74,12 @@ def theta_from_oam(charge: OamCharge) -> float:
 
 @dataclass(frozen=True, eq=False)
 class GkpLattice:
+    """A `twisted_lattice`: its lattice constant is always A_LATTICE."""
+
     theta: float  # radians
     r: float
     u1: np.ndarray = field(repr=False)
     u2: np.ndarray = field(repr=False)
-    a: float = A_LATTICE
 
     def as_dict(self) -> dict:
         """Serializable form used inside run reports."""

@@ -25,7 +25,8 @@ __all__ = [
     "capacity",
 ]
 
-DEFAULT_EIG_TOL = 1e-12
+DEFAULT_EIG_TOL = 1e-12  # the smallest λ_j + λ_k that F_Q sums over
+VAR_FLOOR = 1e-14  # the smallest Var(x_ψ) that `cfi_homodyne` accepts
 
 
 def qfi_pure(psi: np.ndarray) -> float:
@@ -38,24 +39,24 @@ def qfi_pure(psi: np.ndarray) -> float:
     return 4.0 * (second - mean * mean)
 
 
-def qfi_mixed(rho: np.ndarray, *, eig_tol: float = DEFAULT_EIG_TOL) -> float:
+def qfi_mixed(rho: np.ndarray) -> float:
     """Mixed-state QFI for the generator n̂, via the eigenbasis of ρ:
 
         F_Q = 2 Σ_{jk} (λ_j - λ_k)²/(λ_j + λ_k) · |⟨j|n̂|k⟩|²,
 
-    summing only pairs with λ_j + λ_k > eig_tol. This is `qfi_response`'s
-    F_Q, bit for bit. Reduces to `qfi_pure` on rank-1 inputs.
+    summing only pairs with λ_j + λ_k > DEFAULT_EIG_TOL: `qfi_response`'s F_Q,
+    bit for bit. Reduces to `qfi_pure` on rank-1 inputs.
     """
-    return qfi_response(rho, eig_tol=eig_tol)[0]
+    return qfi_response(rho)[0]
 
 
-def qfi_response(rho: np.ndarray, *, eig_tol: float = DEFAULT_EIG_TOL):
+def qfi_response(rho: np.ndarray):
     """F_Q as `qfi_mixed` gives it, and the Hermitian H with
     dF_Q = Tr(H·dρ) for any Hermitian perturbation dρ, from one solve.
 
     The eigenvalues λ of ρ are clipped at 0. With the symmetric logarithmic
     derivative of ∂_φρ = −i[n̂, ρ], in the eigenbasis of ρ and summed over
-    λ_j + λ_k > eig_tol only,
+    λ_j + λ_k > DEFAULT_EIG_TOL only,
 
         L_jk = 2i(λ_j − λ_k)·⟨j|n̂|k⟩/(λ_j + λ_k),  H = −2i[L, n̂] − L²
 
@@ -68,7 +69,7 @@ def qfi_response(rho: np.ndarray, *, eig_tol: float = DEFAULT_EIG_TOL):
     n_eig = V.conj().T @ (n[:, None] * V)
     lam_sum = w[:, None] + w[None, :]
     lam_diff = w[:, None] - w[None, :]
-    mask = lam_sum > eig_tol
+    mask = lam_sum > DEFAULT_EIG_TOL
     weights = np.divide(lam_diff ** 2, lam_sum, out=np.zeros_like(lam_sum),
                         where=mask)
     qfi = float(2.0 * np.sum(weights * np.abs(n_eig) ** 2))
@@ -78,13 +79,13 @@ def qfi_response(rho: np.ndarray, *, eig_tol: float = DEFAULT_EIG_TOL):
     return qfi, V @ h_eig @ V.conj().T
 
 
-def cfi_homodyne(rho: np.ndarray, psi_angle: float, *,
-                 var_floor: float = 1e-14) -> float:
+def cfi_homodyne(rho: np.ndarray, psi_angle: float) -> float:
     """Classical Fisher information of homodyne detection at LO angle ψ:
 
         F_C = |∂_φ ⟨x_ψ⟩|² / Var(x_ψ),  x_ψ = (a e^{iψ} + a† e^{-iψ})/√2,
 
-    with ∂_φ ρ = -i[n̂, ρ] (exact; see module docstring).
+    with ∂_φ ρ = -i[n̂, ρ] (exact; see module docstring). ValueError when
+    Var(x_ψ) is below VAR_FLOOR.
     """
     rho = np.asarray(rho, dtype=complex)
     D = rho.shape[0]
@@ -95,8 +96,8 @@ def cfi_homodyne(rho: np.ndarray, psi_angle: float, *,
     x_mean = expectation(rho, x).real
     x2_mean = expectation(rho, x @ x).real
     var = x2_mean - x_mean * x_mean
-    if var < var_floor:
-        raise ValueError(f"homodyne variance {var:.3e} below floor {var_floor:.1e}")
+    if var < VAR_FLOOR:
+        raise ValueError(f"homodyne variance {var:.3e} below floor {VAR_FLOOR:.1e}")
     return signal * signal / var
 
 

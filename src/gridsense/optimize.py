@@ -87,7 +87,7 @@ class TrainableParams:
     ell: float = 0.0
     ell_max: int = 4
     r: float = 1.092
-    epsilon: float = 0.063
+    epsilon: float = SensorSpec.epsilon
 
     @property
     def theta(self) -> float:
@@ -129,7 +129,7 @@ class TrainConfig:
     clip_norm: float = 1.0
     penalty: float = 100.0  # the Lagrange multiplier λ
     p_th: float = 1e-3
-    cutoff: int = 30
+    cutoff: int = SensorSpec.cutoff
     freeze: frozenset = frozenset({"ell", "r", "epsilon"})
 
     def __post_init__(self):

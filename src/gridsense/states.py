@@ -45,6 +45,7 @@ from functools import lru_cache
 import numpy as np
 
 from .fock import NumericError, annihilation, check_domain, hermitian_eig
+from .lattice import A_LATTICE
 
 __all__ = [
     "prepare_codeword",
@@ -59,7 +60,7 @@ __all__ = [
     "TruncationError",
 ]
 
-_SPACING = math.sqrt(2.0 * math.pi)
+MAX_LEAKAGE = 1e-3  # the largest leakage `squeeze` lets through
 
 # Domains (`fock.in_domain`) of the cutoff D, ε and θ_B.
 CUTOFF_DOMAIN = (10, None, False)
@@ -106,7 +107,7 @@ def comb_positions(mu: int, epsilon: float) -> np.ndarray:
     """Peak positions (s + μ/2)·√(2π) for s = -S..S, S = ceil(6/√(2πε))."""
     S = math.ceil(6.0 / math.sqrt(2.0 * math.pi * epsilon))
     s = np.arange(-S, S + 1, dtype=float)
-    return (s + 0.5 * mu) * _SPACING
+    return (s + 0.5 * mu) * A_LATTICE
 
 
 @lru_cache(maxsize=32)
@@ -193,22 +194,19 @@ def squeeze_gate(psi: np.ndarray, log_r: float) -> np.ndarray:
     return (V * np.exp(-1j * log_r * w)) @ (V.conj().T @ psi)
 
 
-def squeeze(psi: np.ndarray, log_r: float, *,
-            max_leakage: float = 1e-3) -> tuple[np.ndarray, float]:
+def squeeze(psi: np.ndarray, log_r: float) -> tuple[np.ndarray, float]:
     """Apply S(log_r) = exp(log_r·(a†² − a²)/2); returns (ket, leakage).
 
     `psi` is one ket, or a (D, k) array of kets as columns that all share
-    the one gate; each column is renormalized and `leakage` is the largest
-    over the columns. The gate is `squeeze_gate` (see the module
-    docstring).
+    the one gate (`squeeze_gate`); each column is renormalized and
+    `leakage` is the largest over the columns.
 
     The truncated generator is still anti-Hermitian, so the gate is unitary
     on the truncated space and leakage = 1 − ‖raw‖² sits at roundoff
-    (~1e-16) for any input. It is kept as a numerics tripwire: a value above
-    `max_leakage` means the exponential itself broke down, and the call
-    aborts (TruncationError) rather than return garbage. Whether the cutoff
-    is big enough for the *physics* is a state-preparation question, not
-    something this gate can detect.
+    (~1e-16) for any input. A leakage above the module's MAX_LEAKAGE means
+    the exponential itself broke down: TruncationError, not garbage. Whether
+    the cutoff is big enough for the *physics* is a state-preparation
+    question this gate cannot detect.
     """
     if abs(log_r) > 1.0:
         raise ValueError(f"|log_r| must be <= 1 (desk-scale guard), got {log_r}")
@@ -218,9 +216,9 @@ def squeeze(psi: np.ndarray, log_r: float, *,
     raw = squeeze_gate(psi, log_r)
     norm_sq = np.sum(raw.real**2 + raw.imag**2, axis=0)
     leakage = float(np.max(1.0 - norm_sq))
-    if leakage > max_leakage:
+    if leakage > MAX_LEAKAGE:
         raise TruncationError(
-            f"squeeze leakage {leakage:.3e} exceeds {max_leakage:.1e} "
+            f"squeeze leakage {leakage:.3e} exceeds {MAX_LEAKAGE:.1e} "
             f"(log_r={log_r}, D={psi.shape[0]})")
     return raw / np.sqrt(norm_sq), leakage
 

@@ -186,7 +186,8 @@ def wigner_grid(rho: np.ndarray, q_range=(-6.0, 6.0), p_range=(-6.0, 6.0),
     phi_q, phi_p = (np.ascontiguousarray(  # C order, as `_gauss_hermite`
         _hermite_functions(math.sqrt(2.0) * axis, n).T)
         for axis in (q_axis, p_axis))
-    W = phi_p @ coef @ phi_q.T
+    # einsum, not a GEMM: OpenBLAS cannot split it, so no thread count moves W
+    W = np.einsum("pb,qb->pq", phi_p @ coef, phi_q)
     return WignerGrid(q_axis=q_axis, p_axis=p_axis, values=W)
 
 

@@ -8,7 +8,8 @@ import warnings
 import pytest
 
 import gridsense.cli as cli
-from gridsense.optimize import BOUNDS
+from gridsense import SensorSpec
+from gridsense.optimize import BOUNDS, TrainConfig, TrainableParams
 from gridsense.cli import (
     ConfigError,
     DEFAULT_CONFIG,
@@ -325,6 +326,19 @@ class TestBuildParams:
         cfg["lattice"]["ell"] = 1.5
         params = build_params(cfg)
         assert abs(math.degrees(params.theta) - 67.5) < 1e-12
+
+    def test_library_defaults_are_the_cli_defaults(self):
+        # the benchmark's Wigner check builds its spec from the library's
+        # defaults, as here, and trusts them to be the CLI's
+        state = DEFAULT_CONFIG["state"]
+        bloch = dict(bloch_theta=state["bloch_theta"],
+                     bloch_phi=state["bloch_phi"])
+        spec = SensorSpec(theta=0.0, r=1.092, **bloch)
+        assert spec == build_params(DEFAULT_CONFIG).sensor_spec(
+            DEFAULT_CONFIG["cutoff"])
+        assert build_params(DEFAULT_CONFIG) == TrainableParams(**bloch)
+        noise = cli.build_noise(DEFAULT_CONFIG)
+        assert cli.build_train_config(DEFAULT_CONFIG) == TrainConfig(noise)
 
 
 class TestExitCodes:

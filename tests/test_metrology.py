@@ -20,6 +20,7 @@ from gridsense import (
     rotate_density,
 )
 
+from gridsense import metrology
 from gridsense.metrology import qfi_response
 
 from conftest import D, ket_density
@@ -125,20 +126,23 @@ class TestQfiMixedStates:
         with pytest.raises(ValueError, match=r"one D x D matrix.*\(2, 2, 2\)"):
             solve(np.stack([np.eye(2, dtype=complex) / 2] * 2))
 
-    def test_eig_tol_masks_per_state(self):
+    def test_eig_tol_masks_per_state(self, monkeypatch):
         # spectra spanning 1 .. 1e-10, so the two masks drop different pairs
         rng = np.random.default_rng(5)
         p = 10.0 ** (-np.arange(D) / 3.0)
         p /= p.sum()
+        rhos = []
         for _ in range(3):
             Q, _ = np.linalg.qr(rng.normal(size=(D, D))
                                 + 1j * rng.normal(size=(D, D)))
-            rho = (Q * p) @ Q.conj().T
-            strict, loose = (qfi_mixed(rho, eig_tol=tol)
-                             for tol in (1e-12, 1e-3))
-            assert strict != loose
-            assert strict == qfi_mixed_reference(rho, 1e-12)
-            assert loose == qfi_mixed_reference(rho, 1e-3)
+            rhos.append((Q * p) @ Q.conj().T)
+        strict = [qfi_mixed(rho) for rho in rhos]
+        monkeypatch.setattr(metrology, "DEFAULT_EIG_TOL", 1e-3)
+        loose = [qfi_mixed(rho) for rho in rhos]
+        for rho, tight, wide in zip(rhos, strict, loose):
+            assert tight != wide
+            assert tight == qfi_mixed_reference(rho, 1e-12)
+            assert wide == qfi_mixed_reference(rho, 1e-3)
 
 
 class TestQfiResponse:
@@ -222,11 +226,12 @@ class TestCfiHomodyne:
         fd = cfi_fd_check(lambda phi: rotate_density(rho, phi), psi)
         assert abs(analytic - fd) < 1e-7
 
-    def test_variance_floor_guard(self):
+    def test_variance_floor_guard(self, monkeypatch):
         rho = np.zeros((D, D), dtype=complex)
         rho[0, 0] = 1.0
+        monkeypatch.setattr(metrology, "VAR_FLOOR", 10.0)
         with pytest.raises(ValueError):
-            cfi_homodyne(rho, 0.0, var_floor=10.0)
+            cfi_homodyne(rho, 0.0)
 
 
 class TestEfficiencyAndCapacity:

@@ -20,6 +20,7 @@ from gridsense import (
     rotate_density,
     squeeze,
 )
+from gridsense import states
 from gridsense.optimize import BOUNDS
 from gridsense.states import (
     _gauss_hermite,
@@ -179,12 +180,13 @@ class TestSqueeze:
         with pytest.raises(ValueError):
             squeeze(vacuum, 1.5)
 
-    def test_leakage_guard_is_wired(self, codeword0):
+    def test_leakage_guard_is_wired(self, codeword0, monkeypatch):
         # the guard only fires when the exponential itself breaks, which no
         # legal input provokes; force the threshold below roundoff to prove
         # the abort path works
+        monkeypatch.setattr(states, "MAX_LEAKAGE", -1.0)
         with pytest.raises(TruncationError):
-            squeeze(codeword0, 0.5, max_leakage=-1.0)
+            squeeze(codeword0, 0.5)
 
 
 def _expm_squeeze(psi, log_r):

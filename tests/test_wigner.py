@@ -1,10 +1,12 @@
 """Phase-space distribution: exact values, normalization, covariance."""
 
 import math
+import os
 
 import numpy as np
 import pytest
 
+import blas_threads
 from gridsense import (
     annihilation,
     rotate_density,
@@ -12,7 +14,8 @@ from gridsense import (
     wigner_negativity,
     wigner_point,
 )
-from gridsense import wigner
+from gridsense import sensor_state, wigner
+from gridsense.cli import DEFAULT_CONFIG, build_noise, build_params
 from gridsense.fock import matrix_exp
 
 from conftest import D, ket_density
@@ -282,3 +285,28 @@ def test_grid_uses_the_codeword_hermite_recurrence():
     x, _, table = states._gauss_hermite(5)
     assert table.flags.c_contiguous
     assert np.array_equal(table, states._hermite_functions(x, 5).T)
+
+
+@pytest.mark.parametrize("n_points", [101, 201])
+def test_grid_bits_do_not_depend_on_blas_threads(n_points):
+    # the grid product once rounded differently when OpenBLAS split it
+    # across two threads, so `wigner.csv` depended on the thread count
+    controls = blas_threads.controls()
+    if controls is None:
+        pytest.skip("no mapped OpenBLAS exports a thread count")
+    if (os.cpu_count() or 1) < 2:
+        pytest.skip("one CPU: OpenBLAS cannot split the product")
+    get, set_ = controls
+    rho = sensor_state(build_params(DEFAULT_CONFIG).sensor_spec(D),
+                       build_noise(DEFAULT_CONFIG))
+    before = get()
+    grids = {}
+    try:
+        for threads in (1, 2):
+            set_(threads)
+            if get() != threads:
+                pytest.skip("this OpenBLAS runs on one thread only")
+            grids[threads] = wigner_grid(rho, n_points=n_points).values
+    finally:
+        set_(before)
+    np.testing.assert_array_equal(grids[1], grids[2])
