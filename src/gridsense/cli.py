@@ -66,7 +66,8 @@ from .optimize import (
 from .pipeline import sensor_state
 from .report import RunReport, dumps_json, write_csv
 from .states import BLOCH_THETA_DOMAIN, CUTOFF_DOMAIN, EPSILON_DOMAIN
-from .wigner import check_grid, wigner_grid, wigner_negativity
+from .wigner import (_N_POINTS, _WINDOW, check_grid, wigner_grid,
+                     wigner_negativity)
 
 __all__ = ["main", "ConfigError", "DEFAULT_CONFIG", "load_config"]
 
@@ -567,11 +568,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = _subcommand(subs, "wigner", cmd_wigner,
                     "phase-space grid of the sensor state",
                     "noise lattice state cutoff")
-    p.add_argument("--q-range", type=float, nargs=2, default=[-6.0, 6.0],
-                   metavar=("LO", "HI"))
-    p.add_argument("--p-range", type=float, nargs=2, default=[-6.0, 6.0],
-                   metavar=("LO", "HI"))
-    p.add_argument("--n-points", type=int, default=201, dest="n_points")
+    for flag in ("--q-range", "--p-range"):
+        p.add_argument(flag, type=float, nargs=2, default=list(_WINDOW),
+                       metavar=("LO", "HI"))
+    p.add_argument("--n-points", type=int, default=_N_POINTS, dest="n_points")
     return parser
 
 

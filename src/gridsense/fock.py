@@ -71,9 +71,9 @@ def position_op(D: int) -> np.ndarray:
 def quadrature_op(D: int, psi: float) -> np.ndarray:
     """Rotated quadrature x_ψ = (a e^{iψ} + a† e^{-iψ})/√2.
 
-    ψ = 0 gives q; ψ = π/2 gives -p in the convention p = i(a† - a)/√2. The
-    homodyne CFI only uses x_ψ through |∂⟨x_ψ⟩|² and Var(x_ψ), both invariant
-    under x → -x, so the overall sign is immaterial.
+    ψ = 0 gives q; ψ = π/2 gives -p in the convention p = i(a† - a)/√2.
+    `cfi_homodyne` uses x_ψ only through |∂⟨x_ψ⟩|² and Var(x_ψ), both
+    invariant under x → -x, so the overall sign is immaterial.
     """
     a = annihilation(D)
     return (a * np.exp(1j * psi) + a.conj().T * np.exp(-1j * psi)) / np.sqrt(2.0)

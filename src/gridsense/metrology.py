@@ -80,12 +80,14 @@ def qfi_response(rho: np.ndarray):
 
 
 def cfi_homodyne(rho: np.ndarray, psi_angle: float) -> float:
-    """Classical Fisher information of homodyne detection at LO angle ψ:
+    """Error-propagation figure of homodyne detection at LO angle ψ:
 
-        F_C = |∂_φ ⟨x_ψ⟩|² / Var(x_ψ),  x_ψ = (a e^{iψ} + a† e^{-iψ})/√2,
+        |∂_φ ⟨x_ψ⟩|² / Var(x_ψ),  x_ψ = (a e^{iψ} + a† e^{-iψ})/√2,
 
-    with ∂_φ ρ = -i[n̂, ρ] (exact; see module docstring). ValueError when
-    Var(x_ψ) is below VAR_FLOOR.
+    with ∂_φ ρ = -i[n̂, ρ] (exact; see module docstring). The homodyne
+    classical Fisher information only for Gaussian states, it is ≤ 7e-34 on
+    every parity-symmetric state the pipeline builds, where ⟨x_ψ⟩ ≡ 0.
+    ValueError when Var(x_ψ) is below VAR_FLOOR.
     """
     rho = np.asarray(rho, dtype=complex)
     D = rho.shape[0]

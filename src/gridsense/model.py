@@ -111,8 +111,7 @@ def perr_analytic(theta, r, noise: NoiseParams) -> PerrBreakdown:
     """
     with np.errstate(divide="ignore"):
         _, _, u_q, u_p = _margins(theta, r, noise)
-    p_q = 2.0 * gaussian_tail(u_q)
-    p_p = 2.0 * gaussian_tail(u_p)
+    p_q, p_p = 2.0 * gaussian_tail((u_q, u_p))
     p_total = p_q + p_p - p_q * p_p
     coupling = 2.0 * p_q * p_p * np.abs(np.sin(2.0 * theta))
     return PerrBreakdown(p_q, p_p, p_total, coupling)
@@ -136,8 +135,7 @@ def perr_gradient(theta, r, noise: NoiseParams):
             slopes.append((np.where(flat, 0.0, -sign * du * tilt / sigma**2),
                            np.where(flat, 0.0, sign * du / r)))
     (d_theta_q, d_r_q), (d_theta_p, d_r_p) = slopes
-    p_q = 2.0 * gaussian_tail(u_q)
-    p_p = 2.0 * gaussian_tail(u_p)
+    p_q, p_p = 2.0 * gaussian_tail((u_q, u_p))
     return ((1.0 - p_p) * d_theta_q + (1.0 - p_q) * d_theta_p,
             (1.0 - p_p) * d_r_q + (1.0 - p_q) * d_r_p)
 
@@ -185,9 +183,9 @@ def _scan_grid() -> np.ndarray:
 def _increasing(r: float, eta: np.ndarray, gamma: np.ndarray) -> np.ndarray:
     """Cells where B is provably strictly increasing on (0, π/2): γ > 0 and
     both margins exceed √3 at the widest spread (see `balance`)."""
-    widest = np.sqrt((1.0 - eta) / (2.0 * eta) + gamma)
-    u_q = A_LATTICE * r / (2.0 * widest)
-    u_p = (A_LATTICE / r) / (2.0 * widest)
+    noise = NoiseParams(eta, gamma)
+    u_q = _margins(math.pi / 2.0, r, noise)[2]  # sin(π/2) and cos(0) are 1.0
+    u_p = _margins(0.0, r, noise)[3]
     return (gamma > 0.0) & (u_q > _SQRT3) & (u_p > _SQRT3)
 
 
@@ -478,11 +476,7 @@ def tolerance_curve(delta_thetas_deg, base_theta: float, r: float,
         improvement = p_base / p if p > 0 else math.inf
         denom = p_base - p_at_zero
         retained = (p_base - p) / denom if denom != 0 else math.nan
-        rows.append({
-            "delta_deg": delta_deg,
-            "theta_deg": math.degrees(theta),
-            "p_err": p,
-            "improvement": improvement,
-            "retained": retained,
-        })
+        rows.append({"delta_deg": delta_deg, "theta_deg": math.degrees(theta),
+                     "p_err": p, "improvement": improvement,
+                     "retained": retained})
     return rows

@@ -289,14 +289,14 @@ def pareto_sweep(lambdas, cfg: TrainConfig, init: TrainableParams):
     """One train per distinct λ; returns rows sorted by λ, a repeated λ's
     rows copies of one run.
 
-    Each row is a dict with keys (lam, qfi, p_err, error). The smallest λ
+    Each row is a dict with keys (lam, qfi, p_err, error), qfi and p_err
+    `combined_loss`'s at the parameters training returns. The smallest λ
     trains first. λ enters a step's gradient only where p_err > p_th, and
     there only along ℓ and r. So if that run completes and no step had
     p_err > p_th, or ℓ and r are both frozen, every finite λ gives the same
     trajectory bit for bit: the other rows are copies of that run, and a
     warning says so. The documented monotone trend (p_err non-increasing in
-    λ) is checked and warned about, not asserted — trace noise can locally
-    violate it.
+    λ) is checked and warned about, not asserted: training noise can break it.
     """
     lams = sorted(float(lam) for lam in lambdas)
     if not lams:
@@ -304,12 +304,12 @@ def pareto_sweep(lambdas, cfg: TrainConfig, init: TrainableParams):
 
     def run(lam: float) -> tuple[dict, list]:
         try:
-            _, trace = train(replace(cfg, penalty=lam), init)
-        except TrainDiverged as exc:
+            final, trace = train(replace(cfg, penalty=lam), init)
+            _, qfi, p_err = combined_loss(final, cfg)
+        except NumericError as exc:  # TrainDiverged included
             return {"lam": lam, "qfi": math.nan, "p_err": math.nan,
                     "error": str(exc)}, []
-        return {"lam": lam, "qfi": trace[-1].qfi, "p_err": trace[-1].p_err,
-                "error": ""}, trace
+        return {"lam": lam, "qfi": qfi, "p_err": p_err, "error": ""}, trace
 
     first, trace = run(lams[0])
     reason = None
@@ -341,9 +341,10 @@ def fractional_sweep(ells, cfg: TrainConfig, init: TrainableParams):
     """Train once (ℓ and r frozen), then fill each charge in closed form, as
     F_Q does not depend on θ and P_err depends only on (θ, r).
 
-    Rows: ell, theta_deg, qfi, p_err = P_err(θ_ℓ, r), improvement =
-    P_err(0, r) / p_err, capacity, error. A free r is held, with a warning;
-    a diverged training gives all-NaN rows that carry its message.
+    Rows: ell, theta_deg, qfi (`combined_loss`'s at the parameters
+    training returns), p_err = P_err(θ_ℓ, r), improvement = P_err(0, r) /
+    p_err, capacity, error. A free r is held, with a warning; a diverged
+    training gives all-NaN rows that carry its message.
     """
     ells = [float(ell) for ell in ells]
     if not ells:
@@ -353,12 +354,12 @@ def fractional_sweep(ells, cfg: TrainConfig, init: TrainableParams):
                       "one training serves every charge", stacklevel=2)
     run_cfg = replace(cfg, freeze=frozenset(cfg.freeze | {"ell", "r"}))
     try:
-        final, trace = train(run_cfg, replace(init, ell=ells[0]))
-    except TrainDiverged as exc:
+        final, _ = train(run_cfg, replace(init, ell=ells[0]))
+        _, qfi, _ = combined_loss(final, run_cfg)
+    except NumericError as exc:  # TrainDiverged included
         nan = dict.fromkeys(("theta_deg", "qfi", "p_err", "improvement",
                              "capacity"), math.nan)
         return [{"ell": ell, **nan, "error": str(exc)} for ell in ells]
-    qfi = trace[-1].qfi
     thetas = [replace(final, ell=ell).theta for ell in ells]
     baseline, *p_errs = perr_analytic(np.array([0.0, *thetas]), final.r,
                                       cfg.noise).p_total.tolist()

@@ -164,8 +164,11 @@ def check_grid(q_range, p_range, n_points: int) -> None:
                              f"got ({lo}, {hi})")
 
 
-def wigner_grid(rho: np.ndarray, q_range=(-6.0, 6.0), p_range=(-6.0, 6.0),
-                n_points: int = 201) -> WignerGrid:
+_WINDOW, _N_POINTS = (-6.0, 6.0), 201  # default grid, also the CLI's
+
+
+def wigner_grid(rho: np.ndarray, q_range=_WINDOW, p_range=_WINDOW,
+                n_points: int = _N_POINTS) -> WignerGrid:
     """Evaluate W(q, p) on a regular n_points × n_points grid (`check_grid`).
 
     Separable and exact (see the module docstring): the point kernel runs

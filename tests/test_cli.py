@@ -669,6 +669,25 @@ class TestSweepCommands:
         assert lines[0] == "lambda,qfi,p_err"
         assert len(lines) == 3
 
+    def test_sweeps_report_the_point_single_reports(self, tmp_path):
+        # the same training in all three: the rows hold F_Q and P_err at
+        # the parameters it returns, to the last of the 17 digits
+        assert main(["single", "--steps", "2", "-o", str(tmp_path)]) == 0
+        assert main(["fractional", "--ells", "0", "--steps", "2",
+                     "-o", str(tmp_path)]) == 0
+        with pytest.warns(UserWarning, match="lambda cannot move"):
+            assert main(["pareto", "--lambdas", "100", "--steps", "2",
+                         "-o", str(tmp_path)]) == 0
+        metrics = json.loads((tmp_path / "report.json").read_text(),
+                             parse_float=str)["metrics"]
+        single = [metrics["qfi"], metrics["p_err_analytic"]]
+
+        def row(name):
+            return (tmp_path / name).read_text().splitlines()[1].split(",")
+
+        assert row("fractional.csv")[2:4] == single
+        assert row("pareto.csv")[1:] == single
+
     def test_pareto_rejects_negative_lambda(self, tmp_path):
         for lambdas in ("-1", "1,-1e-300"):
             code = main(["pareto", "--lambdas", lambdas, "-o", str(tmp_path)])

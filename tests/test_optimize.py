@@ -246,8 +246,9 @@ class TestSweeps:
         # r is free, but p_err stays below p_th at every step, so the
         # penalty never enters: the rows are copies of the smallest λ's run
         cfg = short_cfg(steps=3, freeze=R_FREE)
-        expected = [train(replace(cfg, penalty=lam), OAM_INIT)[1][-1]
-                    for lam in (0.0, 10.0, 1e3)]
+        expected = [combined_loss(
+            train(replace(cfg, penalty=lam), OAM_INIT)[0], cfg)
+            for lam in (0.0, 10.0, 1e3)]
         penalties = self.count_trainings(monkeypatch)
         with pytest.warns(UserWarning, match=(
                 r"^lambda cannot move this sweep: p_err stayed <= p_th = "
@@ -256,9 +257,9 @@ class TestSweeps:
             rows = pareto_sweep([1e3, 0.0, 10.0], cfg, OAM_INIT)
         assert penalties == [0.0]
         assert [(row["lam"], row["qfi"], row["p_err"], row["error"])
-                for row in rows] == [(lam, last.qfi, last.p_err, "")
-                                     for lam, last in zip((0.0, 10.0, 1e3),
-                                                          expected)]
+                for row in rows] == [(lam, qfi, p_err, "")
+                                     for lam, (_, qfi, p_err) in zip(
+                                         (0.0, 10.0, 1e3), expected)]
 
     def test_pareto_sweep_trains_every_lambda_when_the_hinge_is_active(
             self, monkeypatch):
@@ -289,14 +290,26 @@ class TestSweeps:
         # the hinge is active, but its gradient lies along ℓ and r only, and
         # ε moves only F_Q: every λ takes the same steps
         cfg = short_cfg(steps=3, freeze=frozenset({"ell", "r"}), p_th=1e-6)
-        expected = train(replace(cfg, penalty=1e4), OAM_INIT)[1][-1]
+        _, qfi, p_err = combined_loss(
+            train(replace(cfg, penalty=1e4), OAM_INIT)[0], cfg)
         penalties = self.count_trainings(monkeypatch)
         with pytest.warns(UserWarning, match="'ell' and 'r' are both frozen"):
             rows = pareto_sweep([1e4, 1.0], cfg, OAM_INIT)
         assert penalties == [1.0]
         assert [(row["lam"], row["qfi"], row["p_err"]) for row in rows] == [
-            (1.0, expected.qfi, expected.p_err),
-            (1e4, expected.qfi, expected.p_err)]
+            (1.0, qfi, p_err), (1e4, qfi, p_err)]
+
+    def test_pareto_rows_are_at_the_returned_parameters(self):
+        # r is free and the hinge active, so every λ trains its own run; a
+        # row holds F_Q and P_err where that run ends, not at its last step
+        cfg = short_cfg(steps=3, freeze=R_FREE, p_th=1e-6)
+        rows = pareto_sweep([1.0, 1e4], cfg, OAM_INIT)
+        for row in rows:
+            final, trace = train(replace(cfg, penalty=row["lam"]), OAM_INIT)
+            _, qfi, p_err = combined_loss(final, cfg)
+            assert (row["qfi"], row["p_err"], row["error"]) == (qfi, p_err, "")
+            assert (row["qfi"], row["p_err"]) != (trace[-1].qfi,
+                                                  trace[-1].p_err)
 
     def test_pareto_sweep_trains_an_infinite_lambda(self):
         # inf·0 is NaN, so an infinite penalty is not a copy even with the
@@ -347,6 +360,26 @@ class TestSweeps:
             assert row["error"] == ""
         # F_Q does not depend on theta: one training gives every row's qfi
         assert len({row["qfi"] for row in rows}) == 1
+
+    def test_fractional_qfi_is_at_the_returned_parameters(self):
+        cfg = short_cfg(steps=2)
+        rows = fractional_sweep([0.5, 3.0], cfg, OAM_INIT)
+        final, trace = train(cfg, replace(OAM_INIT, ell=0.5))
+        qfi = combined_loss(final, cfg)[1]
+        assert [row["qfi"] for row in rows] == [qfi, qfi]
+        assert qfi != trace[-1].qfi
+
+    @pytest.mark.parametrize("sweep", [fractional_sweep, pareto_sweep])
+    def test_a_failed_solve_at_the_returned_parameters_fills_the_rows(
+            self, sweep, monkeypatch):
+        def failing(params, cfg):
+            raise NumericError("no F_Q here")
+
+        monkeypatch.setattr(optimize, "combined_loss", failing)
+        rows = sweep([0.0, 1.0], short_cfg(steps=1), OAM_INIT)
+        assert [row["error"] for row in rows] == ["no F_Q here"] * 2
+        assert all(math.isnan(row["qfi"]) and math.isnan(row["p_err"])
+                   for row in rows)
 
     def test_fractional_sweep_holds_free_r(self):
         cfg = short_cfg(steps=2, freeze=R_FREE)
