@@ -149,7 +149,7 @@ class TraceStep:
     p_err: float
     grad_norm: float
     lr: float
-    params: TrainableParams = field(repr=False)
+    params: TrainableParams = field(repr=False)  # where each figure is taken
 
 
 class TrainDiverged(NumericError):
@@ -272,6 +272,8 @@ def train(cfg: TrainConfig,
             g = g * (cfg.clip_norm / norm)
             norm = cfg.clip_norm
         lr = lr_schedule(cfg, t)
+        trace.append(TraceStep(step=t, loss=loss, qfi=qfi, p_err=p_err,
+                               grad_norm=norm, lr=lr, params=params))
 
         m = ADAM_BETA1 * m + (1.0 - ADAM_BETA1) * g
         v = ADAM_BETA2 * v + (1.0 - ADAM_BETA2) * g * g
@@ -279,9 +281,6 @@ def train(cfg: TrainConfig,
         v_hat = v / (1.0 - ADAM_BETA2 ** (t + 1))
         x = params.vector() - lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
         params = params.with_vector(x).projected()
-
-        trace.append(TraceStep(step=t, loss=loss, qfi=qfi, p_err=p_err,
-                               grad_norm=norm, lr=lr, params=params))
     return params, trace
 
 

@@ -17,7 +17,7 @@ The Bloch poles θ_B ∈ {0, π} return M00 / M11 exactly, following
 `pipeline_qfi` never rotates. A training step solves its one state and
 takes ∂F_Q from the same solve (`metrology.qfi_response`): the Bloch angles
 move only the coefficients of the bilinear form, and r and ε only its
-matrices, whose slopes come with the basis.
+matrices, built with their slopes from six kets (`noisy_basis`).
 """
 
 from __future__ import annotations
@@ -52,16 +52,15 @@ class SensorSpec:
 def noisy_basis(epsilon: float, r: float, eta: float, gamma: float,
                 cutoff: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Read-only (M, ∂_r M, ∂_ε M), each the (3, D, D) stack over
-    (i, j) = (0, 0), (0, 1), (1, 1) of M_ij = dephasing(loss(S|i_ε⟩⟨j_ε|S†))
-    or of its slope.
+    (i, j) = (0, 0), (0, 1), (1, 1) of M_ij = dephasing(loss(|k_i⟩⟨k_j|)),
+    |k_μ⟩ = S|μ_ε⟩, or of its slope, the channels of |dk_i⟩⟨k_j| + |k_i⟩⟨dk_j|.
 
-    Both codewords share one squeeze. S = exp(−i·ln r·K) gives
-    ∂_r(S·O·S†) = −i[K, S·O·S†]/r (`states.squeeze_generator`). While the
-    comb's peak count stays fixed, ∂_ε|μ_ε⟩ = −(n̂ − ⟨n̂⟩_μ)|μ_ε⟩, which the
-    gate maps without renormalizing (`states.squeeze_gate`). Both channels
-    are linear, so the nine matrices go through them as one stack. Cached:
-    during training with ε and r frozen this runs once, and each pipeline
-    run costs a few elementwise operations and one eigendecomposition.
+    S = exp(−i·ln r·K) squeezes both codewords, so ∂_r|k_μ⟩ = −iK|k_μ⟩/r
+    (`states.squeeze_generator`). While the comb's peak count stays fixed,
+    ∂_ε|μ_ε⟩ = −(n̂ − ⟨n̂⟩_μ)|μ_ε⟩, which the gate maps without
+    renormalizing (`states.squeeze_gate`). The channels are linear, so the
+    nine matrices go through them as one stack, built once while training
+    holds ε and r frozen.
     """
     codewords = np.stack([prepare_codeword(0, epsilon, cutoff),
                           prepare_codeword(1, epsilon, cutoff)], axis=1)
@@ -69,17 +68,16 @@ def noisy_basis(epsilon: float, r: float, eta: float, gamma: float,
     mean_n = np.sum(n * np.abs(codewords) ** 2, axis=0)  # ⟨n̂⟩_μ
     log_r = math.log(r)
     kets, _ = squeeze(codewords, log_r)
-    d_kets = squeeze_gate((mean_n - n) * codewords, log_r)
-    pairs = ((0, 0), (0, 1), (1, 1))
-    outer = np.stack([np.outer(kets[:, i], kets[:, j].conj())
-                      for i, j in pairs])
-    K = squeeze_generator(cutoff)
-    d_r = (-1j / r) * (K @ outer - outer @ K)
-    d_epsilon = np.stack([np.outer(d_kets[:, i], kets[:, j].conj())
-                          + np.outer(kets[:, i], d_kets[:, j].conj())
-                          for i, j in pairs])
-    basis = apply_dephasing(
-        apply_loss(np.concatenate([outer, d_r, d_epsilon]), eta), gamma)
+
+    def rank1(x, y) -> np.ndarray:
+        """|x_i⟩⟨y_j| over (i, j) = (0, 0), (0, 1), (1, 1) of ket columns."""
+        return x.T[[0, 0, 1], :, None] * y.T[[0, 1, 1], None, :].conj()
+
+    slopes = [(-1j / r) * (squeeze_generator(cutoff) @ kets),
+              squeeze_gate((mean_n - n) * codewords, log_r)]
+    basis = apply_dephasing(apply_loss(np.concatenate(
+        [rank1(kets, kets)]
+        + [rank1(dk, kets) + rank1(kets, dk) for dk in slopes]), eta), gamma)
     basis.setflags(write=False)
     return basis[:3], basis[3:6], basis[6:]
 

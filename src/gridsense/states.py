@@ -171,7 +171,7 @@ def logical_state(bloch_theta: float, bloch_phi: float, epsilon: float,
 
 def squeeze_generator(D: int) -> np.ndarray:
     """K = i·(a†² − a²)/2 at cutoff D, so that S(s) = exp(−isK) and
-    ∂_s(S·O·S†) = −i[K, S·O·S†]."""
+    ∂_s(S|ψ⟩) = −iK·S|ψ⟩."""
     a = annihilation(D)
     return 0.5j * (a.conj().T @ a.conj().T - a @ a)
 

@@ -8,20 +8,29 @@ from hypothesis import given, settings, strategies as st
 from scipy.special import gammaln
 
 from gridsense import (
+    BOUNDS,
+    NoiseParams,
+    SensorSpec,
+    apply_loss,
     capacity,
     cfi_homodyne,
     expectation,
     hermitian_eig,
+    logical_state,
     measurement_efficiency,
     number_op,
+    pipeline_qfi,
     qfi_mixed,
     qfi_pure,
     quadrature_op,
     rotate_density,
+    squeeze,
 )
 
 from gridsense import metrology
+from gridsense.channels import NOISE_DOMAINS
 from gridsense.metrology import qfi_response
+from gridsense.states import EPSILON_DOMAIN
 
 from conftest import D, ket_density
 
@@ -182,6 +191,56 @@ class TestQfiResponse:
         qfi, H = qfi_response(ket_density(psi))
         assert qfi == pytest.approx(qfi_pure(psi), rel=1e-10)
         assert np.vdot(psi, H @ psi).real == pytest.approx(qfi, rel=1e-8)
+
+
+def _interval(domain):
+    """Floats in a `fock.in_domain` triple whose upper end is finite."""
+    lo, hi, strict = domain
+    return st.floats(lo, hi, exclude_min=strict, exclude_max=strict)
+
+
+ROUNDOFF = 1e-13  # F_Q's relative roundoff, where a ceiling is reached
+
+
+class TestCeilings:
+    """Physical upper bounds on the pipeline's F_Q. Each channel commutes
+    with e^{−iφn̂}, so F_Q cannot exceed the pure state's 4·Var(n̂); the
+    dephasing is a Gaussian phase kick of variance γ, so F_Q ≤ 1/γ; and
+    loss η on a state with n̄ photons caps it at 4ηn̄/(1−η) (Escher,
+    de Matos Filho & Davidovich, Nat. Phys. 7, 406 (2011))."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(eta=_interval(NOISE_DOMAINS["eta"]),
+           gamma=_interval(NOISE_DOMAINS["gamma"]),
+           epsilon=_interval(EPSILON_DOMAIN),
+           r=st.floats(*BOUNDS["r"]),
+           bloch_theta=st.floats(*BOUNDS["bloch_theta"]),
+           bloch_phi=st.floats(-math.pi, math.pi),
+           cutoff=st.sampled_from([30, 60]))
+    def test_pipeline_qfi_is_below_each_ceiling(self, eta, gamma, epsilon, r,
+                                                bloch_theta, bloch_phi,
+                                                cutoff):
+        qfi = pipeline_qfi(
+            SensorSpec(theta=0.0, r=r, epsilon=epsilon,
+                       bloch_theta=bloch_theta, bloch_phi=bloch_phi,
+                       cutoff=cutoff),
+            NoiseParams(eta, gamma))
+        ket, _ = squeeze(logical_state(bloch_theta, bloch_phi, epsilon,
+                                       cutoff), math.log(r))
+        mean_n = float(np.sum(np.arange(cutoff) * np.abs(ket) ** 2))
+        assert qfi <= qfi_pure(ket) * (1.0 + ROUNDOFF)
+        assert qfi * gamma <= 1.0
+        assert qfi * (1.0 - eta) <= 4.0 * eta * mean_n
+
+    @pytest.mark.parametrize("eta", [0.3, 0.9, 0.999])
+    def test_coherent_state_through_loss_scores_four_eta_n(self, eta):
+        # loss keeps a coherent state pure and scales its n̄ by η, so F_Q is
+        # 4ηn̄: the loss ceiling's constant, short of it by the factor 1 − η
+        ket = coherent_ket(1.2 + 0.5j)
+        mean_n = float(np.sum(np.arange(D) * np.abs(ket) ** 2))
+        qfi = qfi_mixed(apply_loss(ket_density(ket), eta))
+        assert qfi == pytest.approx(4.0 * eta * mean_n, rel=ROUNDOFF)
+        assert qfi * (1.0 - eta) <= 4.0 * eta * mean_n
 
 
 class TestCfiHomodyne:

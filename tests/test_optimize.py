@@ -202,6 +202,20 @@ class TestTrain:
         for name, (lo, hi) in BOUNDS.items():
             assert lo <= getattr(final, name) <= hi
 
+    @pytest.mark.parametrize("freeze", [
+        frozenset({"ell", "r", "epsilon"}), frozenset({"ell"}), frozenset()],
+        ids=["ell,epsilon,r", "ell", "none"])
+    def test_each_row_describes_its_params(self, freeze):
+        # the row's loss, qfi and p_err are those of the point it holds,
+        # with the hinge active so p_err enters the loss
+        cfg = short_cfg(steps=4, freeze=freeze, p_th=1e-6)
+        _, trace = train(cfg, OAM_INIT)
+        assert trace[0].params == OAM_INIT
+        for row in trace:
+            assert row.p_err > cfg.p_th
+            assert combined_loss(row.params, cfg) == (row.loss, row.qfi,
+                                                      row.p_err)
+
 
 class TestSweeps:
     def test_pareto_sweep_rows(self):
@@ -464,15 +478,15 @@ def reference_train(cfg, init, grad):
             g = g * (cfg.clip_norm / norm)
             norm = cfg.clip_norm
         lr = lr_schedule(cfg, t)
+        trace.append(optimize.TraceStep(step=t, loss=loss, qfi=qfi,
+                                        p_err=p_err, grad_norm=norm, lr=lr,
+                                        params=params))
         m = optimize.ADAM_BETA1 * m + (1.0 - optimize.ADAM_BETA1) * g
         v = optimize.ADAM_BETA2 * v + (1.0 - optimize.ADAM_BETA2) * g * g
         m_hat = m / (1.0 - optimize.ADAM_BETA1 ** (t + 1))
         v_hat = v / (1.0 - optimize.ADAM_BETA2 ** (t + 1))
         x = params.vector() - lr * m_hat / (np.sqrt(v_hat) + optimize.ADAM_EPS)
         params = params.with_vector(x).projected()
-        trace.append(optimize.TraceStep(step=t, loss=loss, qfi=qfi,
-                                        p_err=p_err, grad_norm=norm, lr=lr,
-                                        params=params))
     return params, trace
 
 
@@ -516,7 +530,7 @@ class TestTrainingStep:
         _, trace = train(cfg, OAM_INIT)
         # one call per step, at the centre only: no coordinate is probed
         assert seen == [(centre.theta, centre.r)
-                        for centre in (OAM_INIT, trace[0].params)]
+                        for centre in (trace[0].params, trace[1].params)]
 
     @pytest.mark.parametrize("freeze", FREEZE_SETS,
                              ids=lambda f: ",".join(sorted(f)) or "none")
@@ -593,7 +607,7 @@ class TestTrainingStep:
     def test_non_finite_centre_at_a_later_step(self, monkeypatch):
         cfg = short_cfg(steps=4, freeze=frozenset({"epsilon"}), p_th=1e-6)
         _, clean = reference_train(cfg, OAM_INIT, analytic_gradient)
-        target = clean[1].params.theta  # the centre of step 2
+        target = clean[2].params.theta  # the centre of step 2
         real = optimize.perr_analytic
 
         def nan_at_target(theta, r, noise):
@@ -614,7 +628,7 @@ class TestTrainingStep:
         # closed-form P_err slope (ℓ)
         cfg = short_cfg(steps=4, freeze=frozenset(), p_th=1e-6)
         _, clean = train(cfg, OAM_INIT)
-        centre = clean[1].params  # the centre of step 2
+        centre = clean[2].params  # the centre of step 2
         real_qfi, real_perr = optimize._qfi_gradient, optimize.perr_gradient
 
         def poisoned_qfi(spec, noise):

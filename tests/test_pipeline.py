@@ -259,28 +259,56 @@ def test_mutating_a_codeword_copy_leaves_the_cache_intact():
 
 
 def basis_reference(epsilon, r, eta, gamma, cutoff):
-    """The noisy basis with each outer product through the channels alone."""
+    """(M, ∂_r M, ∂_ε M) with each matrix through the channels alone: the
+    outer products one at a time, and ∂_r from the commutator
+    −i[K, S·O·S†]/r of the squeeze generator K with each of them."""
     codewords = np.stack([states.prepare_codeword(0, epsilon, cutoff),
                           states.prepare_codeword(1, epsilon, cutoff)], axis=1)
     squeezed, _ = states.squeeze(codewords, math.log(r))
-    k0, k1 = squeezed.T
-    return tuple(apply_dephasing(apply_loss(np.outer(a, b.conj()), eta), gamma)
-                 for a, b in ((k0, k0), (k0, k1), (k1, k1)))
+    n = np.arange(cutoff)[:, None]
+    mean_n = np.sum(n * np.abs(codewords) ** 2, axis=0)
+    d_kets = states.squeeze_gate((mean_n - n) * codewords, math.log(r))
+    K = states.squeeze_generator(cutoff)
+    pairs = ((0, 0), (0, 1), (1, 1))
+    outer = [np.outer(squeezed[:, i], squeezed[:, j].conj()) for i, j in pairs]
+    d_r = [(-1j / r) * (K @ O - O @ K) for O in outer]
+    d_epsilon = [np.outer(d_kets[:, i], squeezed[:, j].conj())
+                 + np.outer(squeezed[:, i], d_kets[:, j].conj())
+                 for i, j in pairs]
+    return tuple([apply_dephasing(apply_loss(X, eta), gamma) for X in stack]
+                 for stack in (outer, d_r, d_epsilon))
 
 
-@pytest.mark.parametrize("args", [
+BASIS_POINTS = [
     (0.063, 1.092, 0.9, 0.05, 30),
     (0.15, 0.6, 0.7, 0.2, 20),
     (0.063, 1.5, 1.0, 0.05, 30),
     (0.063, 1.092, 0.9, 0.0, 30),
     (0.1, 1.0, 1.0, 0.0, 40),
-])
+]
+
+
+@pytest.mark.parametrize("args", BASIS_POINTS)
 def test_stacked_basis_is_bit_identical_to_one_matrix_at_a_time(args):
     noisy_basis.cache_clear()
     basis = noisy_basis(*args)
     noisy_basis.cache_clear()
-    for M, ref in zip(basis[0], basis_reference(*args), strict=True):
+    for M, ref in zip(basis[0], basis_reference(*args)[0], strict=True):
         assert M.tobytes() == ref.tobytes()
+
+
+@pytest.mark.parametrize("args", BASIS_POINTS)
+def test_basis_slopes_match_the_matrix_route(args):
+    # ∂_ε M is the same product of kets, so the same bits; ∂_r M takes K on
+    # the kets in place of the commutator, which moves it by roundoff only
+    noisy_basis.cache_clear()
+    _, d_r, d_epsilon = noisy_basis(*args)
+    noisy_basis.cache_clear()
+    _, ref_r, ref_epsilon = basis_reference(*args)
+    for dM, ref in zip(d_epsilon, ref_epsilon, strict=True):
+        assert dM.tobytes() == ref.tobytes()
+    for dM, ref in zip(d_r, ref_r, strict=True):
+        assert np.max(np.abs(dM - ref)) <= 1e-15 * np.max(np.abs(ref))
 
 
 @pytest.mark.parametrize("eta,gamma", [(0.8, 0.1), (1.0, 0.3), (0.95, 0.0)])
