@@ -41,6 +41,7 @@ from .metrology import capacity, measurement_efficiency
 from .model import (
     MC_SAMPLES_DOMAIN,
     NoRootError,
+    _improvement,
     _theta_slope,
     mc_perr,
     perr_analytic,
@@ -360,8 +361,7 @@ def cmd_phase_diagram(args) -> int:
     eta, gamma = eta.ravel(), gamma.ravel()  # row-major: gamma runs fastest
     theta, p_star = theta_star_grid(r, eta, gamma)
     p_square = perr_analytic(0.0, r, NoiseParams(eta, gamma)).p_total
-    improvement = np.divide(p_square, p_star, out=np.full_like(p_star, np.inf),
-                            where=p_star > 0)
+    improvement = _improvement(p_square, p_star)
     # a cell without a root leaves all but its p_err_square empty
     no_root = np.isnan(theta)
     rows = np.column_stack([np.degrees(theta), p_star, p_square, improvement])

@@ -458,25 +458,30 @@ def mc_perr(theta: float, r: float, noise: NoiseParams, n_samples: int,
     return p_hat, stderr
 
 
+def _improvement(p_base, p):
+    """P_err(0, r)/P_err(θ, r) elementwise: the ratio where p > 0, inf where
+    0 = p < p_base, NaN where both are 0 or p is NaN."""
+    p = np.asarray(p, dtype=float)
+    return np.divide(p_base, p, where=p > 0,
+                     out=np.where(p < p_base, np.inf, np.nan))
+
+
 def tolerance_curve(delta_thetas_deg, base_theta: float, r: float,
                     noise: NoiseParams) -> list[dict]:
     """P_err degradation under a calibration offset δθ from `base_theta`.
 
-    For each δθ (degrees) reports P_err(base+δ), the improvement factor
-    against the θ=0 square-axis baseline at the same r, and the fraction of
-    the baseline-to-optimum advantage retained,
-    (P_base − P(δ)) / (P_base − P(0)).
+    For each δθ (degrees) reports P_err(base+δ), the improvement P_base/P(δ)
+    over the θ=0 square lattice at the same r (inf where only it errs, NaN
+    where neither does), and the fraction of the baseline-to-optimum
+    advantage retained, (P_base − P(δ)) / (P_base − P(0)).
     """
     deltas = [float(delta_deg) for delta_deg in delta_thetas_deg]
     thetas = [base_theta + math.radians(delta_deg) for delta_deg in deltas]
     p_base, p_at_zero, *p_errs = perr_analytic(
         np.array([0.0, base_theta, *thetas]), r, noise).p_total.tolist()
-    rows = []
-    for delta_deg, theta, p in zip(deltas, thetas, p_errs):
-        improvement = p_base / p if p > 0 else math.inf
-        denom = p_base - p_at_zero
-        retained = (p_base - p) / denom if denom != 0 else math.nan
-        rows.append({"delta_deg": delta_deg, "theta_deg": math.degrees(theta),
-                     "p_err": p, "improvement": improvement,
-                     "retained": retained})
-    return rows
+    denom = p_base - p_at_zero
+    return [{"delta_deg": delta_deg, "theta_deg": math.degrees(theta),
+             "p_err": p, "improvement": improvement,
+             "retained": (p_base - p) / denom if denom != 0 else math.nan}
+            for delta_deg, theta, p, improvement in zip(
+                deltas, thetas, p_errs, _improvement(p_base, p_errs).tolist())]

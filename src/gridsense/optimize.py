@@ -28,7 +28,7 @@ from .channels import NoiseParams
 from .fock import NumericError, check_domain
 from .lattice import OamCharge, theta_from_oam
 from .metrology import capacity
-from .model import perr_analytic, perr_gradient
+from .model import _improvement, perr_analytic, perr_gradient
 from .pipeline import SensorSpec, _qfi_gradient, pipeline_qfi
 from .states import BLOCH_THETA_DOMAIN, EPSILON_DOMAIN
 
@@ -340,10 +340,11 @@ def fractional_sweep(ells, cfg: TrainConfig, init: TrainableParams):
     """Train once (ℓ and r frozen), then fill each charge in closed form, as
     F_Q does not depend on θ and P_err depends only on (θ, r).
 
-    Rows: ell, theta_deg, qfi (`combined_loss`'s at the parameters
-    training returns), p_err = P_err(θ_ℓ, r), improvement = P_err(0, r) /
-    p_err, capacity, error. A free r is held, with a warning; a diverged
-    training gives all-NaN rows that carry its message.
+    Rows: ell, theta_deg, qfi (`combined_loss`'s at the parameters training
+    returns), p_err = P_err(θ_ℓ, r), improvement = P_err(0, r)/p_err (inf
+    where only P_err(0, r) > 0, NaN where neither is), capacity, error. A
+    free r is held, with a warning; a diverged training gives all-NaN rows
+    that carry its message.
     """
     ells = [float(ell) for ell in ells]
     if not ells:
@@ -362,11 +363,8 @@ def fractional_sweep(ells, cfg: TrainConfig, init: TrainableParams):
     thetas = [replace(final, ell=ell).theta for ell in ells]
     baseline, *p_errs = perr_analytic(np.array([0.0, *thetas]), final.r,
                                       cfg.noise).p_total.tolist()
-    rows = []
-    for ell, theta, p_err in zip(ells, thetas, p_errs):
-        ok = p_err > 0  # also False for NaN
-        rows.append({"ell": ell, "theta_deg": math.degrees(theta), "qfi": qfi,
-                     "p_err": p_err, "error": "",
-                     "improvement": baseline / p_err if ok else math.nan,
-                     "capacity": capacity(qfi, p_err) if ok else math.nan})
-    return rows
+    return [{"ell": ell, "theta_deg": math.degrees(theta), "qfi": qfi,
+             "p_err": p_err, "error": "", "improvement": improvement,
+             "capacity": capacity(qfi, p_err) if p_err > 0 else math.nan}
+            for ell, theta, p_err, improvement in zip(
+                ells, thetas, p_errs, _improvement(baseline, p_errs).tolist())]

@@ -11,7 +11,8 @@ Both channels are linear, so for a Bloch state c0|0_ε⟩ + c1|1_ε⟩
     M_ij = dephasing(loss(S|i_ε⟩⟨j_ε|S†)),  M10 = M01†.
 
 `noisy_basis` builds (M00, M01, M11) and their slopes in r and ε once per
-(ε, r, η, γ, D) and caches them; every other input only recombines them.
+(ε, r, η, γ, D) as one read-only (9, D, D) stack, M at offset 0, ∂_r M at 3
+and ∂_ε M at 6, and caches it; every other input only recombines it.
 The Bloch poles θ_B ∈ {0, π} return M00 / M11 exactly, following
 `logical_state`. Because R(θ) commutes with n̂, F_Q does not depend on θ and
 `pipeline_qfi` never rotates. A training step solves its one state and
@@ -50,10 +51,10 @@ class SensorSpec:
 
 @lru_cache(maxsize=16)
 def noisy_basis(epsilon: float, r: float, eta: float, gamma: float,
-                cutoff: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Read-only (M, ∂_r M, ∂_ε M), each the (3, D, D) stack over
-    (i, j) = (0, 0), (0, 1), (1, 1) of M_ij = dephasing(loss(|k_i⟩⟨k_j|)),
-    |k_μ⟩ = S|μ_ε⟩, or of its slope, the channels of |dk_i⟩⟨k_j| + |k_i⟩⟨dk_j|.
+                cutoff: int) -> np.ndarray:
+    """The read-only (9, D, D) stack M00, M01, M11, then their ∂_r, then
+    their ∂_ε, of M_ij = dephasing(loss(|k_i⟩⟨k_j|)), |k_μ⟩ = S|μ_ε⟩; a
+    slope is the channels of |dk_i⟩⟨k_j| + |k_i⟩⟨dk_j|.
 
     S = exp(−i·ln r·K) squeezes both codewords, so ∂_r|k_μ⟩ = −iK|k_μ⟩/r
     (`states.squeeze_generator`). While the comb's peak count stays fixed,
@@ -79,7 +80,7 @@ def noisy_basis(epsilon: float, r: float, eta: float, gamma: float,
         [rank1(kets, kets)]
         + [rank1(dk, kets) + rank1(kets, dk) for dk in slopes]), eta), gamma)
     basis.setflags(write=False)
-    return basis[:3], basis[3:6], basis[6:]
+    return basis
 
 
 def _coefficients(c0, c1) -> tuple:
@@ -91,7 +92,7 @@ def _unrotated_state(spec: SensorSpec, noise: NoiseParams) -> np.ndarray:
     """The spec's noisy state at θ = 0 (`_state`)."""
     return _state(*bloch_amplitudes(spec.bloch_theta, spec.bloch_phi),
                   noisy_basis(spec.epsilon, spec.r, noise.eta, noise.gamma,
-                              spec.cutoff)[0])
+                              spec.cutoff)[:3])
 
 
 def _state(c0, c1, M) -> np.ndarray:
@@ -113,8 +114,7 @@ def _state(c0, c1, M) -> np.ndarray:
 def _paired(coeffs, traces) -> float:
     """Tr(X·N) for the bilinear form N = c00·M00 + c11·M11 + c01·M01 + h.c.,
     from coeffs (c00, c01, c11) and traces Tr(X·M_ij); X Hermitian."""
-    c00, c01, c11 = coeffs
-    x00, x01, x11 = traces
+    (c00, c01, c11), (x00, x01, x11) = coeffs, traces
     return float((c00 * x00 + c11 * x11 + 2.0 * c01 * x01).real)
 
 
@@ -131,31 +131,25 @@ def _qfi_gradient(spec: SensorSpec,
     c0, c1 = bloch_amplitudes(spec.bloch_theta, spec.bloch_phi)
     basis = noisy_basis(spec.epsilon, spec.r, noise.eta, noise.gamma,
                         spec.cutoff)
-    qfi, H = qfi_response(_state(c0, c1, basis[0]))
+    qfi, H = qfi_response(_state(c0, c1, basis[:3]))
     coeffs = _coefficients(c0, c1)
     sin, cos = math.sin(spec.bloch_theta), math.cos(spec.bloch_theta)
     phase = np.exp(-1j * spec.bloch_phi)
+    h = np.sum(H.T * basis, axis=(-2, -1))  # Tr(H·X) over the stack
+    traces = np.trace(basis, axis1=-2, axis2=-1)
+    norm = _paired(coeffs, traces[:3])
+    mean_h = _paired(coeffs, h[:3]) / norm  # Tr(H·ρ)
 
-    def pairings(stack) -> tuple:
-        """(Tr(H·X_ij), Tr X_ij) over a (3, D, D) stack X."""
-        return (np.sum(H.T * stack, axis=(-2, -1)),
-                np.trace(stack, axis1=-2, axis2=-1))
-
-    (h, traces), d_r, d_epsilon = (pairings(stack) for stack in basis)
-    norm = _paired(coeffs, traces)
-    mean_h = _paired(coeffs, h) / norm  # Tr(H·ρ)
-
-    def along(d_coeffs, h, traces) -> float:
-        """Tr(H·dρ) where dN has coefficients d_coeffs over matrices with
-        Tr(H·M_ij) = h and Tr M_ij = traces."""
-        return (_paired(d_coeffs, h)
-                - mean_h * _paired(d_coeffs, traces)) / norm
+    def along(d_coeffs, at) -> float:
+        """Tr(H·dρ) for dN = d_coeffs over the stack's block at `at`."""
+        return (_paired(d_coeffs, h[at:at + 3])
+                - mean_h * _paired(d_coeffs, traces[at:at + 3])) / norm
 
     return qfi, np.array([
-        along((-0.5 * sin, 0.5 * cos * phase, 0.5 * sin), h, traces),
-        along((0.0, -1j * coeffs[1], 0.0), h, traces),
-        along(coeffs, *d_r),
-        along(coeffs, *d_epsilon)])
+        along((-0.5 * sin, 0.5 * cos * phase, 0.5 * sin), 0),
+        along((0.0, -1j * coeffs[1], 0.0), 0),
+        along(coeffs, 3),
+        along(coeffs, 6)])
 
 
 def sensor_state(spec: SensorSpec, noise: NoiseParams) -> np.ndarray:

@@ -169,11 +169,14 @@ def logical_state(bloch_theta: float, bloch_phi: float, epsilon: float,
     return ket / np.linalg.norm(ket)
 
 
+@lru_cache(maxsize=8)
 def squeeze_generator(D: int) -> np.ndarray:
     """K = i·(a†² − a²)/2 at cutoff D, so that S(s) = exp(−isK) and
-    ∂_s(S|ψ⟩) = −iK·S|ψ⟩."""
+    ∂_s(S|ψ⟩) = −iK·S|ψ⟩; cached per cutoff and read-only."""
     a = annihilation(D)
-    return 0.5j * (a.conj().T @ a.conj().T - a @ a)
+    K = 0.5j * (a.conj().T @ a.conj().T - a @ a)
+    K.setflags(write=False)
+    return K
 
 
 @lru_cache(maxsize=8)

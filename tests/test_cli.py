@@ -767,6 +767,15 @@ class TestTolerance:
         code = main(["tolerance", "--gamma", "0.005", "-o", str(tmp_path)])
         assert code == 4
 
+    def test_noiseless_rows_have_no_improvement(self, tmp_path):
+        # neither lattice errs at η = 1, γ = 0: the ratio 0/0 is NaN
+        code = main(["tolerance", "--eta", "1", "--gamma", "0",
+                     "--theta-deg", "30", "--deltas-deg", "0", "-o",
+                     str(tmp_path)])
+        assert code == 0
+        lines = (tmp_path / "tolerance.csv").read_text().splitlines()
+        assert lines[1] == "0,29.999999999999996,0,NaN,NaN"
+
 
 class TestWigner:
     def test_grid_export(self, tmp_path, capsys):

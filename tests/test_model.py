@@ -685,6 +685,25 @@ class TestToleranceCurve:
         assert all(a > b for a, b in zip(imps, imps[1:]))
         assert imps[-1] > 10.0  # still an order of magnitude at 20 degrees
 
+    def test_no_error_at_either_angle_is_no_improvement(self):
+        # without noise neither lattice errs: 0/0 is NaN, not inf
+        rows = tolerance_curve([0.0, 5.0], math.radians(30.0), R_LOW,
+                               NoiseParams(1.0, 0.0))
+        for row in rows:
+            assert row["p_err"] == 0.0
+            assert math.isnan(row["improvement"])
+
+
+@pytest.mark.parametrize("p_base,p,expected", [
+    (2e-3, 1e-3, 2.0),  # the ratio where p > 0
+    (1e-3, 0.0, math.inf),  # only the square lattice errs
+    (0.0, 0.0, math.nan),  # neither errs
+    (1e-3, math.nan, math.nan),  # p undefined
+])
+def test_improvement_rule(p_base, p, expected):
+    got = float(model._improvement(p_base, p))
+    assert got == expected or (math.isnan(got) and math.isnan(expected))
+
 
 @settings(max_examples=25, deadline=None)
 @given(theta=st.floats(0.0, math.pi / 2), r=st.floats(0.9, 1.3))

@@ -20,7 +20,7 @@ from gridsense import (
     squeeze,
     train,
 )
-from gridsense import pipeline, states
+from gridsense import metrology, pipeline, states
 from gridsense.channels import loss_kraus
 from gridsense.pipeline import noisy_basis
 
@@ -82,8 +82,8 @@ def test_cached_state_matches_direct_route(spec, noise):
 def test_poles_return_the_basis_matrix_exactly(bloch_theta, index):
     spec = SensorSpec(theta=0.0, r=1.092, bloch_theta=bloch_theta,
                       bloch_phi=0.4)
-    basis, _, _ = noisy_basis(spec.epsilon, spec.r, LOW_NOISE.eta,
-                              LOW_NOISE.gamma, spec.cutoff)
+    basis = noisy_basis(spec.epsilon, spec.r, LOW_NOISE.eta,
+                        LOW_NOISE.gamma, spec.cutoff)
     assert np.array_equal(sensor_state(spec, LOW_NOISE), basis[index])
     # a fresh, writable copy, not the read-only cached matrix
     state = pipeline._unrotated_state(spec, LOW_NOISE)
@@ -190,9 +190,9 @@ def test_free_r_or_epsilon_builds_one_basis_per_step(freeze):
 def test_basis_slope_matches_differences_of_the_basis(args, index, name):
     point = dict(zip(("epsilon", "r", "eta", "gamma", "cutoff"), args))
     h = 1e-5
-    slope = noisy_basis(*args)[index]
-    plus, _, _ = noisy_basis(**point | {name: point[name] + h})
-    minus, _, _ = noisy_basis(**point | {name: point[name] - h})
+    slope = noisy_basis(*args)[3 * index:3 * index + 3]  # the index-th block
+    plus = noisy_basis(**point | {name: point[name] + h})[:3]
+    minus = noisy_basis(**point | {name: point[name] - h})[:3]
     assert not slope.flags.writeable
     for dM, M_plus, M_minus in zip(slope, plus, minus, strict=True):
         diff = (M_plus - M_minus) / (2 * h)
@@ -293,7 +293,7 @@ def test_stacked_basis_is_bit_identical_to_one_matrix_at_a_time(args):
     noisy_basis.cache_clear()
     basis = noisy_basis(*args)
     noisy_basis.cache_clear()
-    for M, ref in zip(basis[0], basis_reference(*args)[0], strict=True):
+    for M, ref in zip(basis[:3], basis_reference(*args)[0], strict=True):
         assert M.tobytes() == ref.tobytes()
 
 
@@ -302,13 +302,77 @@ def test_basis_slopes_match_the_matrix_route(args):
     # ∂_ε M is the same product of kets, so the same bits; ∂_r M takes K on
     # the kets in place of the commutator, which moves it by roundoff only
     noisy_basis.cache_clear()
-    _, d_r, d_epsilon = noisy_basis(*args)
+    basis = noisy_basis(*args)
     noisy_basis.cache_clear()
+    d_r, d_epsilon = basis[3:6], basis[6:]
     _, ref_r, ref_epsilon = basis_reference(*args)
     for dM, ref in zip(d_epsilon, ref_epsilon, strict=True):
         assert dM.tobytes() == ref.tobytes()
     for dM, ref in zip(d_r, ref_r, strict=True):
         assert np.max(np.abs(dM - ref)) <= 1e-15 * np.max(np.abs(ref))
+
+
+def qfi_gradient_three_pass(spec, noise):
+    """`_qfi_gradient` with H paired with M, ∂_r M and ∂_ε M one (3, D, D)
+    block at a time, each block's Tr(H·X) and Tr X taken apart."""
+    c0, c1 = states.bloch_amplitudes(spec.bloch_theta, spec.bloch_phi)
+    basis = noisy_basis(spec.epsilon, spec.r, noise.eta, noise.gamma,
+                        spec.cutoff)
+    qfi, H = metrology.qfi_response(pipeline._state(c0, c1, basis[:3]))
+    coeffs = (c0 * c0, c0 * np.conj(c1), abs(c1) ** 2)
+    sin, cos = math.sin(spec.bloch_theta), math.cos(spec.bloch_theta)
+    phase = np.exp(-1j * spec.bloch_phi)
+
+    def paired(c, x):
+        return float((c[0] * x[0] + c[2] * x[2] + 2.0 * c[1] * x[1]).real)
+
+    (h, traces), d_r, d_epsilon = (
+        (np.sum(H.T * block, axis=(-2, -1)),
+         np.trace(block, axis1=-2, axis2=-1))
+        for block in (basis[:3], basis[3:6], basis[6:]))
+    norm = paired(coeffs, traces)
+    mean_h = paired(coeffs, h) / norm
+
+    def along(d_coeffs, h, traces):
+        return (paired(d_coeffs, h) - mean_h * paired(d_coeffs, traces)) / norm
+
+    return qfi, np.array([
+        along((-0.5 * sin, 0.5 * cos * phase, 0.5 * sin), h, traces),
+        along((0.0, -1j * coeffs[1], 0.0), h, traces),
+        along(coeffs, *d_r),
+        along(coeffs, *d_epsilon)])
+
+
+@pytest.mark.parametrize("cached", [False, True], ids=["free", "frozen"])
+@pytest.mark.parametrize("bloch", [(1.1, 0.4), (0.0, 0.0), (math.pi, -2.5)])
+@pytest.mark.parametrize("args", BASIS_POINTS)
+def test_qfi_gradient_pairs_the_stack_as_three_blocks(args, bloch, cached):
+    # with r or ε free each step builds its basis, with both frozen it hits
+    # the cache; either way one pass over the stack gives the bits of three
+    epsilon, r, eta, gamma, cutoff = args
+    spec = SensorSpec(theta=0.0, r=r, epsilon=epsilon, bloch_theta=bloch[0],
+                      bloch_phi=bloch[1], cutoff=cutoff)
+    noise = NoiseParams(eta=eta, gamma=gamma)
+    noisy_basis.cache_clear()
+    if cached:
+        noisy_basis(epsilon, r, eta, gamma, cutoff)
+    qfi, grad = pipeline._qfi_gradient(spec, noise)
+    ref_qfi, ref_grad = qfi_gradient_three_pass(spec, noise)
+    noisy_basis.cache_clear()
+    assert np.float64(qfi).tobytes() == np.float64(ref_qfi).tobytes()
+    assert grad.tobytes() == ref_grad.tobytes()
+
+
+def test_basis_misses_at_one_cutoff_build_the_generator_once():
+    states.squeeze_generator.cache_clear()
+    noisy_basis.cache_clear()
+    noisy_basis(0.063, 1.092, 0.9, 0.05, 30)
+    noisy_basis(0.1, 1.3, 0.8, 0.1, 30)
+    noisy_basis.cache_clear()
+    assert states.squeeze_generator.cache_info().misses == 1
+    K = states.squeeze_generator(30)
+    with pytest.raises(ValueError):
+        K[0, 2] = 1.0
 
 
 @pytest.mark.parametrize("eta,gamma", [(0.8, 0.1), (1.0, 0.3), (0.95, 0.0)])
@@ -340,7 +404,7 @@ def test_states_are_block_diagonal_in_parity(point, cutoff):
     spec = SensorSpec(theta=0.7, r=r, epsilon=epsilon, bloch_theta=bloch_theta,
                       bloch_phi=bloch_phi, cutoff=cutoff)
     noise = NoiseParams(eta=eta, gamma=gamma)
-    matrices = [*np.concatenate(noisy_basis(epsilon, r, eta, gamma, cutoff)),
+    matrices = [*noisy_basis(epsilon, r, eta, gamma, cutoff),
                 sensor_state(spec, noise)]
     for X in matrices:
         assert np.abs(X[cross]).max() <= 1e-14 * np.abs(X).max()
