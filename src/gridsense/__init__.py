@@ -26,8 +26,8 @@ _EXPORTS = {
         "symplectic_product", "theta_from_oam", "twisted_lattice",
     ),
     "states": (
-        "TruncationError", "comb_positions", "logical_state",
-        "prepare_codeword", "rotate", "rotate_density", "squeeze",
+        "comb_positions", "logical_state", "prepare_codeword", "rotate",
+        "rotate_density", "squeeze",
     ),
     "channels": (
         "NoiseParams", "apply_dephasing", "apply_loss",

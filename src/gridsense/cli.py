@@ -21,14 +21,15 @@ import re
 import sys
 from typing import NamedTuple
 
-# One OpenBLAS thread unless the caller chose a count. OpenBLAS reads this
-# once, when numpy first loads it, so it is set before the numpy import
-# below (`import gridsense` loads no numpy). Every solve here is 30×30, too
-# small to share: a second thread wins no wall time and busy-waits, also
+# One OpenBLAS thread unless the caller chose a count: set one of these
+# variables to a non-empty value (OpenBLAS reads an empty one as unset). It
+# reads them once, when numpy first loads it, so this runs before the numpy
+# import below (`import gridsense` loads no numpy). Every solve here is 30×30,
+# too small to share: a second thread wins no wall time and busy-waits, also
 # during `import numpy` itself. This is the package's only thread policy;
 # the library leaves the count to whoever loads numpy.
-if not {"OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS",
-        "OMP_NUM_THREADS"} & os.environ.keys():
+if not any(os.environ.get(name) for name in (
+        "OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")):
     os.environ["OPENBLAS_NUM_THREADS"] = "1"
 
 import numpy as np
@@ -585,7 +586,7 @@ def main(argv=None) -> int:
     except NoRootError as exc:
         print(f"no optimum in range: {exc}", file=sys.stderr)
         return 4
-    except NumericError as exc:  # includes TruncationError, TrainDiverged
+    except NumericError as exc:  # includes TrainDiverged
         print(f"numeric failure: {exc}", file=sys.stderr)
         return 3
 

@@ -32,7 +32,7 @@ import numpy as np
 from .channels import NoiseParams, apply_dephasing, apply_loss
 from .metrology import qfi_mixed, qfi_response
 from .states import (bloch_amplitudes, prepare_codeword, rotate_density,
-                     squeeze, squeeze_gate, squeeze_generator)
+                     squeeze, squeeze_generator)
 
 __all__ = ["SensorSpec", "noisy_basis", "sensor_state", "pipeline_qfi"]
 
@@ -58,24 +58,24 @@ def noisy_basis(epsilon: float, r: float, eta: float, gamma: float,
 
     S = exp(−i·ln r·K) squeezes both codewords, so ∂_r|k_μ⟩ = −iK|k_μ⟩/r
     (`states.squeeze_generator`). While the comb's peak count stays fixed,
-    ∂_ε|μ_ε⟩ = −(n̂ − ⟨n̂⟩_μ)|μ_ε⟩, which the gate maps without
-    renormalizing (`states.squeeze_gate`). The channels are linear, so the
-    nine matrices go through them as one stack, built once while training
-    holds ε and r frozen.
+    ∂_ε|μ_ε⟩ = −(n̂ − ⟨n̂⟩_μ)|μ_ε⟩, and ∂_ε|k_μ⟩ is S of that: one `squeeze`
+    maps the codewords and their ε slopes as four columns. The channels are
+    linear, so the nine matrices go through them as one stack, built once
+    while training holds ε and r frozen.
     """
     codewords = np.stack([prepare_codeword(0, epsilon, cutoff),
                           prepare_codeword(1, epsilon, cutoff)], axis=1)
     n = np.arange(cutoff)[:, None]
     mean_n = np.sum(n * np.abs(codewords) ** 2, axis=0)  # ⟨n̂⟩_μ
-    log_r = math.log(r)
-    kets, _ = squeeze(codewords, log_r)
+    columns = squeeze(np.hstack([codewords, (mean_n - n) * codewords]),
+                      math.log(r))
+    kets, d_epsilon = columns[:, :2], columns[:, 2:]
 
     def rank1(x, y) -> np.ndarray:
         """|x_i⟩⟨y_j| over (i, j) = (0, 0), (0, 1), (1, 1) of ket columns."""
         return x.T[[0, 0, 1], :, None] * y.T[[0, 1, 1], None, :].conj()
 
-    slopes = [(-1j / r) * (squeeze_generator(cutoff) @ kets),
-              squeeze_gate((mean_n - n) * codewords, log_r)]
+    slopes = [(-1j / r) * (squeeze_generator(cutoff) @ kets), d_epsilon]
     basis = apply_dephasing(apply_loss(np.concatenate(
         [rank1(kets, kets)]
         + [rank1(dk, kets) + rank1(kets, dk) for dk in slopes]), eta), gamma)

@@ -27,7 +27,10 @@ S(s) = exp(s·(a†² − a²)/2) = exp(−isK) with K = i·(a†² − a²)/2 H
 with K = V·diag(w)·V† the gate is S(s)ψ = V·e^{−isw}·V†ψ. The eigenvector
 route is well conditioned for a normal generator (Moler & Van Loan, SIAM Rev.
 45, 2003), and the decomposition depends on D only, so it is taken once per
-cutoff and every squeeze after that costs two matrix-vector products.
+cutoff and every squeeze after that costs two matrix-vector products. The
+truncated K is still Hermitian, so the gate is unitary on the truncated space
+and keeps a ket's norm to roundoff; whether the cutoff is big enough for the
+*physics* is a state-preparation question the gate cannot detect.
 
 Gauss–Hermite rule
 ------------------
@@ -44,7 +47,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .fock import NumericError, annihilation, check_domain, hermitian_eig
+from .fock import annihilation, check_domain, hermitian_eig
 from .lattice import A_LATTICE
 
 __all__ = [
@@ -52,24 +55,16 @@ __all__ = [
     "bloch_amplitudes",
     "logical_state",
     "squeeze",
-    "squeeze_gate",
     "squeeze_generator",
     "rotate",
     "rotate_density",
     "comb_positions",
-    "TruncationError",
 ]
-
-MAX_LEAKAGE = 1e-3  # the largest leakage `squeeze` lets through
 
 # Domains (`fock.in_domain`) of the cutoff D, ε and θ_B.
 CUTOFF_DOMAIN = (10, None, False)
 EPSILON_DOMAIN = (0.005 + 1e-12, 0.5 - 1e-12, False)
 BLOCH_THETA_DOMAIN = (0.0, math.pi, False)
-
-
-class TruncationError(NumericError):
-    """The squeeze exponential lost norm, i.e. the numerics broke down."""
 
 
 def _hermite_functions(points: np.ndarray, n_max: int) -> np.ndarray:
@@ -189,41 +184,21 @@ def _squeeze_spectrum(D: int) -> tuple[np.ndarray, np.ndarray]:
     return w, V
 
 
-def squeeze_gate(psi: np.ndarray, log_r: float) -> np.ndarray:
-    """V·e^{−i·log_r·w}·V†·psi from the cached spectrum of the generator:
-    the gate of `squeeze` without its per-column renormalization, so that
-    it also maps derivatives of kets."""
-    w, V = _squeeze_spectrum(psi.shape[0])
-    return (V * np.exp(-1j * log_r * w)) @ (V.conj().T @ psi)
-
-
-def squeeze(psi: np.ndarray, log_r: float) -> tuple[np.ndarray, float]:
-    """Apply S(log_r) = exp(log_r·(a†² − a²)/2); returns (ket, leakage).
+def squeeze(psi: np.ndarray, log_r: float) -> np.ndarray:
+    """S(log_r)·psi = exp(log_r·(a†² − a²)/2)·psi = V·e^{−i·log_r·w}·V†·psi
+    from the cached spectrum of the generator (see the module docstring).
 
     `psi` is one ket, or a (D, k) array of kets as columns that all share
-    the one gate (`squeeze_gate`); each column is renormalized and
-    `leakage` is the largest over the columns.
-
-    The truncated generator is still anti-Hermitian, so the gate is unitary
-    on the truncated space and leakage = 1 − ‖raw‖² sits at roundoff
-    (~1e-16) for any input. A leakage above the module's MAX_LEAKAGE means
-    the exponential itself broke down: TruncationError, not garbage. Whether
-    the cutoff is big enough for the *physics* is a state-preparation
-    question this gate cannot detect.
+    the one gate. The gate is linear, so it also maps derivatives of kets.
+    log_r = 0 returns an exact copy.
     """
     if abs(log_r) > 1.0:
         raise ValueError(f"|log_r| must be <= 1 (desk-scale guard), got {log_r}")
     psi = np.asarray(psi, dtype=complex)
     if log_r == 0.0:
-        return psi.copy(), 0.0
-    raw = squeeze_gate(psi, log_r)
-    norm_sq = np.sum(raw.real**2 + raw.imag**2, axis=0)
-    leakage = float(np.max(1.0 - norm_sq))
-    if leakage > MAX_LEAKAGE:
-        raise TruncationError(
-            f"squeeze leakage {leakage:.3e} exceeds {MAX_LEAKAGE:.1e} "
-            f"(log_r={log_r}, D={psi.shape[0]})")
-    return raw / np.sqrt(norm_sq), leakage
+        return psi.copy()
+    w, V = _squeeze_spectrum(psi.shape[0])
+    return (V * np.exp(-1j * log_r * w)) @ (V.conj().T @ psi)
 
 
 def rotate(psi: np.ndarray, theta: float) -> np.ndarray:

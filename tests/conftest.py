@@ -6,12 +6,11 @@ so the suite stays well under its time budget.
 """
 
 import math
-import os
 
-# One OpenBLAS thread unless the caller chose a count, as the CLI does, set
-# before numpy first loads OpenBLAS: every solve is 30×30, too small to
+# The CLI's thread policy, taken before numpy first loads OpenBLAS: one
+# thread unless the caller chose a count. Every solve is 30×30, too small to
 # share, and a second thread only busy-waits.
-os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+import gridsense.cli  # noqa: F401
 
 import numpy as np
 import pytest

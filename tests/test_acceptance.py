@@ -312,7 +312,7 @@ def test_criterion_06_codeword_fock_properties():
 
     vac = np.zeros(D, dtype=complex)
     vac[0] = 1.0
-    stretched, _ = squeeze(vac, math.log(R_LOW))
+    stretched = squeeze(vac, math.log(R_LOW))
     n = np.arange(D)
     energy = float(np.real(np.vdot(stretched, (n + 0.5) * stretched)))
     assert abs(energy / 0.5 - 1.016) < 1e-3

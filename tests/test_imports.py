@@ -1,7 +1,7 @@
 """The CLI runs on numpy alone: no scipy module is loaded, not even its
 top-level package. The package itself loads no numpy until a name is used,
 and the CLI picks one BLAS thread before numpy loads unless the environment
-already sets a count.
+already sets a count (a non-empty thread variable).
 
 Importing scipy.special or scipy.linalg costs a fresh interpreter several
 tenths of a second (and scipy.linalg loads a second OpenBLAS), and even the
@@ -95,10 +95,13 @@ def test_importing_the_package_loads_no_numpy():
     assert out == "[]"
 
 
-def test_cli_defaults_to_one_blas_thread():
+# an empty variable chooses no count: OpenBLAS reads it as unset
+@pytest.mark.parametrize("env_vars", [
+    {}, {"OPENBLAS_NUM_THREADS": ""}, {"OMP_NUM_THREADS": ""}])
+def test_cli_defaults_to_one_blas_thread(env_vars):
     out = run_fresh("import os, sys, gridsense.cli\n"
                     "print(os.environ['OPENBLAS_NUM_THREADS'],"
-                    " 'numpy' in sys.modules)")
+                    " 'numpy' in sys.modules)", **env_vars)
     assert out == "1 True"
 
 
@@ -136,7 +139,8 @@ print(json.dumps({"start": start, "seen": seen, "end": get()}))
 @pytest.mark.skipif(not sys.platform.startswith("linux"),
                     reason="the probe reads the Linux memory map")
 @pytest.mark.parametrize("env_vars, chosen", [
-    ({}, 1), ({"OPENBLAS_NUM_THREADS": "2"}, 2)])
+    ({}, 1), ({"OPENBLAS_NUM_THREADS": "2"}, 2),
+    ({"OPENBLAS_NUM_THREADS": ""}, 1)])
 def test_cli_solves_on_its_thread_count(env_vars, chosen):
     # OpenBLAS caps a count at the CPUs the process may run on
     expected = min(chosen, len(os.sched_getaffinity(0)))
@@ -165,7 +169,7 @@ def test_star_import_yields_all_of_all():
                     "missing = [n for n in gridsense.__all__"
                     " if n not in namespace]\n"
                     "print(len(gridsense.__all__), missing)")
-    assert out == "64 []"
+    assert out == "63 []"
 
 
 def test_lazy_names_are_the_submodule_objects():

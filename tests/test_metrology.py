@@ -225,8 +225,8 @@ class TestCeilings:
                        bloch_theta=bloch_theta, bloch_phi=bloch_phi,
                        cutoff=cutoff),
             NoiseParams(eta, gamma))
-        ket, _ = squeeze(logical_state(bloch_theta, bloch_phi, epsilon,
-                                       cutoff), math.log(r))
+        ket = squeeze(logical_state(bloch_theta, bloch_phi, epsilon, cutoff),
+                      math.log(r))
         mean_n = float(np.sum(np.arange(cutoff) * np.abs(ket) ** 2))
         assert qfi <= qfi_pure(ket) * (1.0 + ROUNDOFF)
         assert qfi * gamma <= 1.0

@@ -28,17 +28,16 @@ from conftest import LOW_NOISE, ket_density
 
 
 def sensor_ket(spec):
-    """Pure sensor state before the noise channels; returns (ket, leakage)."""
+    """Pure sensor state before the noise channels."""
     psi = logical_state(spec.bloch_theta, spec.bloch_phi, spec.epsilon,
                         spec.cutoff)
-    psi, leakage = squeeze(psi, math.log(spec.r))
-    psi = rotate(psi, spec.theta)
-    return psi, leakage
+    psi = squeeze(psi, math.log(spec.r))
+    return rotate(psi, spec.theta)
 
 
 def direct_state(spec, noise):
     """Reference: codeword → squeeze → rotate as a ket, then the channels."""
-    psi, _ = sensor_ket(spec)
+    psi = sensor_ket(spec)
     return apply_dephasing(apply_loss(ket_density(psi), noise.eta), noise.gamma)
 
 
@@ -253,7 +252,7 @@ def test_mutating_a_codeword_copy_leaves_the_cache_intact():
     with pytest.raises(ValueError):
         ket[0] = 1.0
     # Callers that need to write get a copy, e.g. an identity squeeze.
-    copy, _ = states.squeeze(states.logical_state(0.0, 0.0, 0.063, 30), 0.0)
+    copy = states.squeeze(states.logical_state(0.0, 0.0, 0.063, 30), 0.0)
     copy[:] = 0.0
     assert np.array_equal(states.prepare_codeword(0, 0.063, 30), expected)
 
@@ -264,10 +263,11 @@ def basis_reference(epsilon, r, eta, gamma, cutoff):
     −i[K, S·O·S†]/r of the squeeze generator K with each of them."""
     codewords = np.stack([states.prepare_codeword(0, epsilon, cutoff),
                           states.prepare_codeword(1, epsilon, cutoff)], axis=1)
-    squeezed, _ = states.squeeze(codewords, math.log(r))
     n = np.arange(cutoff)[:, None]
     mean_n = np.sum(n * np.abs(codewords) ** 2, axis=0)
-    d_kets = states.squeeze_gate((mean_n - n) * codewords, math.log(r))
+    columns = states.squeeze(np.hstack([codewords, (mean_n - n) * codewords]),
+                             math.log(r))
+    squeezed, d_kets = columns[:, :2], columns[:, 2:]
     K = states.squeeze_generator(cutoff)
     pairs = ((0, 0), (0, 1), (1, 1))
     outer = [np.outer(squeezed[:, i], squeezed[:, j].conj()) for i, j in pairs]
