@@ -149,6 +149,7 @@ class TraceStep:
     p_err: float
     grad_norm: float
     lr: float
+    penalty_reach: bool  # λ entered this step's gradient
     params: TrainableParams = field(repr=False)  # where each figure is taken
 
 
@@ -207,7 +208,8 @@ def gradient(params: TrainableParams, cfg: TrainConfig) -> np.ndarray:
 
 
 def _loss_and_gradient(params: TrainableParams, cfg: TrainConfig):
-    """(loss, qfi, p_err, gradient) at `params` from one eigendecomposition.
+    """(loss, qfi, p_err, gradient, penalty_reach) at `params` from one
+    eigendecomposition.
 
     F_Q's gradient over the Bloch angles, r and ε is analytic
     (`pipeline._qfi_gradient`); F_Q does not depend on θ, so ℓ moves only
@@ -215,19 +217,28 @@ def _loss_and_gradient(params: TrainableParams, cfg: TrainConfig):
     p_err > p_th and 0 where p_err ≤ p_th, the kink included; it is not
     taken when ℓ and r are both frozen, which would zero it. The gradient
     is not checked for finiteness here.
+
+    Only this code decides where λ enters: `penalty_reach` is whether the
+    λ-free slope (∂P_err/∂θ on a free ℓ, ∂P_err/∂r on a free r) was taken
+    and is not exactly 0. Where it is False the gradient is the same for
+    every finite λ, as with r frozen at θ = 0, where ∂P_err/∂θ ∝ sin 2θ is 0.
     """
     qfi, d_qfi = _qfi_gradient(params.sensor_spec(cfg.cutoff), cfg.noise)
     p_err = float(perr_analytic(params.theta, params.r, cfg.noise).p_total)
     g = np.zeros(len(PARAM_ORDER))
     g[_QFI_AXES] -= d_qfi
+    reach = False
     if p_err > cfg.p_th and not {"ell", "r"} <= cfg.freeze:
-        d_theta, d_r = perr_gradient(params.theta, params.r, cfg.noise)
-        g[_ELL] += cfg.penalty * float(d_theta) * math.pi / params.ell_max
-        g[_R] += cfg.penalty * float(d_r)
+        d_theta, d_r = map(float, perr_gradient(params.theta, params.r,
+                                                cfg.noise))
+        reach = (("ell" not in cfg.freeze and d_theta != 0.0)
+                 or ("r" not in cfg.freeze and d_r != 0.0))
+        g[_ELL] += cfg.penalty * d_theta * math.pi / params.ell_max
+        g[_R] += cfg.penalty * d_r
     for i, name in enumerate(PARAM_ORDER):
         if name in cfg.freeze:
             g[i] = 0.0
-    return -qfi + _hinge(p_err, cfg), qfi, p_err, g
+    return -qfi + _hinge(p_err, cfg), qfi, p_err, g, reach
 
 
 def analytic_gradient(params: TrainableParams,
@@ -260,7 +271,7 @@ def train(cfg: TrainConfig,
     trace: list[TraceStep] = []
     for t in range(cfg.steps):
         try:
-            loss, qfi, p_err, g = _loss_and_gradient(params, cfg)
+            loss, qfi, p_err, g, reach = _loss_and_gradient(params, cfg)
             if not math.isfinite(loss):
                 raise NumericError(f"loss became non-finite at step {t}")
             _check_gradient(g, params)
@@ -273,7 +284,8 @@ def train(cfg: TrainConfig,
             norm = cfg.clip_norm
         lr = lr_schedule(cfg, t)
         trace.append(TraceStep(step=t, loss=loss, qfi=qfi, p_err=p_err,
-                               grad_norm=norm, lr=lr, params=params))
+                               grad_norm=norm, lr=lr, penalty_reach=reach,
+                               params=params))
 
         m = ADAM_BETA1 * m + (1.0 - ADAM_BETA1) * g
         v = ADAM_BETA2 * v + (1.0 - ADAM_BETA2) * g * g
@@ -290,12 +302,14 @@ def pareto_sweep(lambdas, cfg: TrainConfig, init: TrainableParams):
 
     Each row is a dict with keys (lam, qfi, p_err, error), qfi and p_err
     `combined_loss`'s at the parameters training returns. The smallest λ
-    trains first. λ enters a step's gradient only where p_err > p_th, and
-    there only along ℓ and r. So if that run completes and no step had
-    p_err > p_th, or ℓ and r are both frozen, every finite λ gives the same
-    trajectory bit for bit: the other rows are copies of that run, and a
-    warning says so. The documented monotone trend (p_err non-increasing in
-    λ) is checked and warned about, not asserted: training noise can break it.
+    trains first. Each of its steps records whether λ entered the gradient
+    (`TraceStep.penalty_reach`, decided by `_loss_and_gradient`). If that run
+    completes and no step recorded a reach, then by induction over the steps
+    every finite λ takes the same steps bit for bit: the other rows are
+    copies of that run, and a warning says so. That covers a hinge that never
+    turns on, ℓ and r both frozen, and a stationary θ (ℓ = 0 with r frozen).
+    The documented monotone trend (p_err non-increasing in λ) is checked and
+    warned about, not asserted: training noise can break it.
     """
     lams = sorted(float(lam) for lam in lambdas)
     if not lams:
@@ -311,16 +325,12 @@ def pareto_sweep(lambdas, cfg: TrainConfig, init: TrainableParams):
         return {"lam": lam, "qfi": qfi, "p_err": p_err, "error": ""}, trace
 
     first, trace = run(lams[0])
-    reason = None
-    if trace and all(map(math.isfinite, lams)):
-        if not any(step.p_err > cfg.p_th for step in trace):
-            reason = (f"p_err stayed <= p_th = {cfg.p_th:g} at all "
-                      f"{len(trace)} steps of the lambda = {lams[0]:g} run")
-        elif {"ell", "r"} <= cfg.freeze:
-            reason = "'ell' and 'r' are both frozen"
-    if reason:
-        warnings.warn(f"lambda cannot move this sweep: {reason}, so every "
-                      f"row is the same training run", stacklevel=2)
+    if (trace and all(map(math.isfinite, lams))
+            and not any(step.penalty_reach for step in trace)):
+        warnings.warn(f"lambda cannot move this sweep: the penalty's slope "
+                      f"reached no free coordinate at any of the {len(trace)} "
+                      f"steps of the lambda = {lams[0]:g} run, so every row "
+                      f"is the same training run", stacklevel=2)
         return [first | {"lam": lam} for lam in lams]
     runs = {lams[0]: first}  # one training per distinct λ
     for lam in lams[1:]:

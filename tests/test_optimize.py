@@ -25,6 +25,7 @@ from gridsense import (
     pareto_sweep,
     perr_analytic,
     pipeline_qfi,
+    theta_star,
     train,
 )
 from gridsense.fock import NumericError
@@ -255,38 +256,63 @@ class TestSweeps:
         monkeypatch.setattr(optimize, "train", counting_train)
         return penalties
 
-    def test_pareto_sweep_trains_once_when_the_hinge_stays_off(
-            self, monkeypatch):
-        # r is free, but p_err stays below p_th at every step, so the
-        # penalty never enters: the rows are copies of the smallest λ's run
-        cfg = short_cfg(steps=3, freeze=R_FREE)
-        expected = [combined_loss(
-            train(replace(cfg, penalty=lam), OAM_INIT)[0], cfg)
-            for lam in (0.0, 10.0, 1e3)]
+    # ℓ is the only coordinate of the hinge's slope left free
+    THETA_ONLY = frozenset({"r", "epsilon"})
+
+    @pytest.mark.parametrize("freeze, ell, hinge_on", [
+        # r is free, but p_err stays below p_th at every step
+        (R_FREE, 1.5, False),
+        # the hinge is active, but its slope lies along ℓ and r only
+        (frozenset({"ell", "r"}), 1.5, True),
+        # the hinge is active and ℓ free, but ℓ = 0 is θ = 0, where
+        # ∂P_err/∂θ ∝ sin 2θ is exactly 0, and r is frozen
+        (THETA_ONLY, 0.0, True),
+    ], ids=["hinge_off", "ell_and_r_frozen", "stationary_theta"])
+    def test_pareto_sweep_trains_once_when_lambda_cannot_move(
+            self, freeze, ell, hinge_on, monkeypatch):
+        # every λ takes the smallest λ's steps: each row is a copy of that
+        # run and equals the row of its own λ trained alone
+        cfg = short_cfg(steps=3, freeze=freeze,
+                        p_th=1e-6 if hinge_on else 1e-3)
+        init = replace(OAM_INIT, ell=ell)
+        alone = []
+        for lam in (0.0, 1.0, 1e4):
+            final, trace = train(replace(cfg, penalty=lam), init)
+            assert [step.p_err > cfg.p_th for step in trace] == [hinge_on] * 3
+            _, qfi, p_err = combined_loss(final, cfg)
+            alone.append({"lam": lam, "qfi": qfi, "p_err": p_err,
+                          "error": ""})
         penalties = self.count_trainings(monkeypatch)
         with pytest.warns(UserWarning, match=(
-                r"^lambda cannot move this sweep: p_err stayed <= p_th = "
-                r"0\.001 at all 3 steps of the lambda = 0 run, so every row "
-                r"is the same training run$")):
-            rows = pareto_sweep([1e3, 0.0, 10.0], cfg, OAM_INIT)
+                r"^lambda cannot move this sweep: the penalty's slope reached "
+                r"no free coordinate at any of the 3 steps of the lambda = 0 "
+                r"run, so every row is the same training run$")):
+            rows = pareto_sweep([1e4, 0.0, 1.0], cfg, init)
         assert penalties == [0.0]
-        assert [(row["lam"], row["qfi"], row["p_err"], row["error"])
-                for row in rows] == [(lam, qfi, p_err, "")
-                                     for lam, (_, qfi, p_err) in zip(
-                                         (0.0, 10.0, 1e3), expected)]
+        assert rows == alone  # float equality: all 17 digits
 
+    @pytest.mark.parametrize("freeze, ell", [
+        (R_FREE, 1.5),
+        # ℓ free off the stationary θ = 0; at ℓ = 2 (θ = π/2) the θ slope is
+        # about 1e-17 but not 0, and no threshold may take it for 0
+        (THETA_ONLY, 0.5), (THETA_ONLY, 2.0),
+    ], ids=["r_free", "ell_free_at_0.5", "ell_free_at_2"])
     def test_pareto_sweep_trains_every_lambda_when_the_hinge_is_active(
-            self, monkeypatch):
+            self, freeze, ell, monkeypatch):
+        init = replace(OAM_INIT, ell=ell)
+        if ell == 2.0:
+            d_theta, _ = perr_gradient(init.theta, init.r, LOW_NOISE)
+            assert 0 < abs(d_theta) < 1e-15
         penalties = self.count_trainings(monkeypatch)
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             rows = pareto_sweep([1.0, 1e4], short_cfg(
-                steps=3, freeze=R_FREE, p_th=1e-6), OAM_INIT)
-        assert not [w for w in caught
-                    if "lambda cannot move" in str(w.message)]
+                steps=3, freeze=freeze, p_th=1e-6), init)
+        assert caught == []
         assert penalties == [1.0, 1e4]
         assert rows[0]["p_err"] != rows[1]["p_err"]
-        assert rows[0]["qfi"] != rows[1]["qfi"]
+        if "r" not in freeze:  # F_Q moves with r, not with θ
+            assert rows[0]["qfi"] != rows[1]["qfi"]
 
     def test_pareto_sweep_trains_each_distinct_lambda_once(self, monkeypatch):
         # the hinge is active, so every distinct λ trains; a repeat copies
@@ -298,20 +324,6 @@ class TestSweeps:
         assert rows[0] == rows[1] and rows[2] == rows[3]
         assert rows[0]["p_err"] != rows[2]["p_err"]
         assert rows[0] is not rows[1]
-
-    def test_pareto_sweep_trains_once_with_ell_and_r_frozen(
-            self, monkeypatch):
-        # the hinge is active, but its gradient lies along ℓ and r only, and
-        # ε moves only F_Q: every λ takes the same steps
-        cfg = short_cfg(steps=3, freeze=frozenset({"ell", "r"}), p_th=1e-6)
-        _, qfi, p_err = combined_loss(
-            train(replace(cfg, penalty=1e4), OAM_INIT)[0], cfg)
-        penalties = self.count_trainings(monkeypatch)
-        with pytest.warns(UserWarning, match="'ell' and 'r' are both frozen"):
-            rows = pareto_sweep([1e4, 1.0], cfg, OAM_INIT)
-        assert penalties == [1.0]
-        assert [(row["lam"], row["qfi"], row["p_err"]) for row in rows] == [
-            (1.0, qfi, p_err), (1e4, qfi, p_err)]
 
     def test_pareto_rows_are_at_the_returned_parameters(self):
         # r is free and the hinge active, so every λ trains its own run; a
@@ -426,6 +438,24 @@ class TestSweeps:
             fractional_sweep([], short_cfg(), OAM_INIT)
 
 
+class TestTrainedAngle:
+    def test_the_hinge_alone_trains_theta_to_theta_star(self):
+        # With P_th = 0 and r frozen the hinge is λ·P_err(θ), whose minimizer
+        # is θ*: the trainer, `perr_gradient` and the root solver must agree.
+        # F_Q does not depend on θ, so only ℓ is free and cutoff 10 serves.
+        # 400 steps at lr 0.05 is the cheapest schedule measured to reach the
+        # end point that the default lr reaches in 1500 steps, about 4e-7 rad
+        # from θ*; 1e-6 rad is about the sixth digit of θ* = 64.3892°.
+        cfg = TrainConfig(noise=LOW_NOISE, steps=400, lr_init=0.05, p_th=0.0,
+                          penalty=1e4, cutoff=10,
+                          freeze=frozenset(PARAM_ORDER) - {"ell"})
+        final, _ = train(cfg, TrainableParams(ell=0.5))
+        star = theta_star(final.r, cfg.noise)
+        assert abs(final.theta - star.theta_star) < 1e-6
+        assert combined_loss(final, cfg)[2] == pytest.approx(
+            star.p_err_at_star, rel=1e-10)
+
+
 # ------------------------------------------------- per-point reference trainer
 # One pipeline_qfi and one perr_analytic per point, with the gradient passed
 # in: `reference_gradient` evaluates the central-difference probes one at a
@@ -458,6 +488,16 @@ def reference_gradient(params, cfg):
     return g
 
 
+def reference_reach(params, p_err, cfg):
+    """Whether λ enters the step at `params`: the hinge is on and its
+    λ-free slope is nonzero on a free coordinate."""
+    if p_err <= cfg.p_th:
+        return False
+    slopes = perr_gradient(params.theta, params.r, cfg.noise)
+    return any(name not in cfg.freeze and slope != 0
+               for name, slope in zip(("ell", "r"), slopes))
+
+
 def reference_train(cfg, init, grad):
     """The per-point trainer; `grad(params, cfg)` gives each step's
     gradient."""
@@ -478,9 +518,9 @@ def reference_train(cfg, init, grad):
             g = g * (cfg.clip_norm / norm)
             norm = cfg.clip_norm
         lr = lr_schedule(cfg, t)
-        trace.append(optimize.TraceStep(step=t, loss=loss, qfi=qfi,
-                                        p_err=p_err, grad_norm=norm, lr=lr,
-                                        params=params))
+        trace.append(optimize.TraceStep(
+            step=t, loss=loss, qfi=qfi, p_err=p_err, grad_norm=norm, lr=lr,
+            penalty_reach=reference_reach(params, p_err, cfg), params=params))
         m = optimize.ADAM_BETA1 * m + (1.0 - optimize.ADAM_BETA1) * g
         v = optimize.ADAM_BETA2 * v + (1.0 - optimize.ADAM_BETA2) * g * g
         m_hat = m / (1.0 - optimize.ADAM_BETA1 ** (t + 1))
