@@ -22,8 +22,8 @@ _EXPORTS = {
         "number_op", "position_op", "quadrature_op",
     ),
     "lattice": (
-        "A_LATTICE", "GkpLattice", "OamCharge", "rotation_matrix",
-        "symplectic_product", "theta_from_oam", "twisted_lattice",
+        "A_LATTICE", "GkpLattice", "rotation_matrix", "symplectic_product",
+        "twisted_lattice",
     ),
     "states": (
         "comb_positions", "logical_state", "prepare_codeword", "rotate",
@@ -40,8 +40,7 @@ _EXPORTS = {
     "model": (
         "NoRootError", "PerrBreakdown", "ThetaStarResult", "balance",
         "gaussian_tail", "mc_perr", "perr_analytic", "theta_fit",
-        "theta_sensitivity", "theta_star", "theta_star_grid",
-        "tolerance_curve",
+        "theta_star", "theta_star_grid", "tolerance_curve",
     ),
     "wigner": (
         "WignerGrid", "wigner_grid", "wigner_negativity", "wigner_point",

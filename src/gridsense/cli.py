@@ -43,7 +43,6 @@ from .model import (
     MC_SAMPLES_DOMAIN,
     NoRootError,
     _improvement,
-    _theta_slope,
     mc_perr,
     perr_analytic,
     theta_fit,
@@ -66,7 +65,7 @@ from .optimize import (
     train,
 )
 from .pipeline import sensor_state
-from .report import RunReport, dumps_json, write_csv
+from .report import SCHEMAS, RunReport, dumps_json, write_csv
 from .states import BLOCH_THETA_DOMAIN, CUTOFF_DOMAIN, EPSILON_DOMAIN
 from .wigner import (_N_POINTS, _WINDOW, check_grid, wigner_grid,
                      wigner_negativity)
@@ -272,6 +271,19 @@ def _numbers(text: str, flag: str) -> list[float]:
     return values
 
 
+def _write_sweep(path: str, schema: str, rows: list[dict], keys) -> None:
+    """Write a sweep's rows, `keys` in the schema's column order. A row whose
+    training failed leaves its non-finite cells empty and prints its error
+    on stderr; every other non-finite cell is written NaN or Infinity."""
+    table = np.array([[row[key] for key in keys] for row in rows])
+    failed = np.array([bool(row["error"]) for row in rows])
+    for row in rows:
+        if row["error"]:
+            print(f"{schema}: {SCHEMAS[schema][1][0]}={row[keys[0]]:g} "
+                  f"failed: {row['error']}", file=sys.stderr)
+    write_csv(path, schema, table, empty=failed[:, None] & ~np.isfinite(table))
+
+
 # ---------------------------------------------------------------- commands
 
 
@@ -287,6 +299,11 @@ def cmd_single(args) -> int:
 
     tcfg = build_train_config(cfg)
     final, trace = train(tcfg, build_params(cfg))
+    stuck = frozenset.intersection(*(step.zero_gradient for step in trace))
+    if stuck:
+        names = ", ".join(name for name in PARAM_ORDER if name in stuck)
+        print(f"warning: training cannot move {names}: the gradient was "
+              f"exactly 0 at all {len(trace)} steps", file=sys.stderr)
     write_csv(_out_path(args, "trace.csv"), "trace",
               [(s.step, s.loss, s.qfi, s.p_err, s.grad_norm, s.lr)
                for s in trace])
@@ -300,8 +317,7 @@ def cmd_single(args) -> int:
         "p_err_mc": p_mc,
         "p_err_mc_stderr": p_mc_err,
         "eta_meas": measurement_efficiency(p_err),
-        # as in `fractional_sweep`: −ln P_err is unbounded at P_err = 0
-        "capacity": capacity(qfi, p_err) if p_err > 0 else math.nan,
+        "capacity": capacity(qfi, p_err),
     }
     report = RunReport(
         config=cfg,
@@ -329,15 +345,14 @@ def cmd_theta_star(args) -> int:
         _write_json(path, base | {"status": "no_root", "detail": str(exc)})
         print(f"status=no_root ({exc}) -> {path}")
         return 4
-    d_eta, d_gamma = _theta_slope(res.theta_star, r, noise)
     payload = base | {
         "status": "ok",
         "theta_star_deg": math.degrees(res.theta_star),
         "p_err_at_star": res.p_err_at_star,
         "bracket_deg": [math.degrees(b) for b in res.bracket],
         "residual": res.residual,
-        "dtheta_deta_deg": d_eta,
-        "dtheta_dgamma_deg": d_gamma,
+        "dtheta_deta_deg": res.dtheta_deta_deg,
+        "dtheta_dgamma_deg": res.dtheta_dgamma_deg,
         "theta_fit_deg": theta_fit(noise),
     }
     _write_json(path, payload)
@@ -380,10 +395,8 @@ def cmd_fractional(args) -> int:
     rows = fractional_sweep(_numbers(args.ells, "--ells"),
                             build_train_config(cfg), build_params(cfg))
     path = _out_path(args, "fractional.csv")
-    table = np.array([[row[key] for key in ("ell", "theta_deg", "qfi", "p_err",
-                                            "improvement", "capacity")]
-                      for row in rows])
-    write_csv(path, "fractional", table, empty=~np.isfinite(table))
+    _write_sweep(path, "fractional", rows, ("ell", "theta_deg", "qfi", "p_err",
+                                            "improvement", "capacity"))
     ok = [row for row in rows if math.isfinite(row["p_err"])]
     if ok:
         best = min(ok, key=lambda row: row["p_err"])
@@ -402,8 +415,7 @@ def cmd_pareto(args) -> int:
         _check(_LEAF["train.lambda"], lam, "--lambdas entry")
     rows = pareto_sweep(lambdas, build_train_config(cfg), build_params(cfg))
     path = _out_path(args, "pareto.csv")
-    table = np.array([[row["lam"], row["qfi"], row["p_err"]] for row in rows])
-    write_csv(path, "pareto", table, empty=~np.isfinite(table))
+    _write_sweep(path, "pareto", rows, ("lam", "qfi", "p_err"))
     print(f"{len(rows)} lambdas -> {path}")
     return 0
 

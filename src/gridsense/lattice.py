@@ -1,5 +1,4 @@
-"""Grid-code lattice geometry: twisted lattices, OAM-to-rotation mapping,
-symplecticity.
+"""Grid-code lattice geometry: twisted lattices and symplecticity.
 
 The lattice constant is a = √(2π). A lattice is the pair of stabilizer
 displacement vectors
@@ -7,10 +6,11 @@ displacement vectors
     u1 = R(θ) (a r, 0)ᵀ,   u2 = R(θ) (0, a/r)ᵀ,
 
 with rotation θ and aspect ratio r, built by `twisted_lattice(θ, r)`: the
-square lattice is θ = 0, r = 1, and an OAM charge gives θ through
-`theta_from_oam`. The symplectic product is reported in
-units of π, so every valid construction scores exactly 2 (the qudit
-dimension); see `symplectic_product`.
+square lattice is θ = 0, r = 1. An OAM charge ℓ of a system with maximal
+charge ℓ_max ≥ 1 (`ELL_MAX_DOMAIN`) sets θ_ℓ = ℓπ/ℓ_max; the trainable
+parameters own that map (`optimize.TrainableParams.theta`). The symplectic
+product is reported in units of π, so every valid construction scores
+exactly 2 (the qudit dimension); see `symplectic_product`.
 """
 
 from __future__ import annotations
@@ -20,15 +20,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .fock import check_domain
-
 __all__ = [
     "A_LATTICE",
     "GkpLattice",
-    "OamCharge",
     "rotation_matrix",
     "symplectic_product",
-    "theta_from_oam",
     "twisted_lattice",
 ]
 
@@ -54,22 +50,6 @@ def symplectic_product(u1, u2) -> float:
     u1 = np.asarray(u1, dtype=float)
     u2 = np.asarray(u2, dtype=float)
     return float(u1 @ OMEGA @ u2) / math.pi
-
-
-@dataclass(frozen=True)
-class OamCharge:
-    """Rotation index ℓ (continuous relaxation allowed) and system maximum."""
-
-    ell: float
-    ell_max: int
-
-    def __post_init__(self):
-        check_domain("ell_max", self.ell_max, ELL_MAX_DOMAIN)
-
-
-def theta_from_oam(charge: OamCharge) -> float:
-    """Lattice rotation θ_ℓ = ℓπ/ℓ_max, radians."""
-    return charge.ell * math.pi / charge.ell_max
 
 
 @dataclass(frozen=True, eq=False)

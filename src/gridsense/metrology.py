@@ -11,6 +11,8 @@ response to ρ; `qfi_mixed` is that F_Q.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .fock import (check_domain, check_ket, expectation, hermitian_eig,
@@ -110,8 +112,9 @@ def measurement_efficiency(p_err: float) -> float:
 
 
 def capacity(qfi: float, p_err: float) -> float:
-    """Metrological capacity C = F_Q · (−ln P_err)."""
+    """Metrological capacity C = F_Q · (−ln P_err); NaN at P_err = 0, where
+    −ln P_err is unbounded."""
     check_domain("qfi", qfi, (0.0, None, False))
-    if not 0.0 < p_err < 1.0:
-        raise ValueError(f"p_err must lie in (0, 1), got {p_err}")
-    return qfi * -np.log(p_err)
+    if not 0.0 <= p_err < 1.0:
+        raise ValueError(f"p_err must lie in [0, 1), got {p_err}")
+    return qfi * -np.log(p_err) if p_err > 0.0 else math.nan

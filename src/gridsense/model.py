@@ -42,7 +42,6 @@ __all__ = [
     "balance",
     "theta_star",
     "theta_star_grid",
-    "theta_sensitivity",
     "theta_fit",
     "mc_perr",
     "tolerance_curve",
@@ -67,6 +66,8 @@ class ThetaStarResult:
     p_err_at_star: float
     bracket: tuple[float, float]
     residual: float
+    dtheta_deta_deg: float  # ∂θ*/∂η, degrees per unit (`_theta_slope`)
+    dtheta_dgamma_deg: float  # ∂θ*/∂γ; both NaN where B is flat at θ*
 
 
 def gaussian_tail(x):
@@ -335,7 +336,8 @@ def theta_star_grid(r: float, eta, gamma) -> tuple[np.ndarray, np.ndarray]:
 
 
 def theta_star(r: float, noise: NoiseParams) -> ThetaStarResult:
-    """Root of the balance equation on (0, π/2) by scan + bisection.
+    """Root of the balance equation on (0, π/2) by scan + bisection, with
+    its sensitivities to η and γ (`_theta_slope`) at that root.
 
     A 64-point scan locates sign changes; bisection then halves each bracket
     until its width is at most ROOT_TOL rad (|B| is not checked; it is
@@ -357,13 +359,14 @@ def theta_star(r: float, noise: NoiseParams) -> ThetaStarResult:
     grid = _scan_grid()
     theta = float(root[0])
     return ThetaStarResult(
-        theta_star=theta, p_err_at_star=float(p_err[0]),
-        bracket=(float(grid[k[0]]), float(grid[k[0] + 1])),
-        residual=float(abs(balance(theta, r, noise))))
+        theta, float(p_err[0]), (float(grid[k[0]]), float(grid[k[0] + 1])),
+        float(abs(balance(theta, r, noise))), *_theta_slope(theta, r, noise))
 
 
-def theta_sensitivity(r: float, noise: NoiseParams) -> tuple[float, float]:
-    """(∂θ*/∂η, ∂θ*/∂γ) in degrees per unit, in closed form.
+def _theta_slope(theta: float, r: float,
+                 noise: NoiseParams) -> tuple[float, float]:
+    """(∂θ*/∂η, ∂θ*/∂γ) in degrees per unit at a root θ* = `theta` (rad) of
+    B, in closed form.
 
     θ* is a root of B(θ; η, γ), so by the implicit function theorem
     ∂θ*/∂x = −(∂B/∂x)/(∂B/∂θ). A term c·φ(u)/σ³ of B, with u ∝ 1/σ, has
@@ -375,15 +378,8 @@ def theta_sensitivity(r: float, noise: NoiseParams) -> tuple[float, float]:
         ∂B/∂γ = (sin²θ·T_q′/σ_q − cos²θ·T_p′/σ_p)/2.
 
     Both are NaN where ∂B/∂θ = 0 at θ*: B is flat there (r = 1, γ = 0), θ*
-    is no isolated root and has no derivative. θ* is `theta_star`'s, with
-    its NoRootError and its several-roots warning.
+    is no isolated root and has no derivative.
     """
-    return _theta_slope(theta_star(r, noise).theta_star, r, noise)
-
-
-def _theta_slope(theta: float, r: float,
-                 noise: NoiseParams) -> tuple[float, float]:
-    """`theta_sensitivity` at an already solved root θ* = `theta` (rad)."""
     sigma_q, sigma_p, u_q, u_p = _margins(theta, r, noise)
     # T′/σ of each term of B
     slope_q = r**2 * _phi(u_q) * (u_q * u_q - 3.0) / sigma_q**5

@@ -26,7 +26,7 @@ import numpy as np
 
 from .channels import NoiseParams
 from .fock import NumericError, check_domain
-from .lattice import OamCharge, theta_from_oam
+from .lattice import ELL_MAX_DOMAIN
 from .metrology import capacity
 from .model import _improvement, perr_analytic, perr_gradient
 from .pipeline import SensorSpec, _qfi_gradient, pipeline_qfi
@@ -89,10 +89,13 @@ class TrainableParams:
     r: float = 1.092
     epsilon: float = SensorSpec.epsilon
 
+    def __post_init__(self):
+        check_domain("ell_max", self.ell_max, ELL_MAX_DOMAIN)
+
     @property
     def theta(self) -> float:
-        """Lattice rotation θ_ℓ = ℓπ/ℓ_max of the charge; needs ℓ_max ≥ 1."""
-        return theta_from_oam(OamCharge(self.ell, self.ell_max))
+        """Lattice rotation θ_ℓ = ℓπ/ℓ_max of the OAM charge ℓ, radians."""
+        return self.ell * math.pi / self.ell_max
 
     def sensor_spec(self, cutoff: int) -> SensorSpec:
         """The pipeline input these parameters describe at Fock cutoff D."""
@@ -150,6 +153,7 @@ class TraceStep:
     grad_norm: float
     lr: float
     penalty_reach: bool  # λ entered this step's gradient
+    zero_gradient: frozenset  # free coordinates whose gradient is exactly 0
     params: TrainableParams = field(repr=False)  # where each figure is taken
 
 
@@ -263,7 +267,9 @@ def train(cfg: TrainConfig,
     trace bit for bit.
 
     Raises TrainDiverged (with the partial trace attached) if the loss goes
-    non-finite.
+    non-finite. Each step records the free coordinates whose gradient was
+    exactly 0 there (`TraceStep.zero_gradient`); one that is in every step's
+    set never moved.
     """
     params = init.projected()
     m = np.zeros(len(PARAM_ORDER))
@@ -277,6 +283,8 @@ def train(cfg: TrainConfig,
             _check_gradient(g, params)
         except NumericError as exc:
             raise TrainDiverged(str(exc), trace) from exc
+        zero = frozenset(name for name, component in zip(PARAM_ORDER, g)
+                         if component == 0.0 and name not in cfg.freeze)
 
         norm = float(np.linalg.norm(g))
         if norm > cfg.clip_norm:
@@ -285,7 +293,7 @@ def train(cfg: TrainConfig,
         lr = lr_schedule(cfg, t)
         trace.append(TraceStep(step=t, loss=loss, qfi=qfi, p_err=p_err,
                                grad_norm=norm, lr=lr, penalty_reach=reach,
-                               params=params))
+                               zero_gradient=zero, params=params))
 
         m = ADAM_BETA1 * m + (1.0 - ADAM_BETA1) * g
         v = ADAM_BETA2 * v + (1.0 - ADAM_BETA2) * g * g
@@ -375,6 +383,6 @@ def fractional_sweep(ells, cfg: TrainConfig, init: TrainableParams):
                                       cfg.noise).p_total.tolist()
     return [{"ell": ell, "theta_deg": math.degrees(theta), "qfi": qfi,
              "p_err": p_err, "error": "", "improvement": improvement,
-             "capacity": capacity(qfi, p_err) if p_err > 0 else math.nan}
+             "capacity": capacity(qfi, p_err)}
             for ell, theta, p_err, improvement in zip(
                 ells, thetas, p_errs, _improvement(baseline, p_errs).tolist())]

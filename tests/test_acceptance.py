@@ -43,7 +43,6 @@ from gridsense import (
     rotate_density,
     squeeze,
     theta_fit,
-    theta_sensitivity,
     theta_star,
     tolerance_curve,
 )
@@ -180,7 +179,8 @@ def test_criterion_02_reference_rows_without_roots():
 def test_criterion_03_sensitivity_and_combined_shift():
     """d(theta*)/d(eta), d(theta*)/d(gamma), their quadrature sum, and the
     affine fit at the benchmark point itself."""
-    d_eta, d_gamma = theta_sensitivity(R_LOW, LOW_NOISE)
+    star = theta_star(R_LOW, LOW_NOISE)
+    d_eta, d_gamma = star.dtheta_deta_deg, star.dtheta_dgamma_deg
     assert abs(d_eta / -197.7 - 1) < 0.03
     assert abs(d_gamma / -300.2 - 1) < 0.03
 

@@ -484,6 +484,31 @@ class TestSingle:
         assert math.isnan(metrics["capacity"])
         assert '"capacity": NaN' in (tmp_path / "report.json").read_text()
 
+    def test_names_a_coordinate_its_gradient_cannot_move(self, tmp_path,
+                                                         capsys):
+        # r frozen and ℓ = 0: ∂P_err/∂θ ∝ sin 2θ is exactly 0, so the
+        # active hinge cannot turn the lattice and ℓ never moves
+        run = ["single", *FAST, "--p-th", "1e-5"]
+        assert main([*run, "--freeze", "r,epsilon",
+                     "-o", str(tmp_path / "free")]) == 0
+        assert capsys.readouterr().err == (
+            "warning: training cannot move ell: the gradient was exactly 0 "
+            "at all 2 steps\n")
+        # the run is the one with ℓ frozen, and says so nowhere else
+        assert main([*run, "--freeze", "ell,r,epsilon",
+                     "-o", str(tmp_path / "frozen")]) == 0
+        assert capsys.readouterr().err == ""
+        free, frozen = (json.loads((tmp_path / name / "report.json")
+                                   .read_text()) for name in ("free", "frozen"))
+        assert free["metrics"] == frozen["metrics"]
+        assert free["lattice"] == frozen["lattice"]
+        assert ((tmp_path / "free" / "trace.csv").read_bytes()
+                == (tmp_path / "frozen" / "trace.csv").read_bytes())
+
+    def test_default_run_does_not_warn(self, tmp_path, capsys):
+        assert main(["single", *FAST, "-o", str(tmp_path)]) == 0
+        assert capsys.readouterr().err == ""
+
     def test_replay_rejects_foreign_json(self, tmp_path):
         bad = tmp_path / "not_a_report.json"
         bad.write_text('{"metrics": {}}')
@@ -542,28 +567,25 @@ class TestThetaStar:
 
     def test_one_theta_star_solve_per_run(self, tmp_path, monkeypatch):
         # the slope is taken at the root the payload reports, not re-solved
-        from gridsense import model, theta_sensitivity
+        from gridsense import model
 
-        roots = []
+        results = []
         real = model.theta_star
 
         def spy(r, noise):
-            res = real(r, noise)
-            roots.append(res.theta_star)
-            return res
+            results.append(real(r, noise))
+            return results[-1]
 
         monkeypatch.setattr(cli, "theta_star", spy)
         monkeypatch.setattr(model, "theta_star", spy)
         code = main(["theta_star", "-o", str(tmp_path)])
         assert code == 0
         payload = json.loads((tmp_path / "theta_star.json").read_text())
-        assert len(roots) == 1
-        assert payload["theta_star_deg"] == math.degrees(roots[0])
-        noise = cli.build_noise(load_config(None))
-        d_eta, d_gamma = theta_sensitivity(
-            DEFAULT_CONFIG["lattice"]["r"], noise)
-        assert payload["dtheta_deta_deg"] == d_eta
-        assert payload["dtheta_dgamma_deg"] == d_gamma
+        assert len(results) == 1
+        res = results[0]
+        assert payload["theta_star_deg"] == math.degrees(res.theta_star)
+        assert payload["dtheta_deta_deg"] == res.dtheta_deta_deg
+        assert payload["dtheta_dgamma_deg"] == res.dtheta_dgamma_deg
 
     def test_flat_balance(self, tmp_path):
         # r = 1, γ = 0: B is flat in θ, so θ* has no derivative. θ* is
@@ -658,6 +680,40 @@ class TestSweepCommands:
         row2 = lines[2].split(",")
         assert float(row2[3]) < float(row0[3])  # twisting helps
         assert "argmin" in capsys.readouterr().out
+
+    def test_fractional_writes_non_finite_values(self, tmp_path, capsys):
+        # η = 1, γ = 0.001: P_err underflows to 0 at 45° and 90° only, so
+        # the improvement is infinite there and the capacity undefined
+        code = main(["fractional", "--eta", "1", "--gamma", "0.001",
+                     "--ells", "0,1,2", "--steps", "1", "-o", str(tmp_path)])
+        assert code == 0
+        lines = (tmp_path / "fractional.csv").read_text().splitlines()
+        assert [line.split(",")[3:] for line in lines[2:]] == [
+            ["0", "Infinity", "NaN"]] * 2
+        assert lines[1].split(",")[4] == "1"
+        assert capsys.readouterr().err == ""
+
+    @pytest.mark.parametrize("command,flag,values,empty_row", [
+        ("fractional", "--ells", ["0", "2"], "{},,,,,"),
+        ("pareto", "--lambdas", ["1", "100"], "{},,")])
+    def test_failed_rows_are_empty_and_say_why(self, command, flag, values,
+                                               empty_row, tmp_path, capsys,
+                                               monkeypatch):
+        from gridsense import NumericError, optimize
+
+        def failing(params, cfg):
+            raise NumericError("no F_Q here")
+
+        monkeypatch.setattr(optimize, "combined_loss", failing)
+        code = main([command, flag, ",".join(values), "--steps", "1",
+                     "-o", str(tmp_path)])
+        assert code == 0
+        lines = (tmp_path / f"{command}.csv").read_text().splitlines()
+        assert lines[1:] == [empty_row.format(value) for value in values]
+        first = lines[0].split(",")[0]
+        assert capsys.readouterr().err.splitlines() == [
+            f"{command}: {first}={value} failed: no F_Q here"
+            for value in values]
 
     def test_pareto(self, tmp_path):
         # the default freeze set holds ell and r, so lambda is inert

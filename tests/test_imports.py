@@ -169,7 +169,7 @@ def test_star_import_yields_all_of_all():
                     "missing = [n for n in gridsense.__all__"
                     " if n not in namespace]\n"
                     "print(len(gridsense.__all__), missing)")
-    assert out == "63 []"
+    assert out == "60 []"
 
 
 def test_lazy_names_are_the_submodule_objects():

@@ -1,4 +1,5 @@
-"""Lattice geometry: symplecticity, the OAM-to-rotation map."""
+"""Lattice geometry: symplecticity, the OAM-to-rotation map
+(`TrainableParams.theta`)."""
 
 import math
 
@@ -8,12 +9,15 @@ from hypothesis import given, settings, strategies as st
 
 from gridsense import (
     A_LATTICE,
-    OamCharge,
+    TrainableParams,
     rotation_matrix,
     symplectic_product,
-    theta_from_oam,
     twisted_lattice,
 )
+
+
+def theta_of(ell, ell_max):
+    return TrainableParams(ell=ell, ell_max=ell_max).theta
 
 
 def test_lattice_constant():
@@ -48,27 +52,27 @@ def test_nonpositive_aspect_ratio_rejected():
         twisted_lattice(0.0, -1.0)
 
 
-def test_theta_from_oam_linear():
+def test_theta_of_charge_linear():
     # θ_ℓ = ℓπ/ℓ_max: spot values and linearity in ℓ
-    assert theta_from_oam(OamCharge(0.0, 4)) == 0.0
-    assert abs(theta_from_oam(OamCharge(2.0, 4)) - math.pi / 2) < 1e-15
-    assert abs(theta_from_oam(OamCharge(1.5, 4)) - math.radians(67.5)) < 1e-15
-    assert abs(theta_from_oam(OamCharge(2.0, 6)) - math.radians(60.0)) < 1e-15
+    assert theta_of(0.0, 4) == 0.0
+    assert abs(theta_of(2.0, 4) - math.pi / 2) < 1e-15
+    assert abs(theta_of(1.5, 4) - math.radians(67.5)) < 1e-15
+    assert abs(theta_of(2.0, 6) - math.radians(60.0)) < 1e-15
 
 
 @settings(max_examples=40, deadline=None)
 @given(ell=st.floats(-8.0, 8.0), k=st.floats(-8.0, 8.0),
        ell_max=st.integers(1, 12))
-def test_theta_from_oam_additive(ell, k, ell_max):
-    t1 = theta_from_oam(OamCharge(ell, ell_max))
-    t2 = theta_from_oam(OamCharge(k, ell_max))
-    t12 = theta_from_oam(OamCharge(ell + k, ell_max))
+def test_theta_of_charge_additive(ell, k, ell_max):
+    t1 = theta_of(ell, ell_max)
+    t2 = theta_of(k, ell_max)
+    t12 = theta_of(ell + k, ell_max)
     assert abs(t12 - (t1 + t2)) < 1e-9
 
 
-def test_oam_charge_validates_ell_max():
+def test_charge_validates_ell_max():
     with pytest.raises(ValueError):
-        OamCharge(1.0, 0)
+        TrainableParams(ell=1.0, ell_max=0)
 
 
 def test_presets():
@@ -80,7 +84,7 @@ def test_presets():
     assert abs(hexa.u1 @ hexa.u2) < 1e-12
     assert abs(np.linalg.norm(hexa.u1) - np.linalg.norm(hexa.u2)) < 1e-12
 
-    oam = twisted_lattice(theta_from_oam(OamCharge(1.5, 4)), 1.092)
+    oam = twisted_lattice(theta_of(1.5, 4), 1.092)
     assert abs(oam.theta - math.radians(67.5)) < 1e-15
     assert oam.r == 1.092
 

@@ -317,9 +317,15 @@ class TestEfficiencyAndCapacity:
         with pytest.raises(ValueError):
             capacity(-1.0, 0.1)
         with pytest.raises(ValueError):
-            capacity(1.0, 0.0)
+            capacity(1.0, -1e-300)
         with pytest.raises(ValueError):
             capacity(1.0, 1.0)
+        with pytest.raises(ValueError):
+            capacity(-1.0, 0.0)
+
+    def test_capacity_is_undefined_without_errors(self):
+        # −ln P_err is unbounded at P_err = 0
+        assert math.isnan(capacity(1.0, 0.0))
 
     @settings(max_examples=30, deadline=None)
     @given(p=st.floats(1e-9, 0.4999))
