@@ -67,8 +67,10 @@ def _log_factorials(D: int) -> np.ndarray:
     return out
 
 
+@lru_cache(maxsize=16)
 def _loss_amplitudes(eta: float, D: int) -> np.ndarray:
-    """A[k, m] = √(C(m+k, k) (1-η)^k η^m) for m + k < D, zero elsewhere.
+    """Read-only A[k, m] = √(C(m+k, k) (1-η)^k η^m) for m + k < D, zero
+    elsewhere; cached per (η, D).
 
     Row k holds the one nonzero diagonal of the k-photon Kraus operator,
     K_k[m, m+k] = A[k, m]. Computed in log space so large-n binomials stay
@@ -84,6 +86,7 @@ def _loss_amplitudes(eta: float, D: int) -> np.ndarray:
         log_w = (lgamma[m + k] - lgamma[k] - lgamma[m]
                  + k * log_one_minus + m * log_eta)
         A[k, :D - k] = np.exp(0.5 * log_w)
+    A.setflags(write=False)
     return A
 
 
@@ -97,47 +100,35 @@ def loss_kraus(eta: float, D: int) -> list[np.ndarray]:
     within the truncated space. Kept as the dense reference for `apply_loss`.
     """
     if eta == 1.0:
-        return [np.eye(D, dtype=complex)]
+        return [np.eye(D)]
     A = _loss_amplitudes(eta, D)
     ops = []
     for k in range(D):
         m = np.arange(D - k)
-        K = np.zeros((D, D), dtype=complex)
+        K = np.zeros((D, D))
         K[m, m + k] = A[k, :D - k]
         ops.append(K)
     return ops
 
 
-@lru_cache(maxsize=16)
-def _loss_weights(eta: float, D: int) -> tuple[np.ndarray, ...]:
-    """Read-only W_k = a_k a_kᵀ, a_k the nonzero part of row k of A, stored
-    complex: numpy would cast each real W_k to w + 0j on every `apply_loss`
-    call before the same complex multiply, so the cast is done once here."""
-    A = _loss_amplitudes(eta, D)
-    weights = []
-    for k in range(D):
-        W = np.outer(A[k, :D - k], A[k, :D - k]).astype(complex)
-        W.setflags(write=False)
-        weights.append(W)
-    return tuple(weights)
-
-
 def apply_loss(rho: np.ndarray, eta: float) -> np.ndarray:
     """Loss channel Σ_k K_k ρ K_k†; trace-preserving within the cutoff.
 
-    K_k has one nonzero diagonal, so (K_k ρ K_k†)[a, b] is
-    W_k[a, b]·ρ[a+k, b+k]: each term is an elementwise product on a shifted
-    block, with no dense Kraus matrix and no matrix product. Linear in ρ, so
-    it also maps non-Hermitian operators such as |i⟩⟨j|. A (..., D, D) stack
-    is mapped matrix by matrix in the one loop over k.
+    K_k has one nonzero diagonal a_k (row k of `_loss_amplitudes`), so
+    (K_k ρ K_k†)[a, b] is W_k[a, b]·ρ[a+k, b+k] with W_k = a_k·a_kᵀ: each
+    term is an elementwise product on a shifted block, with no dense Kraus
+    matrix and no matrix product. Linear in ρ, so it also maps non-Hermitian
+    operators such as |i⟩⟨j|. A (..., D, D) stack is mapped matrix by matrix
+    in the one loop over k; a real input gives a real output.
     """
-    rho = np.asarray(rho, dtype=complex)
+    rho = np.asarray(rho)
     if eta == 1.0:
         return rho.copy()
     D = rho.shape[-1]
-    out = np.zeros_like(rho)
-    for k, W in enumerate(_loss_weights(eta, D)):
-        out[..., :D - k, :D - k] += W * rho[..., k:, k:]
+    out = np.zeros(rho.shape, np.result_type(rho, float))
+    for k, a_k in enumerate(_loss_amplitudes(eta, D)):
+        a_k = a_k[:D - k]
+        out[..., :D - k, :D - k] += np.outer(a_k, a_k) * rho[..., k:, k:]
     return out
 
 
@@ -148,7 +139,7 @@ def apply_dephasing(rho: np.ndarray, gamma: float) -> np.ndarray:
     Diagonal (and hence trace) is untouched for any γ.
     """
     check_domain("gamma", gamma, NOISE_DOMAINS["gamma"])
-    rho = np.asarray(rho, dtype=complex)
+    rho = np.asarray(rho)
     n = np.arange(rho.shape[-1])
     dn = n[:, None] - n[None, :]
     return rho * np.exp(-0.5 * gamma * dn.astype(float) ** 2)
@@ -164,7 +155,7 @@ def apply_momentum_diffusion(rho: np.ndarray, gamma: float) -> np.ndarray:
     positive and trace preserving; anisotropic, hence not rotation-covariant.
     """
     check_domain("gamma", gamma, NOISE_DOMAINS["gamma"])
-    rho = np.asarray(rho, dtype=complex)
+    rho = np.asarray(rho)
     x, s, phi = _gauss_hermite(rho.shape[0])
     V = phi.T * np.sqrt(s)
     rho_q = V.T @ rho @ V

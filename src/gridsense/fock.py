@@ -1,9 +1,11 @@
-"""Dense complex linear algebra in the truncated photon-number basis.
+"""Dense linear algebra in the truncated photon-number basis.
 
 Conventions used throughout the package:
 
-* kets are 1-D complex arrays of length D (cutoff dimension),
-* operators and density matrices are D x D complex arrays,
+* kets are 1-D arrays of length D (cutoff dimension), operators and density
+  matrices D x D arrays: float64 where real (a, n̂, q, the codewords, the
+  squeeze generator, the noisy basis), complex only where a phase enters
+  (the Bloch azimuth e^{iφ}, the rotation R(θ), x_ψ's e^{iψ}),
 * quadratures are q = (a + a†)/√2, p = i(a† − a)/√2, so the vacuum has
   variance 1/2 in each.
 
@@ -46,26 +48,27 @@ class NumericError(ArithmeticError):
 
 
 def annihilation(D: int) -> np.ndarray:
-    """Annihilation operator a with a[n-1, n] = sqrt(n), for cutoff D >= 2."""
+    """Annihilation operator a with a[n-1, n] = sqrt(n), for cutoff D >= 2;
+    real, so a† = a.T."""
     if D < 2:
         raise InvalidDimensionError(f"cutoff must be >= 2, got {D}")
-    a = np.zeros((D, D), dtype=complex)
+    a = np.zeros((D, D))
     n = np.arange(1, D)
     a[n - 1, n] = np.sqrt(n)
     return a
 
 
 def number_op(D: int) -> np.ndarray:
-    """n̂ = a†a, diagonal (0, 1, ..., D-1)."""
+    """n̂ = a†a, the real diagonal (0, 1, ..., D-1)."""
     if D < 2:
         raise InvalidDimensionError(f"cutoff must be >= 2, got {D}")
-    return np.diag(np.arange(D, dtype=float)).astype(complex)
+    return np.diag(np.arange(D, dtype=float))
 
 
 def position_op(D: int) -> np.ndarray:
     """q = (a + a†)/√2."""
     a = annihilation(D)
-    return (a + a.conj().T) / np.sqrt(2.0)
+    return (a + a.T) / np.sqrt(2.0)
 
 
 def quadrature_op(D: int, psi: float) -> np.ndarray:
@@ -76,7 +79,7 @@ def quadrature_op(D: int, psi: float) -> np.ndarray:
     invariant under x → -x, so the overall sign is immaterial.
     """
     a = annihilation(D)
-    return (a * np.exp(1j * psi) + a.conj().T * np.exp(-1j * psi)) / np.sqrt(2.0)
+    return (a * np.exp(1j * psi) + a.T * np.exp(-1j * psi)) / np.sqrt(2.0)
 
 
 # Not exported and not called by the package (`states.squeeze` diagonalizes

@@ -76,7 +76,7 @@ def qfi_response(rho: np.ndarray):
                         where=mask)
     qfi = float(2.0 * np.sum(weights * np.abs(n_eig) ** 2))
     sld = np.divide(2j * lam_diff * n_eig, lam_sum,
-                    out=np.zeros_like(n_eig), where=mask)
+                    out=np.zeros_like(n_eig, dtype=complex), where=mask)
     h_eig = -2j * (sld @ n_eig - n_eig @ sld) - sld @ sld
     return qfi, V @ h_eig @ V.conj().T
 

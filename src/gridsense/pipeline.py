@@ -11,8 +11,8 @@ Both channels are linear, so for a Bloch state c0|0_ε⟩ + c1|1_ε⟩
     M_ij = dephasing(loss(S|i_ε⟩⟨j_ε|S†)),  M10 = M01†.
 
 `noisy_basis` builds (M00, M01, M11) and their slopes in r and ε once per
-(ε, r, η, γ, D) as one read-only (9, D, D) stack, M at offset 0, ∂_r M at 3
-and ∂_ε M at 6, and caches it; every other input only recombines it.
+(ε, r, η, γ, D) as one real, read-only (9, D, D) stack, M at offset 0, ∂_r M
+at 3 and ∂_ε M at 6, and caches it; every other input only recombines it.
 The Bloch poles θ_B ∈ {0, π} return M00 / M11 exactly, following
 `logical_state`. Because R(θ) commutes with n̂, F_Q does not depend on θ and
 `pipeline_qfi` never rotates. A training step solves its one state and
@@ -52,30 +52,31 @@ class SensorSpec:
 @lru_cache(maxsize=16)
 def noisy_basis(epsilon: float, r: float, eta: float, gamma: float,
                 cutoff: int) -> np.ndarray:
-    """The read-only (9, D, D) stack M00, M01, M11, then their ∂_r, then
-    their ∂_ε, of M_ij = dephasing(loss(|k_i⟩⟨k_j|)), |k_μ⟩ = S|μ_ε⟩; a
-    slope is the channels of |dk_i⟩⟨k_j| + |k_i⟩⟨dk_j|.
+    """The read-only float64 (9, D, D) stack M00, M01, M11, then their ∂_r,
+    then their ∂_ε, of M_ij = dephasing(loss(|k_i⟩⟨k_j|)), |k_μ⟩ = S|μ_ε⟩;
+    a slope is the channels of |dk_i⟩⟨k_j| + |k_i⟩⟨dk_j|.
 
-    S = exp(−i·ln r·K) squeezes both codewords, so ∂_r|k_μ⟩ = −iK|k_μ⟩/r
+    S = exp(ln r·G) squeezes both codewords, so ∂_r|k_μ⟩ = G|k_μ⟩/r
     (`states.squeeze_generator`). While the comb's peak count stays fixed,
     ∂_ε|μ_ε⟩ = −(n̂ − ⟨n̂⟩_μ)|μ_ε⟩, and ∂_ε|k_μ⟩ is S of that: one `squeeze`
-    maps the codewords and their ε slopes as four columns. The channels are
-    linear, so the nine matrices go through them as one stack, built once
-    while training holds ε and r frozen.
+    maps the codewords and their ε slopes as four columns; S is real, so
+    their real part drops only roundoff. The channels are linear, so the
+    nine matrices go through them as one stack, built once while training
+    holds ε and r frozen.
     """
     codewords = np.stack([prepare_codeword(0, epsilon, cutoff),
                           prepare_codeword(1, epsilon, cutoff)], axis=1)
     n = np.arange(cutoff)[:, None]
-    mean_n = np.sum(n * np.abs(codewords) ** 2, axis=0)  # ⟨n̂⟩_μ
+    mean_n = np.sum(n * codewords ** 2, axis=0)  # ⟨n̂⟩_μ
     columns = squeeze(np.hstack([codewords, (mean_n - n) * codewords]),
-                      math.log(r))
+                      math.log(r)).real
     kets, d_epsilon = columns[:, :2], columns[:, 2:]
 
     def rank1(x, y) -> np.ndarray:
         """|x_i⟩⟨y_j| over (i, j) = (0, 0), (0, 1), (1, 1) of ket columns."""
-        return x.T[[0, 0, 1], :, None] * y.T[[0, 1, 1], None, :].conj()
+        return x.T[[0, 0, 1], :, None] * y.T[[0, 1, 1], None, :]
 
-    slopes = [(-1j / r) * (squeeze_generator(cutoff) @ kets), d_epsilon]
+    slopes = [squeeze_generator(cutoff) @ kets / r, d_epsilon]
     basis = apply_dephasing(apply_loss(np.concatenate(
         [rank1(kets, kets)]
         + [rank1(dk, kets) + rank1(kets, dk) for dk in slopes]), eta), gamma)
@@ -96,14 +97,14 @@ def _unrotated_state(spec: SensorSpec, noise: NoiseParams) -> np.ndarray:
 
 
 def _state(c0, c1, M) -> np.ndarray:
-    """The noisy state at θ = 0 as a fresh (D, D) array from the Bloch
-    amplitudes and M = (M00, M01, M11): the bilinear form, or a copy of
-    M00 / M11 at the Bloch poles."""
+    """The noisy state at θ = 0 as a fresh complex (D, D) array from the
+    Bloch amplitudes and the real M = (M00, M01, M11): the bilinear form,
+    or a complex copy of M00 / M11 at the Bloch poles."""
     M00, M01, M11 = M
     if c1 == 0.0:
-        return M00.copy()
+        return M00.astype(complex)
     if c0 == 0.0:
-        return M11.copy()
+        return M11.astype(complex)
     c00, c01, c11 = _coefficients(c0, c1)
     cross = c01 * M01
     rho = c00 * M00 + c11 * M11 + cross + cross.T.conj()

@@ -23,13 +23,14 @@ the omitted weight below 1e-14 for any ε in `EPSILON_DOMAIN`.
 
 Squeeze
 -------
-S(s) = exp(s·(a†² − a²)/2) = exp(−isK) with K = i·(a†² − a²)/2 Hermitian, so
-with K = V·diag(w)·V† the gate is S(s)ψ = V·e^{−isw}·V†ψ. The eigenvector
-route is well conditioned for a normal generator (Moler & Van Loan, SIAM Rev.
-45, 2003), and the decomposition depends on D only, so it is taken once per
-cutoff and every squeeze after that costs two matrix-vector products. The
-truncated K is still Hermitian, so the gate is unitary on the truncated space
-and keeps a ket's norm to roundoff; whether the cutoff is big enough for the
+S(s) = exp(sG) with the real antisymmetric G = (a†² − a²)/2, so with the
+Hermitian iG = V·diag(w)·V† the gate is S(s)ψ = V·e^{−isw}·V†ψ, a complex
+array that is real to roundoff on a real ket. The eigenvector route is well
+conditioned for a normal generator (Moler & Van Loan, SIAM Rev. 45, 2003),
+and the decomposition depends on D only, so it is taken once per cutoff and
+every squeeze after that costs two matrix-vector products. The truncated G
+is still antisymmetric, so the gate is unitary on the truncated space and
+keeps a ket's norm to roundoff; whether the cutoff is big enough for the
 *physics* is a state-preparation question the gate cannot detect.
 
 Gauss–Hermite rule
@@ -110,8 +111,8 @@ def prepare_codeword(mu: int, epsilon: float, D: int) -> np.ndarray:
     """Normalized finite-energy codeword |μ_ε⟩ at cutoff D.
 
     mu must be 0 or 1; ε and D in their domains. The returned amplitudes
-    are real (stored complex) with all odd-n entries exactly zero. Cached
-    per (μ, ε, D) and returned read-only; copy before writing to it.
+    are float64 with all odd-n entries exactly zero. Cached per (μ, ε, D)
+    and returned read-only; copy before writing to it.
     """
     if mu not in (0, 1):
         raise ValueError(f"mu must be 0 or 1, got {mu}")
@@ -124,10 +125,9 @@ def prepare_codeword(mu: int, epsilon: float, D: int) -> np.ndarray:
     # The comb is q -> -q symmetric, so odd amplitudes are already ~1e-17;
     # zero them exactly so downstream parity checks are clean.
     amplitudes[1::2] = 0.0
-    ket = amplitudes.astype(complex)
-    ket /= np.linalg.norm(ket)
-    ket.setflags(write=False)
-    return ket
+    amplitudes /= np.linalg.norm(amplitudes)
+    amplitudes.setflags(write=False)
+    return amplitudes
 
 
 def bloch_amplitudes(bloch_theta: float,
@@ -166,19 +166,19 @@ def logical_state(bloch_theta: float, bloch_phi: float, epsilon: float,
 
 @lru_cache(maxsize=8)
 def squeeze_generator(D: int) -> np.ndarray:
-    """K = i·(a†² − a²)/2 at cutoff D, so that S(s) = exp(−isK) and
-    ∂_s(S|ψ⟩) = −iK·S|ψ⟩; cached per cutoff and read-only."""
+    """The real G = (a†² − a²)/2 at cutoff D, so that S(s) = exp(sG) and
+    ∂_s(S|ψ⟩) = G·S|ψ⟩; cached per cutoff and read-only."""
     a = annihilation(D)
-    K = 0.5j * (a.conj().T @ a.conj().T - a @ a)
-    K.setflags(write=False)
-    return K
+    G = 0.5 * (a.T @ a.T - a @ a)
+    G.setflags(write=False)
+    return G
 
 
 @lru_cache(maxsize=8)
 def _squeeze_spectrum(D: int) -> tuple[np.ndarray, np.ndarray]:
-    """Read-only (w, V) with K = V·diag(w)·V† at cutoff D (see
+    """Read-only (w, V) with iG = V·diag(w)·V† at cutoff D (see
     `squeeze_generator`)."""
-    w, V = hermitian_eig(squeeze_generator(D))
+    w, V = hermitian_eig(1j * squeeze_generator(D))
     w.setflags(write=False)
     V.setflags(write=False)
     return w, V

@@ -165,6 +165,44 @@ class TestMomentumDiffusion:
         assert np.array_equal(phi2, _hermite_functions(x_ref, 6).T)
 
 
+CHANNELS = {
+    "loss": lambda rho: apply_loss(rho, 0.85),
+    "dephasing": lambda rho: apply_dephasing(rho, 0.1),
+    "diffusion": lambda rho: apply_momentum_diffusion(rho, 0.1),
+}
+
+
+class TestChannelDtypes:
+    """Each channel keeps its input's dtype: the noisy basis is real."""
+
+    @pytest.mark.parametrize("name", CHANNELS)
+    def test_a_real_input_gives_a_real_output(self, name):
+        rng = np.random.default_rng(3)
+        X = rng.normal(size=(12, 12))
+        out = CHANNELS[name](X)
+        assert out.dtype == np.float64
+        assert np.max(np.abs(out - CHANNELS[name](X.astype(complex)))) \
+            <= 1e-15 * np.max(np.abs(out))
+
+    def test_a_complex_input_meets_the_weights_as_complex(self):
+        # the bits of the weights W_k stored complex, as a complex ρ meets
+        # the real ones cast to w + 0j
+        from gridsense.channels import _loss_amplitudes
+
+        rng = np.random.default_rng(4)
+        X = rng.normal(size=(2, 12, 12)) + 1j * rng.normal(size=(2, 12, 12))
+        A = _loss_amplitudes(0.85, 12)
+        ref = np.zeros_like(X)
+        for k in range(12):
+            W = np.outer(A[k, :12 - k], A[k, :12 - k]).astype(complex)
+            ref[..., :12 - k, :12 - k] += W * X[..., k:, k:]
+        assert apply_loss(X, 0.85).tobytes() == ref.tobytes()
+        dn = np.arange(12)[:, None] - np.arange(12)[None, :]
+        damping = np.exp(-0.5 * 0.1 * dn.astype(float) ** 2)
+        assert apply_dephasing(X, 0.1).tobytes() == \
+            (X * damping.astype(complex)).tobytes()
+
+
 class TestEffectiveSigmas:
     def test_formulas_at_benchmark_point(self):
         # sigma_q^2 = (1-eta)/(2 eta) + gamma sin^2(theta), and p with cos^2

@@ -46,6 +46,13 @@ def test_number_op_is_a_dagger_a():
     assert np.allclose(number_op(D), a.conj().T @ a, atol=1e-12)
 
 
+def test_real_operators_are_real_arrays():
+    # complex numbers enter only through a phase, as in x_ψ
+    for op in (annihilation(9), number_op(9), position_op(9)):
+        assert op.dtype == np.float64
+    assert quadrature_op(9, 0.3).dtype == np.complex128
+
+
 def test_quadrature_psi_zero_is_position():
     D = 8
     assert np.allclose(quadrature_op(D, 0.0), position_op(D), atol=1e-15)

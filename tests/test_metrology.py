@@ -184,6 +184,19 @@ class TestQfiResponse:
             assert np.sum(H.T * direction).real == pytest.approx(diff,
                                                                  rel=1e-6)
 
+    @pytest.mark.parametrize("seed", range(3))
+    def test_a_real_state_gives_what_its_complex_copy_gives(self, seed):
+        # a real ρ has a real eigenbasis, but its SLD is imaginary
+        rng = np.random.default_rng(seed)
+        X = rng.normal(size=(6, 6))
+        rho = X @ X.T
+        rho /= np.trace(rho)
+        qfi, H = qfi_response(rho)
+        ref_qfi, ref_H = qfi_response(rho.astype(complex))
+        assert qfi == pytest.approx(ref_qfi, rel=1e-12)
+        assert np.max(np.abs(H - ref_H)) <= 1e-12 * np.max(np.abs(ref_H))
+        assert qfi_mixed(np.diag([0.5, 0.5, 0.0, 0.0])) == 0.0
+
     def test_pure_state_response(self):
         # on a pure state only the support is resolved: F_Q = 4 Var(n̂) is
         # linear in ρ along directions inside span{|ψ⟩}

@@ -764,6 +764,24 @@ class TestAnalyticGradient:
         assert got[index("ell")] == pytest.approx(oracle[index("ell")],
                                                   rel=1e-6)
 
+    @pytest.mark.parametrize("noise", [NoiseParams(eta=0.9, gamma=0.05),
+                                       NoiseParams(eta=0.8, gamma=0.1)])
+    @pytest.mark.parametrize("r", [1.0, 1.092, 1.5])
+    def test_the_poles_are_stationary_on_the_default_meridian(self, r, noise):
+        # The noisy basis is real, so F_Q is even in φ_B, and on φ_B = π/2
+        # θ_B = ±δ are the same F_Q: each pole is a stationary point there,
+        # whose slope is roundoff. A run that starts on a pole stays on it.
+        cfg = short_cfg(noise=noise)
+
+        def slope(bloch_theta):
+            params = TrainableParams(bloch_theta=bloch_theta,
+                                     bloch_phi=math.pi / 2, r=r)
+            return abs(analytic_gradient(params, cfg)[0])
+
+        for pole, inward in ((0.0, 1.0), (math.pi, -1.0)):
+            assert slope(pole) <= 1e-12
+            assert slope(pole + inward * 1e-3) >= 1e-4
+
 
 class TestPerrGradient:
     @pytest.mark.parametrize("seed", range(4))

@@ -115,6 +115,19 @@ def test_basis_matrices_are_read_only():
             M[0, 0] = 1.0
 
 
+@pytest.mark.parametrize("args", [(0.063, 1.092, 0.9, 0.05, 30),
+                                  (0.1, 1.0, 1.0, 0.0, 40)])
+def test_basis_is_real_and_the_state_complex(args):
+    # real kets through real channels; the Bloch phase makes ρ complex
+    assert noisy_basis(*args).dtype == np.float64
+    epsilon, r, eta, gamma, cutoff = args
+    noise = NoiseParams(eta=eta, gamma=gamma)
+    for bloch_theta in (0.0, 1.1, math.pi):
+        spec = SensorSpec(theta=0.0, r=r, epsilon=epsilon,
+                          bloch_theta=bloch_theta, cutoff=cutoff)
+        assert pipeline._unrotated_state(spec, noise).dtype == np.complex128
+
+
 @pytest.mark.parametrize("spec_change,noise_change", [
     ({}, {"eta": 0.8}),
     ({}, {"gamma": 0.1}),
@@ -259,21 +272,21 @@ def test_mutating_a_codeword_copy_leaves_the_cache_intact():
 
 def basis_reference(epsilon, r, eta, gamma, cutoff):
     """(M, ∂_r M, ∂_ε M) with each matrix through the channels alone: the
-    outer products one at a time, and ∂_r from the commutator
-    −i[K, S·O·S†]/r of the squeeze generator K with each of them."""
+    outer products of the real squeezed kets one at a time, and ∂_r from
+    the commutator [G, S·O·Sᵀ]/r of the squeeze generator G with each."""
     codewords = np.stack([states.prepare_codeword(0, epsilon, cutoff),
                           states.prepare_codeword(1, epsilon, cutoff)], axis=1)
     n = np.arange(cutoff)[:, None]
-    mean_n = np.sum(n * np.abs(codewords) ** 2, axis=0)
+    mean_n = np.sum(n * codewords ** 2, axis=0)
     columns = states.squeeze(np.hstack([codewords, (mean_n - n) * codewords]),
-                             math.log(r))
+                             math.log(r)).real
     squeezed, d_kets = columns[:, :2], columns[:, 2:]
-    K = states.squeeze_generator(cutoff)
+    G = states.squeeze_generator(cutoff)
     pairs = ((0, 0), (0, 1), (1, 1))
-    outer = [np.outer(squeezed[:, i], squeezed[:, j].conj()) for i, j in pairs]
-    d_r = [(-1j / r) * (K @ O - O @ K) for O in outer]
-    d_epsilon = [np.outer(d_kets[:, i], squeezed[:, j].conj())
-                 + np.outer(squeezed[:, i], d_kets[:, j].conj())
+    outer = [np.outer(squeezed[:, i], squeezed[:, j]) for i, j in pairs]
+    d_r = [(G @ O - O @ G) / r for O in outer]
+    d_epsilon = [np.outer(d_kets[:, i], squeezed[:, j])
+                 + np.outer(squeezed[:, i], d_kets[:, j])
                  for i, j in pairs]
     return tuple([apply_dephasing(apply_loss(X, eta), gamma) for X in stack]
                  for stack in (outer, d_r, d_epsilon))
@@ -299,7 +312,7 @@ def test_stacked_basis_is_bit_identical_to_one_matrix_at_a_time(args):
 
 @pytest.mark.parametrize("args", BASIS_POINTS)
 def test_basis_slopes_match_the_matrix_route(args):
-    # ∂_ε M is the same product of kets, so the same bits; ∂_r M takes K on
+    # ∂_ε M is the same product of kets, so the same bits; ∂_r M takes G on
     # the kets in place of the commutator, which moves it by roundoff only
     noisy_basis.cache_clear()
     basis = noisy_basis(*args)
@@ -370,9 +383,9 @@ def test_basis_misses_at_one_cutoff_build_the_generator_once():
     noisy_basis(0.1, 1.3, 0.8, 0.1, 30)
     noisy_basis.cache_clear()
     assert states.squeeze_generator.cache_info().misses == 1
-    K = states.squeeze_generator(30)
+    G = states.squeeze_generator(30)
     with pytest.raises(ValueError):
-        K[0, 2] = 1.0
+        G[0, 2] = 1.0
 
 
 @pytest.mark.parametrize("eta,gamma", [(0.8, 0.1), (1.0, 0.3), (0.95, 0.0)])

@@ -27,6 +27,7 @@ from gridsense.states import (
     bloch_amplitudes,
     _squeeze_spectrum,
     comb_positions,
+    squeeze_generator,
 )
 
 from conftest import D, EPS, ket_density
@@ -43,7 +44,7 @@ class TestCodewords:
         assert np.all(codeword1[1::2] == 0)
 
     def test_amplitudes_real(self, codeword0):
-        assert np.max(np.abs(codeword0.imag)) == 0.0
+        assert codeword0.dtype == np.float64
 
     def test_mean_photon_number(self, codeword0):
         n_mean = expectation(ket_density(codeword0), number_op(D)).real
@@ -217,6 +218,17 @@ class TestSpectralSqueeze:
                 ket = squeeze(stack[:, j], log_r)
                 ref = _expm_squeeze(stack[:, j], log_r)
                 assert np.max(np.abs(ket - ref)) <= 1e-13
+
+    def test_generator_is_real_and_antisymmetric(self):
+        # S = exp(sG) is real, so a real ket comes out real to roundoff
+        G = squeeze_generator(D)
+        assert G.dtype == np.float64
+        assert np.array_equal(G, -G.T)
+        a = annihilation(D)
+        assert np.array_equal(G, (a.T @ a.T - a @ a) / 2.0)
+        for log_r in self.LOG_RS:
+            out = squeeze(prepare_codeword(0, EPS, D), log_r)
+            assert np.max(np.abs(out.imag)) <= 1e-14
 
     def test_spectrum_is_cached_and_read_only(self):
         w, V = _squeeze_spectrum(D)
