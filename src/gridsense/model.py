@@ -17,7 +17,10 @@ transcendental balance equation
 
     B(θ) = r²·φ(u_q)/σ_q³ − φ(u_p)/σ_p³ = 0,
 
-which trades q-spread growth against p-spread shrinkage as θ increases.
+which trades q-spread growth against p-spread shrinkage as θ increases. It is
+solved on the log of the ratio of B's two terms, which has B's sign, does not
+underflow, and is monotone on at most three pieces of (0, π/2) found in
+closed form (`_solve_cells`).
 """
 
 from __future__ import annotations
@@ -148,219 +151,168 @@ def balance(theta, r: float, noise: NoiseParams):
     B > 0 means q dominates. θ and the noise fields broadcast together. B is
     NaN where a spread is zero (η = 1 with γ = 0, or η = 1 on an axis).
 
-    Monotonicity: 1/σ = 2u/(a·r) for q and 2u·r/a for p, so
-    B = (8/a³)·[g(u_q)/r − r³·g(u_p)] with g(u) = u³φ(u), and
-    g'(u) = u²(3 − u²)φ(u) < 0 for u > √3. With γ > 0, σ_q grows and σ_p
-    shrinks strictly as θ runs over (0, π/2), so u_q falls and u_p rises,
-    and B is strictly increasing wherever both margins stay above √3. They
-    are smallest at the widest spread σ² = (1−η)/(2η) + γ (u_q at θ = π/2,
-    u_p at θ = 0), so the per-cell test is γ > 0 and a·r/(2σ) > √3 and
-    (a/r)/(2σ) > √3 at that σ. It holds in the whole fault-tolerant regime,
-    and θ* then takes a binary search instead of the full scan.
+    θ* is solved on the log of the ratio of B's two terms (`_solve_cells`),
+    which has B's sign wherever both are positive and does not underflow.
+    With S = σ_q² + σ_p² = (1 − η)/η + γ, which does not depend on θ, that
+    log is strictly increasing on (0, π/2) wherever γ > 0 and S ≤ π/3.
     """
-    b_q, b_p = _balance_terms(theta, r, noise)
-    return b_q - b_p
-
-
-def _balance_terms(theta, r: float, noise: NoiseParams):
-    """The two terms of B: (r²·φ(u_q)/σ_q³, φ(u_p)/σ_p³)."""
     sigma_q, sigma_p, u_q, u_p = _margins(theta, r, noise)
     # np.power, not **: on numpy scalars ** takes another pow than the
     # array loop, and a one-cell B would then differ from a grid's by an ulp.
-    return (r**2 * _phi(u_q) / np.power(sigma_q, 3),
-            _phi(u_p) / np.power(sigma_p, 3))
+    return (r**2 * _phi(u_q) / np.power(sigma_q, 3)
+            - _phi(u_p) / np.power(sigma_p, 3))
 
 
-N_SCAN = 64
 ROOT_TOL = 1e-10
-_SQRT3 = math.sqrt(3.0)
 
 
-def _scan_grid() -> np.ndarray:
-    """The N_SCAN interior scan angles on (0, π/2)."""
-    return np.linspace(0.0, math.pi / 2.0, N_SCAN + 2)[1:-1]
+def _log_balance(theta, r: float, tilt, spread):
+    """The log-balance L at θ, for cells with γ/S = `tilt` and S = `spread`
+    (see `_solve_cells`).
 
+    In terms of w = (x − y)/(2S) = −(γ/2S)·cos 2θ, x = S·(1/2 + w) and
+    y = S·(1/2 − w), so L = 2 ln r − c_q/(2x) + c_p/(2y) − (3/2)·ln(x/y) is
 
-def _increasing(r: float, eta: np.ndarray, gamma: np.ndarray) -> np.ndarray:
-    """Cells where B is provably strictly increasing on (0, π/2): γ > 0 and
-    both margins exceed √3 at the widest spread (see `balance`)."""
-    noise = NoiseParams(eta, gamma)
-    u_q = _margins(math.pi / 2.0, r, noise)[2]  # sin(π/2) and cos(0) are 1.0
-    u_p = _margins(0.0, r, noise)[3]
-    return (gamma > 0.0) & (u_q > _SQRT3) & (u_p > _SQRT3)
+        L = 2 ln r − ((c_q − c_p)/2 − (c_q + c_p)·w)/(2S·(1/4 − w²))
+            − 3·artanh(2w).
 
-
-def _search_brackets(r: float, eta: np.ndarray, gamma: np.ndarray):
-    """Brackets of cells whose B is increasing, by a binary search of the
-    scan grid for the first angle with B ≥ 0: 7 calls of `balance` instead
-    of N_SCAN.
-
-    Returns (cell, k, unsure): the cells with a bracket (grid[k],
-    grid[k+1]), which is the only sign change the scan would find, and the
-    cells where a probe read 0 or NaN, for the scan to decide. The other
-    cells keep one sign of B and have no root.
+    Where x or y is 0 (η = 1 on an axis) L takes its limit, −∞ at θ = 0 and
+    +∞ at π/2.
     """
-    grid = _scan_grid()
-    noise = NoiseParams(eta, gamma)
-    # B < 0 at grid[lo] and B > 0 at grid[hi]; -1 and N_SCAN are unprobed
-    lo = np.full(eta.size, -1)
-    hi = np.full(eta.size, N_SCAN)
-    unsure = np.zeros(eta.size, dtype=bool)
-    live = hi - lo > 1
-    while live.any():
-        mid = (lo + hi) // 2
-        # only a finished cell can have mid = -1
-        b = balance(grid[np.clip(mid, 0, N_SCAN - 1)], r, noise)
-        below, above = live & (b < 0.0), live & (b > 0.0)
-        unsure |= live & ~below & ~above  # B is 0 or NaN
-        lo = np.where(below, mid, lo)
-        hi = np.where(above, mid, hi)
-        live &= ~unsure & (hi - lo > 1)
-    found = ~unsure & (lo >= 0) & (hi < N_SCAN)
-    return np.flatnonzero(found), lo[found], np.flatnonzero(unsure)
-
-
-def _scan_brackets(r: float, eta: np.ndarray, gamma: np.ndarray):
-    """Every bracket of B over the N_SCAN scan angles, as (cell, k) ordered
-    by cell, then k: a sign change over (grid[k], grid[k+1]) or
-    B(grid[k]) == 0. A cell where both terms of B are 0 at every angle gets
-    none."""
-    noise = NoiseParams(eta, gamma)
-    grid = _scan_grid()
-    # Scan one angle at a time over every cell, which keeps memory at a few
-    # cell vectors.
-    change = np.empty((eta.size, N_SCAN - 1), dtype=bool)
-    prev = balance(grid[0], r, noise)
-    flat = prev == 0.0
-    for k in range(N_SCAN - 1):
-        nxt = balance(grid[k + 1], r, noise)
-        change[:, k] = (prev == 0.0) | ((prev < 0.0) != (nxt < 0.0))
-        flat &= nxt == 0.0
-        prev = nxt
-    # Where B == 0 at every angle its terms are equal; if they are 0 as
-    # well, B ≡ 0 only by underflow and the cell gets no bracket.
-    if flat.any():
-        at = np.flatnonzero(flat)
-        b_q, _ = _balance_terms(grid[:, None], r,
-                                NoiseParams(eta[at], gamma[at]))
-        change[at[np.all(b_q == 0.0, axis=0)]] = False
-    return np.nonzero(change)
+    w = -0.5 * tilt * np.cos(2.0 * theta)
+    xy = 0.25 - w * w  # x·y/S²
+    c_q, c_p = math.pi * r * r / 2.0, math.pi / (2.0 * r * r)
+    log_balance = (2.0 * math.log(r)
+                   - (0.5 * (c_q - c_p) - (c_q + c_p) * w) / (2.0 * spread * xy)
+                   - 3.0 * np.arctanh(2.0 * w))
+    return np.where(xy > 0.0, log_balance, np.copysign(np.inf, w))
 
 
 def _solve_cells(r: float, eta: np.ndarray, gamma: np.ndarray):
-    """Scan + bisection of B on (0, π/2) for 1-D arrays of noise cells.
+    """θ* for 1-D arrays of noise cells, on the pieces of (0, π/2) where the
+    log-balance L is monotone.
 
-    Returns (root, p_err, k, n_changes) per cell: the chosen root, P_err
-    there, the index of its scan bracket (grid[k], grid[k+1]) and the number
-    of sign changes the scan found. A cell without a sign change gets NaN
-    root and P_err, k = -1 and n_changes = 0. So does a cell where both
-    terms of B are exactly 0 at every scan angle (both φ underflow, e.g.
-    η = 1 with γ ≲ 0.002): that B ≡ 0 locates no root. A B ≡ 0 whose terms
-    cancel (r = 1, γ = 0) means P_err is flat in θ, and its first bracket
-    is kept.
+    With x = σ_q², y = σ_p², c_q = πr²/2 and c_p = π/(2r²), u_q² = c_q/x and
+    u_p² = c_p/y, so L = ln(r²·φ(u_q)/σ_q³) − ln(φ(u_p)/σ_p³)
+    = 2 ln r − c_q/(2x) + c_p/(2y) − (3/2)·ln(x/y) has B's sign wherever
+    both terms are positive, and it never underflows (`_log_balance`). The
+    sum x + y = S = (1 − η)/η + γ does not depend on θ, so with
+    w = (x − y)/(2S) = −(γ/2S)·cos 2θ, which rises with θ, dL/dθ has the
+    sign of the quadratic
 
-    Where B is provably increasing (`_increasing`) a binary search finds
-    the scan's one bracket; every other cell, and every cell the search is
-    unsure of, is scanned at all N_SCAN angles.
+        (c_q + c_p + 3S)·w² + (c_p − c_q)·w + (c_q + c_p − 3S)/4,
+
+    whose discriminant 9S² − π² does not depend on r. Where S ≤ π/3 and
+    γ > 0, L is strictly increasing on (0, π/2); elsewhere the quadratic's
+    roots with |w| < γ/(2S) split (0, π/2) into at most three pieces. Each
+    piece whose end values of L differ strictly in sign holds one root, and
+    all of them are bisected in lock step until their width is at most
+    ROOT_TOL rad. At γ = 0, L is constant and there is no root.
+
+    Returns (root, p_err, lo, hi, n_roots) per cell: the root with the
+    lowest P_err (the first on a tie), P_err there, the ends (lo, hi) of
+    its piece and the number of roots. A cell without a root gets NaN root
+    and P_err.
     """
-    grid = _scan_grid()
-    with np.errstate(divide="ignore", invalid="ignore"):
-        increasing = _increasing(r, eta, gamma)
-        searched = np.flatnonzero(increasing)
-        at, k, unsure = _search_brackets(r, eta[searched], gamma[searched])
-        cell = searched[at]
-        scan = ~increasing  # not np.union1d, whose np.unique loads np.ma
-        scan[searched[unsure]] = True
-        scanned = np.flatnonzero(scan)
-        if scanned.size:
-            at, k_scan = _scan_brackets(r, eta[scanned], gamma[scanned])
-            cell = np.concatenate([cell, scanned[at]])
-            k = np.concatenate([k, k_scan])
-            order = np.argsort(cell, kind="stable")  # by cell, then k
-            cell, k = cell[order], k[order]
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        spread = (1.0 - eta) / eta + gamma
+        tilt = gamma / spread
+        c_q, c_p = math.pi * r * r / 2.0, math.pi / (2.0 * r * r)
+        # the quadratic's roots, in the form that does not cancel, and with
+        # a discriminant that does not overflow; NaN where 9S² < π²
+        a = c_q + c_p + 3.0 * spread
+        half = -0.5 * (c_p - c_q + np.copysign(
+            np.sqrt(3.0 * spread - math.pi) * np.sqrt(3.0 * spread + math.pi),
+            c_p - c_q))
+        w = np.stack([half / a, (c_q + c_p - 3.0 * spread) / 4.0 / half],
+                     axis=1)
+        # the piece ends in θ; a root outside (0, π/2) leaves an empty
+        # piece at π/2
+        cos_2theta = -2.0 * w / tilt[:, None]
+        edges = np.empty((eta.size, 4))
+        edges[:, 0] = 0.0
+        edges[:, 1:3] = np.where(np.abs(cos_2theta) < 1.0,
+                                 0.5 * np.arccos(cos_2theta), math.pi / 2.0)
+        edges[:, 3] = math.pi / 2.0
+        edges.sort(axis=1)
+        ends = _log_balance(edges, r, tilt[:, None], spread[:, None])
+        lo_negative = ends[:, :-1] < 0.0
+        pieces = (lo_negative & (ends[:, 1:] > 0.0)) | (
+            (ends[:, :-1] > 0.0) & (ends[:, 1:] < 0.0))
 
-        # Bisect every bracket in lock step until its width is at most
-        # ROOT_TOL; f_mid == 0 collapses the bracket onto mid. lo only moves
-        # to a point where B has the sign it had at lo, so that sign is
-        # fixed per bracket.
-        bracket_noise = NoiseParams(eta[cell], gamma[cell])
-        lo, hi = grid[k], grid[k + 1]
-        lo_negative = balance(lo, r, bracket_noise) < 0.0
+        # Bisect every piece with a root in lock step. lo only moves to a
+        # point where L has the sign it has at lo.
+        cell, j = np.nonzero(pieces)
+        lo, hi = edges[cell, j], edges[cell, j + 1]
+        lo_negative = lo_negative[cell, j]
+        args = r, tilt[cell], spread[cell]
         live = hi - lo > ROOT_TOL
         while live.any():
             mid = 0.5 * (lo + hi)
-            f_mid = balance(mid, r, bracket_noise)
-            zero = live & (f_mid == 0.0)
-            up = live & ~zero & ((f_mid < 0.0) == lo_negative)
-            lo = np.where(zero | up, mid, lo)
+            up = (_log_balance(mid, *args) < 0.0) == lo_negative
+            lo = np.where(live & up, mid, lo)
             hi = np.where(live & ~up, mid, hi)
             live &= hi - lo > ROOT_TOL
-    roots = 0.5 * (lo + hi)
-    p_roots = perr_analytic(roots, r, bracket_noise).p_total
-
-    # Per cell, keep the first bracket unless a later one has strictly lower
-    # P_err, as a sequential scan with `<` would.
-    n_changes = np.bincount(cell, minlength=eta.size)
-    rank = np.arange(cell.size) - (np.cumsum(n_changes) - n_changes)[cell]
-    root = np.full(eta.size, np.nan)
-    p_err = np.full(eta.size, np.nan)
-    best_k = np.full(eta.size, -1)
-    for j in range(int(n_changes.max(initial=0))):
-        at = np.flatnonzero(rank == j)
-        if j:
-            at = at[p_roots[at] < p_err[cell[at]]]
-        root[cell[at]] = roots[at]
-        p_err[cell[at]] = p_roots[at]
-        best_k[cell[at]] = k[at]
-    return root, p_err, best_k, n_changes
+    roots = np.full(pieces.shape, np.nan)
+    roots[cell, j] = 0.5 * (lo + hi)
+    p_err = np.full(pieces.shape, np.inf)
+    p_err[cell, j] = perr_analytic(roots[cell, j], r,
+                                   NoiseParams(eta[cell], gamma[cell])).p_total
+    best = np.argmin(p_err, axis=1)  # the first on a tie
+    at = np.arange(eta.size)
+    n_roots = np.count_nonzero(pieces, axis=1)
+    return (roots[at, best], np.where(n_roots > 0, p_err[at, best], np.nan),
+            edges[at, best], edges[at, best + 1], n_roots)
 
 
 def theta_star_grid(r: float, eta, gamma) -> tuple[np.ndarray, np.ndarray]:
     """θ* and P_err(θ*) for every (η, γ) cell at once.
 
     `eta` and `gamma` broadcast to the cell shape; the result has that
-    shape. The scan and bisection are those of `theta_star`, run on all
-    cells together, so each cell gets the root `theta_star` would return.
-    Cells with no root get NaN. One warning counts the cells whose balance
-    function has several sign changes.
+    shape. Every cell is solved by `_solve_cells` together, so each gets
+    the root `theta_star` would return for it, bit for bit. Cells with no
+    root get NaN. One warning counts the cells whose balance function has
+    several sign changes.
     """
     eta, gamma = np.broadcast_arrays(np.asarray(eta, dtype=float),
                                      np.asarray(gamma, dtype=float))
-    root, p_err, _, n_changes = _solve_cells(r, eta.ravel(), gamma.ravel())
-    n_multi = int(np.count_nonzero(n_changes > 1))
+    root, p_err, _, _, n_roots = _solve_cells(r, eta.ravel(), gamma.ravel())
+    n_multi = int(np.count_nonzero(n_roots > 1))
     if n_multi:
         warnings.warn(f"balance equation has several sign changes in "
-                      f"{n_multi} of {n_changes.size} cells; taking the "
+                      f"{n_multi} of {n_roots.size} cells; taking the "
                       "lowest-error root in each", stacklevel=2)
     return root.reshape(eta.shape), p_err.reshape(eta.shape)
 
 
 def theta_star(r: float, noise: NoiseParams) -> ThetaStarResult:
-    """Root of the balance equation on (0, π/2) by scan + bisection, with
-    its sensitivities to η and γ (`_theta_slope`) at that root.
+    """Root of the balance equation on (0, π/2), with its sensitivities to
+    η and γ (`_theta_slope`) at that root.
 
-    A 64-point scan locates sign changes; bisection then halves each bracket
-    until its width is at most ROOT_TOL rad (|B| is not checked; it is
-    reported as the residual). If several sign changes exist (possible only
-    outside the u > √3 regime) the one with the smallest P_err is taken and
-    a warning is emitted. NoRootError if there is no sign change, or if both
-    terms of B underflow to 0 at every scan angle.
+    The root is bisected on a piece of (0, π/2) where the log-balance is
+    monotone (`_solve_cells`), until the piece's bracket is at most ROOT_TOL
+    rad wide (|B| is not checked; it is reported as the residual), and
+    `bracket` is that piece: (0, π/2) wherever S = (1 − η)/η + γ ≤ π/3. If
+    several pieces hold a root, the one with the smallest P_err is taken and
+    a warning is emitted. NoRootError if no piece changes sign, as at γ = 0.
     """
-    root, p_err, k, n_changes = _solve_cells(
+    root, p_err, lo, hi, n_roots = _solve_cells(
         r, np.array([noise.eta], dtype=float),
         np.array([noise.gamma], dtype=float))
-    if not n_changes[0]:
+    if not n_roots[0]:
         raise NoRootError(
             f"no sign change of B on (0, pi/2) at r={r}, eta={noise.eta}, "
             f"gamma={noise.gamma}")
-    if n_changes[0] > 1:
-        warnings.warn(f"balance equation has {n_changes[0]} sign changes; "
+    if n_roots[0] > 1:
+        warnings.warn(f"balance equation has {n_roots[0]} sign changes; "
                       "taking the lowest-error root", stacklevel=2)
-    grid = _scan_grid()
     theta = float(root[0])
-    return ThetaStarResult(
-        theta, float(p_err[0]), (float(grid[k[0]]), float(grid[k[0] + 1])),
-        float(abs(balance(theta, r, noise))), *_theta_slope(theta, r, noise))
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        # B and its slopes are NaN where a spread underflows to 0
+        residual = float(abs(balance(theta, r, noise)))
+        slopes = _theta_slope(theta, r, noise)
+    return ThetaStarResult(theta, float(p_err[0]), (float(lo[0]), float(hi[0])),
+                           residual, *slopes)
 
 
 def _theta_slope(theta: float, r: float,
@@ -377,8 +329,8 @@ def _theta_slope(theta: float, r: float,
         ∂B/∂η = −(T_q′/σ_q − T_p′/σ_p)/(4η²),
         ∂B/∂γ = (sin²θ·T_q′/σ_q − cos²θ·T_p′/σ_p)/2.
 
-    Both are NaN where ∂B/∂θ = 0 at θ*: B is flat there (r = 1, γ = 0), θ*
-    is no isolated root and has no derivative.
+    Both are NaN where ∂B/∂θ is 0 or NaN at θ*: both terms of B underflow
+    there (η = 1 with faint γ), and B gives θ* no derivative.
     """
     sigma_q, sigma_p, u_q, u_p = _margins(theta, r, noise)
     # T′/σ of each term of B

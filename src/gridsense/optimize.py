@@ -254,6 +254,21 @@ def analytic_gradient(params: TrainableParams,
     return _check_gradient(_loss_and_gradient(params, cfg)[3], params)
 
 
+def _one_period(params: TrainableParams,
+                cfg: TrainConfig) -> tuple[TrainableParams, float]:
+    """`params` with a free ℓ folded onto its mirror in [0, ell_max/2], so
+    that θ ∈ [0, π/2], and the sign that folding gives ∂L/∂ℓ (−1 where ℓ
+    was reflected). P_err(θ) = P_err(π − θ) has period π and F_Q does not
+    depend on θ, so the mirror has the same loss, and that interval takes
+    each P_err value once. An ℓ inside it is returned as it is."""
+    if "ell" in cfg.freeze:
+        return params, 1.0
+    ell = params.ell % params.ell_max
+    if ell > params.ell_max - ell:
+        return replace(params, ell=params.ell_max - ell), -1.0
+    return replace(params, ell=ell), 1.0
+
+
 def lr_schedule(cfg: TrainConfig, t: int) -> float:
     """Cosine annealing: lr(t) = lr_final + (lr_init−lr_final)(1+cos(πt/steps))/2."""
     return cfg.lr_final + 0.5 * (cfg.lr_init - cfg.lr_final) * (
@@ -266,12 +281,16 @@ def train(cfg: TrainConfig,
     projection. Fully deterministic; identical (cfg, init) reproduce the
     trace bit for bit.
 
+    A free ℓ stays on [0, ell_max/2] (`_one_period`); a step that folds it
+    flips the sign of its first moment too, so the run is the mirror of the
+    unfolded one. A frozen ℓ keeps its value.
+
     Raises TrainDiverged (with the partial trace attached) if the loss goes
     non-finite. Each step records the free coordinates whose gradient was
     exactly 0 there (`TraceStep.zero_gradient`); one that is in every step's
     set never moved.
     """
-    params = init.projected()
+    params = _one_period(init.projected(), cfg)[0]
     m = np.zeros(len(PARAM_ORDER))
     v = np.zeros(len(PARAM_ORDER))
     trace: list[TraceStep] = []
@@ -300,7 +319,8 @@ def train(cfg: TrainConfig,
         m_hat = m / (1.0 - ADAM_BETA1 ** (t + 1))
         v_hat = v / (1.0 - ADAM_BETA2 ** (t + 1))
         x = params.vector() - lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
-        params = params.with_vector(x).projected()
+        params, sign = _one_period(params.with_vector(x).projected(), cfg)
+        m[_ELL] *= sign
     return params, trace
 
 

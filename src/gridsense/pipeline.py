@@ -1,9 +1,9 @@
 """The end-to-end sensor-state pipeline: codeword → geometry gates → noise.
 
 The physical composition is fixed: squeeze by ln r, then loss, then
-number-basis dephasing (dephasing AFTER loss; the channels do not commute and
-the composition order is part of the contract), with the lattice rotation
-R(θ) = e^{-iθn̂} applied last because it commutes with both channels.
+number-basis dephasing, with the lattice rotation R(θ) = e^{-iθn̂} applied
+last because it commutes with both channels. Loss and dephasing commute as
+well: loss is phase-covariant, and number dephasing is an average of R(φ).
 
 Both channels are linear, so for a Bloch state c0|0_ε⟩ + c1|1_ε⟩
 

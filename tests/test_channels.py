@@ -241,3 +241,16 @@ def test_channels_never_increase_purity(eta, gamma):
     out = apply_dephasing(apply_loss(rho, eta), gamma)
     purity_out = float(np.trace(out @ out).real)
     assert purity_out <= purity_in + 1e-10
+
+
+@pytest.mark.parametrize("dim", [10, 30, 60])
+def test_loss_and_dephasing_commute(dim):
+    # loss is phase-covariant and number dephasing is an average of R(φ),
+    # so the order of the two channels does not matter
+    rng = np.random.default_rng(dim)
+    g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    rho = g @ g.conj().T
+    rho /= np.trace(rho).real
+    a = apply_dephasing(apply_loss(rho, 0.9), 0.05)
+    b = apply_loss(apply_dephasing(rho, 0.05), 0.9)
+    assert np.max(np.abs(a - b)) <= 1e-15

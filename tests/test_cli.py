@@ -587,16 +587,26 @@ class TestThetaStar:
         assert payload["dtheta_deta_deg"] == res.dtheta_deta_deg
         assert payload["dtheta_dgamma_deg"] == res.dtheta_dgamma_deg
 
-    def test_flat_balance(self, tmp_path):
-        # r = 1, γ = 0: B is flat in θ, so θ* has no derivative. θ* is
-        # solved once per run, so its several-roots warning shows once.
-        with pytest.warns(UserWarning, match="63 sign changes") as rec:
+    def test_constant_balance_has_no_root(self, tmp_path):
+        # r = 1, γ = 0: L is constant in θ, so there is no root and no
+        # several-roots warning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
             code = main(["theta_star", "--r", "1", "--gamma", "0",
                          "-o", str(tmp_path)])
+        assert code == 4
+        payload = json.loads((tmp_path / "theta_star.json").read_text())
+        assert payload["status"] == "no_root"
+
+    def test_underflowed_balance_has_nan_slopes(self, tmp_path):
+        # η = 1, faint γ: both terms of B underflow at θ*, so ∂B/∂θ = 0
+        # there and θ* has no closed-form slope
+        code = main(["theta_star", "--eta", "1", "--gamma", "1e-4",
+                     "-o", str(tmp_path)])
         assert code == 0
-        assert len(rec) == 1
         payload = json.loads((tmp_path / "theta_star.json").read_text())
         assert payload["status"] == "ok"
+        assert payload["p_err_at_star"] == 0.0
         assert math.isnan(payload["dtheta_deta_deg"])
         assert math.isnan(payload["dtheta_dgamma_deg"])
 
@@ -636,16 +646,16 @@ class TestPhaseDiagram:
         out = capsys.readouterr().out
         assert "9 cells" in out
 
-    def test_flat_balance_warns_once_per_run(self, tmp_path):
-        # r = 1 and gamma = 0: B == 0 at every angle in every cell
-        with pytest.warns(UserWarning, match="4 of 4 cells") as rec:
+    def test_constant_balance_has_no_root_and_no_warning(self, tmp_path):
+        # r = 1 and gamma = 0: L is constant in θ in every cell
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
             code = main(["phase_diagram", "--r", "1", "--gamma-range", "0",
                          "0", "--n", "2", "-o", str(tmp_path)])
         assert code == 0
-        assert len(rec) == 1
         lines = (tmp_path / "phase_diagram.csv").read_text().splitlines()
         assert len(lines) == 5  # header + 2x2 cells
-        assert all(",,," not in line for line in lines[1:])
+        assert all(",,," in line for line in lines[1:])
 
     def test_bad_range_rejected(self, tmp_path):
         # inverted, or an end outside the noise.eta / noise.gamma domain

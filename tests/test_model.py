@@ -5,7 +5,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from gridsense import (
     NoiseParams,
@@ -19,7 +19,7 @@ from gridsense import (
     tolerance_curve,
 )
 from gridsense import model
-from gridsense.model import N_SCAN, NoRootError, ThetaStarResult
+from gridsense.model import ROOT_TOL, NoRootError
 
 from conftest import (HIGH_NOISE, LOW_NOISE, R_HIGH, R_LOW,
                       joint_optimum_reference)
@@ -151,16 +151,37 @@ class TestThetaStar:
         with pytest.raises(NoRootError):
             theta_star(R_LOW, NoiseParams(0.8, 0.05))
 
-    def test_underflowed_balance_has_no_root(self):
-        # lossless with faint dephasing: both phi terms of B underflow, so
-        # B == 0 at every scan angle without locating anything. This used
-        # to return the first bracket (2.08 deg, P_err 0) with a warning.
+    def test_underflowed_balance_has_a_root(self):
+        # lossless with faint dephasing: both phi terms of B underflow, but
+        # the log-balance L does not, and it changes sign once
         noise = NoiseParams(1.0, 1e-4)
-        assert terms_vanish_on_scan(R_LOW, noise)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(NoRootError):
-                theta_star(R_LOW, noise)
+            res = theta_star(R_LOW, noise)
+        assert res.p_err_at_star == 0.0
+        assert abs(res.theta_star - reference_star(R_LOW, 1.0, 1e-4)[0]) <= 1e-9
+
+    def test_three_root_cell(self):
+        # L has roots at 1.27, 45 and 88.73 deg; the edge roots have the
+        # higher P_err (0.2003896 against 0.1980830 at 45 deg)
+        noise = NoiseParams(0.591, 0.5)
+        roots = reference_roots(1.0, 0.591, 0.5)
+        assert [round(math.degrees(t), 2) for t in roots] == [1.27, 45.0, 88.73]
+        p = perr_analytic(np.array(roots), 1.0, noise).p_total
+        assert abs(p[0] - 0.2003896) < 1e-7 and abs(p[2] - 0.2003896) < 1e-7
+        with pytest.warns(UserWarning, match="3 sign changes") as rec:
+            res = theta_star(1.0, noise)
+        assert len(rec) == 1
+        assert abs(math.degrees(res.theta_star) - 45.0) < 1e-8
+        assert abs(res.p_err_at_star - 0.1980830) < 1e-7
+
+    def test_edge_root_of_the_default_window(self):
+        # the 64-angle scan spanned only [1.385, 88.615] deg and missed it
+        res = theta_star(R_LOW, NoiseParams(0.8204, 0.0596))
+        assert abs(math.degrees(res.theta_star) - 88.9416) < 1e-4
+        assert abs(res.p_err_at_star - 1.394611e-3) < 1e-9
+        assert res.p_err_at_star <= perr_analytic(
+            math.pi / 2, R_LOW, NoiseParams(0.8204, 0.0596)).p_total
 
     def test_root_ordering_across_noise_grid(self):
         # at fixed loss the root descends as dephasing grows (the isotropic
@@ -184,57 +205,78 @@ class TestThetaStar:
         assert all(type(b) is float for b in res.bracket)
 
 
-def theta_star_reference(r, noise, *, tol=1e-10):
-    """The per-cell scalar scan + bisection that `theta_star_grid` replaced,
-    kept verbatim as the oracle for the array solver."""
-    grid = np.linspace(0.0, math.pi / 2.0, N_SCAN + 2)[1:-1]
-    values = [balance(t, r, noise) for t in grid]
-    brackets = [(grid[i], grid[i + 1])
-                for i in range(len(grid) - 1)
-                if values[i] == 0.0 or (values[i] < 0.0) != (values[i + 1] < 0.0)]
-    if not brackets:
-        raise NoRootError(
-            f"no sign change of B on (0, pi/2) at r={r}, eta={noise.eta}, "
-            f"gamma={noise.gamma}")
-    if len(brackets) > 1:
-        import warnings
+N_REF = 20_001
 
-        warnings.warn(f"balance equation has {len(brackets)} sign changes; "
-                      "taking the lowest-error root", stacklevel=2)
 
-    best = None
-    for lo, hi in brackets:
-        root_lo, root_hi = lo, hi
-        f_lo = balance(root_lo, r, noise)
-        while root_hi - root_lo > tol:
-            mid = 0.5 * (root_lo + root_hi)
-            f_mid = balance(mid, r, noise)
-            if f_mid == 0.0:
-                root_lo = root_hi = mid
-                break
-            if (f_mid < 0.0) == (f_lo < 0.0):
-                root_lo, f_lo = mid, f_mid
+def log_balance(theta, r, eta, gamma):
+    """L = 2 ln r − (u_q² − u_p²)/2 − 3 ln(σ_q/σ_p), the log of the ratio of
+    B's two terms, from the spreads: it has B's sign and does not underflow
+    while the spreads are positive. NaN where a spread is 0."""
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        sigma_q, sigma_p = model.effective_sigmas(NoiseParams(eta, gamma),
+                                                  theta)
+        u_q = model.A_LATTICE * r / (2.0 * sigma_q)
+        u_p = model.A_LATTICE / r / (2.0 * sigma_p)
+        return (2.0 * math.log(r) - (u_q * u_q - u_p * u_p) / 2.0
+                - 3.0 * np.log(sigma_q / sigma_p))
+
+
+@settings(max_examples=200, deadline=None)
+@given(theta=st.floats(0.0, math.pi / 2.0), eta=st.floats(0.0, 1.0,
+                                                          exclude_min=True),
+       gamma=st.floats(0.0, 0.5), r=st.floats(0.5, 2.0))
+@example(theta=0.0, eta=1.0, gamma=0.1, r=R_LOW)
+@example(theta=math.pi / 2.0, eta=1.0, gamma=0.1, r=R_LOW)
+def test_log_balance_is_the_log_of_the_balance_ratio(theta, eta, gamma, r):
+    # the solver's L (w form) against ln(b_q/b_p) of B's own two terms
+    eta, gamma = np.float64(eta), np.float64(gamma)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        spread = (1.0 - eta) / eta + gamma
+        value = float(model._log_balance(theta, r, gamma / spread, spread))
+        sigma_q, sigma_p, u_q, u_p = model._margins(theta, r,
+                                                    NoiseParams(eta, gamma))
+        b_q = r * r * model._phi(u_q) / sigma_q**3
+        b_p = model._phi(u_p) / sigma_p**3
+    tiny = np.finfo(float).tiny
+    if b_q > tiny and b_p > tiny:
+        log_q, log_p = math.log(b_q), math.log(b_p)
+        assert abs(value - (log_q - log_p)) <= 1e-12 * (
+            1.0 + abs(log_q) + abs(log_p))
+    elif sigma_q == 0.0 or sigma_p == 0.0:
+        # η = 1 on an axis: the limit, −∞ at θ = 0 and +∞ at π/2
+        assert value == (-math.inf if sigma_q == 0.0 else math.inf)
+
+
+def reference_roots(r, eta, gamma):
+    """Every root of L on [0, π/2]: a sign change between neighbouring
+    nonzero values of an N_REF-angle scan, bisected to ROOT_TOL. A NaN
+    (a zero spread, at an end) has no sign."""
+    grid = np.linspace(0.0, math.pi / 2.0, N_REF)
+    values = log_balance(grid, r, eta, gamma)
+    signed = np.flatnonzero((values < 0.0) | (values > 0.0))
+    negative = values[signed] < 0.0
+    roots = []
+    for k in np.flatnonzero(negative[:-1] != negative[1:]):
+        lo, hi = float(grid[signed[k]]), float(grid[signed[k + 1]])
+        while hi - lo > ROOT_TOL:
+            mid = 0.5 * (lo + hi)
+            if (log_balance(mid, r, eta, gamma) < 0.0) == negative[k]:
+                lo = mid
             else:
-                root_hi = mid
-        root = 0.5 * (root_lo + root_hi)
-        p_err = perr_analytic(root, r, noise).p_total
-        candidate = ThetaStarResult(theta_star=root, p_err_at_star=p_err,
-                                    bracket=(lo, hi),
-                                    residual=abs(balance(root, r, noise)),
-                                    # the slopes are not what this checks
-                                    dtheta_deta_deg=math.nan,
-                                    dtheta_dgamma_deg=math.nan)
-        if best is None or candidate.p_err_at_star < best.p_err_at_star:
-            best = candidate
-    return best
+                hi = mid
+        roots.append(0.5 * (lo + hi))
+    return roots
 
 
-def terms_vanish_on_scan(r, noise) -> bool:
-    """Both terms of B are exactly 0 at every scan angle."""
-    grid = np.linspace(0.0, math.pi / 2.0, N_SCAN + 2)[1:-1]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        b_q, b_p = model._balance_terms(grid, r, noise)
-    return bool(np.all(b_q == 0.0) and np.all(b_p == 0.0))
+def reference_star(r, eta, gamma):
+    """(θ*, P_err(θ*), number of roots) of the reference: the root with the
+    lowest P_err, the first on a tie; NaN without a root."""
+    roots = reference_roots(r, eta, gamma)
+    if not roots:
+        return math.nan, math.nan, 0
+    p = perr_analytic(np.array(roots), r, NoiseParams(eta, gamma)).p_total
+    best = int(np.argmin(p))
+    return roots[best], float(p[best]), len(roots)
 
 
 def counting_user_warnings(fn, *args):
@@ -245,24 +287,6 @@ def counting_user_warnings(fn, *args):
     return out, sum(issubclass(w.category, UserWarning) for w in caught)
 
 
-def grid_reference(r, eta, gamma):
-    """Per-cell reference roots and P_err (NaN without a root), and how many
-    cells warned about several sign changes."""
-    theta = np.full(eta.shape, np.nan)
-    p_err = np.full(eta.shape, np.nan)
-    n_warned = 0
-    for idx in np.ndindex(eta.shape):
-        try:
-            res, n = counting_user_warnings(
-                theta_star_reference, r,
-                NoiseParams(float(eta[idx]), float(gamma[idx])))
-        except NoRootError:
-            continue
-        theta[idx], p_err[idx] = res.theta_star, res.p_err_at_star
-        n_warned += n
-    return theta, p_err, n_warned
-
-
 class TestThetaStarGrid:
     @pytest.mark.parametrize("r", [0.8, R_LOW, 1.5])
     def test_matches_reference_on_seeded_grid(self, r):
@@ -271,33 +295,34 @@ class TestThetaStarGrid:
         gamma = rng.uniform(0.01, 0.25, (41, 41))
         (theta, p_err), n_warnings = counting_user_warnings(
             theta_star_grid, r, eta, gamma)
-        ref_theta, ref_p, n_warned = grid_reference(r, eta, gamma)
-        np.testing.assert_array_equal(theta, ref_theta)
-        np.testing.assert_array_equal(p_err, ref_p)
-        assert n_warnings == min(n_warned, 1)
+        n_multi = 0
+        for idx in np.ndindex(eta.shape):
+            ref, _, n = reference_star(r, eta[idx], gamma[idx])
+            n_multi += n > 1
+            if n == 0:
+                assert np.isnan(theta[idx]) and np.isnan(p_err[idx])
+            else:
+                assert abs(theta[idx] - ref) <= 1e-9
+        roots = np.isfinite(theta)
+        np.testing.assert_array_equal(
+            p_err[roots], perr_analytic(theta[roots], r, NoiseParams(
+                eta[roots], gamma[roots])).p_total)
+        assert n_warnings == min(n_multi, 1)
         # the window holds cells with and without a root
         assert np.isnan(theta).any() and np.isfinite(theta).any()
 
-    def test_flat_balance_takes_first_bracket_and_warns_once(self):
-        # gamma = 0 and r = 1 make sigma_q = sigma_p at every angle, so
-        # B == 0 exactly: every one of the 63 brackets holds a "root", all
-        # with the same P_err, and the first one must win.
+    def test_constant_balance_has_no_root_and_no_warning(self):
+        # gamma = 0 makes L constant in θ (0 at r = 1), so no cell has a
+        # root and none warns
         eta = np.array([0.9, 0.9, 0.8, 0.9])
         gamma = np.array([0.0, 0.05, 0.0, 0.01])
-        with pytest.warns(UserWarning, match="2 of 4 cells") as rec:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
             theta, p_err = theta_star_grid(1.0, eta, gamma)
-        assert len(rec) == 1
-        ref_theta, ref_p, n_warned = grid_reference(1.0, eta, gamma)
-        assert n_warned == 2
-        np.testing.assert_array_equal(theta, ref_theta)
-        np.testing.assert_array_equal(p_err, ref_p)
-        grid = np.linspace(0.0, math.pi / 2.0, N_SCAN + 2)[1:-1]
-        assert grid[0] < theta[0] < grid[1]
-        with pytest.warns(UserWarning, match="63 sign changes"):
-            res = theta_star(1.0, NoiseParams(0.9, 0.0))
-        assert res.theta_star == theta[0]
-        assert res.bracket == (grid[0], grid[1])
-        assert res.residual == 0.0
+            with pytest.raises(NoRootError):
+                theta_star(1.0, NoiseParams(0.9, 0.0))
+        assert np.isnan(theta[[0, 2]]).all() and np.isnan(p_err[[0, 2]]).all()
+        assert theta[1] == theta_star(1.0, NoiseParams(0.9, 0.05)).theta_star
 
     def test_rows_without_roots(self):
         eta = np.linspace(0.75, 0.95, 7)[:, None] * np.ones((1, 3))
@@ -305,25 +330,27 @@ class TestThetaStarGrid:
         theta, p_err = theta_star_grid(R_LOW, eta, gamma)
         assert theta.shape == (7, 3) and np.isnan(theta).all()
         assert np.isnan(p_err).all()
-        ref_theta, _, _ = grid_reference(R_LOW, eta, gamma)
-        assert np.isnan(ref_theta).all()
+        assert all(reference_roots(R_LOW, e, g) == []
+                   for e, g in zip(eta.ravel(), gamma.ravel()))
 
-    def test_underflowed_balance_cell_is_nan(self):
+    def test_underflowed_balance_cell_has_its_root(self):
         eta = np.array([1.0, 0.9, 1.0])
         gamma = np.array([1e-4, 0.05, 0.01])
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             theta, p_err = theta_star_grid(R_LOW, eta, gamma)
-        assert np.isnan(theta[0]) and np.isnan(p_err[0])
+        assert theta[0] == theta_star(R_LOW, NoiseParams(1.0, 1e-4)).theta_star
+        assert p_err[0] == 0.0
         # the cells next to it keep their roots
         assert theta[1] == theta_star(R_LOW, LOW_NOISE).theta_star
         assert theta[2] == theta_star(R_LOW, NoiseParams(1.0, 0.01)).theta_star
 
     def test_single_cell(self):
-        ref = theta_star_reference(R_LOW, LOW_NOISE)
+        ref = theta_star(R_LOW, LOW_NOISE)
         theta, p_err = theta_star_grid(R_LOW, 0.9, 0.05)
         assert theta.shape == p_err.shape == ()
         assert theta == ref.theta_star and p_err == ref.p_err_at_star
+        assert abs(theta - reference_star(R_LOW, 0.9, 0.05)[0]) <= 1e-9
         theta, p_err = theta_star_grid(R_LOW, [0.9], [0.05])
         assert theta.shape == (1,) and theta[0] == ref.theta_star
 
@@ -341,21 +368,6 @@ class TestThetaStarGrid:
             theta_star_grid(R_LOW, 0.9, [0.05, -0.1])
 
 
-def log_balance(theta, r, noise):
-    """L = 2 ln r − (u_q² − u_p²)/2 − 3 ln(σ_q/σ_p), the log of the ratio of
-    B's two terms: it has B's sign and does not underflow."""
-    sigma_q, sigma_p = model.effective_sigmas(noise, theta)
-    u_q = model.A_LATTICE * r / (2.0 * sigma_q)
-    u_p = model.A_LATTICE / r / (2.0 * sigma_p)
-    return (2.0 * math.log(r) - (u_q * u_q - u_p * u_p) / 2.0
-            - 3.0 * math.log(sigma_q / sigma_p))
-
-
-@pytest.mark.xfail(strict=True, reason=(
-    "a bisection midpoint where both terms of B underflow to 0 is taken as "
-    "a root: 3 of the 32 roots of this window (33.923, 33.923 and 49.154 "
-    "deg, each with P_err = 0) are no sign change of B; reading B's sign "
-    "from the log-balance L (ROADMAP item 1) fixes it"))
 def test_every_root_is_a_sign_change_near_the_lossless_edge():
     r = 1.092
     eta, gamma = np.meshgrid(np.linspace(0.995, 0.9999, 6),
@@ -369,103 +381,76 @@ def test_every_root_is_a_sign_change_near_the_lossless_edge():
     not_roots = [
         math.degrees(t) for t, e, g in zip(theta[roots], eta[roots],
                                            gamma[roots])
-        if not (log_balance(t - 1e-6, r, NoiseParams(e, g))
-                * log_balance(t + 1e-6, r, NoiseParams(e, g)) < 0.0)]
+        if not (log_balance(t - 1e-6, r, e, g)
+                * log_balance(t + 1e-6, r, e, g) < 0.0)]
     assert not_roots == []
 
 
-class TestIncreasingBalanceSearch:
-    """Where B is provably increasing, a binary search of the scan grid
-    stands in for the scan; every root keeps the reference's bits."""
+# The 8 cells of the default `phase_diagram --n 151` window whose root lies
+# in (88.7, 89.8) deg, outside the span of the 64-angle scan θ* once took.
+EDGE_CELLS = [(0.7548, 0.10759999999999999), (0.7564, 0.10599999999999998),
+              (0.758, 0.10439999999999999), (0.7724, 0.09159999999999999),
+              (0.7804, 0.08519999999999998), (0.7867999999999999,
+                                                0.08039999999999999),
+              (0.8012, 0.07079999999999999), (0.8204, 0.0596)]
 
-    @staticmethod
-    def eta_at_margin(r, u, gammas):
-        """Per γ, the η whose smaller margin at the widest spread is u."""
-        widest = model.A_LATTICE * min(r, 1.0 / r) / (2.0 * u)
-        return (1.0 / (1.0 + 2.0 * (widest**2 - np.array(gammas)))).tolist()
 
-    @pytest.mark.parametrize("r", [0.5, 1.0, 2.0])
-    def test_matches_reference_across_the_margin_bound(self, r):
-        gammas = [0.0, 5e-324, 1e-12, 0.05, 0.12]
-        eta, gamma, increasing = [], [], []
-        for u in (math.sqrt(3.0) * (1 + 1e-12), math.sqrt(3.0) * (1 - 1e-12)):
-            eta += self.eta_at_margin(r, u, gammas)
-            gamma += gammas
-            increasing += [u > math.sqrt(3.0) and g > 0.0 for g in gammas]
-        # η = 1: the spreads are tiny or 0, so B underflows or is NaN
-        eta += [1.0] * len(gammas)
-        gamma += gammas
-        increasing += [g > 0.0 for g in gammas]
-        eta, gamma = np.array(eta), np.array(gamma)
-        with np.errstate(divide="ignore"):
-            assert model._increasing(r, eta, gamma).tolist() == increasing
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", UserWarning)
-            theta, p_err = theta_star_grid(r, eta, gamma)
-            for i, (e, g) in enumerate(zip(eta.tolist(), gamma.tolist())):
-                noise = NoiseParams(e, g)
-                try:
-                    # a zero spread divides by 0 in the scalar reference
-                    with np.errstate(divide="ignore", invalid="ignore"):
-                        ref = theta_star_reference(r, noise)
-                except NoRootError:
-                    ref = None
-                if ref is None or terms_vanish_on_scan(r, noise):
-                    assert np.isnan(theta[i]) and np.isnan(p_err[i])
-                else:
-                    assert theta[i] == ref.theta_star
-                    assert p_err[i] == ref.p_err_at_star
+def test_edge_cells_are_the_window_grid():
+    eta = np.linspace(0.75, 0.99, 151)
+    gamma = np.linspace(0.01, 0.25, 151)
+    assert all(e in eta and g in gamma for e, g in EDGE_CELLS)
+    theta, _ = theta_star_grid(R_LOW, [e for e, _ in EDGE_CELLS],
+                               [g for _, g in EDGE_CELLS])
+    assert (np.degrees(theta) > 88.7).all() and (np.degrees(theta) < 89.8).all()
 
-    def test_increasing_grid_skips_the_scan(self, monkeypatch):
-        calls = []
-        real = model.balance
 
-        def counted(*args, **kwargs):
-            calls.append(1)
-            return real(*args, **kwargs)
-
-        eta, gamma = np.meshgrid(np.linspace(0.75, 0.99, 31),
-                                 np.linspace(0.01, 0.25, 31), indexing="ij")
-        assert model._increasing(R_LOW, eta.ravel(), gamma.ravel()).all()
-        ref = theta_star_grid(R_LOW, eta, gamma)
-        monkeypatch.setattr(model, "balance", counted)
-        theta, p_err = theta_star_grid(R_LOW, eta, gamma)
-        # 7 search probes, one sign at lo, and the bisection; no N_SCAN scan
-        assert len(calls) <= 40
-        np.testing.assert_array_equal(theta, ref[0])
-        np.testing.assert_array_equal(p_err, ref[1])
-        assert np.isfinite(theta).any() and np.isnan(theta).any()
+def _with_edge_cells(test):
+    for eta, gamma in EDGE_CELLS:
+        test = example(eta=eta, gamma=gamma, r=R_LOW)(test)
+    return test
 
 
 @settings(max_examples=60, deadline=None)
-@given(eta=st.floats(0.5, 1.0), gamma=st.floats(0.0, 0.5),
+@given(eta=st.floats(0.0, 1.0, exclude_min=True), gamma=st.floats(0.0, 0.5),
        r=st.floats(0.5, 2.0))
+@_with_edge_cells
 def test_solvers_match_reference(eta, gamma, r):
     noise = NoiseParams(eta, gamma)
-    try:
-        ref, ref_warnings = counting_user_warnings(theta_star_reference, r,
-                                                   noise)
-    except NoRootError:
-        ref = None
-    if terms_vanish_on_scan(r, noise):
-        # the reference takes the first bracket of an underflowed B == 0;
-        # the solvers find no root there
-        ref = None
     (theta, p_err), grid_warnings = counting_user_warnings(
         theta_star_grid, r, eta, gamma)
-    if ref is None:
-        assert np.isnan(theta) and np.isnan(p_err) and grid_warnings == 0
-        with pytest.raises(NoRootError):
-            theta_star(r, noise)
+    try:
+        res, star_warnings = counting_user_warnings(theta_star, r, noise)
+    except NoRootError:
+        assert np.isnan(theta) and np.isnan(p_err)
+    else:
+        assert star_warnings == grid_warnings
+        assert res.theta_star == theta and res.p_err_at_star == p_err
+        assert res.bracket[0] < theta < res.bracket[1]
+    spread = (1.0 - eta) / eta + gamma
+    interior = np.linspace(0.0, math.pi / 2.0, N_REF)[1:-1]
+    if not gamma > 1e-6 * spread or np.isnan(
+            log_balance(interior, r, eta, gamma)).any():
+        # L varies with θ by about γ/S of its terms, which the σ form rounds
+        # to ~1e-16, and where S is near the smallest normal float the
+        # spreads underflow: in either case the reference cannot place a
+        # root. The solver's own L, tied to B by
+        # test_log_balance_is_the_log_of_the_balance_ratio, still changes
+        # sign there, down to a γ/S whose θ-dependence is a subnormal.
+        if np.isfinite(theta) and gamma / spread >= np.finfo(float).tiny:
+            with np.errstate(divide="ignore"):
+                ends = model._log_balance(
+                    np.array([theta - 1e-6, theta + 1e-6]), r,
+                    gamma / spread, spread)
+            assert np.sign(ends).prod() == -1.0
         return
-    assert theta == ref.theta_star and p_err == ref.p_err_at_star
-    assert grid_warnings == ref_warnings
-    res, star_warnings = counting_user_warnings(theta_star, r, noise)
-    assert star_warnings == ref_warnings
-    assert res.theta_star == ref.theta_star
-    assert res.p_err_at_star == ref.p_err_at_star
-    assert res.bracket == ref.bracket
-    assert abs(res.residual - ref.residual) <= 1e-15
+    ref, _, n_ref = reference_star(r, eta, gamma)
+    assert grid_warnings == (n_ref > 1)
+    if n_ref == 0:
+        assert np.isnan(theta)
+        return
+    assert abs(theta - ref) <= 1e-9
+    assert np.sign(log_balance(theta - 1e-6, r, eta, gamma)) * np.sign(
+        log_balance(theta + 1e-6, r, eta, gamma)) == -1.0
 
 
 class TestVectorisedModel:
@@ -567,9 +552,12 @@ class TestSensitivityAndFit:
             assert abs(got - diff) <= 1e-3 * abs(diff) + 0.01
 
     def test_centre_without_a_root_raises(self):
-        noise = NoiseParams(0.9, 0.02626896943556492)
         with pytest.raises(NoRootError):
-            theta_star(R_LOW, noise)
+            theta_star(R_LOW, NoiseParams(0.9, 0.0262))
+        # the root region's edge: its root lies past the 88.615 deg that
+        # the 64-angle scan reached
+        star = theta_star(R_LOW, NoiseParams(0.9, 0.02626896943556492))
+        assert 88.615 < math.degrees(star.theta_star) < 88.62
 
     def test_fit_formula_value(self):
         assert abs(theta_fit(LOW_NOISE) - 68.42) < 1e-10

@@ -454,6 +454,23 @@ class TestTrainedAngle:
         assert combined_loss(final, cfg)[2] == pytest.approx(
             star.p_err_at_star, rel=1e-10)
 
+    def test_a_large_step_stays_in_one_period(self):
+        # lr 0.2 used to carry θ past π/2, to 180° − θ* = 115.61°. Folded,
+        # with its momentum, the run is that run's mirror and ends at θ*.
+        cfg = TrainConfig(noise=LOW_NOISE, steps=400, lr_init=0.2, p_th=0.0,
+                          penalty=1e4, cutoff=10,
+                          freeze=frozenset(PARAM_ORDER) - {"ell"})
+        final, trace = train(cfg, TrainableParams(ell=0.5))
+        assert all(0.0 <= step.params.ell <= 2.0 for step in trace)
+        star = theta_star(final.r, cfg.noise)
+        assert abs(final.theta - star.theta_star) < 1e-6
+
+    def test_a_start_past_pi_over_2_is_folded(self):
+        cfg = TrainConfig(noise=LOW_NOISE, steps=20, p_th=0.0, penalty=1e4,
+                          cutoff=10, freeze=frozenset(PARAM_ORDER) - {"ell"})
+        final, _ = train(cfg, TrainableParams(ell=3.0))
+        assert final.theta == train(cfg, TrainableParams(ell=1.0))[0].theta
+
 
 # ------------------------------------------------- per-point reference trainer
 # One pipeline_qfi and one perr_analytic per point, with the gradient passed
@@ -644,7 +661,9 @@ class TestTrainingStep:
             gradient(init, cfg)
         final, trace = train(cfg, init)
         assert len(trace) == cfg.steps
-        assert final.ell == init.ell  # inactive hinge: ∂L/∂ℓ = 0
+        # the start is folded into one period (ℓ_max = 4 divides so large
+        # an ℓ), and the inactive hinge leaves it there: ∂L/∂ℓ = 0
+        assert final.ell == init.ell % 4 == 0.0
 
     def test_non_finite_centre_at_a_later_step(self, monkeypatch):
         cfg = short_cfg(steps=4, freeze=frozenset({"epsilon"}), p_th=1e-6)
