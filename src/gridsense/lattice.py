@@ -73,8 +73,8 @@ class GkpLattice:
 
 def check_aspect_ratio(r) -> None:
     """ValueError unless the aspect ratio r is positive, at every element of
-    an array."""
-    if np.any(np.asarray(r) <= 0):
+    an array; NaN is not."""
+    if not np.all(np.asarray(r) > 0):
         raise ValueError(f"aspect ratio must be positive, got {r}")
 
 

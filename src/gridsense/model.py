@@ -20,7 +20,7 @@ transcendental balance equation
 which trades q-spread growth against p-spread shrinkage as θ increases. It is
 solved on the log of the ratio of B's two terms, which has B's sign, does not
 underflow, and is monotone on at most three pieces of (0, π/2) found in
-closed form (`_solve_cells`).
+closed form; each piece is bisected to float resolution (`_solve_cells`).
 """
 
 from __future__ import annotations
@@ -163,23 +163,19 @@ def balance(theta, r: float, noise: NoiseParams):
             - _phi(u_p) / np.power(sigma_p, 3))
 
 
-ROOT_TOL = 1e-10
+def _log_balance(w, r: float, spread):
+    """The log-balance L at w = (x − y)/(2S) = −(γ/2S)·cos 2θ, for cells
+    with S = `spread` (see `_solve_cells`).
 
-
-def _log_balance(theta, r: float, tilt, spread):
-    """The log-balance L at θ, for cells with γ/S = `tilt` and S = `spread`
-    (see `_solve_cells`).
-
-    In terms of w = (x − y)/(2S) = −(γ/2S)·cos 2θ, x = S·(1/2 + w) and
-    y = S·(1/2 − w), so L = 2 ln r − c_q/(2x) + c_p/(2y) − (3/2)·ln(x/y) is
+    x = S·(1/2 + w) and y = S·(1/2 − w), so
+    L = 2 ln r − c_q/(2x) + c_p/(2y) − (3/2)·ln(x/y) is
 
         L = 2 ln r − ((c_q − c_p)/2 − (c_q + c_p)·w)/(2S·(1/4 − w²))
             − 3·artanh(2w).
 
-    Where x or y is 0 (η = 1 on an axis) L takes its limit, −∞ at θ = 0 and
-    +∞ at π/2.
+    Where x or y is 0 (η = 1 on an axis, w = ∓1/2) L takes its limit, −∞ at
+    θ = 0 and +∞ at π/2.
     """
-    w = -0.5 * tilt * np.cos(2.0 * theta)
     xy = 0.25 - w * w  # x·y/S²
     c_q, c_p = math.pi * r * r / 2.0, math.pi / (2.0 * r * r)
     log_balance = (2.0 * math.log(r)
@@ -204,19 +200,22 @@ def _solve_cells(r: float, eta: np.ndarray, gamma: np.ndarray):
 
     whose discriminant 9S² − π² does not depend on r. Where S ≤ π/3 and
     γ > 0, L is strictly increasing on (0, π/2); elsewhere the quadratic's
-    roots with |w| < γ/(2S) split (0, π/2) into at most three pieces. Each
-    piece whose end values of L differ strictly in sign holds one root, and
-    all of them are bisected in lock step until their width is at most
-    ROOT_TOL rad. At γ = 0, L is constant and there is no root.
+    roots with |w| < e = γ/(2S) split [−e, e], the image of [0, π/2], into
+    at most three pieces. Each piece whose end values of L differ strictly
+    in sign holds one root, and all of them are bisected in w, in lock step,
+    for 52 halvings (a double's mantissa): each bracket ends at most 2⁻⁵²
+    of its piece wide, so θ = arccos(−w/e)/2 lies within 2⁻⁵²/sin 2θ rad of
+    L's root. At γ = 0, L is constant and there is no root.
 
     Returns (root, p_err, lo, hi, n_roots) per cell: the root with the
     lowest P_err (the first on a tie), P_err there, the ends (lo, hi) of
-    its piece and the number of roots. A cell without a root gets NaN root
-    and P_err.
+    its piece in θ and the number of roots. A cell without a root gets NaN
+    root and P_err.
     """
+    check_aspect_ratio(r)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         spread = (1.0 - eta) / eta + gamma
-        tilt = gamma / spread
+        edge = (gamma / (2.0 * spread))[:, None]
         c_q, c_p = math.pi * r * r / 2.0, math.pi / (2.0 * r * r)
         # the quadratic's roots, in the form that does not cancel, and with
         # a discriminant that does not overflow; NaN where 9S² < π²
@@ -226,16 +225,11 @@ def _solve_cells(r: float, eta: np.ndarray, gamma: np.ndarray):
             c_p - c_q))
         w = np.stack([half / a, (c_q + c_p - 3.0 * spread) / 4.0 / half],
                      axis=1)
-        # the piece ends in θ; a root outside (0, π/2) leaves an empty
-        # piece at π/2
-        cos_2theta = -2.0 * w / tilt[:, None]
-        edges = np.empty((eta.size, 4))
-        edges[:, 0] = 0.0
-        edges[:, 1:3] = np.where(np.abs(cos_2theta) < 1.0,
-                                 0.5 * np.arccos(cos_2theta), math.pi / 2.0)
-        edges[:, 3] = math.pi / 2.0
+        # the piece ends; a root outside (−e, e) leaves an empty piece at e
+        edges = np.concatenate(
+            [-edge, np.where(np.abs(w) < edge, w, edge), edge], axis=1)
         edges.sort(axis=1)
-        ends = _log_balance(edges, r, tilt[:, None], spread[:, None])
+        ends = _log_balance(edges, r, spread[:, None])
         lo_negative = ends[:, :-1] < 0.0
         pieces = (lo_negative & (ends[:, 1:] > 0.0)) | (
             (ends[:, :-1] > 0.0) & (ends[:, 1:] < 0.0))
@@ -244,25 +238,25 @@ def _solve_cells(r: float, eta: np.ndarray, gamma: np.ndarray):
         # point where L has the sign it has at lo.
         cell, j = np.nonzero(pieces)
         lo, hi = edges[cell, j], edges[cell, j + 1]
-        lo_negative = lo_negative[cell, j]
-        args = r, tilt[cell], spread[cell]
-        live = hi - lo > ROOT_TOL
-        while live.any():
+        lo_negative, spread = lo_negative[cell, j], spread[cell]
+        for _ in range(52):
             mid = 0.5 * (lo + hi)
-            up = (_log_balance(mid, *args) < 0.0) == lo_negative
-            lo = np.where(live & up, mid, lo)
-            hi = np.where(live & ~up, mid, hi)
-            live &= hi - lo > ROOT_TOL
-    roots = np.full(pieces.shape, np.nan)
-    roots[cell, j] = 0.5 * (lo + hi)
-    p_err = np.full(pieces.shape, np.inf)
-    p_err[cell, j] = perr_analytic(roots[cell, j], r,
-                                   NoiseParams(eta[cell], gamma[cell])).p_total
-    best = np.argmin(p_err, axis=1)  # the first on a tie
-    at = np.arange(eta.size)
-    n_roots = np.count_nonzero(pieces, axis=1)
+            up = (_log_balance(mid, r, spread) < 0.0) == lo_negative
+            lo = np.where(up, mid, lo)
+            hi = np.where(up, hi, mid)
+        # θ once per root and per end of the chosen piece; ±e give 0 and π/2
+        roots = np.full(pieces.shape, np.nan)
+        roots[cell, j] = 0.5 * np.arccos(-0.5 * (lo + hi) / edge[cell, 0])
+        p_err = np.full(pieces.shape, np.inf)
+        p_err[cell, j] = perr_analytic(
+            roots[cell, j], r, NoiseParams(eta[cell], gamma[cell])).p_total
+        best = np.argmin(p_err, axis=1)  # the first on a tie
+        at = np.arange(eta.size)
+        n_roots = np.count_nonzero(pieces, axis=1)
+        piece = edges[at[:, None], best[:, None] + [0, 1]]
+        lo, hi = (0.5 * np.arccos(-piece / edge)).T
     return (roots[at, best], np.where(n_roots > 0, p_err[at, best], np.nan),
-            edges[at, best], edges[at, best + 1], n_roots)
+            lo, hi, n_roots)
 
 
 def theta_star_grid(r: float, eta, gamma) -> tuple[np.ndarray, np.ndarray]:
@@ -289,12 +283,12 @@ def theta_star(r: float, noise: NoiseParams) -> ThetaStarResult:
     """Root of the balance equation on (0, π/2), with its sensitivities to
     η and γ (`_theta_slope`) at that root.
 
-    The root is bisected on a piece of (0, π/2) where the log-balance is
-    monotone (`_solve_cells`), until the piece's bracket is at most ROOT_TOL
-    rad wide (|B| is not checked; it is reported as the residual), and
-    `bracket` is that piece: (0, π/2) wherever S = (1 − η)/η + γ ≤ π/3. If
-    several pieces hold a root, the one with the smallest P_err is taken and
-    a warning is emitted. NoRootError if no piece changes sign, as at γ = 0.
+    The root is bisected to float resolution on a piece of (0, π/2) where
+    the log-balance is monotone (`_solve_cells`; |B| is not checked, it is
+    reported as the residual), and `bracket` is that piece: (0, π/2)
+    wherever S = (1 − η)/η + γ ≤ π/3. If several pieces hold a root, the one
+    with the smallest P_err is taken and a warning is emitted. NoRootError
+    if no piece changes sign, as at γ = 0.
     """
     root, p_err, lo, hi, n_roots = _solve_cells(
         r, np.array([noise.eta], dtype=float),

@@ -19,7 +19,7 @@ from gridsense import (
     tolerance_curve,
 )
 from gridsense import model
-from gridsense.model import ROOT_TOL, NoRootError
+from gridsense.model import NoRootError
 
 from conftest import (HIGH_NOISE, LOW_NOISE, R_HIGH, R_LOW,
                       joint_optimum_reference)
@@ -175,6 +175,14 @@ class TestThetaStar:
         assert abs(math.degrees(res.theta_star) - 45.0) < 1e-8
         assert abs(res.p_err_at_star - 0.1980830) < 1e-7
 
+    def test_symmetric_cell_root_at_float_resolution(self):
+        # at r = 1, L is odd in w = −(γ/2S)·cos 2θ, so its middle root is
+        # w = 0, θ = π/4; the bisection in w lands on it
+        with pytest.warns(UserWarning, match="3 sign changes") as rec:
+            res = theta_star(1.0, NoiseParams(0.591, 0.5))
+        assert len(rec) == 1
+        assert abs(res.theta_star - math.pi / 4.0) <= 1e-15
+
     def test_edge_root_of_the_default_window(self):
         # the 64-angle scan spanned only [1.385, 88.615] deg and missed it
         res = theta_star(R_LOW, NoiseParams(0.8204, 0.0596))
@@ -206,6 +214,7 @@ class TestThetaStar:
 
 
 N_REF = 20_001
+REF_TOL = 1e-10  # the reference bisection's bracket width, rad
 
 
 def log_balance(theta, r, eta, gamma):
@@ -232,7 +241,8 @@ def test_log_balance_is_the_log_of_the_balance_ratio(theta, eta, gamma, r):
     eta, gamma = np.float64(eta), np.float64(gamma)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         spread = (1.0 - eta) / eta + gamma
-        value = float(model._log_balance(theta, r, gamma / spread, spread))
+        w = -gamma / (2.0 * spread) * math.cos(2.0 * theta)
+        value = float(model._log_balance(w, r, spread))
         sigma_q, sigma_p, u_q, u_p = model._margins(theta, r,
                                                     NoiseParams(eta, gamma))
         b_q = r * r * model._phi(u_q) / sigma_q**3
@@ -249,7 +259,7 @@ def test_log_balance_is_the_log_of_the_balance_ratio(theta, eta, gamma, r):
 
 def reference_roots(r, eta, gamma):
     """Every root of L on [0, π/2]: a sign change between neighbouring
-    nonzero values of an N_REF-angle scan, bisected to ROOT_TOL. A NaN
+    nonzero values of an N_REF-angle scan, bisected to REF_TOL. A NaN
     (a zero spread, at an end) has no sign."""
     grid = np.linspace(0.0, math.pi / 2.0, N_REF)
     values = log_balance(grid, r, eta, gamma)
@@ -258,7 +268,7 @@ def reference_roots(r, eta, gamma):
     roots = []
     for k in np.flatnonzero(negative[:-1] != negative[1:]):
         lo, hi = float(grid[signed[k]]), float(grid[signed[k + 1]])
-        while hi - lo > ROOT_TOL:
+        while hi - lo > REF_TOL:
             mid = 0.5 * (lo + hi)
             if (log_balance(mid, r, eta, gamma) < 0.0) == negative[k]:
                 lo = mid
@@ -386,6 +396,20 @@ def test_every_root_is_a_sign_change_near_the_lossless_edge():
     assert not_roots == []
 
 
+def test_every_root_of_the_default_window_is_a_sign_change_of_balance():
+    # B itself, not the solver's L, changes sign within 1e-12 rad of every
+    # root of the default `phase_diagram --n 151` window
+    eta, gamma = np.meshgrid(np.linspace(0.75, 0.99, 151),
+                             np.linspace(0.01, 0.25, 151), indexing="ij")
+    theta, _ = theta_star_grid(R_LOW, eta, gamma)
+    roots = np.isfinite(theta)
+    noise = NoiseParams(eta[roots], gamma[roots])
+    below = balance(theta[roots] - 1e-12, R_LOW, noise)
+    above = balance(theta[roots] + 1e-12, R_LOW, noise)
+    assert np.count_nonzero(roots) == 19_542
+    assert np.count_nonzero(~(below * above < 0.0)) == 0
+
+
 # The 8 cells of the default `phase_diagram --n 151` window whose root lies
 # in (88.7, 89.8) deg, outside the span of the 64-angle scan θ* once took.
 EDGE_CELLS = [(0.7548, 0.10759999999999999), (0.7564, 0.10599999999999998),
@@ -439,8 +463,9 @@ def test_solvers_match_reference(eta, gamma, r):
         if np.isfinite(theta) and gamma / spread >= np.finfo(float).tiny:
             with np.errstate(divide="ignore"):
                 ends = model._log_balance(
-                    np.array([theta - 1e-6, theta + 1e-6]), r,
-                    gamma / spread, spread)
+                    -gamma / (2.0 * spread)
+                    * np.cos(2.0 * np.array([theta - 1e-6, theta + 1e-6])),
+                    r, spread)
             assert np.sign(ends).prod() == -1.0
         return
     ref, _, n_ref = reference_star(r, eta, gamma)
@@ -492,10 +517,17 @@ class TestVectorisedModel:
                 assert getattr(b, name).flat[i] == getattr(one, name)
 
     def test_array_r_with_a_non_positive_entry_rejected(self):
-        for bad in (0.0, -1.0):
-            with pytest.raises(ValueError, match="aspect ratio must be "
-                                                 "positive"):
-                perr_analytic(0.3, np.array([1.0, bad, 1.2]), LOW_NOISE)
+        # NaN is not positive either; the θ* solvers check r before they
+        # divide by it or take its log
+        for bad in (0.0, -1.0, math.nan):
+            for call in (lambda: perr_analytic(0.3, np.array([1.0, bad, 1.2]),
+                                               LOW_NOISE),
+                         lambda: balance(0.3, bad, LOW_NOISE),
+                         lambda: theta_star(bad, LOW_NOISE),
+                         lambda: theta_star_grid(bad, 0.9, 0.05)):
+                with pytest.raises(ValueError, match="aspect ratio must be "
+                                                     "positive"):
+                    call()
 
     def test_zero_spread_cell(self):
         # eta = 1, gamma = 0: no noise, zero error, and B has no root
