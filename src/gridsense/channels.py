@@ -33,6 +33,7 @@ from .states import _gauss_hermite
 __all__ = [
     "NoiseParams",
     "apply_loss",
+    "loss_columns",
     "apply_dephasing",
     "apply_momentum_diffusion",
     "effective_sigmas",
@@ -74,17 +75,17 @@ def _loss_amplitudes(eta: float, D: int) -> np.ndarray:
 
     Row k holds the one nonzero diagonal of the k-photon Kraus operator,
     K_k[m, m+k] = A[k, m]. Computed in log space so large-n binomials stay
-    finite. Callers handle η = 1 (the identity channel) themselves.
+    finite. At η = 1 (the identity channel) only row 0 is nonzero, all 1.
     """
     check_domain("eta", eta, NOISE_DOMAINS["eta"])
     lgamma = _log_factorials(D)
     log_eta = math.log(eta)
-    log_one_minus = math.log1p(-eta)
+    log_one_minus = math.log1p(-eta) if eta < 1.0 else -math.inf
     A = np.zeros((D, D))
     for k in range(D):
         m = np.arange(D - k)
         log_w = (lgamma[m + k] - lgamma[k] - lgamma[m]
-                 + k * log_one_minus + m * log_eta)
+                 + (k * log_one_minus if k else 0.0) + m * log_eta)
         A[k, :D - k] = np.exp(0.5 * log_w)
     A.setflags(write=False)
     return A
@@ -99,8 +100,6 @@ def loss_kraus(eta: float, D: int) -> list[np.ndarray]:
     K_k[n-k, n] = sqrt(C(n,k) (1-η)^k η^{n-k}), k = 0..D-1. Σ K†K = I exactly
     within the truncated space. Kept as the dense reference for `apply_loss`.
     """
-    if eta == 1.0:
-        return [np.eye(D)]
     A = _loss_amplitudes(eta, D)
     ops = []
     for k in range(D):
@@ -122,8 +121,6 @@ def apply_loss(rho: np.ndarray, eta: float) -> np.ndarray:
     in the one loop over k; a real input gives a real output.
     """
     rho = np.asarray(rho)
-    if eta == 1.0:
-        return rho.copy()
     D = rho.shape[-1]
     out = np.zeros(rho.shape, np.result_type(rho, float))
     for k, a_k in enumerate(_loss_amplitudes(eta, D)):
@@ -132,17 +129,40 @@ def apply_loss(rho: np.ndarray, eta: float) -> np.ndarray:
     return out
 
 
+def loss_columns(kets: np.ndarray, eta: float) -> np.ndarray:
+    """The (k, D, D) stack U[j, m, i] = ⟨m|K_i|x_j⟩ = A[i, m]·x_j[m+i]
+    (`_loss_amplitudes`) for the k ket columns x_j of a (D, k) array: the
+    loss channel's system–environment picture (Nielsen & Chuang §8.2.3),
+    with loss(|x⟩⟨y|) = U_x·U_y† and U linear in the ket. One gather of the
+    zero-padded kets and one product; a real input gives a real output.
+    """
+    kets = np.asarray(kets)
+    D, k = kets.shape
+    padded = np.concatenate([kets.T, np.zeros((k, D), kets.dtype)], axis=1)
+    gather = np.add.outer(np.arange(D), np.arange(D))  # [m, i] = m + i
+    return padded[:, gather] * _loss_amplitudes(eta, D).T
+
+
+@lru_cache(maxsize=16)
+def _dephasing_factor(gamma: float, D: int) -> np.ndarray:
+    """Read-only E[m, n] = e^{-γ(m-n)²/2} at cutoff D, the real symmetric
+    factor of number-basis dephasing; cached per (γ, D)."""
+    check_domain("gamma", gamma, NOISE_DOMAINS["gamma"])
+    dn = np.subtract.outer(np.arange(D), np.arange(D)).astype(float)
+    E = np.exp(-0.5 * gamma * dn ** 2)
+    E.setflags(write=False)
+    return E
+
+
 def apply_dephasing(rho: np.ndarray, gamma: float) -> np.ndarray:
     """Number-basis dephasing ρ_mn → ρ_mn·e^{-γ(m-n)²/2}, matrix by matrix
-    on a (..., D, D) stack.
+    on a (..., D, D) stack: the elementwise product with
+    `_dephasing_factor`.
 
     Diagonal (and hence trace) is untouched for any γ.
     """
-    check_domain("gamma", gamma, NOISE_DOMAINS["gamma"])
     rho = np.asarray(rho)
-    n = np.arange(rho.shape[-1])
-    dn = n[:, None] - n[None, :]
-    return rho * np.exp(-0.5 * gamma * dn.astype(float) ** 2)
+    return rho * _dephasing_factor(gamma, rho.shape[-1])
 
 
 def apply_momentum_diffusion(rho: np.ndarray, gamma: float) -> np.ndarray:

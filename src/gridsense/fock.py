@@ -4,7 +4,7 @@ Conventions used throughout the package:
 
 * kets are 1-D arrays of length D (cutoff dimension), operators and density
   matrices D x D arrays: float64 where real (a, n̂, q, the codewords, the
-  squeeze generator, the noisy basis), complex only where a phase enters
+  squeeze generator, the loss basis), complex only where a phase enters
   (the Bloch azimuth e^{iφ}, the rotation R(θ), x_ψ's e^{iψ}),
 * quadratures are q = (a + a†)/√2, p = i(a† − a)/√2, so the vacuum has
   variance 1/2 in each.

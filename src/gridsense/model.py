@@ -265,11 +265,12 @@ def theta_star_grid(r: float, eta, gamma) -> tuple[np.ndarray, np.ndarray]:
     `eta` and `gamma` broadcast to the cell shape; the result has that
     shape. Every cell is solved by `_solve_cells` together, so each gets
     the root `theta_star` would return for it, bit for bit. Cells with no
-    root get NaN. One warning counts the cells whose balance function has
-    several sign changes.
+    root get NaN, a cell outside `NOISE_DOMAINS` ValueError. One warning
+    counts the cells whose balance function has several sign changes.
     """
     eta, gamma = np.broadcast_arrays(np.asarray(eta, dtype=float),
                                      np.asarray(gamma, dtype=float))
+    NoiseParams(eta, gamma)  # checks every cell
     root, p_err, _, _, n_roots = _solve_cells(r, eta.ravel(), gamma.ravel())
     n_multi = int(np.count_nonzero(n_roots > 1))
     if n_multi:
@@ -372,6 +373,9 @@ def mc_perr(theta: float, r: float, noise: NoiseParams, n_samples: int,
     memory stays flat; a zero spread draws nothing.
     """
     check_domain("n_samples", n_samples, MC_SAMPLES_DOMAIN)
+    check_aspect_ratio(r)
+    if not math.isfinite(theta):
+        raise ValueError(f"theta must be finite, got {theta}")
     sigma_q, sigma_p = effective_sigmas(noise, theta)
     d_q = A_LATTICE * r
     d_p = A_LATTICE / r
@@ -383,7 +387,7 @@ def mc_perr(theta: float, r: float, noise: NoiseParams, n_samples: int,
         m = min(MC_CHUNK, remaining)
         flips = np.zeros(m, dtype=bool)
         for sigma, spacing in ((sigma_q, d_q), (sigma_p, d_p)):
-            if not sigma > 0:
+            if sigma == 0.0:
                 continue
             for start in range(0, m, _MC_BLOCK):
                 block = flips[start:start + _MC_BLOCK]

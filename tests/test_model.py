@@ -9,10 +9,13 @@ from hypothesis import example, given, settings, strategies as st
 
 from gridsense import (
     NoiseParams,
+    SensorSpec,
     balance,
     gaussian_tail,
     mc_perr,
     perr_analytic,
+    pipeline_qfi,
+    sensor_state,
     theta_fit,
     theta_star,
     theta_star_grid,
@@ -372,10 +375,15 @@ class TestThetaStarGrid:
         assert theta[1, 0] == theta_star(R_LOW, LOW_NOISE).theta_star
 
     def test_invalid_cell_rejected(self):
-        with pytest.raises(ValueError, match="eta"):
-            theta_star_grid(R_LOW, [0.9, 1.2], 0.05)
-        with pytest.raises(ValueError, match="gamma"):
-            theta_star_grid(R_LOW, 0.9, [0.05, -0.1])
+        # with a root or without one (η = 0, NaN, and (0, −0.01) have none)
+        for eta, gamma, name in (([0.9, 1.2], 0.05, "eta"),
+                                 (0.9, [0.05, -0.1], "gamma"),
+                                 ([0.9, 0.0], 0.05, "eta"),
+                                 ([0.9, math.nan], 0.05, "eta"),
+                                 (0.9, [0.05, math.nan], "gamma"),
+                                 ([0.9, 0.0], [0.05, -0.01], "eta")):
+            with pytest.raises(ValueError, match=name):
+                theta_star_grid(R_LOW, eta, gamma)
 
 
 def test_every_root_is_a_sign_change_near_the_lossless_edge():
@@ -517,14 +525,17 @@ class TestVectorisedModel:
                 assert getattr(b, name).flat[i] == getattr(one, name)
 
     def test_array_r_with_a_non_positive_entry_rejected(self):
-        # NaN is not positive either; the θ* solvers check r before they
-        # divide by it or take its log
+        # NaN is not positive either; the θ* solvers and the pipeline check
+        # r before they divide by it or take its log
         for bad in (0.0, -1.0, math.nan):
+            spec = SensorSpec(theta=0.0, r=bad)
             for call in (lambda: perr_analytic(0.3, np.array([1.0, bad, 1.2]),
                                                LOW_NOISE),
                          lambda: balance(0.3, bad, LOW_NOISE),
                          lambda: theta_star(bad, LOW_NOISE),
-                         lambda: theta_star_grid(bad, 0.9, 0.05)):
+                         lambda: theta_star_grid(bad, 0.9, 0.05),
+                         lambda: sensor_state(spec, LOW_NOISE),
+                         lambda: pipeline_qfi(spec, LOW_NOISE)):
                 with pytest.raises(ValueError, match="aspect ratio must be "
                                                      "positive"):
                     call()
@@ -657,6 +668,15 @@ class TestMonteCarlo:
     def test_sample_floor(self):
         with pytest.raises(ValueError):
             mc_perr(0.0, R_LOW, LOW_NOISE, 100, seed=1)
+
+    @pytest.mark.parametrize("theta,r,match", [
+        (0.3, 0.0, "aspect ratio"), (0.3, -1.0, "aspect ratio"),
+        (0.3, math.nan, "aspect ratio"), (math.nan, R_LOW, "theta"),
+        (math.inf, R_LOW, "theta")])
+    def test_invalid_r_or_theta_rejected(self, theta, r, match):
+        # not a ZeroDivisionError, nor (0.0, 0.0) from a NaN spread
+        with pytest.raises(ValueError, match=match):
+            mc_perr(theta, r, LOW_NOISE, 10_000, seed=0)
 
     def test_chunking_boundary_consistency(self):
         # answers must not depend on how the stream is chunked, only on the

@@ -773,7 +773,7 @@ class TestAnalyticGradient:
                      - loss(epsilon=ON_BOUND.epsilon - h)) / (2 * h)
         # drop the out-of-domain codeword and basis from their caches
         states.prepare_codeword.cache_clear()
-        pipeline.noisy_basis.cache_clear()
+        pipeline.loss_basis.cache_clear()
         index = PARAM_ORDER.index
         assert got[index("bloch_theta")] == pytest.approx(d_theta, rel=1e-6)
         assert got[index("r")] == pytest.approx(d_r, rel=1e-6)

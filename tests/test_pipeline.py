@@ -1,4 +1,4 @@
-"""The cached noisy basis against the direct ket-then-channel route."""
+"""The cached loss basis against the direct ket-then-channel route."""
 
 import math
 from dataclasses import replace
@@ -20,9 +20,9 @@ from gridsense import (
     squeeze,
     train,
 )
-from gridsense import metrology, pipeline, states
-from gridsense.channels import loss_kraus
-from gridsense.pipeline import noisy_basis
+from gridsense import channels, metrology, pipeline, states
+from gridsense.channels import loss_columns, loss_kraus
+from gridsense.pipeline import loss_basis
 
 from conftest import LOW_NOISE, ket_density
 
@@ -77,14 +77,17 @@ def test_cached_state_matches_direct_route(spec, noise):
     assert np.max(np.abs(cached - direct_state(spec, noise))) <= 1e-13
 
 
-@pytest.mark.parametrize("bloch_theta,index", [(0.0, 0), (math.pi, 2)])
-def test_poles_return_the_basis_matrix_exactly(bloch_theta, index):
+@pytest.mark.parametrize("bloch_theta,index", [(0.0, 0), (math.pi, 1)])
+def test_poles_take_one_codewords_loss_columns_exactly(bloch_theta, index):
+    # 1.0·W0 + 0j·W1 is W0, bit for bit: the poles need no branch
     spec = SensorSpec(theta=0.0, r=1.092, bloch_theta=bloch_theta,
                       bloch_phi=0.4)
-    basis = noisy_basis(spec.epsilon, spec.r, LOW_NOISE.eta,
-                        LOW_NOISE.gamma, spec.cutoff)
-    assert np.array_equal(sensor_state(spec, LOW_NOISE), basis[index])
-    # a fresh, writable copy, not the read-only cached matrix
+    basis = loss_basis(spec.epsilon, spec.r, LOW_NOISE.eta, spec.cutoff)
+    U, _ = pipeline._state(
+        *states.bloch_amplitudes(bloch_theta, spec.bloch_phi), basis,
+        channels._dephasing_factor(LOW_NOISE.gamma, spec.cutoff))
+    assert np.array_equal(U, basis[index])
+    # a fresh, writable array, not the read-only cached basis
     state = pipeline._unrotated_state(spec, LOW_NOISE)
     assert state.flags.writeable
     assert not np.shares_memory(state, basis)
@@ -109,18 +112,30 @@ def test_mutating_a_returned_state_leaves_the_cache_intact(bloch_theta):
     assert pipeline_qfi(spec, LOW_NOISE) == qfi
 
 
-def test_basis_matrices_are_read_only():
-    for M in noisy_basis(0.063, 1.092, 0.9, 0.05, 30):
-        with pytest.raises(ValueError):
-            M[0, 0] = 1.0
+def test_loss_basis_is_read_only():
+    basis = loss_basis(0.063, 1.092, 0.9, 30)
+    assert basis.shape == (6, 30, 30)
+    with pytest.raises(ValueError):
+        basis[0, 0, 0] = 1.0
+
+
+def test_the_basis_does_not_depend_on_gamma():
+    # dephasing is applied to each state; the cached basis is γ-free
+    loss_basis.cache_clear()
+    spec = SensorSpec(theta=0.0, r=1.092, bloch_theta=1.1, bloch_phi=0.4)
+    for gamma in (0.05, 0.0, 0.3):
+        sensor_state(spec, NoiseParams(eta=0.9, gamma=gamma))
+    info = loss_basis.cache_info()
+    loss_basis.cache_clear()
+    assert (info.misses, info.hits) == (1, 2)
 
 
 @pytest.mark.parametrize("args", [(0.063, 1.092, 0.9, 0.05, 30),
                                   (0.1, 1.0, 1.0, 0.0, 40)])
 def test_basis_is_real_and_the_state_complex(args):
-    # real kets through real channels; the Bloch phase makes ρ complex
-    assert noisy_basis(*args).dtype == np.float64
+    # real kets through a real channel; the Bloch phase makes ρ complex
     epsilon, r, eta, gamma, cutoff = args
+    assert loss_basis(epsilon, r, eta, cutoff).dtype == np.float64
     noise = NoiseParams(eta=eta, gamma=gamma)
     for bloch_theta in (0.0, 1.1, math.pi):
         spec = SensorSpec(theta=0.0, r=r, epsilon=epsilon,
@@ -169,11 +184,11 @@ def test_training_builds_the_basis_once(monkeypatch):
 
     monkeypatch.setattr(pipeline, "squeeze",
                         counted("squeeze", pipeline.squeeze))
-    noisy_basis.cache_clear()
+    loss_basis.cache_clear()
     states._squeeze_spectrum.cache_clear()
     cfg = TrainConfig(noise=LOW_NOISE, steps=5)
     train(cfg, TrainableParams(bloch_theta=1.5708, bloch_phi=1.5708))
-    info = noisy_basis.cache_info()
+    info = loss_basis.cache_info()
     assert info.misses == 1
     # one lookup per step serves both the state and its gradient
     assert info.hits == 5 - 1
@@ -185,30 +200,30 @@ def test_training_builds_the_basis_once(monkeypatch):
                                     {"ell"}], ids=["r", "epsilon", "both"])
 def test_free_r_or_epsilon_builds_one_basis_per_step(freeze):
     # r and ε are differentiated through the basis slopes, never probed
-    noisy_basis.cache_clear()
+    loss_basis.cache_clear()
     cfg = TrainConfig(noise=LOW_NOISE, steps=4, freeze=frozenset(freeze))
     train(cfg, TrainableParams(bloch_theta=1.5708, bloch_phi=1.5708))
-    assert noisy_basis.cache_info().misses == 4
+    assert loss_basis.cache_info().misses == 4
 
 
 # Each ε lies well inside a stretch of fixed peak count S, where the
 # ε slope is exact.
 @pytest.mark.parametrize("args", [
-    (0.063, 1.092, 0.9, 0.05, 30),
-    (0.15, 0.6, 0.7, 0.2, 20),
-    (0.1, 1.0, 1.0, 0.0, 40),
+    (0.063, 1.092, 0.9, 30),
+    (0.15, 0.6, 0.7, 20),
+    (0.1, 1.0, 1.0, 40),
 ])
 @pytest.mark.parametrize("index,name", [(1, "r"), (2, "epsilon")])
 def test_basis_slope_matches_differences_of_the_basis(args, index, name):
-    point = dict(zip(("epsilon", "r", "eta", "gamma", "cutoff"), args))
+    point = dict(zip(("epsilon", "r", "eta", "cutoff"), args))
     h = 1e-5
-    slope = noisy_basis(*args)[3 * index:3 * index + 3]  # the index-th block
-    plus = noisy_basis(**point | {name: point[name] + h})[:3]
-    minus = noisy_basis(**point | {name: point[name] - h})[:3]
+    slope = loss_basis(*args)[2 * index:2 * index + 2]  # the index-th pair
+    plus = loss_basis(**point | {name: point[name] + h})[:2]
+    minus = loss_basis(**point | {name: point[name] - h})[:2]
     assert not slope.flags.writeable
-    for dM, M_plus, M_minus in zip(slope, plus, minus, strict=True):
-        diff = (M_plus - M_minus) / (2 * h)
-        assert np.max(np.abs(dM - diff)) <= 1e-6 * np.max(np.abs(diff))
+    for dW, W_plus, W_minus in zip(slope, plus, minus, strict=True):
+        diff = (W_plus - W_minus) / (2 * h)
+        assert np.max(np.abs(dW - diff)) <= 1e-6 * np.max(np.abs(diff))
 
 
 def test_qfi_gradient_gives_the_pipeline_qfi():
@@ -233,7 +248,14 @@ def test_qfi_gradient_matches_differences(bloch_theta):
     if 0.0 < bloch_theta < math.pi:
         d_theta = (qfi(bloch_theta=bloch_theta + h)
                    - qfi(bloch_theta=bloch_theta - h)) / (2 * h)
-        assert got[0] == pytest.approx(d_theta, rel=1e-6)
+    else:
+        # across a pole the meridian φ_B continues on the meridian φ_B + π;
+        # θ_B runs inward from 0 and outward into π
+        inward = 1.0 if bloch_theta == 0.0 else -1.0
+        inside = bloch_theta + inward * h
+        d_theta = inward * (qfi(bloch_theta=inside) - qfi(
+            bloch_theta=inside, bloch_phi=0.4 + math.pi)) / (2 * h)
+    assert got[0] == pytest.approx(d_theta, rel=1e-6)
     d_phi = (qfi(bloch_phi=0.4 + h) - qfi(bloch_phi=0.4 - h)) / (2 * h)
     assert got[1] == pytest.approx(d_phi, rel=1e-6, abs=1e-9)
     d_r = (qfi(r=1.092 + h) - qfi(r=1.092 - h)) / (2 * h)
@@ -243,20 +265,19 @@ def test_qfi_gradient_matches_differences(bloch_theta):
 
 
 def test_basis_from_cached_codewords_matches_an_uncached_build(monkeypatch):
-    args = (0.063, 1.3, 0.85, 0.07, 30)
+    args = (0.063, 1.3, 0.85, 30)
     for mu in (0, 1):
         states.prepare_codeword(mu, 0.063, 30)
     hits = states.prepare_codeword.cache_info().hits
-    noisy_basis.cache_clear()
-    cached = noisy_basis(*args)
+    loss_basis.cache_clear()
+    cached = loss_basis(*args)
     assert states.prepare_codeword.cache_info().hits == hits + 2
     monkeypatch.setattr(pipeline, "prepare_codeword",
                         states.prepare_codeword.__wrapped__)
-    noisy_basis.cache_clear()
-    uncached = noisy_basis(*args)
-    noisy_basis.cache_clear()
-    for M, ref in zip(cached, uncached):
-        assert np.array_equal(M, ref)
+    loss_basis.cache_clear()
+    uncached = loss_basis(*args)
+    loss_basis.cache_clear()
+    assert np.array_equal(cached, uncached)
 
 
 def test_mutating_a_codeword_copy_leaves_the_cache_intact():
@@ -270,10 +291,36 @@ def test_mutating_a_codeword_copy_leaves_the_cache_intact():
     assert np.array_equal(states.prepare_codeword(0, 0.063, 30), expected)
 
 
-def basis_reference(epsilon, r, eta, gamma, cutoff):
-    """(M, ∂_r M, ∂_ε M) with each matrix through the channels alone: the
-    outer products of the real squeezed kets one at a time, and ∂_r from
-    the commutator [G, S·O·Sᵀ]/r of the squeeze generator G with each."""
+@pytest.mark.parametrize("eta,dim", [(0.9, 30), (0.6, 20), (0.999, 40),
+                                     (1.0, 12)])
+def test_loss_columns_are_the_kraus_operators_on_each_ket(eta, dim):
+    rng = np.random.default_rng(9)
+    kets = rng.normal(size=(dim, 3)) + 1j * rng.normal(size=(dim, 3))
+    kets /= np.linalg.norm(kets, axis=0)
+    U = loss_columns(kets, eta)
+    assert U.shape == (3, dim, dim)
+    for i, K in enumerate(loss_kraus(eta, dim)):
+        for j in range(3):
+            assert np.max(np.abs(U[j][:, i] - K @ kets[:, j])) <= 1e-15
+
+
+@pytest.mark.parametrize("eta,dim", [(0.9, 30), (0.6, 20), (0.999, 40),
+                                     (1.0, 12)])
+def test_loss_columns_give_the_loss_of_an_outer_product(eta, dim):
+    # loss(|x⟩⟨y|) = U_x·U_y†, |x⟩⟨y| not Hermitian
+    rng = np.random.default_rng(10)
+    kets = rng.normal(size=(dim, 2)) + 1j * rng.normal(size=(dim, 2))
+    kets /= np.linalg.norm(kets, axis=0)
+    U_x, U_y = loss_columns(kets, eta)
+    ref = apply_loss(np.outer(kets[:, 0], kets[:, 1].conj()), eta)
+    assert np.max(np.abs(U_x @ U_y.conj().T - ref)) <= 1e-15
+
+
+def basis_reference(epsilon, r, eta, cutoff):
+    """(M, ∂_r M, ∂_ε M) for M_ij = loss(|k_i⟩⟨k_j|) over (i, j) = (0, 0),
+    (0, 1), (1, 1), each matrix through `apply_loss` alone: the outer
+    products of the real squeezed kets one at a time, and ∂_r from the
+    commutator [G, S·O·Sᵀ]/r of the squeeze generator G with each."""
     codewords = np.stack([states.prepare_codeword(0, epsilon, cutoff),
                           states.prepare_codeword(1, epsilon, cutoff)], axis=1)
     n = np.arange(cutoff)[:, None]
@@ -288,100 +335,94 @@ def basis_reference(epsilon, r, eta, gamma, cutoff):
     d_epsilon = [np.outer(d_kets[:, i], squeezed[:, j])
                  + np.outer(squeezed[:, i], d_kets[:, j])
                  for i, j in pairs]
-    return tuple([apply_dephasing(apply_loss(X, eta), gamma) for X in stack]
+    return tuple([apply_loss(X, eta) for X in stack]
                  for stack in (outer, d_r, d_epsilon))
 
 
 BASIS_POINTS = [
-    (0.063, 1.092, 0.9, 0.05, 30),
-    (0.15, 0.6, 0.7, 0.2, 20),
-    (0.063, 1.5, 1.0, 0.05, 30),
-    (0.063, 1.092, 0.9, 0.0, 30),
-    (0.1, 1.0, 1.0, 0.0, 40),
+    (0.063, 1.092, 0.9, 30),
+    (0.15, 0.6, 0.7, 20),
+    (0.063, 1.5, 1.0, 30),
+    (0.063, 1.092, 0.5, 30),
+    (0.1, 1.0, 1.0, 40),
 ]
 
 
 @pytest.mark.parametrize("args", BASIS_POINTS)
-def test_stacked_basis_is_bit_identical_to_one_matrix_at_a_time(args):
-    noisy_basis.cache_clear()
-    basis = noisy_basis(*args)
-    noisy_basis.cache_clear()
-    for M, ref in zip(basis[:3], basis_reference(*args)[0], strict=True):
-        assert M.tobytes() == ref.tobytes()
+def test_basis_products_match_the_channel_of_each_outer_product(args):
+    # W_i·W_jᵀ is loss(|k_i⟩⟨k_j|), and its slopes are dW_i·W_jᵀ + W_i·dW_jᵀ
+    loss_basis.cache_clear()
+    W = loss_basis(*args)
+    loss_basis.cache_clear()
+    pairs = ((0, 0), (0, 1), (1, 1))
+    for (i, j), M, d_r, d_epsilon in zip(pairs, *basis_reference(*args),
+                                         strict=True):
+        for got, ref in ((W[i] @ W[j].T, M),
+                         (W[2 + i] @ W[j].T + W[i] @ W[2 + j].T, d_r),
+                         (W[4 + i] @ W[j].T + W[i] @ W[4 + j].T, d_epsilon)):
+            assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref))
 
 
-@pytest.mark.parametrize("args", BASIS_POINTS)
-def test_basis_slopes_match_the_matrix_route(args):
-    # ∂_ε M is the same product of kets, so the same bits; ∂_r M takes G on
-    # the kets in place of the commutator, which moves it by roundoff only
-    noisy_basis.cache_clear()
-    basis = noisy_basis(*args)
-    noisy_basis.cache_clear()
-    d_r, d_epsilon = basis[3:6], basis[6:]
-    _, ref_r, ref_epsilon = basis_reference(*args)
-    for dM, ref in zip(d_epsilon, ref_epsilon, strict=True):
-        assert dM.tobytes() == ref.tobytes()
-    for dM, ref in zip(d_r, ref_r, strict=True):
-        assert np.max(np.abs(dM - ref)) <= 1e-15 * np.max(np.abs(ref))
-
-
-def qfi_gradient_three_pass(spec, noise):
-    """`_qfi_gradient` with H paired with M, ∂_r M and ∂_ε M one (3, D, D)
-    block at a time, each block's Tr(H·X) and Tr X taken apart."""
+def qfi_gradient_reference(spec, noise):
+    """`_qfi_gradient` from density matrices: each slope dρ of the state
+    through `apply_loss` and `apply_dephasing`, paired as Tr(H·dρ)."""
     c0, c1 = states.bloch_amplitudes(spec.bloch_theta, spec.bloch_phi)
-    basis = noisy_basis(spec.epsilon, spec.r, noise.eta, noise.gamma,
-                        spec.cutoff)
-    qfi, H = metrology.qfi_response(pipeline._state(c0, c1, basis[:3]))
-    coeffs = (c0 * c0, c0 * np.conj(c1), abs(c1) ** 2)
-    sin, cos = math.sin(spec.bloch_theta), math.cos(spec.bloch_theta)
-    phase = np.exp(-1j * spec.bloch_phi)
+    kets = np.stack([W_j[:, 0] for W_j in loss_basis(
+        spec.epsilon, spec.r, 1.0, spec.cutoff)], axis=1)
+    qfi, H = metrology.qfi_response(pipeline._unrotated_state(spec, noise))
+    phase = np.exp(1j * spec.bloch_phi)
+    psi = kets[:, :2] @ [c0, c1]
+    slopes = (kets[:, :2] @ [-c1 / phase / 2, phase * c0 / 2],
+              1j * c1 * kets[:, 1], kets[:, 2:4] @ [c0, c1],
+              kets[:, 4:] @ [c0, c1])
 
-    def paired(c, x):
-        return float((c[0] * x[0] + c[2] * x[2] + 2.0 * c[1] * x[1]).real)
+    def channels(X):
+        return apply_dephasing(apply_loss(X, noise.eta), noise.gamma)
 
-    (h, traces), d_r, d_epsilon = (
-        (np.sum(H.T * block, axis=(-2, -1)),
-         np.trace(block, axis1=-2, axis2=-1))
-        for block in (basis[:3], basis[3:6], basis[6:]))
-    norm = paired(coeffs, traces)
-    mean_h = paired(coeffs, h) / norm
-
-    def along(d_coeffs, h, traces):
-        return (paired(d_coeffs, h) - mean_h * paired(d_coeffs, traces)) / norm
-
-    return qfi, np.array([
-        along((-0.5 * sin, 0.5 * cos * phase, 0.5 * sin), h, traces),
-        along((0.0, -1j * coeffs[1], 0.0), h, traces),
-        along(coeffs, *d_r),
-        along(coeffs, *d_epsilon)])
+    N = channels(ket_density(psi))
+    norm = np.trace(N).real
+    rho = N / norm
+    grad = []
+    for d_psi in slopes:
+        dN = channels(np.outer(d_psi, psi.conj()) + np.outer(psi, d_psi.conj()))
+        d_rho = (dN - rho * np.trace(dN).real) / norm
+        grad.append(np.sum(H.T * d_rho).real)
+    return qfi, np.array(grad)
 
 
 @pytest.mark.parametrize("cached", [False, True], ids=["free", "frozen"])
 @pytest.mark.parametrize("bloch", [(1.1, 0.4), (0.0, 0.0), (math.pi, -2.5)])
-@pytest.mark.parametrize("args", BASIS_POINTS)
-def test_qfi_gradient_pairs_the_stack_as_three_blocks(args, bloch, cached):
+@pytest.mark.parametrize("args", [(0.063, 1.092, 0.9, 0.05, 30),
+                                  (0.15, 0.6, 0.7, 0.2, 20),
+                                  (0.063, 1.5, 1.0, 0.05, 30),
+                                  (0.063, 1.092, 0.9, 0.0, 30),
+                                  (0.1, 1.0, 1.0, 0.0, 40)])
+def test_qfi_gradient_matches_the_density_matrix_route(args, bloch, cached):
     # with r or ε free each step builds its basis, with both frozen it hits
-    # the cache; either way one pass over the stack gives the bits of three
+    # the cache; either way the same bits, and the channels' dρ to roundoff
     epsilon, r, eta, gamma, cutoff = args
     spec = SensorSpec(theta=0.0, r=r, epsilon=epsilon, bloch_theta=bloch[0],
                       bloch_phi=bloch[1], cutoff=cutoff)
     noise = NoiseParams(eta=eta, gamma=gamma)
-    noisy_basis.cache_clear()
-    if cached:
-        noisy_basis(epsilon, r, eta, gamma, cutoff)
+    loss_basis.cache_clear()
     qfi, grad = pipeline._qfi_gradient(spec, noise)
-    ref_qfi, ref_grad = qfi_gradient_three_pass(spec, noise)
-    noisy_basis.cache_clear()
+    if cached:
+        again = pipeline._qfi_gradient(spec, noise)
+        assert loss_basis.cache_info().hits == 1
+        assert np.float64(again[0]).tobytes() == np.float64(qfi).tobytes()
+        assert again[1].tobytes() == grad.tobytes()
+    ref_qfi, ref_grad = qfi_gradient_reference(spec, noise)
+    loss_basis.cache_clear()
     assert np.float64(qfi).tobytes() == np.float64(ref_qfi).tobytes()
-    assert grad.tobytes() == ref_grad.tobytes()
+    assert np.max(np.abs(grad - ref_grad)) <= 1e-12 * np.max(np.abs(ref_grad))
 
 
 def test_basis_misses_at_one_cutoff_build_the_generator_once():
     states.squeeze_generator.cache_clear()
-    noisy_basis.cache_clear()
-    noisy_basis(0.063, 1.092, 0.9, 0.05, 30)
-    noisy_basis(0.1, 1.3, 0.8, 0.1, 30)
-    noisy_basis.cache_clear()
+    loss_basis.cache_clear()
+    loss_basis(0.063, 1.092, 0.9, 30)
+    loss_basis(0.1, 1.3, 0.8, 30)
+    loss_basis.cache_clear()
     assert states.squeeze_generator.cache_info().misses == 1
     G = states.squeeze_generator(30)
     with pytest.raises(ValueError):
@@ -417,7 +458,7 @@ def test_states_are_block_diagonal_in_parity(point, cutoff):
     spec = SensorSpec(theta=0.7, r=r, epsilon=epsilon, bloch_theta=bloch_theta,
                       bloch_phi=bloch_phi, cutoff=cutoff)
     noise = NoiseParams(eta=eta, gamma=gamma)
-    matrices = [*noisy_basis(epsilon, r, eta, gamma, cutoff),
+    matrices = [*loss_basis(epsilon, r, eta, cutoff),
                 sensor_state(spec, noise)]
     for X in matrices:
         assert np.abs(X[cross]).max() <= 1e-14 * np.abs(X).max()
